@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from . import serialize
 from .companions import (
@@ -21,13 +21,12 @@ from .companions import (
     contains,
     diagonal_membership_oracle,
     equality_witness,
-    functionally_equal,
     is_quasilinear,
     is_rigid,
 )
 from .decomposition import quasilinear_part, rig_extrema
 from .errors import PreconditionError
-from .forms import eval_quadratic
+from .forms import DIMENSION_LIMIT, eval_quadratic
 from .matrices import invert, monomial_decomposition
 from .semiring import Element, Semifield, format_element
 from .serialize import SchemaError
@@ -66,9 +65,10 @@ def _semifield_override(args) -> Optional[Semifield]:
     return serialize.semifield_from_json(obj, "$.semifield")
 
 
-def _emit(args, payload: dict, pretty_lines: Optional[list[str]] = None) -> int:
-    if args.pretty and pretty_lines is not None:
-        print("\n".join(pretty_lines))
+def _emit(args, payload: dict, pretty_lines: Callable[[], list[str]]) -> int:
+    """Print the payload as JSON, or under --pretty the lines built on demand."""
+    if args.pretty:
+        print("\n".join(pretty_lines()))
     else:
         print(json.dumps(payload, sort_keys=True))
     return 0
@@ -88,41 +88,48 @@ def _cmd_eval(args) -> int:
     q = serialize.form_from_json(_read_json(args.form), _semifield_override(args))
     x = serialize.vector_from_text(q.sf, args.vector)
     value = eval_quadratic(q, x)
-    return _emit(args, {"value": format_element(value)}, [f"value: {_show(args, value)}"])
+    return _emit(args, {"value": format_element(value)}, lambda: [f"value: {_show(args, value)}"])
 
 
 def _cmd_companions(args) -> int:
     q = serialize.form_from_json(_read_json(args.form), _semifield_override(args))
     table = companion_table(q)
     payload = serialize.table_to_json(table)
-    payload["rigid"] = is_rigid(q)
-    payload["quasilinear"] = is_quasilinear(q)
-    lines = [f"companion table ({q.n} x {q.n}):"]
-    for row in table.cells:
-        lines.append("  " + " | ".join(serialize.cell_display(q.sf, c) for c in row))
-    lines.append(f"rigid: {is_rigid(q)}   quasilinear: {is_quasilinear(q)}")
+    payload["rigid"] = rigid = is_rigid(q)
+    payload["quasilinear"] = quasilinear = is_quasilinear(q)
+
+    def lines():
+        rows = ("  " + " | ".join(serialize.cell_display(q.sf, c) for c in row) for row in table.cells)
+        return [f"companion table ({q.n} x {q.n}):", *rows, f"rigid: {rigid}   quasilinear: {quasilinear}"]
+
     return _emit(args, payload, lines)
 
 
 def _cmd_decompose(args) -> int:
     q = serialize.form_from_json(_read_json(args.form), _semifield_override(args))
     ext = rig_extrema(q)
+    ql = quasilinear_part(q)
     payload = {
-        "ql": serialize.form_to_json(quasilinear_part(q)),
+        "ql": serialize.form_to_json(ql),
         "rigid_min": serialize.form_to_json(ext.minimum),
         "rigid_max": serialize.form_to_json(ext.maximum) if ext.maximum is not None else None,
         "table": serialize.table_to_json(ext.table),
     }
-    lines = [
-        f"quasilinear part: {quasilinear_part(q)!r}",
-        f"minimal rigid complement: {ext.minimum!r}",
-        "maximal rigid complement: "
-        + (repr(ext.maximum) if ext.maximum is not None else "none"),
-    ]
     if ext.no_max_cell is not None:
         i, j = ext.no_max_cell
         payload["no_max_cell"] = f"{i + 1},{j + 1}"
-        lines.append(f"no maximum because cell ({i + 1},{j + 1}) is half-open")
+
+    def lines():
+        out = [
+            f"quasilinear part: {ql!r}",
+            f"minimal rigid complement: {ext.minimum!r}",
+            "maximal rigid complement: "
+            + (repr(ext.maximum) if ext.maximum is not None else "none"),
+        ]
+        if ext.no_max_cell is not None:
+            out.append(f"no maximum because cell ({payload['no_max_cell']}) is half-open")
+        return out
+
     return _emit(args, payload, lines)
 
 
@@ -134,26 +141,29 @@ def _cmd_rigid_extrema(args) -> int:
         "max": serialize.form_to_json(ext.maximum) if ext.maximum is not None else None,
         "no_max_cell": f"{ext.no_max_cell[0] + 1},{ext.no_max_cell[1] + 1}" if ext.no_max_cell else None,
     }
-    lines = [
+    return _emit(args, payload, lambda: [
         f"min: {ext.minimum!r}",
         "max: " + (repr(ext.maximum) if ext.maximum is not None else "none"),
-    ]
-    return _emit(args, payload, lines)
+    ])
 
 
 def _cmd_equal(args) -> int:
     override = _semifield_override(args)
     q1 = serialize.form_from_json(_read_json(args.form1), override)
     q2 = serialize.form_from_json(_read_json(args.form2), override)
-    equal = functionally_equal(q1, q2)
-    witness = None if equal else equality_witness(q1, q2)
+    witness = equality_witness(q1, q2)
+    equal = witness is None
     payload = {
         "equal": equal,
-        "witness": serialize.vector_to_json(witness) if witness is not None else None,
+        "witness": None if equal else serialize.vector_to_json(witness),
     }
-    lines = [f"equal: {equal}"]
-    if witness is not None:
-        lines.append("witness vector: " + ", ".join(_show(args, v) for v in witness))
+
+    def lines():
+        out = [f"equal: {equal}"]
+        if witness is not None:
+            out.append("witness vector: " + ", ".join(_show(args, v) for v in witness))
+        return out
+
     return _emit(args, payload, lines)
 
 
@@ -217,9 +227,13 @@ def _cmd_check(args) -> int:
             ]
             report["mismatches"].append({"table": diff})
     report["ok"] = not report["mismatches"]
-    lines = [f"cells checked: {len(report['cells'])}", f"ok: {report['ok']}"]
-    if not report["ok"]:
-        lines.append("MISMATCHES: " + json.dumps(report["mismatches"], sort_keys=True))
+
+    def lines():
+        out = [f"cells checked: {len(report['cells'])}", f"ok: {report['ok']}"]
+        if not report["ok"]:
+            out.append("MISMATCHES: " + json.dumps(report["mismatches"], sort_keys=True))
+        return out
+
     _emit(args, report, lines)
     return 0 if report["ok"] else 2
 
@@ -229,11 +243,14 @@ def _cmd_invert(args) -> int:
     mono = monomial_decomposition(m)
     inv = invert(mono).to_general()
     payload = {"inverse": serialize.matrix_to_json(inv)}
-    return _emit(args, payload, [f"inverse: {inv!r}"])
+    return _emit(args, payload, lambda: [f"inverse: {inv!r}"])
 
 
 def _cmd_stropicalize(args) -> int:
     ratform = serialize.ratform_from_json(_read_json(args.ratform))
+    if ratform.n > DIMENSION_LIMIT:
+        # the image is a QuadraticForm; `classes` needs no image and has no limit
+        raise SchemaError(f"dimension {ratform.n} outside 1..{DIMENSION_LIMIT}", "$.n")
     spec = serialize.supervaluation_from_args(args.prime, args.mode)
     qphi = stropicalize_form(spec, ratform)
     balanced = balanced_companion_of_strop(spec, ratform)
@@ -246,20 +263,21 @@ def _cmd_stropicalize(args) -> int:
         "square_classes": [serialize.class_tag_to_json(t) for t in classes],
         "quasilinear": is_quasilinear(qphi),
     }
-    lines = [
-        f"image form: {qphi!r}",
-        f"balanced companion: {balanced!r}",
-        f"companion image: {b_phi!r}",
-        f"quasilinear: {is_quasilinear(qphi)}",
-    ]
-    if args.min_plus:
-        lines[0] = "image form (min-plus display): [" + "; ".join(
-            " ".join(
-                _show(args, qphi.diag[i]) if j == i else _show(args, qphi.beta(i, j))
-                for j in range(i, qphi.n)
-            )
-            for i in range(qphi.n)
-        ) + "]"
+
+    def lines():
+        image = f"image form: {qphi!r}"
+        if args.min_plus:
+            image = "image form (min-plus display): [" + "; ".join(
+                " ".join(_show(args, v) for v in (qphi.diag[i], *row[i + 1 :]))
+                for i, row in enumerate(qphi.cross)
+            ) + "]"
+        return [
+            image,
+            f"balanced companion: {balanced!r}",
+            f"companion image: {b_phi!r}",
+            f"quasilinear: {payload['quasilinear']}",
+        ]
+
     return _emit(args, payload, lines)
 
 
@@ -268,7 +286,7 @@ def _cmd_classes(args) -> int:
     spec = serialize.supervaluation_from_args(args.prime, args.mode)
     classes = square_class_sequence(spec, ratform)
     payload = {"square_classes": [serialize.class_tag_to_json(t) for t in classes]}
-    return _emit(args, payload, ["square classes: " + json.dumps(payload["square_classes"], sort_keys=True)])
+    return _emit(args, payload, lambda: ["square classes: " + json.dumps(payload["square_classes"], sort_keys=True)])
 
 
 def build_parser() -> argparse.ArgumentParser:

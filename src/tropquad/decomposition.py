@@ -55,12 +55,7 @@ def off_diagonal_companion(rho: QuadraticForm) -> SymmetricBilinearForm:
     """A rigid form's unique companion: zero diagonal, its own cross coefficients."""
     if any(not a.is_zero for a in rho.diag):
         raise PreconditionError("rigid form required", "the form has a nonzero diagonal coefficient")
-    n = rho.n
-    rows = [[ZERO] * n for _ in range(n)]
-    for i, j, v in rho.upper:
-        rows[i][j] = v
-        rows[j][i] = v
-    return SymmetricBilinearForm(rho.sf, tuple(tuple(r) for r in rows))
+    return SymmetricBilinearForm(rho.sf, rho.cross)
 
 
 def decompose(q: QuadraticForm, b: Optional[SymmetricBilinearForm] = None) -> Decomposition:

@@ -1,7 +1,9 @@
 """Quadratic forms as triangular schemes and bilinear forms as Gram matrices.
 
 A quadratic form is stored formally: diagonal coefficients alpha_i plus
-strict-upper coefficients beta_{i,j}.  Two distinct schemes may denote one
+cross coefficients beta_{i,j}, held once in a symmetric n x n grid (the
+layout of a Gram matrix), so a lookup is one index operation and a walk
+over the scheme is O(n^2).  Two distinct schemes may denote one
 function; functional identity is decided in :mod:`tropquad.companions`,
 never by coefficient comparison here.  Indices are 0-based internally and
 rendered 1-based at the JSON boundary.
@@ -23,39 +25,38 @@ Vector = tuple[Element, ...]
 UpperEntries = Union[Mapping[tuple[int, int], Element], Iterable[tuple[int, int, Element]]]
 
 
-def _canon_upper(sf: Semifield, n: int, upper: UpperEntries) -> tuple[tuple[int, int, Element], ...]:
-    items: list[tuple[int, int, Element]] = []
-    if isinstance(upper, Mapping):
-        raw = [(i, j, v) for (i, j), v in upper.items()]
-    else:
-        raw = list(upper)
-    seen = set()
-    for i, j, v in raw:
-        if not (0 <= i < j < n):
-            raise ValueError(f"upper index ({i},{j}) out of range for n={n}")
-        if (i, j) in seen:
-            raise ValueError(f"duplicate upper index ({i},{j})")
-        seen.add((i, j))
-        v = sf.element(v)
-        if not v.is_zero:
-            items.append((i, j, v))
-    return tuple(sorted(items, key=lambda t: (t[0], t[1])))
-
-
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, init=False)
 class QuadraticForm:
-    """Triangular coefficient scheme of a quadratic form."""
+    """Triangular coefficient scheme of a quadratic form.
+
+    ``cross`` is the symmetric n x n grid of cross coefficients: entry
+    (i, j) holds beta_{i,j} for i != j; absent coefficients and the
+    diagonal hold zero.  The constructor takes the strict-upper part as a
+    mapping ``{(i, j): beta}`` or as triples ``(i, j, beta)``, with i < j.
+    """
 
     sf: Semifield
     diag: tuple[Element, ...]
-    upper: tuple[tuple[int, int, Element], ...] = ()
+    cross: tuple[tuple[Element, ...], ...]
 
-    def __post_init__(self):
-        diag = tuple(self.sf.element(a) for a in self.diag)
-        if not 1 <= len(diag) <= DIMENSION_LIMIT:
-            raise ValueError(f"dimension {len(diag)} outside 1..{DIMENSION_LIMIT}")
+    def __init__(self, sf: Semifield, diag: Sequence[Element], upper: UpperEntries = ()):
+        diag = tuple(sf.element(a) for a in diag)
+        n = len(diag)
+        if not 1 <= n <= DIMENSION_LIMIT:
+            raise ValueError(f"dimension {n} outside 1..{DIMENSION_LIMIT}")
+        entries = ((i, j, v) for (i, j), v in upper.items()) if isinstance(upper, Mapping) else upper
+        rows = [[ZERO] * n for _ in range(n)]
+        seen = set()
+        for i, j, v in entries:
+            if not (0 <= i < j < n):
+                raise ValueError(f"upper index ({i},{j}) out of range for n={n}")
+            if (i, j) in seen:
+                raise ValueError(f"duplicate upper index ({i},{j})")
+            seen.add((i, j))
+            rows[i][j] = rows[j][i] = sf.element(v)
+        object.__setattr__(self, "sf", sf)
         object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "upper", _canon_upper(self.sf, len(diag), self.upper))
+        object.__setattr__(self, "cross", tuple(map(tuple, rows)))
 
     @property
     def n(self) -> int:
@@ -65,24 +66,15 @@ class QuadraticForm:
         return self.diag[i]
 
     def beta(self, i: int, j: int) -> Element:
-        """Strict-upper coefficient, looked up symmetrically; zero if absent."""
+        """Cross coefficient, symmetric in i and j; zero if absent."""
         if i == j:
             raise ValueError("beta is defined for distinct indices")
-        if i > j:
-            i, j = j, i
-        for a, b, v in self.upper:
-            if (a, b) == (i, j):
-                return v
-        return ZERO
-
-    def upper_map(self) -> dict[tuple[int, int], Element]:
-        return {(i, j): v for i, j, v in self.upper}
+        return self.cross[i][j]
 
     def __repr__(self) -> str:
         rows = []
-        for i in range(self.n):
-            cells = [repr(self.diag[i])] + [repr(self.beta(i, j)) for j in range(i + 1, self.n)]
-            rows.append(" ".join(cells))
+        for i, row in enumerate(self.cross):
+            rows.append(" ".join(repr(v) for v in (self.diag[i], *row[i + 1 :])))
         return "[" + "; ".join(rows) + "]"
 
 
@@ -140,7 +132,8 @@ def eval_quadratic(q: QuadraticForm, x: Sequence[Element]) -> Element:
     """Value of the form: sum of alpha_i x_i^2 and beta_{i,j} x_i x_j."""
     x = check_vector(q, x)
     terms = [q.diag[i] * x[i] * x[i] for i in range(q.n)]
-    terms.extend(v * x[i] * x[j] for i, j, v in q.upper)
+    for i, row in enumerate(q.cross):
+        terms.extend(row[j] * x[i] * x[j] for j in range(i + 1, q.n) if not row[j].is_zero)
     return semiring_sum(terms)
 
 
@@ -156,14 +149,10 @@ def balanced_companion(q: QuadraticForm) -> SymmetricBilinearForm:
     Doubling in this semiring is the ghost map, so the Gram diagonal is
     nu(alpha_i) and the off-diagonal copies the scheme coefficients.
     """
-    n = q.n
-    rows = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = q.diag[i].nu()
-    for i, j, v in q.upper:
-        rows[i][j] = v
-        rows[j][i] = v
-    return SymmetricBilinearForm(q.sf, tuple(tuple(r) for r in rows))
+    rows = [list(row) for row in q.cross]
+    for i, a in enumerate(q.diag):
+        rows[i][i] = a.nu()
+    return SymmetricBilinearForm(q.sf, tuple(map(tuple, rows)))
 
 
 def is_balanced_pair(q: QuadraticForm, b: SymmetricBilinearForm) -> bool:
@@ -184,14 +173,14 @@ def add_forms(q1: QuadraticForm, q2: QuadraticForm) -> QuadraticForm:
     if q1.n != q2.n:
         raise PreconditionError("dimension match required", "cannot add forms of different dimension")
     diag = tuple(a + b for a, b in zip(q1.diag, q2.diag))
-    keys = set(q1.upper_map()) | set(q2.upper_map())
-    upper = {k: q1.beta(*k) + q2.beta(*k) for k in keys}
+    n = q1.n
+    upper = {(i, j): q1.cross[i][j] + q2.cross[i][j] for i in range(n) for j in range(i + 1, n)}
     return QuadraticForm(q1.sf, diag, upper)
 
 
 def scale_form(lam: Element, q: QuadraticForm) -> QuadraticForm:
     diag = tuple(lam * a for a in q.diag)
-    upper = {(i, j): lam * v for i, j, v in q.upper}
+    upper = {(i, j): lam * row[j] for i, row in enumerate(q.cross) for j in range(i + 1, q.n)}
     return QuadraticForm(q.sf, diag, upper)
 
 
@@ -212,8 +201,7 @@ def pointwise_leq_rigid(r1: QuadraticForm, r2: QuadraticForm) -> bool:
             )
     if r1.n != r2.n:
         raise PreconditionError("dimension match required", "cannot compare forms of different dimension")
-    keys = set(r1.upper_map()) | set(r2.upper_map())
-    return all(leq_minimal(r1.beta(*k), r2.beta(*k)) for k in keys)
+    return all(leq_minimal(a, b) for row1, row2 in zip(r1.cross, r2.cross) for a, b in zip(row1, row2))
 
 
 def change_base(q: QuadraticForm, p: MonomialMatrix) -> QuadraticForm:
@@ -224,10 +212,10 @@ def change_base(q: QuadraticForm, p: MonomialMatrix) -> QuadraticForm:
     if q.n != p.n:
         raise PreconditionError("dimension match required", "form and matrix dimensions differ")
     diag = tuple(p.scales[k] * p.scales[k] * q.diag[p.perm[k]] for k in range(q.n))
-    upper = {}
-    for k in range(q.n):
-        for l in range(k + 1, q.n):
-            v = q.beta(p.perm[k], p.perm[l])
-            if not v.is_zero:
-                upper[(k, l)] = p.scales[k] * p.scales[l] * v
+    n = q.n
+    upper = {
+        (k, l): p.scales[k] * p.scales[l] * q.cross[p.perm[k]][p.perm[l]]
+        for k in range(n)
+        for l in range(k + 1, n)
+    }
     return QuadraticForm(q.sf, diag, upper)

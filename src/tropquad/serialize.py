@@ -129,7 +129,12 @@ def form_to_json(q: QuadraticForm) -> dict:
         "semifield": semifield_to_json(q.sf),
         "n": q.n,
         "diag": [format_element(a) for a in q.diag],
-        "upper": {f"{i + 1},{j + 1}": format_element(v) for i, j, v in q.upper},
+        "upper": {
+            f"{i + 1},{j + 1}": format_element(row[j])
+            for i, row in enumerate(q.cross)
+            for j in range(i + 1, q.n)
+            if not row[j].is_zero
+        },
     }
 
 
@@ -297,7 +302,7 @@ def ratform_from_json(obj: Any, path: str = "$") -> RationalQuadraticForm:
 def ratform_to_json(q: RationalQuadraticForm) -> dict:
     return {
         "n": q.n,
-        "coeffs": {f"{i + 1},{j + 1}": format_exponent(c) for (i, j), c in q.coeffs},
+        "coeffs": {f"{i + 1},{j + 1}": format_exponent(c) for (i, j), c in q.coeffs.items()},
     }
 
 

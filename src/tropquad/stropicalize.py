@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import PreconditionError
 from .forms import QuadraticForm, SymmetricBilinearForm, eval_quadratic
@@ -25,42 +25,46 @@ from .semiring import Element, GroupKind, Semifield, SquareClassTag
 RatMatrix = tuple[tuple[Fraction, ...], ...]
 
 
-@dataclass(frozen=True, slots=True)
+_QZERO = Fraction(0)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class RationalQuadraticForm:
-    """Triangular scheme with exact rational coefficients, keys (i, j), i <= j."""
+    """Triangular scheme with exact rational coefficients.
+
+    ``coeffs`` maps each key (i, j), i <= j, to its nonzero coefficient; it
+    has no dimension limit, so it is sparse rather than an n x n grid.  The
+    constructor takes ``((i, j), c)`` pairs.  Treat ``coeffs`` as read-only:
+    the form is a value, compared and hashed by content.
+    """
 
     n: int
-    coeffs: tuple[tuple[tuple[int, int], Fraction], ...]
+    coeffs: dict[tuple[int, int], Fraction]
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, coeffs: Iterable[tuple[tuple[int, int], Fraction]] = ()):
+        if n < 1:
             raise ValueError("dimension must be at least 1")
-        canon = []
-        seen = set()
-        for (i, j), c in self.coeffs:
-            if not (0 <= i <= j < self.n):
+        canon = {}
+        for (i, j), c in coeffs:
+            if not (0 <= i <= j < n):
                 raise ValueError(f"coefficient index ({i},{j}) out of range")
-            if (i, j) in seen:
+            if (i, j) in canon:
                 raise ValueError(f"duplicate coefficient index ({i},{j})")
-            seen.add((i, j))
-            c = Fraction(c)
-            if c != 0:
-                canon.append(((i, j), c))
-        object.__setattr__(self, "coeffs", tuple(sorted(canon)))
+            canon[(i, j)] = Fraction(c)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "coeffs", {k: c for k, c in sorted(canon.items()) if c != 0})
+
+    def __hash__(self) -> int:
+        return hash((self.n, frozenset(self.coeffs.items())))
 
     def coeff(self, i: int, j: int) -> Fraction:
-        if i > j:
-            i, j = j, i
-        for key, c in self.coeffs:
-            if key == (i, j):
-                return c
-        return Fraction(0)
+        return self.coeffs.get((i, j) if i <= j else (j, i), _QZERO)
 
     def evaluate(self, x: Sequence[Fraction]) -> Fraction:
         if len(x) != self.n:
             raise PreconditionError("dimension match required", "vector length mismatch")
         total = Fraction(0)
-        for (i, j), c in self.coeffs:
+        for (i, j), c in self.coeffs.items():
             total += c * x[i] * x[j]
         return total
 
@@ -129,10 +133,7 @@ def stropicalize_form(spec: SupervaluationSpec, q: RationalQuadraticForm) -> Qua
     """Coefficientwise image of the triangular scheme."""
     sf = spec.semifield
     diag = tuple(apply_supervaluation(spec, q.coeff(i, i)) for i in range(q.n))
-    upper = {}
-    for (i, j), c in q.coeffs:
-        if i != j:
-            upper[(i, j)] = apply_supervaluation(spec, c)
+    upper = {(i, j): apply_supervaluation(spec, c) for (i, j), c in q.coeffs.items() if i != j}
     return QuadraticForm(sf, diag, upper)
 
 
@@ -155,12 +156,10 @@ def stropicalize_bilinear(spec: SupervaluationSpec, m: RatMatrix) -> SymmetricBi
 def ring_companion_matrix(q: RationalQuadraticForm) -> RatMatrix:
     """The unique companion over the rationals: doubled diagonal, shared cross terms."""
     n = q.n
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 2 * q.coeff(i, i)
-        for j in range(i + 1, n):
-            rows[i][j] = rows[j][i] = q.coeff(i, j)
-    return tuple(tuple(r) for r in rows)
+    rows = [[_QZERO] * n for _ in range(n)]
+    for (i, j), c in q.coeffs.items():
+        rows[i][j] = rows[j][i] = 2 * c if i == j else c
+    return tuple(map(tuple, rows))
 
 
 def balanced_companion_of_strop(spec: SupervaluationSpec, q: RationalQuadraticForm) -> SymmetricBilinearForm:
@@ -168,12 +167,10 @@ def balanced_companion_of_strop(spec: SupervaluationSpec, q: RationalQuadraticFo
     sf = spec.semifield
     n = q.n
     rows = [[sf.zero] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = apply_supervaluation(spec, q.coeff(i, i)).nu()
-        for j in range(i + 1, n):
-            v = apply_supervaluation(spec, q.coeff(i, j))
-            rows[i][j] = rows[j][i] = v
-    return SymmetricBilinearForm(sf, tuple(tuple(r) for r in rows))
+    for (i, j), c in q.coeffs.items():
+        v = apply_supervaluation(spec, c)
+        rows[i][j] = rows[j][i] = v.nu() if i == j else v
+    return SymmetricBilinearForm(sf, tuple(map(tuple, rows)))
 
 
 @dataclass(frozen=True, slots=True)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from tropquad import (
     ZERO,
     Element,
@@ -64,6 +66,24 @@ def random_element(rng, sf, zero_p=0.15, lo=-8, hi=8) -> Element:
     if rng.random() < zero_p:
         return ZERO
     return random_nonzero(rng, sf, lo, hi)
+
+
+def element_strategy(sf: Semifield):
+    """Hypothesis strategy for elements of sf with exponents in [-8, 8]."""
+    if sf.group is GroupKind.INT:
+        exps = st.integers(-8, 8)
+    elif sf.group is GroupKind.RAT:
+        exps = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+    else:
+        exps = st.builds(Fraction, st.integers(-72, 72), st.sampled_from((1, 3, 9))).filter(
+            lambda x: -8 <= x <= 8
+        )
+    fibers = st.tuples(*[st.sampled_from((1, -1))] * sf.fiber_rank)
+    return st.one_of(
+        st.just(ZERO),
+        st.builds(sf.ghost, exps),
+        st.builds(sf.tangible, exps, fibers),
+    )
 
 
 def random_vector(rng, sf, n, zero_p=0.25):

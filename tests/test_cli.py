@@ -111,6 +111,19 @@ def test_classes(files, capsys):
     ]
 
 
+def test_rational_form_beyond_the_dimension_limit(files, capsys):
+    """The image form has at most 64 variables; square classes need no image."""
+    n = 65
+    big = files("big.json", {"n": n, "coeffs": {f"{i},{i}": "1" for i in range(1, n + 1)}})
+    code, out, err = run(capsys, "stropicalize", big, "--prime", "2")
+    assert code == 1 and out == ""
+    assert json.loads(err)["path"] == "$.n"
+
+    code, out, _ = run(capsys, "classes", big, "--prime", "2")
+    assert code == 0
+    assert len(json.loads(out)["square_classes"]) == n
+
+
 def test_check_ok_and_corrupted_table(files, capsys, tmp_path):
     form_path = files("f.json", FORM)
     code, out, _ = run(capsys, "check", form_path)

@@ -472,25 +472,7 @@ def test_dense_gap_rejection_needs_fine_resolution():
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-
-def _exponent_strategy(kind):
-    if kind is GroupKind.INT:
-        return st.integers(-8, 8)
-    if kind is GroupKind.RAT:
-        return st.fractions(min_value=-8, max_value=8, max_denominator=6)
-    return st.builds(Fraction, st.integers(-72, 72), st.sampled_from((1, 3, 9))).filter(
-        lambda x: -8 <= x <= 8
-    )
-
-
-def _element_strategy(sf):
-    exps = _exponent_strategy(sf.group)
-    fibers = st.tuples(*[st.sampled_from((1, -1))] * sf.fiber_rank)
-    return st.one_of(
-        st.just(ZERO),
-        st.builds(sf.ghost, exps),
-        st.builds(sf.tangible, exps, fibers),
-    )
+from gen import element_strategy
 
 
 @st.composite
@@ -498,7 +480,7 @@ def _membership_inputs(draw):
     kind = draw(st.sampled_from(list(GroupKind)))
     rank = draw(st.sampled_from((0, 1)))
     sf = Semifield(kind, rank)
-    elems = _element_strategy(sf)
+    elems = element_strategy(sf)
     return sf, draw(elems), draw(elems), draw(elems), draw(elems)
 
 
