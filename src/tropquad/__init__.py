@@ -3,7 +3,6 @@
 from .companions import (
     CompanionSet,
     CompanionTable,
-    MeanContext,
     NuClass,
     NuLeqDoubled,
     NuLtDoubled,
@@ -21,11 +20,8 @@ from .companions import (
     is_companion,
     is_quasilinear,
     is_rigid,
-    is_rigid_at_pair,
-    mean_context,
     pair_analysis,
     pair_branch,
-    quasilinear_pair,
     set_max,
     set_min,
 )
@@ -69,19 +65,12 @@ from .semiring import (
     ZERO,
     Element,
     GroupKind,
-    HalfElement,
-    NuComparison,
     Semifield,
     SquareClassTag,
     format_element,
     leq_minimal,
-    nu_compare,
-    nu_eq,
-    nu_leq,
-    nu_lt,
     parse_rational,
     semiring_sum,
-    sqrt_ghost,
 )
 from .stropicalize import (
     AxisReport,

@@ -26,12 +26,11 @@ from .companions import (
 )
 from .decomposition import quasilinear_part, rig_extrema
 from .errors import PreconditionError
-from .forms import DIMENSION_LIMIT, eval_quadratic
+from .forms import DIMENSION_LIMIT, balanced_companion, eval_quadratic
 from .matrices import invert, monomial_decomposition
 from .semiring import Element, Semifield, format_element
 from .serialize import SchemaError
 from .stropicalize import (
-    balanced_companion_of_strop,
     ring_companion_matrix,
     square_class_sequence,
     stropicalize_bilinear,
@@ -253,7 +252,7 @@ def _cmd_stropicalize(args) -> int:
         raise SchemaError(f"dimension {ratform.n} outside 1..{DIMENSION_LIMIT}", "$.n")
     spec = serialize.supervaluation_from_args(args.prime, args.mode)
     qphi = stropicalize_form(spec, ratform)
-    balanced = balanced_companion_of_strop(spec, ratform)
+    balanced = balanced_companion(qphi)
     b_phi = stropicalize_bilinear(spec, ring_companion_matrix(ratform))
     classes = square_class_sequence(spec, ratform)
     payload = {

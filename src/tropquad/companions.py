@@ -9,10 +9,15 @@ geometric mean of the two diagonal coefficients (at the exponent level):
 * a half-open lower interval (strict bound, no maximum),
 * a nu-class (all tangibles of one exponent plus its ghost).
 
-The closed-form case analysis in :func:`companion_set_pair` is
+The case analysis is written once, in :func:`pair_analysis`; pair-level
+predicates read it off the cell (forced means a :class:`Singleton`, the
+zero form accompanies the pair iff the cell contains zero).  It is
 cross-validated everywhere by :func:`companion_membership_oracle`, an
 independent decision procedure that checks the defining one-parameter
-family of scaling identities on a finite critical set of exponents.
+family of scaling identities on a finite critical set of exponents.  The
+oracles and :func:`equality_witness` build that set with one helper,
+:func:`_probe_exponents_for`, which shares no code with the case analysis
+or the companion-set types.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Union
 
 from .errors import PreconditionError
@@ -112,33 +118,6 @@ class PairBranch(enum.Enum):
     MEAN_GAP_DISCRETE_GHOSTS = "mean_gap_discrete_ghosts"
 
 
-@dataclass(frozen=True, slots=True)
-class MeanContext:
-    """Geometric-mean bookkeeping for a pair of nonzero diagonal coefficients.
-
-    ``xi_exp`` is half the exponent sum (possibly a half-exponent outside
-    the group).  In the discrete gap case ``sigma_exp``/``tau_exp`` bracket
-    it at distance 1/2 on either side, and their sum is twice ``xi_exp``.
-    """
-
-    xi_exp: Fraction
-    case: str  # "mean_in_group" | "mean_gap_dense" | "mean_gap_discrete"
-    sigma_exp: Optional[int] = None
-    tau_exp: Optional[int] = None
-
-
-def mean_context(sf: Semifield, alpha1: Element, alpha2: Element) -> MeanContext:
-    if alpha1.is_zero or alpha2.is_zero:
-        raise PreconditionError("nonzero element required", "the mean needs nonzero coefficients")
-    total = Fraction(alpha1.exp) + Fraction(alpha2.exp)
-    xi = total / 2
-    if sf.legal_exponent(xi):
-        return MeanContext(xi, "mean_in_group")
-    if sf.dense:
-        return MeanContext(xi, "mean_gap_dense")
-    return MeanContext(xi, "mean_gap_discrete", sigma_exp=int(xi + Fraction(1, 2)), tau_exp=int(xi - Fraction(1, 2)))
-
-
 def pair_analysis(
     sf: Semifield, alpha1: Element, alpha2: Element, alpha: Element
 ) -> tuple[PairBranch, CompanionSet]:
@@ -185,14 +164,10 @@ def diagonal_cell(alpha: Element) -> CompanionSet:
 
 
 def _tie_points(terms: list[tuple[int, Exponent]]) -> list[Fraction]:
-    ties = set()
-    for a in range(len(terms)):
-        for b in range(a + 1, len(terms)):
-            s1, o1 = terms[a]
-            s2, o2 = terms[b]
-            if s1 != s2:
-                ties.add((Fraction(o2) - Fraction(o1)) / (s1 - s2))
-    return sorted(ties)
+    """Where two lines ``slope * x + offset`` of different slopes meet."""
+    return sorted(
+        {Fraction(o2 - o1) / (s1 - s2) for (s1, o1), (s2, o2) in combinations(terms, 2) if s1 != s2}
+    )
 
 
 def _probe_exponents(sf: Semifield, criticals: list[Fraction]) -> list[Exponent]:
@@ -207,11 +182,20 @@ def _probe_exponents(sf: Semifield, criticals: list[Fraction]) -> list[Exponent]
         mid = sf.between(lo, hi)
         if mid is not None:
             probes.append(mid)
-    below = sf.between(criticals[0] - 2, criticals[0])
-    above = sf.between(criticals[-1], criticals[-1] + 2)
-    probes.append(below if below is not None else _canon_exp(criticals[0] - 1))
-    probes.append(above if above is not None else _canon_exp(criticals[-1] + 1))
+    # every group has an exponent inside an interval of length 2
+    probes.append(sf.between(criticals[0] - 2, criticals[0]))
+    probes.append(sf.between(criticals[-1], criticals[-1] + 2))
     return sorted(set(probes))
+
+
+def _probe_exponents_for(sf: Semifield, *levels: tuple[int, Element]) -> list[Exponent]:
+    """Probe exponents for summands whose nu-level is linear in exp(lambda).
+
+    Each ``(slope, element)`` stands for the line ``slope * exp(lambda) +
+    exp(element)``; zero elements have no level and contribute no line.
+    """
+    terms = [(slope, a.exp) for slope, a in levels if not a.is_zero]
+    return _probe_exponents(sf, _tie_points(terms))
 
 
 def companion_membership_oracle(
@@ -233,16 +217,7 @@ def companion_membership_oracle(
     outcome depends on lambda only through its exponent; when the semifield
     carries fibers one flipped fiber is probed anyway.
     """
-    terms: list[tuple[int, Exponent]] = []
-    if not alpha1.is_zero:
-        terms.append((1, alpha1.exp))
-    if not alpha2.is_zero:
-        terms.append((-1, alpha2.exp))
-    if not alpha.is_zero:
-        terms.append((0, alpha.exp))
-    if not beta.is_zero:
-        terms.append((0, beta.exp))
-    probes = _probe_exponents(sf, _tie_points(terms))
+    probes = _probe_exponents_for(sf, (1, alpha1), (-1, alpha2), (0, alpha), (0, beta))
     fibers = [sf.identity_fiber()]
     if sf.fiber_rank > 0:
         fibers.append((-1,) + sf.identity_fiber()[1:])
@@ -268,14 +243,8 @@ def diagonal_membership_oracle(sf: Semifield, alpha: Element, beta: Element) -> 
     and is piecewise-constant in exp(t) between the tie points of the
     summand nu-levels, probed the same way as the cross-coefficient oracle.
     """
-    terms: list[tuple[int, Exponent]] = []
-    if not alpha.is_zero:
-        # nu-level of (t + t^-1) * alpha is |exp(t)| + exp(alpha)
-        terms.append((1, alpha.exp))
-        terms.append((-1, alpha.exp))
-    if not beta.is_zero:
-        terms.append((0, beta.exp))
-    probes = _probe_exponents(sf, _tie_points(terms))
+    # nu-level of (t + t^-1) * alpha is |exp(t)| + exp(alpha)
+    probes = _probe_exponents_for(sf, (1, alpha), (-1, alpha), (0, beta))
     e = sf.e
     for exp in probes:
         t = sf.tangible(exp)
@@ -363,45 +332,10 @@ def is_rigid(q: QuadraticForm) -> bool:
     return all(a.is_zero for a in q.diag)
 
 
-def is_rigid_at_pair(sf: Semifield, alpha1: Element, alpha2: Element, alpha: Element) -> bool:
-    """Whether the rank-2 cross coefficient is forced (singleton cell).
-
-    With a zero diagonal coefficient the cell is always the singleton of
-    the cross coefficient.  Otherwise the exponent criterion applies: the
-    doubled cross exponent must strictly exceed the exponent sum, by more
-    than one step in the discrete case.
-    """
-    if alpha1.is_zero or alpha2.is_zero:
-        return True
-    if alpha.is_zero:
-        return False
-    total = Fraction(alpha1.exp) + Fraction(alpha2.exp)
-    if sf.dense:
-        return total < 2 * alpha.exp
-    return total < 2 * alpha.exp - 1
-
-
-def quasilinear_pair(sf: Semifield, alpha1: Element, alpha2: Element, alpha: Element) -> bool:
-    """Closed criterion for the zero form to accompany a rank-2 form."""
-    if alpha.is_zero:
-        return True
-    if alpha1.is_zero or alpha2.is_zero:
-        return False
-    total = Fraction(alpha1.exp) + Fraction(alpha2.exp)
-    if 2 * alpha.exp <= total:
-        return True
-    return (
-        sf.group is GroupKind.INT
-        and 2 * alpha.exp == total + 1
-        and alpha1.is_ghost
-        and alpha2.is_ghost
-    )
-
-
 def is_quasilinear(q: QuadraticForm) -> bool:
     """Whether the zero bilinear form accompanies q."""
     return all(
-        quasilinear_pair(q.sf, q.diag[i], q.diag[j], q.beta(i, j))
+        contains(companion_set_pair(q.sf, q.diag[i], q.diag[j], q.beta(i, j)), ZERO)
         for i in range(q.n)
         for j in range(i + 1, q.n)
     )
@@ -446,14 +380,7 @@ def equality_witness(q1: QuadraticForm, q2: QuadraticForm):
             b2 = q2.beta(i, j)
             if b1 == b2:
                 continue
-            terms: list[tuple[int, Exponent]] = []
-            for slope, coeff in ((1, q1.diag[i]), (-1, q1.diag[j])):
-                if not coeff.is_zero:
-                    terms.append((slope, coeff.exp))
-            for coeff in (b1, b2):
-                if not coeff.is_zero:
-                    terms.append((0, coeff.exp))
-            for exp in _probe_exponents(sf, _tie_points(terms)):
+            for exp in _probe_exponents_for(sf, (1, q1.diag[i]), (-1, q1.diag[j]), (0, b1), (0, b2)):
                 lam = sf.tangible(exp)
                 x = tuple(lam if k == i else (sf.one if k == j else ZERO) for k in range(n))
                 if eval_quadratic(q1, x) != eval_quadratic(q2, x):

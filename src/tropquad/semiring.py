@@ -32,7 +32,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .errors import PreconditionError
 
@@ -159,41 +159,6 @@ def leq_minimal(x: Element, y: Element) -> bool:
     return x.exp == y.exp and y.tag == _TAG_GHOST
 
 
-class NuComparison(NamedTuple):
-    order: str  # "less" | "equal" | "greater"
-    left_ghost: bool
-    right_ghost: bool
-
-
-def nu_compare(a: Element, b: Element) -> NuComparison:
-    """Compare nu-values, with zero below everything."""
-    if a.is_zero and b.is_zero:
-        order = "equal"
-    elif a.is_zero:
-        order = "less"
-    elif b.is_zero:
-        order = "greater"
-    elif a.exp < b.exp:
-        order = "less"
-    elif a.exp > b.exp:
-        order = "greater"
-    else:
-        order = "equal"
-    return NuComparison(order, a.is_ghost, b.is_ghost)
-
-
-def nu_leq(a: Element, b: Element) -> bool:
-    return nu_compare(a, b).order != "greater"
-
-
-def nu_lt(a: Element, b: Element) -> bool:
-    return nu_compare(a, b).order == "less"
-
-
-def nu_eq(a: Element, b: Element) -> bool:
-    return nu_compare(a, b).order == "equal"
-
-
 @dataclass(frozen=True, slots=True)
 class SquareClassTag:
     """Identifies the orbit of an element under multiplication by unit squares.
@@ -209,60 +174,6 @@ class SquareClassTag:
     fiber: Optional[tuple[int, ...]]
 
 
-@dataclass(frozen=True, slots=True)
-class HalfElement:
-    """An element of the half-exponent extension.
-
-    Exponents may sit in half the base group; squaring always lands back in
-    the base group.  Only the handful of operations the package needs are
-    provided: multiplication, squaring, and the ghost square root below.
-    """
-
-    tag: str
-    exp: Optional[Exponent] = None
-    fiber: tuple[int, ...] = ()
-
-    @property
-    def is_zero(self) -> bool:
-        return self.tag == _TAG_ZERO
-
-    @property
-    def is_ghost(self) -> bool:
-        return self.tag == _TAG_GHOST
-
-    def __mul__(self, other: "HalfElement") -> "HalfElement":
-        if self.tag == _TAG_ZERO or other.tag == _TAG_ZERO:
-            return HalfElement(_TAG_ZERO)
-        exp = self.exp + other.exp
-        if self.tag == _TAG_TANGIBLE and other.tag == _TAG_TANGIBLE:
-            fiber = tuple(a * b for a, b in zip(self.fiber, other.fiber, strict=True))
-            return HalfElement(_TAG_TANGIBLE, _canon_exp(Fraction(exp)), fiber)
-        return HalfElement(_TAG_GHOST, _canon_exp(Fraction(exp)))
-
-    def square(self) -> Element:
-        if self.tag == _TAG_ZERO:
-            return ZERO
-        exp = _canon_exp(Fraction(self.exp) * 2)
-        if self.tag == _TAG_TANGIBLE:
-            return Element(_TAG_TANGIBLE, exp, tuple(1 for _ in self.fiber))
-        return Element(_TAG_GHOST, exp)
-
-
-def sqrt_ghost(a: Element) -> HalfElement:
-    """The unique square root of a ghost (or zero) in the half extension.
-
-    Tangible inputs are rejected: their square roots need not be unique.
-    """
-    if a.tag == _TAG_ZERO:
-        return HalfElement(_TAG_ZERO)
-    if a.tag == _TAG_TANGIBLE:
-        raise PreconditionError(
-            "ghost or zero element required",
-            f"square roots of tangibles are not unique, got {a}",
-        )
-    return HalfElement(_TAG_GHOST, _canon_exp(Fraction(a.exp) / 2))
-
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 
 
@@ -270,10 +181,6 @@ def parse_rational(text: str) -> Exponent:
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
     return _canon_exp(Fraction(text))
-
-
-def format_exponent(x: Exponent) -> str:
-    return str(x)
 
 
 def format_element(a: Element) -> str:
@@ -286,11 +193,11 @@ def format_element(a: Element) -> str:
     if a.tag == _TAG_ZERO:
         return "0"
     if a.tag == _TAG_GHOST:
-        return f"g:{format_exponent(a.exp)}"
+        return f"g:{a.exp}"
     if a.fiber:
         signs = "".join("+" if s > 0 else "-" for s in a.fiber)
-        return f"t:{format_exponent(a.exp)}:{signs}"
-    return f"t:{format_exponent(a.exp)}"
+        return f"t:{a.exp}:{signs}"
+    return f"t:{a.exp}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -387,11 +294,6 @@ class Semifield:
                 "a prime element exists only over the integer exponent group",
             )
         return self.tangible(-1)
-
-    def sqrt_prime(self) -> HalfElement:
-        """A square root of the prime element in the half extension."""
-        self.prime()  # group check
-        return HalfElement(_TAG_TANGIBLE, Fraction(-1, 2), self.identity_fiber())
 
     def element(self, a: Element) -> Element:
         """Validate that an element fits this semifield and return it."""

@@ -15,11 +15,11 @@ from .forms import QuadraticForm, SymmetricBilinearForm, Vector
 from .matrices import GeneralMatrix
 from .semiring import (
     Element,
+    Exponent,
     GroupKind,
     Semifield,
     SquareClassTag,
     format_element,
-    format_exponent,
     parse_rational,
 )
 from .stropicalize import RationalQuadraticForm, SupervaluationSpec
@@ -37,6 +37,11 @@ class SchemaError(Exception):
 def _expect(cond: bool, message: str, path: str):
     if not cond:
         raise SchemaError(message, path)
+
+
+def _is_int(x: Any) -> bool:
+    """JSON ints only: ``true``/``false`` parse to bools, which are ints too."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _get(obj: dict, key: str, path: str, required: bool = True):
@@ -57,7 +62,7 @@ def semifield_from_json(obj: Any, path: str = "$.semifield") -> Semifield:
     group = _get(obj, "group", path)
     _expect(group in _GROUPS, f"group must be one of {sorted(_GROUPS)}", f"{path}.group")
     rank = obj.get("fiber_rank", 0)
-    _expect(isinstance(rank, int) and rank >= 0, "fiber_rank must be a nonnegative int", f"{path}.fiber_rank")
+    _expect(_is_int(rank) and rank >= 0, "fiber_rank must be a nonnegative int", f"{path}.fiber_rank")
     return Semifield(_GROUPS[group], rank)
 
 
@@ -77,11 +82,18 @@ def element_from_json(sf: Semifield, obj: Any, path: str) -> Element:
 
 
 def rational_from_json(obj: Any, path: str) -> Fraction:
-    if isinstance(obj, int):
+    if _is_int(obj):
         return Fraction(obj)
     _expect(isinstance(obj, str), "rational must be an int or 'p/q' string", path)
     try:
         return Fraction(parse_rational(obj))
+    except ValueError as exc:
+        raise SchemaError(str(exc), path) from exc
+
+
+def _exponent_from_json(sf: Semifield, obj: Any, path: str) -> Exponent:
+    try:
+        return sf.check_exponent(rational_from_json(obj, path))
     except ValueError as exc:
         raise SchemaError(str(exc), path) from exc
 
@@ -108,7 +120,7 @@ def form_from_json(obj: Any, override_sf: Optional[Semifield] = None, path: str 
     _expect(isinstance(obj, dict), "form must be an object", path)
     sf = override_sf or semifield_from_json(_get(obj, "semifield", path), f"{path}.semifield")
     n = _get(obj, "n", path)
-    _expect(isinstance(n, int) and n >= 1, "n must be a positive int", f"{path}.n")
+    _expect(_is_int(n) and n >= 1, "n must be a positive int", f"{path}.n")
     diag_obj = _get(obj, "diag", path)
     _expect(isinstance(diag_obj, list) and len(diag_obj) == n, f"diag must list {n} elements", f"{path}.diag")
     diag = tuple(element_from_json(sf, v, f"{path}.diag[{k + 1}]") for k, v in enumerate(diag_obj))
@@ -218,10 +230,10 @@ def cell_display(sf: Semifield, cell: CompanionSet) -> str:
         half = Fraction(cell.bound2) / 2
         if sf.legal_exponent(half):
             return f"[0, {format_element(sf.ghost(half))}]"
-        return f"[0, g:{format_exponent(half)}]"  # bound itself outside the group
+        return f"[0, g:{half}]"  # bound itself outside the group
     if isinstance(cell, NuLtDoubled):
-        return f"[0, g:{format_exponent(Fraction(cell.bound2) / 2)}["
-    return f"nu-class({format_exponent(cell.exp)})"
+        return f"[0, g:{Fraction(cell.bound2) / 2}["
+    return f"nu-class({cell.exp})"
 
 
 def cell_to_json(sf: Semifield, cell: CompanionSet) -> dict:
@@ -231,13 +243,13 @@ def cell_to_json(sf: Semifield, cell: CompanionSet) -> dict:
         out["value"] = format_element(cell.value)
     elif isinstance(cell, NuLeqDoubled):
         out["kind"] = "nu_leq"
-        out["bound2"] = format_exponent(cell.bound2)
+        out["bound2"] = str(cell.bound2)
     elif isinstance(cell, NuLtDoubled):
         out["kind"] = "nu_lt"
-        out["bound2"] = format_exponent(cell.bound2)
+        out["bound2"] = str(cell.bound2)
     else:
         out["kind"] = "nu_class"
-        out["exp"] = format_exponent(cell.exp)
+        out["exp"] = str(cell.exp)
     return out
 
 
@@ -247,16 +259,12 @@ def cell_from_json(sf: Semifield, obj: Any, path: str) -> CompanionSet:
     if kind == "singleton":
         return Singleton(element_from_json(sf, _get(obj, "value", path), f"{path}.value"))
     if kind == "nu_leq":
-        return NuLeqDoubled(_as_exp(rational_from_json(_get(obj, "bound2", path), f"{path}.bound2")))
+        return NuLeqDoubled(_exponent_from_json(sf, _get(obj, "bound2", path), f"{path}.bound2"))
     if kind == "nu_lt":
-        return NuLtDoubled(_as_exp(rational_from_json(_get(obj, "bound2", path), f"{path}.bound2")))
+        return NuLtDoubled(_exponent_from_json(sf, _get(obj, "bound2", path), f"{path}.bound2"))
     if kind == "nu_class":
-        return NuClass(_as_exp(rational_from_json(_get(obj, "exp", path), f"{path}.exp")))
+        return NuClass(_exponent_from_json(sf, _get(obj, "exp", path), f"{path}.exp"))
     raise SchemaError("kind must be singleton|nu_leq|nu_lt|nu_class", f"{path}.kind")
-
-
-def _as_exp(x: Fraction):
-    return int(x) if x.denominator == 1 else x
 
 
 def table_to_json(table: CompanionTable) -> dict:
@@ -286,7 +294,7 @@ def table_from_json(obj: Any, override_sf: Optional[Semifield] = None, path: str
 def ratform_from_json(obj: Any, path: str = "$") -> RationalQuadraticForm:
     _expect(isinstance(obj, dict), "rational form must be an object", path)
     n = _get(obj, "n", path)
-    _expect(isinstance(n, int) and n >= 1, "n must be a positive int", f"{path}.n")
+    _expect(_is_int(n) and n >= 1, "n must be a positive int", f"{path}.n")
     coeffs_obj = _get(obj, "coeffs", path)
     _expect(isinstance(coeffs_obj, dict), "coeffs must be an object", f"{path}.coeffs")
     coeffs = []
@@ -302,7 +310,7 @@ def ratform_from_json(obj: Any, path: str = "$") -> RationalQuadraticForm:
 def ratform_to_json(q: RationalQuadraticForm) -> dict:
     return {
         "n": q.n,
-        "coeffs": {f"{i + 1},{j + 1}": format_exponent(c) for (i, j), c in q.coeffs.items()},
+        "coeffs": {f"{i + 1},{j + 1}": str(c) for (i, j), c in q.coeffs.items()},
     }
 
 

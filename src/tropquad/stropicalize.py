@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import PreconditionError
-from .forms import QuadraticForm, SymmetricBilinearForm, eval_quadratic
+from .forms import QuadraticForm, SymmetricBilinearForm, balanced_companion, eval_quadratic
 from .semiring import Element, GroupKind, Semifield, SquareClassTag
 
 RatMatrix = tuple[tuple[Fraction, ...], ...]
@@ -137,10 +137,6 @@ def stropicalize_form(spec: SupervaluationSpec, q: RationalQuadraticForm) -> Qua
     return QuadraticForm(sf, diag, upper)
 
 
-def stropicalize_matrix(spec: SupervaluationSpec, m: RatMatrix) -> tuple[tuple[Element, ...], ...]:
-    return tuple(tuple(apply_supervaluation(spec, c) for c in row) for row in m)
-
-
 def stropicalize_bilinear(spec: SupervaluationSpec, m: RatMatrix) -> SymmetricBilinearForm:
     """Entrywise image of a symmetric rational Gram matrix."""
     n = len(m)
@@ -150,7 +146,9 @@ def stropicalize_bilinear(spec: SupervaluationSpec, m: RatMatrix) -> SymmetricBi
         for j in range(n):
             if m[i][j] != m[j][i]:
                 raise PreconditionError("symmetric matrix required", f"asymmetry at ({i + 1},{j + 1})")
-    return SymmetricBilinearForm(spec.semifield, stropicalize_matrix(spec, m))
+    return SymmetricBilinearForm(
+        spec.semifield, tuple(tuple(apply_supervaluation(spec, c) for c in row) for row in m)
+    )
 
 
 def ring_companion_matrix(q: RationalQuadraticForm) -> RatMatrix:
@@ -164,13 +162,7 @@ def ring_companion_matrix(q: RationalQuadraticForm) -> RatMatrix:
 
 def balanced_companion_of_strop(spec: SupervaluationSpec, q: RationalQuadraticForm) -> SymmetricBilinearForm:
     """Balanced companion of the image form: ghosted diagonal, copied cross terms."""
-    sf = spec.semifield
-    n = q.n
-    rows = [[sf.zero] * n for _ in range(n)]
-    for (i, j), c in q.coeffs.items():
-        v = apply_supervaluation(spec, c)
-        rows[i][j] = rows[j][i] = v.nu() if i == j else v
-    return SymmetricBilinearForm(sf, tuple(map(tuple, rows)))
+    return balanced_companion(stropicalize_form(spec, q))
 
 
 @dataclass(frozen=True, slots=True)

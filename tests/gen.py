@@ -68,8 +68,8 @@ def random_element(rng, sf, zero_p=0.15, lo=-8, hi=8) -> Element:
     return random_nonzero(rng, sf, lo, hi)
 
 
-def element_strategy(sf: Semifield):
-    """Hypothesis strategy for elements of sf with exponents in [-8, 8]."""
+def exponent_strategy(sf: Semifield):
+    """Hypothesis strategy for exponents of sf's group in [-8, 8], canonical form."""
     if sf.group is GroupKind.INT:
         exps = st.integers(-8, 8)
     elif sf.group is GroupKind.RAT:
@@ -78,6 +78,12 @@ def element_strategy(sf: Semifield):
         exps = st.builds(Fraction, st.integers(-72, 72), st.sampled_from((1, 3, 9))).filter(
             lambda x: -8 <= x <= 8
         )
+    return exps.map(sf.check_exponent)
+
+
+def element_strategy(sf: Semifield):
+    """Hypothesis strategy for elements of sf with exponents in [-8, 8]."""
+    exps = exponent_strategy(sf)
     fibers = st.tuples(*[st.sampled_from((1, -1))] * sf.fiber_rank)
     return st.one_of(
         st.just(ZERO),

@@ -154,6 +154,40 @@ def test_schema_error_exit_code(files, capsys, tmp_path):
     assert json.loads(err)["path"] == "$.diag[1]"
 
 
+@pytest.mark.parametrize(
+    "command, obj, path",
+    [
+        ("companions", dict(FORM, semifield={"group": "int", "fiber_rank": True}), "$.semifield.fiber_rank"),
+        ("companions", dict(FORM, n=True), "$.n"),
+        ("classes", dict(RATFORM, n=True), "$.n"),
+        ("classes", dict(RATFORM, coeffs={"1,1": True}), "$.coeffs.1,1"),
+    ],
+)
+def test_booleans_are_not_ints(files, capsys, command, obj, path):
+    """JSON true/false parse to Python bools, which are ints; the schema refuses them."""
+    extra = ("--prime", "2") if command == "classes" else ()
+    code, out, err = run(capsys, command, files("f.json", obj), *extra)
+    assert code == 1 and out == ""
+    assert json.loads(err)["path"] == path
+
+
+@pytest.mark.parametrize(
+    "cell, path",
+    [
+        ({"kind": "nu_class", "exp": "1/2"}, "$.cells[1][2].exp"),
+        ({"kind": "nu_leq", "bound2": "1/3"}, "$.cells[1][2].bound2"),
+        ({"kind": "nu_lt", "bound2": "5/2"}, "$.cells[1][2].bound2"),
+    ],
+)
+def test_check_table_exponent_outside_the_group(files, capsys, cell, path):
+    code, out, _ = run(capsys, "companions", files("f.json", FORM))
+    table = json.loads(out)
+    table["cells"][0][1] = cell
+    code, out, err = run(capsys, "check", files("f.json", FORM), "--table", files("t.json", table))
+    assert code == 1 and out == ""
+    assert json.loads(err)["path"] == path
+
+
 def test_precondition_exit_code(files, capsys):
     code, _, err = run(capsys, "eval", files("f.json", FORM), "--vector", "t:1")
     assert code == 2

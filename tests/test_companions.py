@@ -1,6 +1,9 @@
 """Companion sets and tables against the independent membership oracle."""
 
+import itertools
 import random
+import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -31,11 +34,8 @@ from tropquad import (
     is_companion,
     is_quasilinear,
     is_rigid,
-    is_rigid_at_pair,
     leq_minimal,
-    mean_context,
     pair_branch,
-    quasilinear_pair,
     set_max,
     set_min,
 )
@@ -255,18 +255,23 @@ def test_rigid_iff_all_cells_singleton():
 
 
 def test_is_rigid_at_pair_examples():
-    assert is_rigid_at_pair(INT, t(0), t(0), t(1))
-    assert not is_rigid_at_pair(INT, g(0), g(1), t(1))
-    assert is_rigid_at_pair(RAT, RAT.tangible(0), RAT.tangible(0), RAT.tangible(1))
-    assert is_rigid_at_pair(INT, ZERO, t(3), ZERO)  # forced singleton {0}
+    # a pair is rigid when its cross coefficient is forced: a singleton cell
+    assert companion_set_pair(INT, t(0), t(0), t(1)) == Singleton(t(1))
+    assert not isinstance(companion_set_pair(INT, g(0), g(1), t(1)), Singleton)
+    assert companion_set_pair(RAT, RAT.tangible(0), RAT.tangible(0), RAT.tangible(1)) == Singleton(RAT.tangible(1))
+    assert companion_set_pair(INT, ZERO, t(3), ZERO) == Singleton(ZERO)
 
 
 def test_is_rigid_at_pair_matches_singleton():
+    """A cell is a singleton iff the oracle admits exactly one probe element."""
     rng = random.Random(6)
     for sf in kind_semifields(1):
         for a1, a2, a in pair_triples_for_kind(rng, sf, total=400):
             cell = companion_set_pair(sf, a1, a2, a)
-            assert is_rigid_at_pair(sf, a1, a2, a) == isinstance(cell, Singleton), (a1, a2, a)
+            probes = set(boundary_probe_elements(sf, a1, a2, a, cell))
+            admitted = (b for b in probes if companion_membership_oracle(sf, a1, a2, a, b))
+            first_two = list(itertools.islice(admitted, 2))
+            assert (len(first_two) == 1) == isinstance(cell, Singleton), (a1, a2, a, first_two)
 
 
 def test_is_quasilinear_examples():
@@ -281,7 +286,7 @@ def test_quasilinear_matches_zero_membership_and_function():
     for sf in kind_semifields():
         for a1, a2, a in pair_triples_for_kind(rng, sf, total=300):
             cell = companion_set_pair(sf, a1, a2, a)
-            assert quasilinear_pair(sf, a1, a2, a) == contains(cell, ZERO)
+            assert contains(cell, ZERO) == companion_membership_oracle(sf, a1, a2, a, ZERO)
         for _ in range(25):
             q = random_form(rng, sf, 3)
             table = companion_table(q)
@@ -356,23 +361,6 @@ def test_base_change_scaling_equivariance():
             scaled = companion_set_pair(sf, c1 * c1 * a1, c2 * c2 * a2, c1 * c2 * a)
             for b in boundary_probe_elements(sf, a1, a2, a, cell):
                 assert contains(cell, b) == contains(scaled, c1 * c2 * b)
-
-
-# -- the mean context ----------------------------------------------------------------
-
-
-def test_mean_context():
-    ctx = mean_context(INT, t(2), t(4))
-    assert ctx.case == "mean_in_group" and ctx.xi_exp == 3
-    ctx = mean_context(INT, t(0), t(1))
-    assert ctx.case == "mean_gap_discrete"
-    assert ctx.sigma_exp == 1 and ctx.tau_exp == 0
-    assert ctx.sigma_exp + ctx.tau_exp == 2 * ctx.xi_exp  # product is the squared mean
-    assert INT.between(ctx.tau_exp, ctx.sigma_exp) is None  # adjacent in the group
-    ctx = mean_context(RAT3, RAT3.tangible(0), RAT3.tangible(Fraction(1, 3)))
-    assert ctx.case == "mean_gap_dense" and ctx.xi_exp == Fraction(1, 6)
-    with pytest.raises(PreconditionError):
-        mean_context(INT, ZERO, t(1))
 
 
 # -- functional equality ---------------------------------------------------------------
@@ -465,6 +453,42 @@ def test_dense_gap_rejection_needs_fine_resolution():
         inside = RAT3.between(Fraction(cell.bound2) / 2 - Fraction(1, 3), Fraction(cell.bound2) / 2)
         assert contains(cell, RAT3.ghost(inside))
         assert companion_membership_oracle(RAT3, a1, a2, a, RAT3.ghost(inside))
+
+
+def _names_reached(*functions) -> tuple[set[str], set[str]]:
+    """Global and attribute names used by the functions, following every
+    call into another function of the same module, nested code included."""
+    module = sys.modules[functions[0].__module__]
+    visited: set[str] = set()
+    names: set[str] = set()
+    todo = list(functions)
+    while todo:
+        fn = todo.pop()
+        if fn.__name__ in visited:
+            continue
+        visited.add(fn.__name__)
+        codes = [fn.__code__]
+        while codes:
+            code = codes.pop()
+            codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+            for name in code.co_names:
+                names.add(name)
+                target = getattr(module, name, None)
+                if isinstance(target, types.FunctionType) and target.__module__ == module.__name__:
+                    todo.append(target)
+    return visited, names
+
+
+def test_oracle_shares_no_code_with_the_case_analysis():
+    """The oracles must stay independent of the closed form they validate."""
+    reached, names = _names_reached(companion_membership_oracle, diagonal_membership_oracle)
+    assert {"_probe_exponents_for", "_tie_points", "_probe_exponents"} <= reached
+    closed_form = {
+        "pair_analysis", "pair_branch", "companion_set_pair", "contains", "diagonal_cell",
+        "set_min", "set_max", "companion_table", "CompanionSet", "CompanionTable",
+        "Singleton", "NuLeqDoubled", "NuLtDoubled", "NuClass", "PairBranch",
+    }
+    assert not names & closed_form, names & closed_form
 
 
 # -- property-based statement of the flagship invariant ---------------------------

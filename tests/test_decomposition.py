@@ -23,7 +23,6 @@ from tropquad import (
     is_rigid,
     leq_minimal,
     min_companion,
-    nu_eq,
     off_diagonal_companion,
     pointwise_leq_rigid,
     quasilinear_part,
@@ -271,7 +270,7 @@ def test_minimal_members_nu_equivalent_discrete():
                 ]
                 for m1 in minimal:
                     for m2 in minimal:
-                        assert nu_eq(m1, m2), (cell, m1, m2)
+                        assert m1.nu() == m2.nu(), (cell, m1, m2)
 
 
 def test_decompose_defaults_to_minimal_companion():

@@ -14,8 +14,6 @@ from tropquad import (
     PreconditionError,
     Semifield,
     leq_minimal,
-    nu_compare,
-    sqrt_ghost,
 )
 
 from gen import ALL_KINDS, element_grid, kind_semifields, random_element
@@ -184,17 +182,6 @@ def test_sum_is_upper_bound():
             assert leq_minimal(x, x + y)
 
 
-# -- nu comparison ----------------------------------------------------------------
-
-
-def test_nu_compare_examples():
-    assert nu_compare(t(2), g(2)).order == "equal"
-    assert nu_compare(ZERO, t(-9)).order == "less"
-    assert nu_compare(g(1), t(0)).order == "greater"
-    cmp = nu_compare(g(1), t(0))
-    assert cmp.left_ghost and not cmp.right_ghost
-
-
 # -- squares ------------------------------------------------------------------------
 
 
@@ -240,34 +227,12 @@ def test_square_class_examples():
         INT.square_class(ZERO)
 
 
-# -- half extension ------------------------------------------------------------------
-
-
-def test_sqrt_ghost_examples():
-    assert sqrt_ghost(g(6)).exp == 3
-    assert sqrt_ghost(g(3)).exp == Fraction(3, 2)
-    assert sqrt_ghost(ZERO).is_zero
-    with pytest.raises(PreconditionError):
-        sqrt_ghost(t(2))
-
-
-def test_sqrt_ghost_is_halving_bijection():
-    for e in range(-6, 7):
-        root = sqrt_ghost(g(e))
-        assert root.square() == g(e)
-    # order preserving
-    exps = [sqrt_ghost(g(e)).exp for e in range(-6, 7)]
-    assert exps == sorted(exps)
-
-
 def test_prime_and_its_root():
     pi = INT.prime()
     assert pi == t(-1)
     # the ghost of the prime is the largest ghost below e
     assert leq_minimal(pi.nu(), INT.e)
     assert INT.between(pi.exp, 0) is None
-    root = INT.sqrt_prime()
-    assert root.square() == pi
     with pytest.raises(PreconditionError):
         RAT.prime()
 
@@ -327,13 +292,3 @@ def test_element_validation_rejects_malformed():
         INT.element(Element("zero", 0))
     with pytest.raises(ValueError):
         INT1.element(Element("tangible", 1, (2,)))
-
-
-def test_half_element_multiplication():
-    from tropquad import sqrt_ghost
-
-    for a in range(-4, 5):
-        for b in range(-4, 5):
-            assert sqrt_ghost(g(a)) * sqrt_ghost(g(b)) == sqrt_ghost(g(a + b))
-    root = INT.sqrt_prime()
-    assert (root * root).square() == t(-2)

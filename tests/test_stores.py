@@ -1,20 +1,49 @@
-"""Coefficient stores of QuadraticForm and RationalQuadraticForm.
+"""Coefficient stores of QuadraticForm and RationalQuadraticForm, and JSON.
 
 Lookups are symmetric and return what the constructor was given (zero when
-absent); the input format does not change the value; JSON round-trips.
-Dimensions run up to the QuadraticForm limit of 64.
+absent); the input format does not change the value.  Every schema in
+:mod:`tropquad.serialize` round-trips.  Form dimensions run up to the
+QuadraticForm limit of 64.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropquad import ZERO, GroupKind, QuadraticForm, RationalQuadraticForm, Semifield
+from tropquad import (
+    ZERO,
+    CompanionTable,
+    GeneralMatrix,
+    GroupKind,
+    NuClass,
+    NuLeqDoubled,
+    NuLtDoubled,
+    QuadraticForm,
+    RationalQuadraticForm,
+    Semifield,
+    Singleton,
+    SymmetricBilinearForm,
+)
 from tropquad.forms import DIMENSION_LIMIT
-from tropquad.serialize import form_from_json, form_to_json, ratform_from_json, ratform_to_json
+from tropquad.serialize import (
+    bilinear_from_json,
+    bilinear_to_json,
+    form_from_json,
+    form_to_json,
+    matrix_from_json,
+    matrix_to_json,
+    ratform_from_json,
+    ratform_to_json,
+    table_from_json,
+    table_to_json,
+    vector_from_json,
+    vector_to_json,
+)
 
-from gen import element_strategy
+from gen import element_strategy, exponent_strategy
 
 DIMS = st.one_of(st.integers(1, 8), st.integers(1, DIMENSION_LIMIT), st.just(DIMENSION_LIMIT))
+SMALL = st.integers(1, 6)
+SEMIFIELDS = st.builds(Semifield, st.sampled_from(list(GroupKind)), st.sampled_from((0, 1)))
 
 
 def _keys(n: int, strict: bool):
@@ -25,7 +54,7 @@ def _keys(n: int, strict: bool):
 
 @st.composite
 def forms(draw):
-    sf = Semifield(draw(st.sampled_from(list(GroupKind))), draw(st.sampled_from((0, 1))))
+    sf = draw(SEMIFIELDS)
     n = draw(DIMS)
     elems = element_strategy(sf)
     diag = draw(st.lists(elems, min_size=n, max_size=n))
@@ -97,3 +126,72 @@ def test_ratform_json_round_trip(data):
     n, coeffs = data
     r = RationalQuadraticForm(n, tuple(coeffs.items()))
     assert ratform_from_json(ratform_to_json(r)) == r
+
+
+@st.composite
+def vectors(draw):
+    sf = draw(SEMIFIELDS)
+    return sf, tuple(draw(st.lists(element_strategy(sf), min_size=1, max_size=DIMENSION_LIMIT)))
+
+
+@st.composite
+def bilinear_forms(draw):
+    sf = draw(SEMIFIELDS)
+    n = draw(SMALL)
+    rows = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(element_strategy(sf))
+    return SymmetricBilinearForm(sf, tuple(map(tuple, rows)))
+
+
+@st.composite
+def matrices(draw):
+    sf = draw(SEMIFIELDS)
+    nrows, ncols = draw(SMALL), draw(SMALL)
+    row = st.lists(element_strategy(sf), min_size=ncols, max_size=ncols).map(tuple)
+    return GeneralMatrix(sf, tuple(draw(st.lists(row, min_size=nrows, max_size=nrows))))
+
+
+def cells(sf: Semifield):
+    """Companion cells of all four kinds; bounds and exponents lie in the group."""
+    exps = exponent_strategy(sf)
+    return st.one_of(
+        st.builds(Singleton, element_strategy(sf)),
+        st.builds(NuLeqDoubled, exps),
+        st.builds(NuLtDoubled, exps),
+        st.builds(NuClass, exps),
+    )
+
+
+@st.composite
+def tables(draw):
+    sf = draw(SEMIFIELDS)
+    n = draw(SMALL)
+    row = st.lists(cells(sf), min_size=n, max_size=n).map(tuple)
+    return CompanionTable(sf, tuple(draw(st.lists(row, min_size=n, max_size=n))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(vectors())
+def test_vector_json_round_trip(data):
+    sf, x = data
+    assert vector_from_json(sf, vector_to_json(x)) == x
+
+
+@settings(max_examples=40, deadline=None)
+@given(bilinear_forms())
+def test_bilinear_json_round_trip(b):
+    assert bilinear_from_json(bilinear_to_json(b)) == b
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices())
+def test_matrix_json_round_trip(m):
+    assert matrix_from_json(matrix_to_json(m)) == m
+
+
+@settings(max_examples=40, deadline=None)
+@given(tables())
+def test_table_json_round_trip(table):
+    assert table_from_json(table_to_json(table)) == table
