@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Every subcommand reads JSON inputs (path or "-" for stdin), runs one
-pipeline, and prints a JSON result with sorted keys, so outputs are
-deterministic and diffable.  Exit codes: 0 success, 1 malformed input
-(with the JSON path of the problem), 2 violated algebraic precondition
-(with the precondition's name).
+Every subcommand reads JSON inputs (path or "-" for stdin) through
+``_load``, the one place where ``--semifield`` replaces an input's own
+"semifield" member.  It runs one pipeline and prints a JSON result with
+sorted keys, so outputs are deterministic and diffable.  Exit codes: 0
+success, 1 malformed input (with the JSON path of the problem), 2
+violated algebraic precondition (with the precondition's name).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Optional
+from typing import Callable
 
 from . import serialize
 from .companions import (
@@ -28,7 +29,7 @@ from .decomposition import quasilinear_part, rig_extrema
 from .errors import PreconditionError
 from .forms import DIMENSION_LIMIT, balanced_companion, eval_quadratic
 from .matrices import invert, monomial_decomposition
-from .semiring import Element, Semifield, format_element
+from .semiring import ZERO, Element, format_element, leq_minimal
 from .serialize import SchemaError
 from .stropicalize import (
     ring_companion_matrix,
@@ -46,22 +47,29 @@ def _read_json(path: str):
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}", "$") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc.msg}", f"$ (line {exc.lineno}, column {exc.colno})") from exc
+    except (ValueError, RecursionError) as exc:  # an int past the digit limit; nesting past the stack
+        raise SchemaError(f"invalid JSON: {exc}", "$") from exc
 
 
-def _semifield_override(args) -> Optional[Semifield]:
-    if not getattr(args, "semifield", None):
-        return None
-    try:
-        obj = json.loads(args.semifield)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON in --semifield: {exc.msg}", "$.semifield") from exc
-    return serialize.semifield_from_json(obj, "$.semifield")
+def _load(args, key: str):
+    """The JSON document named by ``args.<key>``; --semifield replaces its "semifield" member."""
+    doc = _read_json(getattr(args, key))
+    if getattr(args, "semifield", None) and isinstance(doc, dict):
+        try:
+            doc = {**doc, "semifield": json.loads(args.semifield)}
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+            raise SchemaError(f"invalid JSON in --semifield: {getattr(exc, 'msg', exc)}", "$.semifield") from exc
+    return doc
+
+
+def _form(args, key: str = "form"):
+    return serialize.form_from_json(_load(args, key))
 
 
 def _emit(args, payload: dict, pretty_lines: Callable[[], list[str]]) -> int:
@@ -84,39 +92,49 @@ def _show(args, a: Element) -> str:
 
 
 def _cmd_eval(args) -> int:
-    q = serialize.form_from_json(_read_json(args.form), _semifield_override(args))
+    q = _form(args)
     x = serialize.vector_from_text(q.sf, args.vector)
     value = eval_quadratic(q, x)
     return _emit(args, {"value": format_element(value)}, lambda: [f"value: {_show(args, value)}"])
 
 
 def _cmd_companions(args) -> int:
-    q = serialize.form_from_json(_read_json(args.form), _semifield_override(args))
+    q = _form(args)
     table = companion_table(q)
     payload = serialize.table_to_json(table)
     payload["rigid"] = rigid = is_rigid(q)
     payload["quasilinear"] = quasilinear = is_quasilinear(q)
 
     def lines():
-        rows = ("  " + " | ".join(serialize.cell_display(q.sf, c) for c in row) for row in table.cells)
+        rows = ("  " + " | ".join(serialize.cell_display(c) for c in row) for row in table.cells)
         return [f"companion table ({q.n} x {q.n}):", *rows, f"rigid: {rigid}   quasilinear: {quasilinear}"]
 
     return _emit(args, payload, lines)
 
 
+def _extrema_json(ext) -> tuple:
+    """(min, max, no_max_cell) of rig_extrema as JSON values; the last two may be None."""
+    cell = ext.no_max_cell
+    return (
+        serialize.form_to_json(ext.minimum),
+        None if ext.maximum is None else serialize.form_to_json(ext.maximum),
+        None if cell is None else f"{cell[0] + 1},{cell[1] + 1}",
+    )
+
+
 def _cmd_decompose(args) -> int:
-    q = serialize.form_from_json(_read_json(args.form), _semifield_override(args))
+    q = _form(args)
     ext = rig_extrema(q)
     ql = quasilinear_part(q)
+    low, high, cell = _extrema_json(ext)
     payload = {
         "ql": serialize.form_to_json(ql),
-        "rigid_min": serialize.form_to_json(ext.minimum),
-        "rigid_max": serialize.form_to_json(ext.maximum) if ext.maximum is not None else None,
+        "rigid_min": low,
+        "rigid_max": high,
         "table": serialize.table_to_json(ext.table),
     }
-    if ext.no_max_cell is not None:
-        i, j = ext.no_max_cell
-        payload["no_max_cell"] = f"{i + 1},{j + 1}"
+    if cell is not None:
+        payload["no_max_cell"] = cell
 
     def lines():
         out = [
@@ -125,21 +143,18 @@ def _cmd_decompose(args) -> int:
             "maximal rigid complement: "
             + (repr(ext.maximum) if ext.maximum is not None else "none"),
         ]
-        if ext.no_max_cell is not None:
-            out.append(f"no maximum because cell ({payload['no_max_cell']}) is half-open")
+        if cell is not None:
+            out.append(f"no maximum because cell ({cell}) is half-open")
         return out
 
     return _emit(args, payload, lines)
 
 
 def _cmd_rigid_extrema(args) -> int:
-    q = serialize.form_from_json(_read_json(args.form), _semifield_override(args))
+    q = _form(args)
     ext = rig_extrema(q)
-    payload = {
-        "min": serialize.form_to_json(ext.minimum),
-        "max": serialize.form_to_json(ext.maximum) if ext.maximum is not None else None,
-        "no_max_cell": f"{ext.no_max_cell[0] + 1},{ext.no_max_cell[1] + 1}" if ext.no_max_cell else None,
-    }
+    low, high, cell = _extrema_json(ext)
+    payload = {"min": low, "max": high, "no_max_cell": cell}
     return _emit(args, payload, lambda: [
         f"min: {ext.minimum!r}",
         "max: " + (repr(ext.maximum) if ext.maximum is not None else "none"),
@@ -147,9 +162,7 @@ def _cmd_rigid_extrema(args) -> int:
 
 
 def _cmd_equal(args) -> int:
-    override = _semifield_override(args)
-    q1 = serialize.form_from_json(_read_json(args.form1), override)
-    q2 = serialize.form_from_json(_read_json(args.form2), override)
+    q1, q2 = _form(args, "form1"), _form(args, "form2")
     witness = equality_witness(q1, q2)
     equal = witness is None
     payload = {
@@ -168,8 +181,6 @@ def _cmd_equal(args) -> int:
 
 def _cell_invariant_violations(cell, probes) -> list[str]:
     """Convexity, ghost stability, and sum rules over the probe battery."""
-    from tropquad.semiring import ZERO, leq_minimal
-
     problems = []
     members = [b for b in probes if contains(cell, b)]
     for b1 in members:
@@ -190,7 +201,7 @@ def _cell_invariant_violations(cell, probes) -> list[str]:
 
 
 def _cmd_check(args) -> int:
-    q = serialize.form_from_json(_read_json(args.form), _semifield_override(args))
+    q = _form(args)
     table = companion_table(q)
     report = {"cells": [], "mismatches": []}
     for i in range(q.n):
@@ -212,14 +223,16 @@ def _cmd_check(args) -> int:
             if bad:
                 report["mismatches"].append({"i": i + 1, "j": j + 1, "problems": bad})
     if args.table:
-        given = serialize.table_from_json(_read_json(args.table), override_sf=q.sf)
-        if given.n != table.n:
+        given = serialize.table_from_json(_load(args, "table"))
+        if given.sf != q.sf:
+            report["mismatches"].append({"table": "semifield mismatch"})
+        elif given.n != table.n:
             report["mismatches"].append({"table": "dimension mismatch"})
         elif given.cells != table.cells:
             diff = [
                 {"i": i + 1, "j": j + 1,
-                 "computed": serialize.cell_to_json(q.sf, table.cell(i, j)),
-                 "given": serialize.cell_to_json(q.sf, given.cell(i, j))}
+                 "computed": serialize.cell_to_json(table.cell(i, j)),
+                 "given": serialize.cell_to_json(given.cell(i, j))}
                 for i in range(q.n)
                 for j in range(q.n)
                 if given.cell(i, j) != table.cell(i, j)
@@ -238,7 +251,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    m = serialize.matrix_from_json(_read_json(args.matrix), _semifield_override(args))
+    m = serialize.matrix_from_json(_load(args, "matrix"))
     mono = monomial_decomposition(m)
     inv = invert(mono).to_general()
     payload = {"inverse": serialize.matrix_to_json(inv)}
@@ -246,7 +259,7 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_stropicalize(args) -> int:
-    ratform = serialize.ratform_from_json(_read_json(args.ratform))
+    ratform = serialize.ratform_from_json(_load(args, "ratform"))
     if ratform.n > DIMENSION_LIMIT:
         # the image is a QuadraticForm; `classes` needs no image and has no limit
         raise SchemaError(f"dimension {ratform.n} outside 1..{DIMENSION_LIMIT}", "$.n")
@@ -281,7 +294,7 @@ def _cmd_stropicalize(args) -> int:
 
 
 def _cmd_classes(args) -> int:
-    ratform = serialize.ratform_from_json(_read_json(args.ratform))
+    ratform = serialize.ratform_from_json(_load(args, "ratform"))
     spec = serialize.supervaluation_from_args(args.prime, args.mode)
     classes = square_class_sequence(spec, ratform)
     payload = {"square_classes": [serialize.class_tag_to_json(t) for t in classes]}
@@ -297,51 +310,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--min-plus", action="store_true", help="negate exponents in pretty output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
+    def add(name, fn, help_text, *inputs, semifield=True):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
+        for arg in inputs:
+            p.add_argument(arg)
+        if semifield:
+            p.add_argument("--semifield", help="semifield config JSON that replaces every input's own")
         return p
 
-    p = add("eval", _cmd_eval, "evaluate a form at a vector")
-    p.add_argument("form")
+    p = add("eval", _cmd_eval, "evaluate a form at a vector", "form")
     p.add_argument("--vector", required=True, help="comma-separated elements, e.g. 't:1,t:0'")
-    p.add_argument("--semifield")
-
-    p = add("companions", _cmd_companions, "compute the companion table")
-    p.add_argument("form")
-    p.add_argument("--semifield")
-
-    p = add("decompose", _cmd_decompose, "quasilinear part plus rigid extrema and table")
-    p.add_argument("form")
-    p.add_argument("--semifield")
-
-    p = add("rigid-extrema", _cmd_rigid_extrema, "extreme rigid complements")
-    p.add_argument("form")
-    p.add_argument("--semifield")
-
-    p = add("equal", _cmd_equal, "decide functional equality of two schemes")
-    p.add_argument("form1")
-    p.add_argument("form2")
-    p.add_argument("--semifield")
-
-    p = add("check", _cmd_check, "cross-validate the closed-form table against the oracle")
-    p.add_argument("form")
+    add("companions", _cmd_companions, "compute the companion table", "form")
+    add("decompose", _cmd_decompose, "quasilinear part plus rigid extrema and table", "form")
+    add("rigid-extrema", _cmd_rigid_extrema, "extreme rigid complements", "form")
+    add("equal", _cmd_equal, "decide functional equality of two schemes", "form1", "form2")
+    p = add("check", _cmd_check, "cross-validate the closed-form table against the oracle", "form")
     p.add_argument("--table", help="also compare against a previously saved table JSON")
-    p.add_argument("--semifield")
-
-    p = add("invert", _cmd_invert, "invert a monomial matrix")
-    p.add_argument("matrix")
-    p.add_argument("--semifield")
-
-    p = add("stropicalize", _cmd_stropicalize, "image of a rational form under a supervaluation")
-    p.add_argument("ratform")
-    p.add_argument("--prime", required=True, help="a prime number, or 'trivial'")
-    p.add_argument("--mode", default="tangible", choices=["tangible", "ghost", "signed"])
-
-    p = add("classes", _cmd_classes, "square-class sequence of a rational form's image")
-    p.add_argument("ratform")
-    p.add_argument("--prime", required=True)
-    p.add_argument("--mode", default="tangible", choices=["tangible", "ghost", "signed"])
+    add("invert", _cmd_invert, "invert a monomial matrix", "matrix")
+    for name, fn, help_text in (
+        ("stropicalize", _cmd_stropicalize, "image of a rational form under a supervaluation"),
+        ("classes", _cmd_classes, "square-class sequence of a rational form's image"),
+    ):
+        p = add(name, fn, help_text, "ratform", semifield=False)
+        p.add_argument("--prime", required=True, help="a prime number, or 'trivial'")
+        p.add_argument("--mode", default="tangible", choices=["tangible", "ghost", "signed"])
 
     return parser
 

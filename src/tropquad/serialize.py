@@ -44,26 +44,43 @@ def _is_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _get(obj: dict, key: str, path: str, required: bool = True):
+def _get(obj: dict, key: str, path: str):
     if key not in obj:
-        if required:
-            raise SchemaError(f"missing key {key!r}", path)
-        return None
+        raise SchemaError(f"missing key {key!r}", path)
     return obj[key]
+
+
+def _schema(make, path: str, *args):
+    """``make(*args)``, with its ValueError re-raised as a SchemaError at path."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise SchemaError(str(exc), path) from exc
 
 
 # -- semifield config --------------------------------------------------------
 
 _GROUPS = {k.value: k for k in GroupKind}
+# Input bounds: every tangible carries a fiber of fiber_rank signs, and a
+# prime is checked by trial division up to its square root.
+FIBER_RANK_LIMIT = 64
+PRIME_LIMIT = 2**31 - 1
 
 
 def semifield_from_json(obj: Any, path: str = "$.semifield") -> Semifield:
     _expect(isinstance(obj, dict), "semifield config must be an object", path)
     group = _get(obj, "group", path)
-    _expect(group in _GROUPS, f"group must be one of {sorted(_GROUPS)}", f"{path}.group")
+    _expect(isinstance(group, str) and group in _GROUPS, f"group must be one of {sorted(_GROUPS)}", f"{path}.group")
     rank = obj.get("fiber_rank", 0)
     _expect(_is_int(rank) and rank >= 0, "fiber_rank must be a nonnegative int", f"{path}.fiber_rank")
+    _expect(rank <= FIBER_RANK_LIMIT, f"fiber_rank must be at most {FIBER_RANK_LIMIT}", f"{path}.fiber_rank")
     return Semifield(_GROUPS[group], rank)
+
+
+def _object_sf(obj: Any, what: str, path: str) -> Semifield:
+    """Check that obj is an object and read its ``semifield`` member."""
+    _expect(isinstance(obj, dict), f"{what} must be an object", path)
+    return semifield_from_json(_get(obj, "semifield", path), f"{path}.semifield")
 
 
 def semifield_to_json(sf: Semifield) -> dict:
@@ -85,17 +102,11 @@ def rational_from_json(obj: Any, path: str) -> Fraction:
     if _is_int(obj):
         return Fraction(obj)
     _expect(isinstance(obj, str), "rational must be an int or 'p/q' string", path)
-    try:
-        return Fraction(parse_rational(obj))
-    except ValueError as exc:
-        raise SchemaError(str(exc), path) from exc
+    return Fraction(_schema(parse_rational, path, obj))
 
 
 def _exponent_from_json(sf: Semifield, obj: Any, path: str) -> Exponent:
-    try:
-        return sf.check_exponent(rational_from_json(obj, path))
-    except ValueError as exc:
-        raise SchemaError(str(exc), path) from exc
+    return _schema(sf.check_exponent, path, rational_from_json(obj, path))
 
 
 def _index_pair(key: str, n: int, path: str, strict_upper: bool) -> tuple[int, int]:
@@ -116,9 +127,8 @@ def _index_pair(key: str, n: int, path: str, strict_upper: bool) -> tuple[int, i
 # -- quadratic forms ---------------------------------------------------------
 
 
-def form_from_json(obj: Any, override_sf: Optional[Semifield] = None, path: str = "$") -> QuadraticForm:
-    _expect(isinstance(obj, dict), "form must be an object", path)
-    sf = override_sf or semifield_from_json(_get(obj, "semifield", path), f"{path}.semifield")
+def form_from_json(obj: Any, path: str = "$") -> QuadraticForm:
+    sf = _object_sf(obj, "form", path)
     n = _get(obj, "n", path)
     _expect(_is_int(n) and n >= 1, "n must be a positive int", f"{path}.n")
     diag_obj = _get(obj, "diag", path)
@@ -126,14 +136,12 @@ def form_from_json(obj: Any, override_sf: Optional[Semifield] = None, path: str 
     diag = tuple(element_from_json(sf, v, f"{path}.diag[{k + 1}]") for k, v in enumerate(diag_obj))
     upper_obj = obj.get("upper", {})
     _expect(isinstance(upper_obj, dict), "upper must be an object", f"{path}.upper")
-    upper = {}
-    for key, val in upper_obj.items():
-        i, j = _index_pair(key, n, f"{path}.upper", strict_upper=True)
-        upper[(i, j)] = element_from_json(sf, val, f"{path}.upper.{key}")
-    try:
-        return QuadraticForm(sf, diag, upper)
-    except ValueError as exc:
-        raise SchemaError(str(exc), path) from exc
+    # triples, so that two keys naming one cell ("1,2" and "01,2") are a duplicate
+    upper = [
+        (*_index_pair(key, n, f"{path}.upper", strict_upper=True), element_from_json(sf, val, f"{path}.upper.{key}"))
+        for key, val in upper_obj.items()
+    ]
+    return _schema(QuadraticForm, path, sf, diag, upper)
 
 
 def form_to_json(q: QuadraticForm) -> dict:
@@ -158,14 +166,7 @@ def vector_from_json(sf: Semifield, obj: Any, path: str = "$") -> Vector:
 
 
 def vector_from_text(sf: Semifield, text: str) -> Vector:
-    parts = [p.strip() for p in text.split(",")]
-    out = []
-    for k, p in enumerate(parts):
-        try:
-            out.append(sf.parse_element(p))
-        except ValueError as exc:
-            raise SchemaError(str(exc), f"$.vector[{k + 1}]") from exc
-    return tuple(out)
+    return tuple(_schema(sf.parse_element, f"$.vector[{k + 1}]", p.strip()) for k, p in enumerate(text.split(",")))
 
 
 def vector_to_json(x: Vector) -> dict:
@@ -175,8 +176,7 @@ def vector_to_json(x: Vector) -> dict:
 # -- bilinear forms and matrices ---------------------------------------------
 
 
-def _grid_from_json(sf: Semifield, obj: Any, key: str, path: str):
-    _expect(isinstance(obj, dict), "expected an object", path)
+def _grid_from_json(sf: Semifield, obj: dict, key: str, path: str):
     rows_obj = _get(obj, key, path)
     _expect(isinstance(rows_obj, list) and rows_obj, f"{key} must be a nonempty list", f"{path}.{key}")
     rows = []
@@ -188,13 +188,9 @@ def _grid_from_json(sf: Semifield, obj: Any, key: str, path: str):
     return tuple(rows)
 
 
-def bilinear_from_json(obj: Any, override_sf: Optional[Semifield] = None, path: str = "$") -> SymmetricBilinearForm:
-    sf = override_sf or semifield_from_json(_get(obj, "semifield", path), f"{path}.semifield")
-    rows = _grid_from_json(sf, obj, "gram", path)
-    try:
-        return SymmetricBilinearForm(sf, rows)
-    except ValueError as exc:
-        raise SchemaError(str(exc), path) from exc
+def bilinear_from_json(obj: Any, path: str = "$") -> SymmetricBilinearForm:
+    sf = _object_sf(obj, "bilinear form", path)
+    return _schema(SymmetricBilinearForm, path, sf, _grid_from_json(sf, obj, "gram", path))
 
 
 def bilinear_to_json(b: SymmetricBilinearForm) -> dict:
@@ -204,13 +200,9 @@ def bilinear_to_json(b: SymmetricBilinearForm) -> dict:
     }
 
 
-def matrix_from_json(obj: Any, override_sf: Optional[Semifield] = None, path: str = "$") -> GeneralMatrix:
-    sf = override_sf or semifield_from_json(_get(obj, "semifield", path), f"{path}.semifield")
-    rows = _grid_from_json(sf, obj, "rows", path)
-    try:
-        return GeneralMatrix(sf, rows)
-    except ValueError as exc:
-        raise SchemaError(str(exc), path) from exc
+def matrix_from_json(obj: Any, path: str = "$") -> GeneralMatrix:
+    sf = _object_sf(obj, "matrix", path)
+    return _schema(GeneralMatrix, path, sf, _grid_from_json(sf, obj, "rows", path))
 
 
 def matrix_to_json(m: GeneralMatrix) -> dict:
@@ -223,61 +215,50 @@ def matrix_to_json(m: GeneralMatrix) -> dict:
 # -- companion cells and tables ------------------------------------------------
 
 
-def cell_display(sf: Semifield, cell: CompanionSet) -> str:
+# cell kind -> (cell type, the JSON field that holds the cell's attribute of that name)
+_CELLS = {
+    "singleton": (Singleton, "value"),
+    "nu_leq": (NuLeqDoubled, "bound2"),
+    "nu_lt": (NuLtDoubled, "bound2"),
+    "nu_class": (NuClass, "exp"),
+}
+_CELL_KINDS = {cls: (kind, field) for kind, (cls, field) in _CELLS.items()}
+
+
+def cell_display(cell: CompanionSet) -> str:
     if isinstance(cell, Singleton):
         return "{" + format_element(cell.value) + "}"
-    if isinstance(cell, NuLeqDoubled):
-        half = Fraction(cell.bound2) / 2
-        if sf.legal_exponent(half):
-            return f"[0, {format_element(sf.ghost(half))}]"
-        return f"[0, g:{half}]"  # bound itself outside the group
-    if isinstance(cell, NuLtDoubled):
-        return f"[0, g:{Fraction(cell.bound2) / 2}["
-    return f"nu-class({cell.exp})"
+    if isinstance(cell, NuClass):
+        return f"nu-class({cell.exp})"
+    return f"[0, g:{Fraction(cell.bound2) / 2}{']' if isinstance(cell, NuLeqDoubled) else '['}"
 
 
-def cell_to_json(sf: Semifield, cell: CompanionSet) -> dict:
-    out: dict[str, Any] = {"display": cell_display(sf, cell)}
-    if isinstance(cell, Singleton):
-        out["kind"] = "singleton"
-        out["value"] = format_element(cell.value)
-    elif isinstance(cell, NuLeqDoubled):
-        out["kind"] = "nu_leq"
-        out["bound2"] = str(cell.bound2)
-    elif isinstance(cell, NuLtDoubled):
-        out["kind"] = "nu_lt"
-        out["bound2"] = str(cell.bound2)
-    else:
-        out["kind"] = "nu_class"
-        out["exp"] = str(cell.exp)
-    return out
+def cell_to_json(cell: CompanionSet) -> dict:
+    kind, field = _CELL_KINDS[type(cell)]
+    value = getattr(cell, field)
+    text = format_element(value) if isinstance(cell, Singleton) else str(value)
+    return {"display": cell_display(cell), "kind": kind, field: text}
 
 
 def cell_from_json(sf: Semifield, obj: Any, path: str) -> CompanionSet:
     _expect(isinstance(obj, dict), "cell must be an object", path)
     kind = _get(obj, "kind", path)
-    if kind == "singleton":
-        return Singleton(element_from_json(sf, _get(obj, "value", path), f"{path}.value"))
-    if kind == "nu_leq":
-        return NuLeqDoubled(_exponent_from_json(sf, _get(obj, "bound2", path), f"{path}.bound2"))
-    if kind == "nu_lt":
-        return NuLtDoubled(_exponent_from_json(sf, _get(obj, "bound2", path), f"{path}.bound2"))
-    if kind == "nu_class":
-        return NuClass(_exponent_from_json(sf, _get(obj, "exp", path), f"{path}.exp"))
-    raise SchemaError("kind must be singleton|nu_leq|nu_lt|nu_class", f"{path}.kind")
+    _expect(isinstance(kind, str) and kind in _CELLS, "kind must be " + "|".join(_CELLS), f"{path}.kind")
+    cls, field = _CELLS[kind]
+    read = element_from_json if cls is Singleton else _exponent_from_json
+    return cls(read(sf, _get(obj, field, path), f"{path}.{field}"))
 
 
 def table_to_json(table: CompanionTable) -> dict:
     return {
         "semifield": semifield_to_json(table.sf),
         "n": table.n,
-        "cells": [[cell_to_json(table.sf, cell) for cell in row] for row in table.cells],
+        "cells": [[cell_to_json(cell) for cell in row] for row in table.cells],
     }
 
 
-def table_from_json(obj: Any, override_sf: Optional[Semifield] = None, path: str = "$") -> CompanionTable:
-    _expect(isinstance(obj, dict), "table must be an object", path)
-    sf = override_sf or semifield_from_json(_get(obj, "semifield", path), f"{path}.semifield")
+def table_from_json(obj: Any, path: str = "$") -> CompanionTable:
+    sf = _object_sf(obj, "table", path)
     cells_obj = _get(obj, "cells", path)
     _expect(isinstance(cells_obj, list) and cells_obj, "cells must be a nonempty list", f"{path}.cells")
     n = len(cells_obj)
@@ -301,10 +282,7 @@ def ratform_from_json(obj: Any, path: str = "$") -> RationalQuadraticForm:
     for key, val in coeffs_obj.items():
         i, j = _index_pair(key, n, f"{path}.coeffs", strict_upper=False)
         coeffs.append(((i, j), rational_from_json(val, f"{path}.coeffs.{key}")))
-    try:
-        return RationalQuadraticForm(n, tuple(coeffs))
-    except ValueError as exc:
-        raise SchemaError(str(exc), path) from exc
+    return _schema(RationalQuadraticForm, path, n, tuple(coeffs))
 
 
 def ratform_to_json(q: RationalQuadraticForm) -> dict:
@@ -322,6 +300,7 @@ def supervaluation_from_args(prime: str, mode: str) -> SupervaluationSpec:
             p = int(prime)
         except ValueError:
             raise SchemaError("prime must be an integer or 'trivial'", "$.prime") from None
+        _expect(p <= PRIME_LIMIT, f"prime must be at most {PRIME_LIMIT}", "$.prime")
     try:
         return SupervaluationSpec(p, mode)
     except ValueError as exc:

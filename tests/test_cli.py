@@ -1,10 +1,21 @@
 """The command-line contract: subcommands, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from tropquad import ZERO, GeneralMatrix, GroupKind, QuadraticForm, RationalQuadraticForm, Semifield, companion_table
 from tropquad.cli import main
+from tropquad.semiring import format_element
+from tropquad.serialize import form_to_json, matrix_to_json, ratform_to_json, semifield_to_json, table_to_json
+
+from gen import element_strategy
 
 FORM = {"semifield": {"group": "int", "fiber_rank": 0}, "n": 2, "diag": ["t:2", "t:4"], "upper": {"1,2": "t:3"}}
 FORM_GHOSTED = {"semifield": {"group": "int", "fiber_rank": 0}, "n": 2, "diag": ["t:2", "t:4"], "upper": {"1,2": "g:3"}}
@@ -238,6 +249,20 @@ def test_minplus_display(files, capsys):
     assert "t:1" in out and "t:2" in out  # negated exponents in display
 
 
+def test_check_table_semifield_mismatch(files, capsys):
+    """A saved table is read under its own semifield; one that differs from the form's is a mismatch."""
+    rat3 = dict(FORM, semifield={"group": "rat3", "fiber_rank": 2})
+    code, out, _ = run(capsys, "companions", files("g.json", rat3))
+    saved = files("t.json", json.loads(out))
+    code, out, _ = run(capsys, "check", files("f.json", FORM), "--table", saved)
+    assert code == 2
+    assert json.loads(out)["mismatches"] == [{"table": "semifield mismatch"}]
+
+    # --semifield replaces the semifield of the form and of the table alike
+    code, out, _ = run(capsys, "check", files("f.json", FORM), "--table", saved, "--semifield", '{"group": "int"}')
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
 def test_check_table_dimension_mismatch(files, capsys, tmp_path):
     form_path = files("f.json", FORM)
     one = {"semifield": {"group": "int", "fiber_rank": 0}, "n": 1, "diag": ["t:2"]}
@@ -247,3 +272,178 @@ def test_check_table_dimension_mismatch(files, capsys, tmp_path):
     code, out, _ = run(capsys, "check", form_path, "--table", str(small_table))
     assert code == 2
     assert json.loads(out)["mismatches"] == [{"table": "dimension mismatch"}]
+
+
+def _error(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    return json.loads(err)
+
+
+@pytest.mark.parametrize(
+    "raw, argv, path, reason",
+    [
+        (b"5", ("invert",), "$", "matrix must be an object"),
+        (b"[1]", ("invert", "--semifield", '{"group": "int"}'), "$", "matrix must be an object"),
+        (json.dumps(dict(FORM, semifield={"group": []})).encode(), ("companions",), "$.semifield.group", None),
+        (b"[" * 100_000, ("companions",), "$", None),
+        (b"1" * 5000, ("companions",), "$", None),
+        (bytes.fromhex("fffe7b"), ("companions",), "$", None),
+    ],
+    ids=["non-object-matrix", "non-object-matrix-override", "list-group", "deep-nesting", "long-int", "not-utf8"],
+)
+def test_inputs_that_used_to_raise(tmp_path, capsys, raw, argv, path, reason):
+    """Each of these escaped as a Python traceback; each is a schema error at its path."""
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(raw)
+    error = _error(capsys, argv[0], str(doc), *argv[1:])
+    assert error["path"] == path
+    if reason is not None:
+        assert error["error"] == reason
+
+
+def test_table_kind_must_be_a_string(files, capsys):
+    code, out, _ = run(capsys, "companions", files("f.json", FORM))
+    table = json.loads(out)
+    table["cells"][0][1] = {"kind": ["nu_leq"], "bound2": "6"}
+    error = _error(capsys, "check", files("f.json", FORM), "--table", files("t.json", table))
+    assert error["path"] == "$.cells[1][2].kind"
+
+
+@pytest.mark.parametrize(
+    "command, obj, path",
+    [
+        ("companions", dict(FORM, upper={"1,2": "t:1", "01,2": "t:5"}), "$"),
+        ("classes", dict(RATFORM, coeffs={"1,1": "1", "1,01": "3"}), "$"),
+    ],
+)
+def test_alias_index_keys_are_duplicates(files, capsys, command, obj, path):
+    """Two keys that name one coefficient are refused, not resolved by whichever comes last."""
+    extra = ("--prime", "2") if command == "classes" else ()
+    error = _error(capsys, command, files("f.json", obj), *extra)
+    assert error["path"] == path and "duplicate" in error["error"]
+
+
+def test_fiber_rank_bound(files, capsys):
+    at_bound = dict(FORM, semifield={"group": "int", "fiber_rank": 64})
+    code, out, _ = run(capsys, "companions", files("f.json", at_bound))
+    assert code == 0 and json.loads(out)["semifield"]["fiber_rank"] == 64
+
+    above = dict(FORM, semifield={"group": "int", "fiber_rank": 65})
+    assert _error(capsys, "companions", files("f.json", above))["path"] == "$.semifield.fiber_rank"
+    over = ("--semifield", '{"group": "int", "fiber_rank": 65}')
+    assert _error(capsys, "companions", files("f.json", FORM), *over)["path"] == "$.semifield.fiber_rank"
+
+
+def test_prime_bound(files, capsys):
+    ratform = files("r.json", RATFORM)
+    code, _, _ = run(capsys, "classes", ratform, "--prime", str(2**31 - 1))
+    assert code == 0
+    # 2**31 + 11 is the first prime above the bound
+    assert _error(capsys, "classes", ratform, "--prime", str(2**31 + 11))["path"] == "$.prime"
+    assert _error(capsys, "stropicalize", ratform, "--prime", "1000000000000000003")["path"] == "$.prime"
+
+
+# -- every input answers with one JSON document --------------------------------
+
+SEMIFIELDS = st.builds(Semifield, st.sampled_from(list(GroupKind)), st.sampled_from((0, 1)))
+# scalars and containers with even odds: an unhashable value is what a lookup table trips on
+JUNK = st.one_of(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 10**4), st.floats(), st.text(max_size=3)),
+    st.one_of(
+        st.lists(st.integers(-3, 3), max_size=2),
+        st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2),
+    ),
+)
+
+
+def _keys(container) -> list:
+    return list(container) if isinstance(container, dict) else list(range(len(container)))
+
+
+@st.composite
+def mutated(draw, doc, least=0):
+    """doc with up to three members replaced by junk or dropped.
+
+    A member is picked by a walk from the top that stops at each level with
+    even odds, so that shallow members such as "semifield" are hit often.
+    """
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(least, 3))):
+        if not isinstance(doc, (dict, list)) or not doc or draw(st.integers(0, 9)) == 9:
+            return draw(JUNK)
+        parent, key = doc, draw(st.sampled_from(_keys(doc)))
+        while isinstance(parent[key], (dict, list)) and parent[key] and draw(st.booleans()):
+            parent, key = parent[key], draw(st.sampled_from(_keys(parent[key])))
+        if draw(st.booleans()):
+            parent[key] = draw(JUNK)
+        else:
+            del parent[key]
+    return doc
+
+
+@st.composite
+def forms(draw, sf, n):
+    elems = element_strategy(sf)
+    diag = draw(st.lists(elems, min_size=n, max_size=n))
+    return QuadraticForm(sf, diag, {(i, j): draw(elems) for i in range(n) for j in range(i + 1, n)})
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv with int k for the k-th input file, input documents) for one subcommand."""
+    sf, n = draw(SEMIFIELDS), draw(st.integers(1, 4))
+    q = draw(forms(sf, n))
+    command = draw(st.sampled_from(
+        ["eval", "companions", "decompose", "rigid-extrema", "equal", "check", "invert", "stropicalize", "classes"]
+    ))
+    if command == "eval":
+        vector = draw(st.lists(element_strategy(sf), min_size=n, max_size=n + 1))
+        argv, docs = ["eval", 0, "--vector", ",".join(map(format_element, vector))], [form_to_json(q)]
+    elif command == "equal":
+        argv, docs = ["equal", 0, 1], [form_to_json(q), form_to_json(draw(forms(sf, n)))]
+    elif command == "check" and draw(st.booleans()):
+        other = draw(st.sampled_from([q, draw(forms(sf, n)), draw(forms(draw(SEMIFIELDS), n))]))
+        argv, docs = ["check", 0, "--table", 1], [form_to_json(q), table_to_json(companion_table(other))]
+    elif command == "invert":
+        perm = draw(st.permutations(range(n)))
+        rows = [[draw(element_strategy(sf)) if c == perm[r] else ZERO for c in range(n)] for r in range(n)]
+        argv, docs = ["invert", 0], [matrix_to_json(GeneralMatrix(sf, rows))]
+    elif command in ("stropicalize", "classes"):
+        keys = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(sorted).map(tuple)
+        coeffs = draw(st.dictionaries(keys, st.fractions(-20, 20, max_denominator=6), max_size=6))
+        prime = draw(st.sampled_from(["trivial", "2", "3", "5"]))
+        mode = draw(st.sampled_from(["tangible", "ghost", "signed"]))
+        argv = [command, 0, "--prime", prime, "--mode", mode]
+        return argv, [draw(mutated(ratform_to_json(RationalQuadraticForm(n, coeffs.items()))))]
+    else:
+        argv, docs = [command, 0], [form_to_json(q)]
+    if draw(st.booleans()):
+        # "--semifield=..." keeps argparse from reading a junk value such as "-1e+16" as an option
+        argv.append("--semifield=" + json.dumps(draw(mutated(semifield_to_json(draw(SEMIFIELDS)), least=1))))
+    return argv, [draw(mutated(doc)) for doc in docs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_calls())
+# mutations that escaped as tracebacks before, pinned so that every run tries them
+@example((["invert", 0], [5]))
+@example((["companions", 0], [dict(FORM, semifield={"group": []})]))
+@example((["eval", 0, "--vector", "t:0,t:0", '--semifield={"group": {}}'], [FORM]))
+def test_every_input_answers_with_one_json_document(call):
+    argv, docs = call
+    with tempfile.TemporaryDirectory() as d:
+        paths = []
+        for k, doc in enumerate(docs):
+            paths.append(os.path.join(d, f"in{k}.json"))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([paths[a] if isinstance(a, int) else a for a in argv])
+    assert code in (0, 1, 2)
+    texts = [t for t in (out.getvalue(), err.getvalue()) if t]
+    assert len(texts) == 1
+    answer = json.loads(texts[0])
+    if code == 1:
+        assert err.getvalue() and "path" in answer

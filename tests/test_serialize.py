@@ -91,7 +91,7 @@ def test_table_roundtrip_and_display():
             assert table_from_json(table_to_json(table)) == table
     q = QuadraticForm(INT, (t(2), t(4)), {(0, 1): t(3)})
     table = companion_table(q)
-    assert cell_display(INT, table.cell(0, 1)) == "[0, g:3]"
+    assert cell_display(table.cell(0, 1)) == "[0, g:3]"
     payload = table_to_json(table)
     assert payload["cells"][0][1]["display"] == "[0, g:3]"
 
