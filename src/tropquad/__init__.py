@@ -49,7 +49,6 @@ from .forms import (
     is_balanced_pair,
     pointwise_leq_rigid,
     scale_form,
-    zero_bilinear,
     zero_form,
 )
 from .matrices import (

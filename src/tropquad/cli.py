@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import combinations_with_replacement
 from typing import Callable
 
 from . import serialize
@@ -179,23 +180,30 @@ def _cmd_equal(args) -> int:
     return _emit(args, payload, lines)
 
 
-def _cell_invariant_violations(cell, probes) -> list[str]:
-    """Convexity, ghost stability, and sum rules over the probe battery."""
+def _cell_invariant_violations(cell, probes, inside) -> list[str]:
+    """Convexity, sum and ghost stability rules over a classified probe battery.
+
+    ``inside[k]`` is ``contains(cell, probes[k])``; the battery holds zero
+    and the ghost of each of its elements, as ``boundary_probe_elements``
+    builds it.
+    """
     problems = []
-    members = [b for b in probes if contains(cell, b)]
-    for b1 in members:
-        for b2 in members:
-            for mid in probes:
-                if leq_minimal(b1, mid) and leq_minimal(mid, b2) and not contains(cell, mid):
-                    problems.append(f"convexity fails between {b1} and {b2} at {mid}")
+    members = [b for b, ok in zip(probes, inside) if ok]
+    for mid, ok in zip(probes, inside):
+        if ok:
+            continue
+        lo = next((b for b in members if leq_minimal(b, mid)), None)
+        hi = next((b for b in members if leq_minimal(mid, b)), None)
+        if lo is not None and hi is not None:
+            problems.append(f"convexity fails between {lo} and {hi} at {mid}")
     if any(m.is_ghost or m.is_zero for m in members):
-        for b1 in members:
-            for b2 in members:
-                if not contains(cell, b1 + b2):
-                    problems.append(f"not closed under addition: {b1} + {b2}")
-    if contains(cell, ZERO):
+        for b1, b2 in combinations_with_replacement(members, 2):
+            if not contains(cell, b1 + b2):
+                problems.append(f"not closed under addition: {b1} + {b2}")
+    member_set = set(members)
+    if ZERO in member_set:
         for b in probes:
-            if contains(cell, b) != contains(cell, b.nu()):
+            if (b in member_set) != (b.nu() in member_set):
                 problems.append(f"ghost stability fails at {b}")
     return problems
 
@@ -207,17 +215,18 @@ def _cmd_check(args) -> int:
     for i in range(q.n):
         for j in range(i, q.n):
             cell = table.cell(i, j)
-            probes = boundary_probe_elements(q.sf, q.diag[i], q.diag[j], q.beta(i, j) if i != j else None, cell)
+            a1, a2, alpha = q.diag[i], q.diag[j], q.cross[i][j] if i != j else None
+            probes = boundary_probe_elements(q.sf, alpha, cell)
+            inside = [contains(cell, b) for b in probes]
             bad = []
-            for beta in probes:
-                closed = contains(cell, beta)
-                if i == j:
-                    by_oracle = diagonal_membership_oracle(q.sf, q.diag[i], beta)
+            for beta, closed in zip(probes, inside):
+                if alpha is None:
+                    by_oracle = diagonal_membership_oracle(q.sf, a1, beta)
                 else:
-                    by_oracle = companion_membership_oracle(q.sf, q.diag[i], q.diag[j], q.beta(i, j), beta)
+                    by_oracle = companion_membership_oracle(q.sf, a1, a2, alpha, beta)
                 if closed != by_oracle:
                     bad.append(f"oracle disagrees at {format_element(beta)}")
-            bad.extend(_cell_invariant_violations(cell, probes))
+            bad.extend(_cell_invariant_violations(cell, probes, inside))
             entry = {"i": i + 1, "j": j + 1, "probes": len(probes), "ok": not bad}
             report["cells"].append(entry)
             if bad:

@@ -62,9 +62,6 @@ class QuadraticForm:
     def n(self) -> int:
         return len(self.diag)
 
-    def alpha(self, i: int) -> Element:
-        return self.diag[i]
-
     def beta(self, i: int, j: int) -> Element:
         """Cross coefficient, symmetric in i and j; zero if absent."""
         if i == j:
@@ -102,9 +99,6 @@ class SymmetricBilinearForm:
     def n(self) -> int:
         return len(self.gram)
 
-    def entry(self, i: int, j: int) -> Element:
-        return self.gram[i][j]
-
     def __repr__(self) -> str:
         rows = ("[" + ", ".join(repr(v) for v in row) + "]" for row in self.gram)
         return "[" + ", ".join(rows) + "]"
@@ -112,10 +106,6 @@ class SymmetricBilinearForm:
 
 def zero_form(sf: Semifield, n: int) -> QuadraticForm:
     return QuadraticForm(sf, (ZERO,) * n)
-
-
-def zero_bilinear(sf: Semifield, n: int) -> SymmetricBilinearForm:
-    return SymmetricBilinearForm(sf, ((ZERO,) * n,) * n)
 
 
 def check_vector(q_or_b, x: Sequence[Element]) -> Vector:

@@ -28,14 +28,12 @@ def _boundary_exponent(cell: CompanionSet) -> Optional[Fraction]:
     return None
 
 
-def boundary_probe_elements(
-    sf: Semifield,
-    alpha1: Element,
-    alpha2: Element,
-    alpha: Optional[Element],
-    cell: CompanionSet,
-) -> list[Element]:
-    """Elements worth testing for membership in the given cell."""
+def boundary_probe_elements(sf: Semifield, alpha: Optional[Element], cell: CompanionSet) -> list[Element]:
+    """Elements worth testing for membership in the cell of cross coefficient alpha.
+
+    alpha is None for a diagonal cell.  The battery holds zero and the
+    ghost of each of its elements.
+    """
     exps: set[Exponent] = set()
     boundary = _boundary_exponent(cell)
     if boundary is not None:

@@ -229,10 +229,6 @@ class Semifield:
             q //= 3
         return q == 1
 
-    @property
-    def dense(self) -> bool:
-        return self.group is not GroupKind.INT
-
     def check_exponent(self, x: Exponent) -> Exponent:
         if not self.legal_exponent(x):
             raise ValueError(f"exponent {x} not in the {self.group.value} group")

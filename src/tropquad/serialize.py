@@ -61,9 +61,11 @@ def _schema(make, path: str, *args):
 # -- semifield config --------------------------------------------------------
 
 _GROUPS = {k.value: k for k in GroupKind}
-# Input bounds: every tangible carries a fiber of fiber_rank signs, and a
-# prime is checked by trial division up to its square root.
+# Input bounds: every tangible carries a fiber of fiber_rank signs, a
+# rational form's square classes take time and memory linear in its n, and
+# a prime is checked by trial division up to its square root.
 FIBER_RANK_LIMIT = 64
+RATFORM_DIMENSION_LIMIT = 4096
 PRIME_LIMIT = 2**31 - 1
 
 
@@ -109,7 +111,8 @@ def _exponent_from_json(sf: Semifield, obj: Any, path: str) -> Exponent:
     return _schema(sf.check_exponent, path, rational_from_json(obj, path))
 
 
-def _index_pair(key: str, n: int, path: str, strict_upper: bool) -> tuple[int, int]:
+def _index_pair(key: str, n: int, path: str, seen: set, strict_upper: bool) -> tuple[int, int]:
+    """0-based (i, j) of an "i,j" key; a second key naming a cell in ``seen`` is refused."""
     parts = key.split(",")
     _expect(len(parts) == 2, "index key must look like 'i,j'", f"{path}.{key}")
     try:
@@ -121,6 +124,8 @@ def _index_pair(key: str, n: int, path: str, strict_upper: bool) -> tuple[int, i
         _expect(i < j, "upper coefficient needs i < j", f"{path}.{key}")
     else:
         _expect(i <= j, "triangular coefficient needs i <= j", f"{path}.{key}")
+    _expect((i, j) not in seen, f"duplicate index ({i},{j})", f"{path}.{key}")
+    seen.add((i, j))
     return i - 1, j - 1
 
 
@@ -136,9 +141,9 @@ def form_from_json(obj: Any, path: str = "$") -> QuadraticForm:
     diag = tuple(element_from_json(sf, v, f"{path}.diag[{k + 1}]") for k, v in enumerate(diag_obj))
     upper_obj = obj.get("upper", {})
     _expect(isinstance(upper_obj, dict), "upper must be an object", f"{path}.upper")
-    # triples, so that two keys naming one cell ("1,2" and "01,2") are a duplicate
+    seen = set()
     upper = [
-        (*_index_pair(key, n, f"{path}.upper", strict_upper=True), element_from_json(sf, val, f"{path}.upper.{key}"))
+        (*_index_pair(key, n, f"{path}.upper", seen, strict_upper=True), element_from_json(sf, val, f"{path}.upper.{key}"))
         for key, val in upper_obj.items()
     ]
     return _schema(QuadraticForm, path, sf, diag, upper)
@@ -276,12 +281,14 @@ def ratform_from_json(obj: Any, path: str = "$") -> RationalQuadraticForm:
     _expect(isinstance(obj, dict), "rational form must be an object", path)
     n = _get(obj, "n", path)
     _expect(_is_int(n) and n >= 1, "n must be a positive int", f"{path}.n")
+    _expect(n <= RATFORM_DIMENSION_LIMIT, f"n must be at most {RATFORM_DIMENSION_LIMIT}", f"{path}.n")
     coeffs_obj = _get(obj, "coeffs", path)
     _expect(isinstance(coeffs_obj, dict), "coeffs must be an object", f"{path}.coeffs")
-    coeffs = []
-    for key, val in coeffs_obj.items():
-        i, j = _index_pair(key, n, f"{path}.coeffs", strict_upper=False)
-        coeffs.append(((i, j), rational_from_json(val, f"{path}.coeffs.{key}")))
+    seen = set()
+    coeffs = [
+        (_index_pair(key, n, f"{path}.coeffs", seen, strict_upper=False), rational_from_json(val, f"{path}.coeffs.{key}"))
+        for key, val in coeffs_obj.items()
+    ]
     return _schema(RationalQuadraticForm, path, n, tuple(coeffs))
 
 

@@ -85,7 +85,7 @@ def test_criterion_1_oracle_equivalence(triple_batches):
         assert all(-8 <= v.exp <= 8 for tri in triples for v in tri if not v.is_zero)
         for a1, a2, a in triples:
             cell = companion_set_pair(sf, a1, a2, a)
-            for beta in boundary_probe_elements(sf, a1, a2, a, cell):
+            for beta in boundary_probe_elements(sf, a, cell):
                 assert contains(cell, beta) == companion_membership_oracle(sf, a1, a2, a, beta), (
                     kind,
                     a1,
@@ -162,7 +162,7 @@ def _sample_companion(rng, q, table):
             cell = table.cell(i, j)
             opts = [
                 b
-                for b in boundary_probe_elements(q.sf, q.diag[i], q.diag[j], None, cell)
+                for b in boundary_probe_elements(q.sf, None, cell)
                 if contains(cell, b)
             ]
             choice[(i, j)] = rng.choice(opts)
@@ -226,7 +226,7 @@ def test_criterion_5_rig_extrema():
                     cell = table.cell(i, j)
                     opts = [
                         b
-                        for b in boundary_probe_elements(sf, q.diag[i], q.diag[j], None, cell)
+                        for b in boundary_probe_elements(sf, None, cell)
                         if contains(cell, b)
                     ]
                     upper[(i, j)] = rng.choice(opts)
@@ -352,7 +352,7 @@ def test_criterion_8_functional_equality():
                     cell = table.cell(i, j)
                     opts = [
                         b
-                        for b in boundary_probe_elements(sf, q1.diag[i], q1.diag[j], None, cell)
+                        for b in boundary_probe_elements(sf, None, cell)
                         if contains(cell, b)
                     ]
                     upper[(i, j)] = rng.choice(opts)

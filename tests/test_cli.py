@@ -11,9 +11,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tropquad import ZERO, GeneralMatrix, GroupKind, QuadraticForm, RationalQuadraticForm, Semifield, companion_table
+from tropquad import cli
 from tropquad.cli import main
-from tropquad.semiring import format_element
-from tropquad.serialize import form_to_json, matrix_to_json, ratform_to_json, semifield_to_json, table_to_json
+from tropquad.probes import boundary_probe_elements
+from tropquad.semiring import format_element, leq_minimal
+from tropquad.serialize import (
+    RATFORM_DIMENSION_LIMIT,
+    form_to_json,
+    matrix_to_json,
+    ratform_to_json,
+    semifield_to_json,
+    table_to_json,
+)
 
 from gen import element_strategy
 
@@ -123,7 +132,7 @@ def test_classes(files, capsys):
 
 
 def test_rational_form_beyond_the_dimension_limit(files, capsys):
-    """The image form has at most 64 variables; square classes need no image."""
+    """The image form has at most 64 variables; square classes need no image and go further."""
     n = 65
     big = files("big.json", {"n": n, "coeffs": {f"{i},{i}": "1" for i in range(1, n + 1)}})
     code, out, err = run(capsys, "stropicalize", big, "--prime", "2")
@@ -133,6 +142,15 @@ def test_rational_form_beyond_the_dimension_limit(files, capsys):
     code, out, _ = run(capsys, "classes", big, "--prime", "2")
     assert code == 0
     assert len(json.loads(out)["square_classes"]) == n
+
+    # square classes cost time and memory linear in n, so n has a bound of its own
+    n = RATFORM_DIMENSION_LIMIT
+    code, out, _ = run(capsys, "classes", files("r.json", {"n": n, "coeffs": {f"{n},{n}": "3"}}), "--prime", "2")
+    assert code == 0 and len(json.loads(out)["square_classes"]) == n
+    for past in (n + 1, 10**9):
+        code, out, err = run(capsys, "classes", files("r.json", {"n": past, "coeffs": {}}), "--prime", "2")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": f"n must be at most {n}", "path": "$.n"}
 
 
 def test_check_ok_and_corrupted_table(files, capsys, tmp_path):
@@ -313,15 +331,16 @@ def test_table_kind_must_be_a_string(files, capsys):
 @pytest.mark.parametrize(
     "command, obj, path",
     [
-        ("companions", dict(FORM, upper={"1,2": "t:1", "01,2": "t:5"}), "$"),
-        ("classes", dict(RATFORM, coeffs={"1,1": "1", "1,01": "3"}), "$"),
+        ("companions", dict(FORM, upper={"1,2": "t:1", "01,2": "t:5"}), "$.upper.01,2"),
+        ("classes", dict(RATFORM, coeffs={"1,1": "1", "1,01": "3"}), "$.coeffs.1,01"),
     ],
 )
 def test_alias_index_keys_are_duplicates(files, capsys, command, obj, path):
-    """Two keys that name one coefficient are refused, not resolved by whichever comes last."""
+    """Two keys that name one coefficient are refused at the second key, not resolved by whichever comes last."""
     extra = ("--prime", "2") if command == "classes" else ()
     error = _error(capsys, command, files("f.json", obj), *extra)
-    assert error["path"] == path and "duplicate" in error["error"]
+    assert error["path"] == path
+    assert error["error"] == ("duplicate index (1,2)" if command == "companions" else "duplicate index (1,1)")
 
 
 def test_fiber_rank_bound(files, capsys):
@@ -447,3 +466,74 @@ def test_every_input_answers_with_one_json_document(call):
     answer = json.loads(texts[0])
     if code == 1:
         assert err.getvalue() and "path" in answer
+
+
+# -- the invariant rules of check ----------------------------------------------
+#
+# On closed-form cells the rules never fire, so these tests hand `check` a
+# cell whose members are an arbitrary set: ``cli.contains`` is replaced by
+# membership in that set.
+
+INT = Semifield(GroupKind.INT, 0)
+
+
+def _violations(probes, members) -> list[str]:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "contains", lambda _cell, b: b in members)
+        return cli._cell_invariant_violations(None, probes, [b in members for b in probes])
+
+
+def _by_definition(probes, members) -> dict:
+    """What each rule names, read straight off its statement with every order of the operands."""
+    inside = [b for b in probes if b in members]
+    return {
+        "convexity": {
+            str(mid) for b1 in inside for b2 in inside for mid in probes
+            if leq_minimal(b1, mid) and leq_minimal(mid, b2) and mid not in members
+        },
+        "closure": {
+            frozenset((str(b1), str(b2))) for b1 in inside for b2 in inside
+            if any(m.is_ghost or m.is_zero for m in inside) and b1 + b2 not in members
+        },
+        "ghost": {str(b) for b in probes if ZERO in members and (b in members) != (b.nu() in members)},
+    }
+
+
+def _named(problems) -> dict:
+    def after(prefix):
+        return [p[len(prefix):] for p in problems if p.startswith(prefix)]
+
+    return {
+        "convexity": {p.rsplit(" at ", 1)[1] for p in after("convexity fails between ")},
+        "closure": {frozenset(p.split(" + ")) for p in after("not closed under addition: ")},
+        "ghost": set(after("ghost stability fails at ")),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_invariant_rules_name_what_their_definitions_find(data):
+    sf = data.draw(SEMIFIELDS)
+    q = data.draw(forms(sf, 2))
+    i, j = data.draw(st.sampled_from([(0, 0), (1, 1), (0, 1)]))
+    cell = companion_table(q).cell(i, j)
+    probes = boundary_probe_elements(sf, q.cross[i][j] if i != j else None, cell)
+    assert ZERO in probes and all(b.nu() in probes for b in probes)
+    members = set(data.draw(st.lists(st.sampled_from(probes))))
+    assert _named(_violations(probes, members)) == _by_definition(probes, members)
+
+
+def test_convexity_rule_fires_alone():
+    t0, t1, t2 = (INT.tangible(e) for e in (0, 1, 2))
+    assert _violations([t0, t1, t2], {t0, t2}) == ["convexity fails between t:0 and t:2 at t:1"]
+
+
+def test_closure_rule_fires_alone():
+    g0, t1, g1 = INT.ghost(0), INT.tangible(1), INT.ghost(1)
+    assert _violations([g0, t1, g1], {g0, t1}) == ["not closed under addition: t:1 + t:1"]
+
+
+def test_ghost_stability_rule_fires():
+    """With zero inside, b in and nu(b) out means b + b = nu(b) is out: the sum rule fires too."""
+    t0, g0 = INT.tangible(0), INT.ghost(0)
+    assert _violations([ZERO, t0, g0], {ZERO, t0}) == ["not closed under addition: t:0 + t:0", "ghost stability fails at t:0"]

@@ -137,7 +137,7 @@ def test_set_extrema_really_extreme():
         for _ in range(60):
             a1, a2, a = uniform_triple(rng, sf)
             cell = companion_set_pair(sf, a1, a2, a)
-            members = [b for b in boundary_probe_elements(sf, a1, a2, a, cell) if contains(cell, b)]
+            members = [b for b in boundary_probe_elements(sf, a, cell) if contains(cell, b)]
             lo = set_min(sf, cell)
             hi = set_max(sf, cell)
             assert contains(cell, lo)
@@ -188,7 +188,7 @@ def test_diagonal_cell_oracle_agreement():
         for _ in range(80):
             alpha = random_element(rng, sf)
             cell = diagonal_cell(alpha)
-            for beta in boundary_probe_elements(sf, alpha, alpha, None, cell):
+            for beta in boundary_probe_elements(sf, None, cell):
                 assert contains(cell, beta) == diagonal_membership_oracle(sf, alpha, beta)
 
 
@@ -219,7 +219,7 @@ def test_built_companions_satisfy_expansion_rule():
             for i in range(n):
                 for j in range(i, n):
                     cell = table.cell(i, j)
-                    options = [b for b in boundary_probe_elements(sf, q.diag[i], q.diag[j], None, cell) if contains(cell, b)]
+                    options = [b for b in boundary_probe_elements(sf, None, cell) if contains(cell, b)]
                     choice[(i, j)] = rng.choice(options)
             b = build_companion(table, choice)
             assert is_companion(q, b)
@@ -268,7 +268,7 @@ def test_is_rigid_at_pair_matches_singleton():
     for sf in kind_semifields(1):
         for a1, a2, a in pair_triples_for_kind(rng, sf, total=400):
             cell = companion_set_pair(sf, a1, a2, a)
-            probes = set(boundary_probe_elements(sf, a1, a2, a, cell))
+            probes = set(boundary_probe_elements(sf, a, cell))
             admitted = (b for b in probes if companion_membership_oracle(sf, a1, a2, a, b))
             first_two = list(itertools.islice(admitted, 2))
             assert (len(first_two) == 1) == isinstance(cell, Singleton), (a1, a2, a, first_two)
@@ -309,7 +309,7 @@ def test_cells_are_convex():
         for _ in range(60):
             a1, a2, a = uniform_triple(rng, sf)
             cell = companion_set_pair(sf, a1, a2, a)
-            probes = boundary_probe_elements(sf, a1, a2, a, cell)
+            probes = boundary_probe_elements(sf, a, cell)
             members = [b for b in probes if contains(cell, b)]
             for b1 in members:
                 for b2 in members:
@@ -324,7 +324,7 @@ def test_ghost_meeting_cells_closed_under_addition():
         for _ in range(60):
             a1, a2, a = uniform_triple(rng, sf)
             cell = companion_set_pair(sf, a1, a2, a)
-            members = [b for b in boundary_probe_elements(sf, a1, a2, a, cell) if contains(cell, b)]
+            members = [b for b in boundary_probe_elements(sf, a, cell) if contains(cell, b)]
             meets_ghosts = any(m.is_ghost or m.is_zero for m in members)
             if meets_ghosts:
                 for b1 in members:
@@ -342,7 +342,7 @@ def test_quasilinear_cells_sum_rule_and_ghost_stability():
             if not contains(cell, ZERO):
                 continue
             checked += 1
-            probes = boundary_probe_elements(sf, a1, a2, a, cell)
+            probes = boundary_probe_elements(sf, a, cell)
             for b1 in probes:
                 assert contains(cell, b1) == contains(cell, b1.nu())
                 for b2 in probes:
@@ -359,7 +359,7 @@ def test_base_change_scaling_equivariance():
             c2 = random_tangible(rng, sf, -3, 3)
             cell = companion_set_pair(sf, a1, a2, a)
             scaled = companion_set_pair(sf, c1 * c1 * a1, c2 * c2 * a2, c1 * c2 * a)
-            for b in boundary_probe_elements(sf, a1, a2, a, cell):
+            for b in boundary_probe_elements(sf, a, cell):
                 assert contains(cell, b) == contains(scaled, c1 * c2 * b)
 
 
@@ -390,7 +390,7 @@ def test_equality_is_symmetric_and_matches_evaluation():
                 for i in range(n):
                     for j in range(i + 1, n):
                         cell = table.cell(i, j)
-                        opts = [b for b in boundary_probe_elements(sf, q1.diag[i], q1.diag[j], None, cell) if contains(cell, b)]
+                        opts = [b for b in boundary_probe_elements(sf, None, cell) if contains(cell, b)]
                         upper[(i, j)] = rng.choice(opts)
                 q2 = QuadraticForm(sf, q1.diag, upper)
             verdict = functionally_equal(q1, q2)
@@ -424,7 +424,7 @@ def test_closed_form_matches_oracle_sampled(rank):
     for sf in kind_semifields(rank):
         for a1, a2, a in pair_triples_for_kind(rng, sf, total=150):
             cell = companion_set_pair(sf, a1, a2, a)
-            for beta in boundary_probe_elements(sf, a1, a2, a, cell):
+            for beta in boundary_probe_elements(sf, a, cell):
                 assert contains(cell, beta) == companion_membership_oracle(sf, a1, a2, a, beta), (
                     sf.group,
                     a1,

@@ -50,7 +50,7 @@ def sample_companions(rng, q, count=3):
         for i in range(q.n):
             for j in range(i, q.n):
                 cell = table.cell(i, j)
-                opts = [b for b in boundary_probe_elements(q.sf, q.diag[i], q.diag[j], None, cell) if contains(cell, b)]
+                opts = [b for b in boundary_probe_elements(q.sf, None, cell) if contains(cell, b)]
                 choice[(i, j)] = rng.choice(opts)
         out.append(build_companion(table, choice))
     return out
@@ -220,7 +220,7 @@ def test_rig_is_lower_set_and_convex_for_quasilinear():
                         cell = table.cell(i, j)
                         below = [
                             c
-                            for c in boundary_probe_elements(sf, q.diag[i], q.diag[j], None, cell)
+                            for c in boundary_probe_elements(sf, None, cell)
                             if leq_minimal(c, rho.beta(i, j))
                         ]
                         chi_upper[(i, j)] = rng.choice(below) if below else ZERO
@@ -244,7 +244,7 @@ def test_maximal_quasilinear_property():
                         [ZERO]
                         + [
                             c
-                            for c in boundary_probe_elements(sf, a, a, None, companion_table(q).cell(0, 0))
+                            for c in boundary_probe_elements(sf, None, companion_table(q).cell(0, 0))
                             if leq_minimal(c, a)
                         ]
                     )
@@ -263,7 +263,7 @@ def test_minimal_members_nu_equivalent_discrete():
         for i in range(3):
             for j in range(i + 1, 3):
                 cell = table.cell(i, j)
-                probes = boundary_probe_elements(INT, q.diag[i], q.diag[j], None, cell)
+                probes = boundary_probe_elements(INT, None, cell)
                 members = [b for b in probes if contains(cell, b)]
                 minimal = [
                     m for m in members if not any(leq_minimal(o, m) and o != m for o in members)
