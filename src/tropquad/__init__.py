@@ -10,7 +10,6 @@ from .companions import (
     Singleton,
     build_companion,
     companion_membership_oracle,
-    companion_set_pair,
     companion_table,
     contains,
     diagonal_cell,
@@ -21,7 +20,6 @@ from .companions import (
     is_quasilinear,
     is_rigid,
     pair_analysis,
-    pair_branch,
     set_max,
     set_min,
 )

@@ -218,14 +218,15 @@ def _cmd_check(args) -> int:
             a1, a2, alpha = q.diag[i], q.diag[j], q.cross[i][j] if i != j else None
             probes = boundary_probe_elements(q.sf, alpha, cell)
             inside = [contains(cell, b) for b in probes]
-            bad = []
-            for beta, closed in zip(probes, inside):
-                if alpha is None:
-                    by_oracle = diagonal_membership_oracle(q.sf, a1, beta)
-                else:
-                    by_oracle = companion_membership_oracle(q.sf, a1, a2, alpha, beta)
-                if closed != by_oracle:
-                    bad.append(f"oracle disagrees at {format_element(beta)}")
+            if alpha is None:
+                by_oracle = diagonal_membership_oracle(q.sf, a1, probes)
+            else:
+                by_oracle = companion_membership_oracle(q.sf, a1, a2, alpha, probes)
+            bad = [
+                f"oracle disagrees at {format_element(beta)}"
+                for beta, closed, ok in zip(probes, inside, by_oracle)
+                if closed != ok
+            ]
             bad.extend(_cell_invariant_violations(cell, probes, inside))
             entry = {"i": i + 1, "j": j + 1, "probes": len(probes), "ok": not bad}
             report["cells"].append(entry)

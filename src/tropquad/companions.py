@@ -9,13 +9,16 @@ geometric mean of the two diagonal coefficients (at the exponent level):
 * a half-open lower interval (strict bound, no maximum),
 * a nu-class (all tangibles of one exponent plus its ghost).
 
-The case analysis is written once, in :func:`pair_analysis`; pair-level
-predicates read it off the cell (forced means a :class:`Singleton`, the
-zero form accompanies the pair iff the cell contains zero).  It is
-cross-validated everywhere by :func:`companion_membership_oracle`, an
-independent decision procedure that checks the defining one-parameter
-family of scaling identities on a finite critical set of exponents.  The
-oracles and :func:`equality_witness` build that set with one helper,
+The case analysis is written once, in :func:`pair_analysis`, which returns
+the branch that fired beside the cell; pair-level predicates read it off
+the cell (forced means a :class:`Singleton`, the zero form accompanies the
+pair iff the cell contains zero).  It is cross-validated everywhere by
+:func:`companion_membership_oracle`, an independent decision procedure
+that checks the defining one-parameter family of scaling identities on a
+finite critical set of exponents, for a whole battery of candidates in one
+pass.  :func:`diagonal_membership_oracle` is the same procedure on the
+diagonal (alpha, alpha) with cross term nu(alpha).  The oracle and
+:func:`equality_witness` build the critical set with one helper,
 :func:`_probe_exponents_for`, which shares no code with the case analysis
 or the companion-set types.
 """
@@ -29,7 +32,7 @@ from itertools import combinations
 from typing import Optional, Union
 
 from .errors import PreconditionError
-from .forms import QuadraticForm, SymmetricBilinearForm
+from .forms import QuadraticForm, SymmetricBilinearForm, eval_quadratic
 from .semiring import ZERO, Element, Exponent, Semifield, GroupKind, _canon_exp
 
 # ---------------------------------------------------------------------------
@@ -144,14 +147,6 @@ def pair_analysis(
     return PairBranch.MEAN_GAP_DENSE, NuLtDoubled(total)
 
 
-def companion_set_pair(sf: Semifield, alpha1: Element, alpha2: Element, alpha: Element) -> CompanionSet:
-    return pair_analysis(sf, alpha1, alpha2, alpha)[1]
-
-
-def pair_branch(sf: Semifield, alpha1: Element, alpha2: Element, alpha: Element) -> PairBranch:
-    return pair_analysis(sf, alpha1, alpha2, alpha)[0]
-
-
 def diagonal_cell(alpha: Element) -> CompanionSet:
     """Admissible Gram diagonal entries over a diagonal coefficient."""
     if alpha.is_zero:
@@ -163,7 +158,7 @@ def diagonal_cell(alpha: Element) -> CompanionSet:
 # the independent membership oracle
 
 
-def _tie_points(terms: list[tuple[int, Exponent]]) -> list[Fraction]:
+def _tie_points(terms: set[tuple[int, Exponent]]) -> list[Fraction]:
     """Where two lines ``slope * x + offset`` of different slopes meet."""
     return sorted(
         {Fraction(o2 - o1) / (s1 - s2) for (s1, o1), (s2, o2) in combinations(terms, 2) if s1 != s2}
@@ -194,14 +189,14 @@ def _probe_exponents_for(sf: Semifield, *levels: tuple[int, Element]) -> list[Ex
     Each ``(slope, element)`` stands for the line ``slope * exp(lambda) +
     exp(element)``; zero elements have no level and contribute no line.
     """
-    terms = [(slope, a.exp) for slope, a in levels if not a.is_zero]
+    terms = {(slope, a.exp) for slope, a in levels if not a.is_zero}
     return _probe_exponents(sf, _tie_points(terms))
 
 
 def companion_membership_oracle(
-    sf: Semifield, alpha1: Element, alpha2: Element, alpha: Element, beta: Element
-) -> bool:
-    """Decide cross-coefficient membership directly from its definition.
+    sf: Semifield, alpha1: Element, alpha2: Element, alpha: Element, betas: list[Element]
+) -> list[bool]:
+    """Decide cross-coefficient membership of each beta from its definition.
 
     beta is admissible iff for every tangible lambda the two sums
 
@@ -216,44 +211,50 @@ def companion_membership_oracle(
     statement exactly.  Both sums contain identical lambda-terms, so the
     outcome depends on lambda only through its exponent; when the semifield
     carries fibers one flipped fiber is probed anyway.
+
+    The whole battery shares one probe set, built from the tie points of
+    every line at once: alpha1, alpha2, alpha and each beta.  That union of
+    tie points refines each beta's own partition: every coarse tie point is
+    a fine one, and every coarse open interval is a union of fine tie
+    points and fine open intervals.  So a legal exponent in a coarse
+    interval is either a probed fine tie point or lies in a fine open
+    interval, and every fine open interval that holds a legal exponent
+    holds a probe (the two unbounded ones always do).  Each beta thus still
+    meets a probe in every piece of its own partition that holds a legal
+    exponent, and its verdict is the one its own probe set would give.
     """
-    probes = _probe_exponents_for(sf, (1, alpha1), (-1, alpha2), (0, alpha), (0, beta))
+    probes = _probe_exponents_for(sf, (1, alpha1), (-1, alpha2), (0, alpha), *((0, b) for b in betas))
     fibers = [sf.identity_fiber()]
     if sf.fiber_rank > 0:
         fibers.append((-1,) + sf.identity_fiber()[1:])
+    verdicts = [True] * len(betas)
     for exp in probes:
         for fib in fibers:
             lam = sf.tangible(exp, fib)
-            lam_inv = lam.inverse()
-            base1 = lam * alpha1
-            base2 = lam_inv * alpha2
-            if base1 + base2 + alpha != base1 + base2 + beta:
-                return False
-    return True
+            base = lam * alpha1 + lam.inverse() * alpha2
+            lhs = base + alpha
+            for k, beta in enumerate(betas):
+                if verdicts[k] and base + beta != lhs:
+                    verdicts[k] = False
+    return verdicts
 
 
-def diagonal_membership_oracle(sf: Semifield, alpha: Element, beta: Element) -> bool:
-    """Independent check that beta is an admissible Gram diagonal entry.
+def diagonal_membership_oracle(sf: Semifield, alpha: Element, betas: list[Element]) -> list[bool]:
+    """Decide for each beta whether it is an admissible Gram diagonal entry.
 
     The defining family of identities, after dividing by the product of the
     two scalars, becomes one-parameter in t = lambda/mu:
 
-        (t + t^-1 + e) * alpha  ==  (t + t^-1) * alpha + beta
+        (t + t^-1 + e) * alpha  ==  (t + t^-1) * alpha + beta.
 
-    and is piecewise-constant in exp(t) between the tie points of the
-    summand nu-levels, probed the same way as the cross-coefficient oracle.
+    By distributivity and e * alpha = nu(alpha) the left side is
+    t * alpha + t^-1 * alpha + nu(alpha), and the right side is
+    t * alpha + t^-1 * alpha + beta: the cross-coefficient statement with
+    diagonal (alpha, alpha) and cross term nu(alpha).  Its extra line
+    (0, nu(alpha)) meets the lines of slope +1 and -1 only at exponent 0,
+    where those two already tie, so it adds no tie point.
     """
-    # nu-level of (t + t^-1) * alpha is |exp(t)| + exp(alpha)
-    probes = _probe_exponents_for(sf, (1, alpha), (-1, alpha), (0, beta))
-    e = sf.e
-    for exp in probes:
-        t = sf.tangible(exp)
-        t_inv = t.inverse()
-        lhs = (t + t_inv + e) * alpha
-        rhs = (t + t_inv) * alpha + beta
-        if lhs != rhs:
-            return False
-    return True
+    return companion_membership_oracle(sf, alpha, alpha, alpha.nu(), betas)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +283,7 @@ def companion_table(q: QuadraticForm) -> CompanionTable:
     for i in range(n):
         grid[i][i] = diagonal_cell(q.diag[i])
         for j in range(i + 1, n):
-            cell = companion_set_pair(q.sf, q.diag[i], q.diag[j], q.beta(i, j))
+            _, cell = pair_analysis(q.sf, q.diag[i], q.diag[j], q.beta(i, j))
             grid[i][j] = cell
             grid[j][i] = cell
     return CompanionTable(q.sf, tuple(tuple(row) for row in grid))
@@ -335,7 +336,7 @@ def is_rigid(q: QuadraticForm) -> bool:
 def is_quasilinear(q: QuadraticForm) -> bool:
     """Whether the zero bilinear form accompanies q."""
     return all(
-        contains(companion_set_pair(q.sf, q.diag[i], q.diag[j], q.beta(i, j)), ZERO)
+        contains(pair_analysis(q.sf, q.diag[i], q.diag[j], q.beta(i, j))[1], ZERO)
         for i in range(q.n)
         for j in range(i + 1, q.n)
     )
@@ -365,8 +366,6 @@ def equality_witness(q1: QuadraticForm, q2: QuadraticForm):
     cross coefficient is separated by a vector supported on its two
     indices, found among the oracle's probe exponents.
     """
-    from .forms import eval_quadratic
-
     if functionally_equal(q1, q2):
         return None
     sf = q1.sf

@@ -81,15 +81,34 @@ def exponent_strategy(sf: Semifield):
     return exps.map(sf.check_exponent)
 
 
-def element_strategy(sf: Semifield):
-    """Hypothesis strategy for elements of sf with exponents in [-8, 8]."""
-    exps = exponent_strategy(sf)
+def _elements_over(sf: Semifield, exps):
+    """Zero, ghosts and tangibles of every fiber over an exponent strategy."""
     fibers = st.tuples(*[st.sampled_from((1, -1))] * sf.fiber_rank)
     return st.one_of(
         st.just(ZERO),
         st.builds(sf.ghost, exps),
         st.builds(sf.tangible, exps, fibers),
     )
+
+
+def element_strategy(sf: Semifield):
+    """Hypothesis strategy for elements of sf with exponents in [-8, 8]."""
+    return _elements_over(sf, exponent_strategy(sf))
+
+
+def wide_element_strategy(sf: Semifield):
+    """Hypothesis strategy for elements of sf with exponents in [-10^4, 10^4].
+
+    Denominators reach 3^12 in the rat3 group and 10^4 in the rat group.
+    Small exponents stay likely, so lines still tie now and then.
+    """
+    bound = 10**4
+    if sf.group is GroupKind.INT:
+        wide = st.integers(-bound, bound)
+    else:
+        dens = st.integers(0, 12).map(lambda k: 3**k) if sf.group is GroupKind.RAT3 else st.integers(1, bound)
+        wide = dens.flatmap(lambda d: st.builds(Fraction, st.integers(-bound * d, bound * d), st.just(d)))
+    return _elements_over(sf, st.one_of(exponent_strategy(sf), wide.map(sf.check_exponent)))
 
 
 def random_vector(rng, sf, n, zero_p=0.25):

@@ -26,7 +26,6 @@ from tropquad import (
     balanced_companion_of_strop,
     build_companion,
     companion_membership_oracle,
-    companion_set_pair,
     companion_table,
     contains,
     equality_witness,
@@ -40,7 +39,7 @@ from tropquad import (
     is_rigid,
     leq_minimal,
     mat_mul,
-    pair_branch,
+    pair_analysis,
     pointwise_leq_rigid,
     quasilinear_part,
     rig_contains,
@@ -84,16 +83,12 @@ def test_criterion_1_oracle_equivalence(triple_batches):
         assert any(x.is_ghost for a1, a2, x in triples for x in (a1, a2, x))
         assert all(-8 <= v.exp <= 8 for tri in triples for v in tri if not v.is_zero)
         for a1, a2, a in triples:
-            cell = companion_set_pair(sf, a1, a2, a)
-            for beta in boundary_probe_elements(sf, a, cell):
-                assert contains(cell, beta) == companion_membership_oracle(sf, a1, a2, a, beta), (
-                    kind,
-                    a1,
-                    a2,
-                    a,
-                    beta,
-                )
-                checked += 1
+            _, cell = pair_analysis(sf, a1, a2, a)
+            probes = boundary_probe_elements(sf, a, cell)
+            verdicts = companion_membership_oracle(sf, a1, a2, a, probes)
+            for beta, by_oracle in zip(probes, verdicts):
+                assert contains(cell, beta) == by_oracle, (kind, a1, a2, a, beta)
+            checked += len(probes)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"oracle equivalence took {elapsed:.1f}s"
     print(f"criterion 1 PASS: {checked} membership probes agree across 3000 triples in {elapsed:.1f}s")
@@ -104,7 +99,7 @@ def test_criterion_2_branch_coverage(triple_batches):
     for kind, triples in triple_batches.items():
         sf = Semifield(kind)
         for a1, a2, a in triples:
-            counts[pair_branch(sf, a1, a2, a)] += 1
+            counts[pair_analysis(sf, a1, a2, a)[0]] += 1
     for branch, count in counts.items():
         assert count >= 20, f"{branch} hit only {count} times"
     summary = ", ".join(f"{b.value}={c}" for b, c in counts.items())

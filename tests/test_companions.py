@@ -1,12 +1,13 @@
 """Companion sets and tables against the independent membership oracle."""
 
-import itertools
 import random
 import sys
 import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropquad import (
     ZERO,
@@ -22,7 +23,6 @@ from tropquad import (
     balanced_companion,
     build_companion,
     companion_membership_oracle,
-    companion_set_pair,
     companion_table,
     contains,
     diagonal_cell,
@@ -35,20 +35,21 @@ from tropquad import (
     is_quasilinear,
     is_rigid,
     leq_minimal,
-    pair_branch,
+    pair_analysis,
     set_max,
     set_min,
 )
 from tropquad.probes import boundary_probe_elements
 
 from gen import (
+    element_strategy,
     kind_semifields,
     pair_triples_for_kind,
-    random_element,
     random_form,
     random_tangible,
     random_vector,
     uniform_triple,
+    wide_element_strategy,
 )
 
 INT = Semifield(GroupKind.INT)
@@ -62,53 +63,54 @@ g = INT.ghost
 
 
 def test_pair_examples_discrete():
-    assert companion_set_pair(INT, t(2), t(4), t(3)) == NuLeqDoubled(6)
-    assert companion_set_pair(INT, t(0), t(0), t(5)) == Singleton(t(5))
-    assert companion_set_pair(INT, g(0), g(1), t(1)) == NuLeqDoubled(2)
-    assert companion_set_pair(INT, t(0), t(1), t(1)) == NuClass(1)
+    assert pair_analysis(INT, t(2), t(4), t(3))[1] == NuLeqDoubled(6)
+    assert pair_analysis(INT, t(0), t(0), t(5))[1] == Singleton(t(5))
+    assert pair_analysis(INT, g(0), g(1), t(1))[1] == NuLeqDoubled(2)
+    assert pair_analysis(INT, t(0), t(1), t(1))[1] == NuClass(1)
 
 
 def test_pair_example_dense_gap():
-    cell = companion_set_pair(RAT3, RAT3.tangible(1), RAT3.tangible(2), ZERO)
+    cell = pair_analysis(RAT3, RAT3.tangible(1), RAT3.tangible(2), ZERO)[1]
     assert cell == NuLtDoubled(3)
     assert contains(cell, RAT3.ghost(Fraction(4, 3)))
     assert not contains(cell, RAT3.ghost(Fraction(5, 3)))
 
 
 def test_pair_zero_side():
-    assert companion_set_pair(INT, ZERO, t(4), t(3)) == Singleton(t(3))
-    assert companion_set_pair(INT, t(4), ZERO, ZERO) == Singleton(ZERO)
+    assert pair_analysis(INT, ZERO, t(4), t(3))[1] == Singleton(t(3))
+    assert pair_analysis(INT, t(4), ZERO, ZERO)[1] == Singleton(ZERO)
 
 
 def test_pair_branches():
-    assert pair_branch(INT, ZERO, t(4), t(3)) is PairBranch.ZERO_SIDE
-    assert pair_branch(INT, t(0), t(0), t(5)) is PairBranch.DOMINANT
-    assert pair_branch(INT, g(0), g(1), t(1)) is PairBranch.DOMINANT_EDGE_GHOSTS
-    assert pair_branch(INT, t(0), t(1), t(1)) is PairBranch.DOMINANT_EDGE_TANGIBLE
-    assert pair_branch(INT, t(2), t(4), t(3)) is PairBranch.MEAN_IN_GROUP
-    assert pair_branch(RAT3, RAT3.tangible(1), RAT3.tangible(2), ZERO) is PairBranch.MEAN_GAP_DENSE
-    assert pair_branch(INT, t(0), t(1), ZERO) is PairBranch.MEAN_GAP_DISCRETE_TANGIBLE
-    assert pair_branch(INT, g(0), g(1), ZERO) is PairBranch.MEAN_GAP_DISCRETE_GHOSTS
+    assert pair_analysis(INT, ZERO, t(4), t(3))[0] is PairBranch.ZERO_SIDE
+    assert pair_analysis(INT, t(0), t(0), t(5))[0] is PairBranch.DOMINANT
+    assert pair_analysis(INT, g(0), g(1), t(1))[0] is PairBranch.DOMINANT_EDGE_GHOSTS
+    assert pair_analysis(INT, t(0), t(1), t(1))[0] is PairBranch.DOMINANT_EDGE_TANGIBLE
+    assert pair_analysis(INT, t(2), t(4), t(3))[0] is PairBranch.MEAN_IN_GROUP
+    assert pair_analysis(RAT3, RAT3.tangible(1), RAT3.tangible(2), ZERO)[0] is PairBranch.MEAN_GAP_DENSE
+    assert pair_analysis(INT, t(0), t(1), ZERO)[0] is PairBranch.MEAN_GAP_DISCRETE_TANGIBLE
+    assert pair_analysis(INT, g(0), g(1), ZERO)[0] is PairBranch.MEAN_GAP_DISCRETE_GHOSTS
 
 
 def test_oracle_examples():
-    assert companion_membership_oracle(INT, t(2), t(4), t(3), g(3))
-    assert not companion_membership_oracle(INT, t(2), t(4), t(3), t(4))
+    assert companion_membership_oracle(INT, t(2), t(4), t(3), [g(3), t(4)]) == [True, False]
+    assert companion_membership_oracle(INT, t(2), t(4), t(3), []) == []
+    assert diagonal_membership_oracle(INT, t(2), [g(2), ZERO, t(3)]) == [True, True, False]
     rng = random.Random(0)
     for sf in kind_semifields(1):
         for _ in range(20):
             a1, a2, a = uniform_triple(rng, sf)
-            assert companion_membership_oracle(sf, a1, a2, a, a)
+            assert companion_membership_oracle(sf, a1, a2, a, [a]) == [True]
 
 
 def test_nu_class_membership():
-    cell = companion_set_pair(INT, t(0), t(1), t(1))
+    cell = pair_analysis(INT, t(0), t(1), t(1))[1]
     assert contains(cell, t(1))
     assert contains(cell, g(1))
     assert not contains(cell, t(0))
     assert not contains(cell, ZERO)
     sf1 = Semifield(GroupKind.INT, 1)
-    cell1 = companion_set_pair(sf1, sf1.tangible(0), sf1.tangible(1), sf1.tangible(1))
+    cell1 = pair_analysis(sf1, sf1.tangible(0), sf1.tangible(1), sf1.tangible(1))[1]
     assert contains(cell1, sf1.tangible(1, (-1,)))
 
 
@@ -136,7 +138,7 @@ def test_set_extrema_really_extreme():
     for sf in kind_semifields(1):
         for _ in range(60):
             a1, a2, a = uniform_triple(rng, sf)
-            cell = companion_set_pair(sf, a1, a2, a)
+            cell = pair_analysis(sf, a1, a2, a)[1]
             members = [b for b in boundary_probe_elements(sf, a, cell) if contains(cell, b)]
             lo = set_min(sf, cell)
             hi = set_max(sf, cell)
@@ -182,14 +184,14 @@ def test_table_cells_depend_only_on_their_pair():
                     assert companion_table(sub).cell(0, 1) == table.cell(i, j)
 
 
-def test_diagonal_cell_oracle_agreement():
-    rng = random.Random(3)
-    for sf in kind_semifields(1):
-        for _ in range(80):
-            alpha = random_element(rng, sf)
-            cell = diagonal_cell(alpha)
-            for beta in boundary_probe_elements(sf, None, cell):
-                assert contains(cell, beta) == diagonal_membership_oracle(sf, alpha, beta)
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_diagonal_cell_oracle_agreement(data):
+    sf = Semifield(data.draw(st.sampled_from(list(GroupKind))), data.draw(st.sampled_from((0, 1))))
+    alpha = data.draw(wide_element_strategy(sf))
+    cell = diagonal_cell(alpha)
+    probes = boundary_probe_elements(sf, None, cell)
+    assert [contains(cell, b) for b in probes] == diagonal_membership_oracle(sf, alpha, probes)
 
 
 def test_build_companion():
@@ -256,10 +258,10 @@ def test_rigid_iff_all_cells_singleton():
 
 def test_is_rigid_at_pair_examples():
     # a pair is rigid when its cross coefficient is forced: a singleton cell
-    assert companion_set_pair(INT, t(0), t(0), t(1)) == Singleton(t(1))
-    assert not isinstance(companion_set_pair(INT, g(0), g(1), t(1)), Singleton)
-    assert companion_set_pair(RAT, RAT.tangible(0), RAT.tangible(0), RAT.tangible(1)) == Singleton(RAT.tangible(1))
-    assert companion_set_pair(INT, ZERO, t(3), ZERO) == Singleton(ZERO)
+    assert pair_analysis(INT, t(0), t(0), t(1))[1] == Singleton(t(1))
+    assert not isinstance(pair_analysis(INT, g(0), g(1), t(1))[1], Singleton)
+    assert pair_analysis(RAT, RAT.tangible(0), RAT.tangible(0), RAT.tangible(1))[1] == Singleton(RAT.tangible(1))
+    assert pair_analysis(INT, ZERO, t(3), ZERO)[1] == Singleton(ZERO)
 
 
 def test_is_rigid_at_pair_matches_singleton():
@@ -267,11 +269,10 @@ def test_is_rigid_at_pair_matches_singleton():
     rng = random.Random(6)
     for sf in kind_semifields(1):
         for a1, a2, a in pair_triples_for_kind(rng, sf, total=400):
-            cell = companion_set_pair(sf, a1, a2, a)
-            probes = set(boundary_probe_elements(sf, a, cell))
-            admitted = (b for b in probes if companion_membership_oracle(sf, a1, a2, a, b))
-            first_two = list(itertools.islice(admitted, 2))
-            assert (len(first_two) == 1) == isinstance(cell, Singleton), (a1, a2, a, first_two)
+            cell = pair_analysis(sf, a1, a2, a)[1]
+            probes = list(set(boundary_probe_elements(sf, a, cell)))
+            admitted = [b for b, ok in zip(probes, companion_membership_oracle(sf, a1, a2, a, probes)) if ok]
+            assert (len(admitted) == 1) == isinstance(cell, Singleton), (a1, a2, a, admitted)
 
 
 def test_is_quasilinear_examples():
@@ -285,8 +286,8 @@ def test_quasilinear_matches_zero_membership_and_function():
     rng = random.Random(7)
     for sf in kind_semifields():
         for a1, a2, a in pair_triples_for_kind(rng, sf, total=300):
-            cell = companion_set_pair(sf, a1, a2, a)
-            assert contains(cell, ZERO) == companion_membership_oracle(sf, a1, a2, a, ZERO)
+            cell = pair_analysis(sf, a1, a2, a)[1]
+            assert [contains(cell, ZERO)] == companion_membership_oracle(sf, a1, a2, a, [ZERO])
         for _ in range(25):
             q = random_form(rng, sf, 3)
             table = companion_table(q)
@@ -308,7 +309,7 @@ def test_cells_are_convex():
     for sf in kind_semifields():
         for _ in range(60):
             a1, a2, a = uniform_triple(rng, sf)
-            cell = companion_set_pair(sf, a1, a2, a)
+            cell = pair_analysis(sf, a1, a2, a)[1]
             probes = boundary_probe_elements(sf, a, cell)
             members = [b for b in probes if contains(cell, b)]
             for b1 in members:
@@ -323,7 +324,7 @@ def test_ghost_meeting_cells_closed_under_addition():
     for sf in kind_semifields():
         for _ in range(60):
             a1, a2, a = uniform_triple(rng, sf)
-            cell = companion_set_pair(sf, a1, a2, a)
+            cell = pair_analysis(sf, a1, a2, a)[1]
             members = [b for b in boundary_probe_elements(sf, a, cell) if contains(cell, b)]
             meets_ghosts = any(m.is_ghost or m.is_zero for m in members)
             if meets_ghosts:
@@ -338,7 +339,7 @@ def test_quasilinear_cells_sum_rule_and_ghost_stability():
         checked = 0
         while checked < 40:
             a1, a2, a = uniform_triple(rng, sf)
-            cell = companion_set_pair(sf, a1, a2, a)
+            cell = pair_analysis(sf, a1, a2, a)[1]
             if not contains(cell, ZERO):
                 continue
             checked += 1
@@ -357,8 +358,8 @@ def test_base_change_scaling_equivariance():
             a1, a2, a = uniform_triple(rng, sf)
             c1 = random_tangible(rng, sf, -3, 3)
             c2 = random_tangible(rng, sf, -3, 3)
-            cell = companion_set_pair(sf, a1, a2, a)
-            scaled = companion_set_pair(sf, c1 * c1 * a1, c2 * c2 * a2, c1 * c2 * a)
+            cell = pair_analysis(sf, a1, a2, a)[1]
+            scaled = pair_analysis(sf, c1 * c1 * a1, c2 * c2 * a2, c1 * c2 * a)[1]
             for b in boundary_probe_elements(sf, a, cell):
                 assert contains(cell, b) == contains(scaled, c1 * c2 * b)
 
@@ -423,15 +424,11 @@ def test_closed_form_matches_oracle_sampled(rank):
     rng = random.Random(13)
     for sf in kind_semifields(rank):
         for a1, a2, a in pair_triples_for_kind(rng, sf, total=150):
-            cell = companion_set_pair(sf, a1, a2, a)
-            for beta in boundary_probe_elements(sf, a, cell):
-                assert contains(cell, beta) == companion_membership_oracle(sf, a1, a2, a, beta), (
-                    sf.group,
-                    a1,
-                    a2,
-                    a,
-                    beta,
-                )
+            cell = pair_analysis(sf, a1, a2, a)[1]
+            probes = boundary_probe_elements(sf, a, cell)
+            verdicts = companion_membership_oracle(sf, a1, a2, a, probes)
+            for beta, by_oracle in zip(probes, verdicts):
+                assert contains(cell, beta) == by_oracle, (sf.group, a1, a2, a, beta)
 
 
 def test_dense_gap_rejection_needs_fine_resolution():
@@ -445,14 +442,14 @@ def test_dense_gap_rejection_needs_fine_resolution():
     ]
     for sa1, sa2, sa, sb in cases:
         a1, a2, a, beta = (RAT3.parse_element(x) for x in (sa1, sa2, sa, sb))
-        cell = companion_set_pair(RAT3, a1, a2, a)
+        cell = pair_analysis(RAT3, a1, a2, a)[1]
         assert isinstance(cell, NuLtDoubled)
-        assert not contains(cell, beta)
-        assert not companion_membership_oracle(RAT3, a1, a2, a, beta)
         # the ghost just below the bound is still inside
-        inside = RAT3.between(Fraction(cell.bound2) / 2 - Fraction(1, 3), Fraction(cell.bound2) / 2)
-        assert contains(cell, RAT3.ghost(inside))
-        assert companion_membership_oracle(RAT3, a1, a2, a, RAT3.ghost(inside))
+        bound = Fraction(cell.bound2) / 2
+        inside = RAT3.ghost(RAT3.between(bound - Fraction(1, 3), bound))
+        assert [contains(cell, beta), contains(cell, inside)] == [False, True]
+        assert companion_membership_oracle(RAT3, a1, a2, a, [beta]) == [False]
+        assert companion_membership_oracle(RAT3, a1, a2, a, [beta, inside]) == [False, True]
 
 
 def _names_reached(*functions) -> tuple[set[str], set[str]]:
@@ -493,34 +490,45 @@ def test_oracle_shares_no_code_with_the_case_analysis():
 
 # -- property-based statement of the flagship invariant ---------------------------
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from gen import element_strategy
-
 
 @st.composite
-def _membership_inputs(draw):
+def _membership_inputs(draw, elements=element_strategy):
+    """A semifield of fiber rank 0 or 1, a rank-2 triple and a battery of candidates."""
     kind = draw(st.sampled_from(list(GroupKind)))
     rank = draw(st.sampled_from((0, 1)))
     sf = Semifield(kind, rank)
-    elems = element_strategy(sf)
-    return sf, draw(elems), draw(elems), draw(elems), draw(elems)
+    elems = elements(sf)
+    return sf, draw(elems), draw(elems), draw(elems), draw(st.lists(elems, min_size=1, max_size=6))
 
 
 @settings(max_examples=400, deadline=None)
 @given(_membership_inputs())
 def test_oracle_equivalence_property(data):
-    sf, a1, a2, a, beta = data
-    cell = companion_set_pair(sf, a1, a2, a)
-    assert contains(cell, beta) == companion_membership_oracle(sf, a1, a2, a, beta)
+    sf, a1, a2, a, betas = data
+    cell = pair_analysis(sf, a1, a2, a)[1]
+    assert [contains(cell, b) for b in betas] == companion_membership_oracle(sf, a1, a2, a, betas)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_membership_inputs(wide_element_strategy))
+def test_batch_verdicts_equal_one_beta_verdicts_property(data):
+    """One probe set for a whole battery gives each beta its own verdict."""
+    sf, a1, a2, a, drawn = data
+    cell = pair_analysis(sf, a1, a2, a)[1]
+    betas = drawn + boundary_probe_elements(sf, a, cell)
+    cross = companion_membership_oracle(sf, a1, a2, a, betas)
+    assert cross == [companion_membership_oracle(sf, a1, a2, a, [b])[0] for b in betas]
+    assert cross == [contains(cell, b) for b in betas]
+    betas = drawn + boundary_probe_elements(sf, None, diagonal_cell(a1))
+    diagonal = diagonal_membership_oracle(sf, a1, betas)
+    assert diagonal == [diagonal_membership_oracle(sf, a1, [b])[0] for b in betas]
 
 
 @settings(max_examples=200, deadline=None)
 @given(_membership_inputs())
 def test_scheme_coefficient_always_admissible_property(data):
     sf, a1, a2, a, _ = data
-    cell = companion_set_pair(sf, a1, a2, a)
+    cell = pair_analysis(sf, a1, a2, a)[1]
     assert contains(cell, a)
     if contains(cell, ZERO):
         assert contains(cell, a.nu())  # ghost of an admissible entry stays admissible
