@@ -16,7 +16,8 @@ pair iff the cell contains zero).  It is cross-validated everywhere by
 :func:`companion_membership_oracle`, an independent decision procedure
 that checks the defining one-parameter family of scaling identities on a
 finite critical set of exponents, for a whole battery of candidates in one
-pass.  :func:`diagonal_membership_oracle` is the same procedure on the
+pass; the verdict never depends on the scalar's fiber, so each exponent is
+probed once.  :func:`diagonal_membership_oracle` is the same procedure on the
 diagonal (alpha, alpha) with cross term nu(alpha).  The oracle and
 :func:`equality_witness` build the critical set with one helper,
 :func:`_probe_exponents_for`, which shares no code with the case analysis
@@ -208,9 +209,17 @@ def companion_membership_oracle(
     constant on each open interval between pairwise tie points of those
     lines.  Probing every legal tie point, one legal exponent inside each
     open interval, and one beyond each end therefore decides the universal
-    statement exactly.  Both sums contain identical lambda-terms, so the
-    outcome depends on lambda only through its exponent; when the semifield
-    carries fibers one flipped fiber is probed anyway.
+    statement exactly.
+
+    The outcome depends on lambda only through its exponent, so one fiber
+    is probed.  Lambda's fiber moves no tag or exponent of a lambda-term,
+    and a sum is its one summand of largest exponent if that summand is
+    tangible and alone there, and otherwise zero or a ghost, since addition
+    ghosts every exponent tie; so each side's tag and exponent come from
+    tags and exponents alone.  Two tangible sums of one exponent are then
+    either the same lambda-term, equal whatever the fiber, or alpha and
+    beta, which hold no lambda: a lambda-term that wins alone on one side
+    is a summand of the other at that exponent and ties any other winner.
 
     The whole battery shares one probe set, built from the tie points of
     every line at once: alpha1, alpha2, alpha and each beta.  That union of
@@ -224,18 +233,14 @@ def companion_membership_oracle(
     exponent, and its verdict is the one its own probe set would give.
     """
     probes = _probe_exponents_for(sf, (1, alpha1), (-1, alpha2), (0, alpha), *((0, b) for b in betas))
-    fibers = [sf.identity_fiber()]
-    if sf.fiber_rank > 0:
-        fibers.append((-1,) + sf.identity_fiber()[1:])
     verdicts = [True] * len(betas)
     for exp in probes:
-        for fib in fibers:
-            lam = sf.tangible(exp, fib)
-            base = lam * alpha1 + lam.inverse() * alpha2
-            lhs = base + alpha
-            for k, beta in enumerate(betas):
-                if verdicts[k] and base + beta != lhs:
-                    verdicts[k] = False
+        lam = sf.tangible(exp)
+        base = lam * alpha1 + lam.inverse() * alpha2
+        lhs = base + alpha
+        for k, beta in enumerate(betas):
+            if verdicts[k] and base + beta != lhs:
+                verdicts[k] = False
     return verdicts
 
 

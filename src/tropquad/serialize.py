@@ -3,6 +3,15 @@
 External indices are 1-based ("1,2" keys); internal storage is 0-based.
 Serialization is deterministic: keys are sorted and element text uses the
 shared encoding from :mod:`tropquad.semiring`.
+
+A document's element literals repeat: a grid drawn from a few exponents
+holds each literal many times.  Each ``*_from_json`` call (and
+:func:`vector_from_text`) therefore reads its elements through one
+:func:`_element_reader`, which parses and validates each distinct literal
+once with :meth:`Semifield.parse_element` and hands the same immutable
+:class:`Element` to every later copy.  Only successful parses are kept, so
+an invalid literal fails at the path of its first occurrence, and the memo
+dies with the call, so nothing is carried from one document to the next.
 """
 
 from __future__ import annotations
@@ -92,12 +101,18 @@ def semifield_to_json(sf: Semifield) -> dict:
 # -- elements ----------------------------------------------------------------
 
 
-def element_from_json(sf: Semifield, obj: Any, path: str) -> Element:
-    _expect(isinstance(obj, str), "element must be an encoded string", path)
-    try:
-        return sf.parse_element(obj)
-    except ValueError as exc:
-        raise SchemaError(str(exc), path) from exc
+def _element_reader(sf: Semifield):
+    """``read(obj, path)`` for one document: each distinct literal is parsed once."""
+    memo: dict[str, Element] = {}
+
+    def read(obj: Any, path: str) -> Element:
+        _expect(isinstance(obj, str), "element must be an encoded string", path)
+        element = memo.get(obj)
+        if element is None:
+            element = memo[obj] = _schema(sf.parse_element, path, obj)
+        return element
+
+    return read
 
 
 def rational_from_json(obj: Any, path: str) -> Fraction:
@@ -138,12 +153,13 @@ def form_from_json(obj: Any, path: str = "$") -> QuadraticForm:
     _expect(_is_int(n) and n >= 1, "n must be a positive int", f"{path}.n")
     diag_obj = _get(obj, "diag", path)
     _expect(isinstance(diag_obj, list) and len(diag_obj) == n, f"diag must list {n} elements", f"{path}.diag")
-    diag = tuple(element_from_json(sf, v, f"{path}.diag[{k + 1}]") for k, v in enumerate(diag_obj))
+    read = _element_reader(sf)
+    diag = tuple(read(v, f"{path}.diag[{k + 1}]") for k, v in enumerate(diag_obj))
     upper_obj = obj.get("upper", {})
     _expect(isinstance(upper_obj, dict), "upper must be an object", f"{path}.upper")
     seen = set()
     upper = [
-        (*_index_pair(key, n, f"{path}.upper", seen, strict_upper=True), element_from_json(sf, val, f"{path}.upper.{key}"))
+        (*_index_pair(key, n, f"{path}.upper", seen, strict_upper=True), read(val, f"{path}.upper.{key}"))
         for key, val in upper_obj.items()
     ]
     return _schema(QuadraticForm, path, sf, diag, upper)
@@ -167,11 +183,13 @@ def vector_from_json(sf: Semifield, obj: Any, path: str = "$") -> Vector:
     _expect(isinstance(obj, dict), "vector must be an object", path)
     coords = _get(obj, "coords", path)
     _expect(isinstance(coords, list) and coords, "coords must be a nonempty list", f"{path}.coords")
-    return tuple(element_from_json(sf, v, f"{path}.coords[{k + 1}]") for k, v in enumerate(coords))
+    read = _element_reader(sf)
+    return tuple(read(v, f"{path}.coords[{k + 1}]") for k, v in enumerate(coords))
 
 
 def vector_from_text(sf: Semifield, text: str) -> Vector:
-    return tuple(_schema(sf.parse_element, f"$.vector[{k + 1}]", p.strip()) for k, p in enumerate(text.split(",")))
+    read = _element_reader(sf)
+    return tuple(read(p.strip(), f"$.vector[{k + 1}]") for k, p in enumerate(text.split(",")))
 
 
 def vector_to_json(x: Vector) -> dict:
@@ -184,12 +202,11 @@ def vector_to_json(x: Vector) -> dict:
 def _grid_from_json(sf: Semifield, obj: dict, key: str, path: str):
     rows_obj = _get(obj, key, path)
     _expect(isinstance(rows_obj, list) and rows_obj, f"{key} must be a nonempty list", f"{path}.{key}")
+    read = _element_reader(sf)
     rows = []
     for r, row in enumerate(rows_obj):
         _expect(isinstance(row, list) and row, "rows must be nonempty lists", f"{path}.{key}[{r + 1}]")
-        rows.append(
-            tuple(element_from_json(sf, v, f"{path}.{key}[{r + 1}][{c + 1}]") for c, v in enumerate(row))
-        )
+        rows.append(tuple(read(v, f"{path}.{key}[{r + 1}][{c + 1}]") for c, v in enumerate(row)))
     return tuple(rows)
 
 
@@ -245,13 +262,15 @@ def cell_to_json(cell: CompanionSet) -> dict:
     return {"display": cell_display(cell), "kind": kind, field: text}
 
 
-def cell_from_json(sf: Semifield, obj: Any, path: str) -> CompanionSet:
+def cell_from_json(sf: Semifield, read_element, obj: Any, path: str) -> CompanionSet:
     _expect(isinstance(obj, dict), "cell must be an object", path)
     kind = _get(obj, "kind", path)
     _expect(isinstance(kind, str) and kind in _CELLS, "kind must be " + "|".join(_CELLS), f"{path}.kind")
     cls, field = _CELLS[kind]
-    read = element_from_json if cls is Singleton else _exponent_from_json
-    return cls(read(sf, _get(obj, field, path), f"{path}.{field}"))
+    value = _get(obj, field, path)
+    if cls is Singleton:
+        return cls(read_element(value, f"{path}.{field}"))
+    return cls(_exponent_from_json(sf, value, f"{path}.{field}"))
 
 
 def table_to_json(table: CompanionTable) -> dict:
@@ -267,10 +286,13 @@ def table_from_json(obj: Any, path: str = "$") -> CompanionTable:
     cells_obj = _get(obj, "cells", path)
     _expect(isinstance(cells_obj, list) and cells_obj, "cells must be a nonempty list", f"{path}.cells")
     n = len(cells_obj)
+    read = _element_reader(sf)
     rows = []
     for r, row in enumerate(cells_obj):
         _expect(isinstance(row, list) and len(row) == n, "cells must be a square grid", f"{path}.cells[{r + 1}]")
-        rows.append(tuple(cell_from_json(sf, c, f"{path}.cells[{r + 1}][{c_i + 1}]") for c_i, c in enumerate(row)))
+        rows.append(
+            tuple(cell_from_json(sf, read, c, f"{path}.cells[{r + 1}][{c_i + 1}]") for c_i, c in enumerate(row))
+        )
     return CompanionTable(sf, tuple(rows))
 
 

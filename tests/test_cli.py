@@ -217,6 +217,16 @@ def test_check_table_exponent_outside_the_group(files, capsys, cell, path):
     assert json.loads(err)["path"] == path
 
 
+def test_check_table_is_read_without_the_forms_literals(files, capsys):
+    """A literal the form parsed under rat3 is parsed again under the table's int group."""
+    form = {"semifield": {"group": "rat3", "fiber_rank": 0}, "n": 2, "diag": ["t:1/3", "t:1/3"]}
+    cells = [[{"kind": "singleton", "value": "t:1/3"}] * 2] * 2
+    table = {"semifield": {"group": "int", "fiber_rank": 0}, "cells": cells}
+    code, out, err = run(capsys, "check", files("f.json", form), "--table", files("t.json", table))
+    assert code == 1 and out == ""
+    assert json.loads(err)["path"] == "$.cells[1][1].value"
+
+
 def test_precondition_exit_code(files, capsys):
     code, _, err = run(capsys, "eval", files("f.json", FORM), "--vector", "t:1")
     assert code == 2

@@ -524,6 +524,30 @@ def test_batch_verdicts_equal_one_beta_verdicts_property(data):
     assert diagonal == [diagonal_membership_oracle(sf, a1, [b])[0] for b in betas]
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_lambda_fiber_never_changes_a_verdict_property(data):
+    """The lemma behind the oracle's single fiber: flipping lambda's fiber may
+    change both sums, but never whether they coincide."""
+    sf = Semifield(data.draw(st.sampled_from(list(GroupKind))), 1)
+    a1, a2, a, beta = (data.draw(wide_element_strategy(sf)) for _ in range(4))
+    # exponents where a lambda-term ties another summand, beside wide ones
+    ties = [x.exp - a1.exp for x in (a, beta) if not (x.is_zero or a1.is_zero)]
+    ties += [a2.exp - x.exp for x in (a, beta) if not (x.is_zero or a2.is_zero)]
+    if not (a1.is_zero or a2.is_zero):
+        ties.append(Fraction(a2.exp - a1.exp, 2))
+    wide = wide_element_strategy(sf).filter(lambda x: not x.is_zero).map(lambda x: x.exp)
+    legal_ties = [sf.check_exponent(e) for e in ties if sf.legal_exponent(Fraction(e))]
+    exp = data.draw(st.one_of(wide, st.sampled_from(legal_ties)) if legal_ties else wide)
+
+    def coincide(fiber):
+        lam = sf.tangible(exp, fiber)
+        base = lam * a1 + lam.inverse() * a2
+        return base + a == base + beta
+
+    assert coincide((1,)) == coincide((-1,))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_membership_inputs())
 def test_scheme_coefficient_always_admissible_property(data):

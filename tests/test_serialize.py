@@ -3,8 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tropquad import GroupKind, QuadraticForm, Semifield, companion_table
+from tropquad import GeneralMatrix, GroupKind, QuadraticForm, Semifield, companion_table
+from tropquad.companions import CompanionTable, Singleton
+from tropquad.semiring import format_element
 from tropquad.serialize import (
     SchemaError,
     bilinear_from_json,
@@ -26,6 +30,7 @@ from tropquad.serialize import (
 )
 
 from gen import (
+    element_strategy,
     kind_semifields,
     random_form,
     random_ratform,
@@ -144,3 +149,88 @@ def test_fractional_exponents_roundtrip():
         form_from_json(
             {"semifield": {"group": "rat3"}, "n": 1, "diag": ["t:1/2"]}
         )
+
+
+# -- one parse per distinct literal -----------------------------------------------
+
+
+@st.composite
+def _pooled_documents(draw):
+    """A semifield, a few literals (some with stray spaces) and an n x n grid of them."""
+    sf = Semifield(draw(st.sampled_from(list(GroupKind))), draw(st.sampled_from((0, 1))))
+    pool = [format_element(e) for e in draw(st.lists(element_strategy(sf), min_size=1, max_size=4))]
+    pool += [f" {text} " for text in pool[:1]]
+    n = draw(st.integers(1, 5))
+    grid = [[draw(st.sampled_from(pool)) for _ in range(n)] for _ in range(n)]
+    return sf, grid
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pooled_documents())
+def test_memo_changes_no_parsed_object_property(data):
+    """Every reader gives what a literal-by-literal parse gives."""
+    sf, grid = data
+    parse = sf.parse_element
+    n = len(grid)
+    sf_json = semifield_to_json(sf)
+
+    upper = {f"{i + 1},{j + 1}": grid[i][j] for i in range(n) for j in range(i + 1, n)}
+    form = form_from_json({"semifield": sf_json, "n": n, "diag": [row[0] for row in grid], "upper": upper})
+    expected_upper = [(i, j, parse(grid[i][j])) for i in range(n) for j in range(i + 1, n)]
+    assert form == QuadraticForm(sf, tuple(parse(row[0]) for row in grid), expected_upper)
+
+    rows = matrix_from_json({"semifield": sf_json, "rows": grid})
+    assert rows == GeneralMatrix(sf, tuple(tuple(parse(v) for v in row) for row in grid))
+
+    coords = grid[0]
+    expected = tuple(parse(v) for v in coords)
+    assert vector_from_json(sf, {"coords": coords}) == expected
+    assert vector_from_text(sf, ",".join(coords)) == expected
+
+    cells = [[{"kind": "singleton", "value": v} for v in row] for row in grid]
+    table = table_from_json({"semifield": sf_json, "cells": cells})
+    assert table == CompanionTable(sf, tuple(tuple(Singleton(parse(v)) for v in row) for row in grid))
+
+
+@pytest.mark.parametrize(
+    "read, doc, path",
+    [
+        (form_from_json, {"semifield": {"group": "int"}, "n": 3, "diag": ["g:1/2", "t:1", "g:1/2"]}, "$.diag[1]"),
+        (matrix_from_json, {"semifield": {"group": "int"}, "rows": [["g:1/2"] * 2] * 2}, "$.rows[1][1]"),
+        (
+            form_from_json,
+            {"semifield": {"group": "int"}, "n": 3, "diag": ["0"] * 3, "upper": {"1,2": "g:1/2", "2,3": "g:1/2"}},
+            "$.upper.1,2",
+        ),
+    ],
+)
+def test_repeated_bad_literal_fails_at_its_first_path(read, doc, path):
+    with pytest.raises(ValueError) as direct:
+        INT.parse_element("g:1/2")
+    with pytest.raises(SchemaError) as exc:
+        read(doc)
+    assert (exc.value.path, exc.value.reason) == (path, str(direct.value))
+
+
+def test_spaced_and_bare_literals_are_equal():
+    diag = form_from_json({"semifield": {"group": "int"}, "n": 2, "diag": [" t:1", "t:1"]}).diag
+    assert diag == (t(1), t(1))
+    assert vector_from_text(INT, " t:1,t:1") == (t(1), t(1))
+
+
+def test_each_distinct_literal_is_parsed_once_per_document(monkeypatch):
+    parsed = []
+    parse = Semifield.parse_element
+
+    def counting(sf, text):
+        parsed.append(text)
+        return parse(sf, text)
+
+    monkeypatch.setattr(Semifield, "parse_element", counting)
+    rows = [["0" if (r + c) % 3 else "t:0" for c in range(64)] for r in range(64)]
+    doc = {"semifield": {"group": "int"}, "rows": rows}
+    first = matrix_from_json(doc)
+    assert sorted(parsed) == ["0", "t:0"]
+    # the memo lives for one document: an identical second one is parsed afresh
+    assert matrix_from_json(doc) == first
+    assert sorted(parsed) == ["0", "0", "t:0", "t:0"]
