@@ -22,11 +22,23 @@ diagonal (alpha, alpha) with cross term nu(alpha).  The oracle and
 :func:`equality_witness` build the critical set with one helper,
 :func:`_probe_exponents_for`, which shares no code with the case analysis
 or the companion-set types.
+
+Both run on integers.  One scale S per battery, twelve times the lcm of
+the exponent denominators, makes S * x an integer for every exponent x of
+the lines, their tie points and the probes (the proof is in
+:func:`_probe_exponents_for`).  Tie points are found, sorted and
+deduplicated as integers, and the oracle evaluates its sums on elements
+whose exponents are multiplied by S.  That is exact: x -> S * x is an
+injective, order-preserving homomorphism, and element arithmetic and
+equality read exponents only through +, -, < and ==, so they commute with
+the scaling.  The group's legality and ``between`` rules stay on
+:class:`Semifield`, asked once per tie point on unscaled values.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -159,29 +171,49 @@ def diagonal_cell(alpha: Element) -> CompanionSet:
 # the independent membership oracle
 
 
-def _tie_points(terms: set[tuple[int, Exponent]]) -> list[Fraction]:
-    """Where two lines ``slope * x + offset`` of different slopes meet."""
-    return sorted(
-        {Fraction(o2 - o1) / (s1 - s2) for (s1, o1), (s2, o2) in combinations(terms, 2) if s1 != s2}
-    )
+def _scaled_exp(x: Exponent, scale: int) -> int:
+    """``scale * x`` for an exponent whose denominator divides scale."""
+    return x.numerator * (scale // x.denominator)
 
 
-def _probe_exponents(sf: Semifield, criticals: list[Fraction]) -> list[Exponent]:
-    """Legal exponents covering every region the critical points cut out."""
+def _scaled(a: Element, scale: int) -> Element:
+    """a with its exponent multiplied by scale; tag and fiber unchanged."""
+    return a if a.is_zero else Element(a.tag, _scaled_exp(a.exp, scale), a.fiber)
+
+
+def _common_scale(elements) -> int:
+    """Twelve times the lcm of the elements' exponent denominators."""
+    return 12 * math.lcm(*(a.exp.denominator for a in elements if not a.is_zero))
+
+
+def _tie_points(terms: set[tuple[int, int]]) -> list[int]:
+    """Where two lines ``slope * x + offset`` of different slopes meet, ascending.
+
+    The offsets are even integers and the slopes differ by 1 or 2, so each
+    meeting point is an integer.
+    """
+    return sorted({(o2 - o1) // (s1 - s2) for (s1, o1), (s2, o2) in combinations(terms, 2) if s1 != s2})
+
+
+def _probe_exponents(sf: Semifield, criticals: list[int], scale: int) -> list[Exponent]:
+    """Legal exponents covering every region the critical points cut out.
+
+    ``criticals`` are the distinct critical points times scale, ascending.
+    The probes come out ascending and distinct without a sort: each is a
+    critical point or lies strictly inside the interval it was drawn from.
+    """
     if not criticals:
         return [0]
-    probes: list[Exponent] = []
-    for c in criticals:
-        if sf.legal_exponent(c):
-            probes.append(_canon_exp(c))
-    for lo, hi in zip(criticals, criticals[1:]):
+    points = [c // scale if c % scale == 0 else Fraction(c, scale) for c in criticals]
+    # every group has an exponent inside an interval of length 2
+    probes = [sf.between(points[0] - 2, points[0])]
+    for lo, hi in zip(points, points[1:] + [points[-1] + 2]):
+        if sf.legal_exponent(lo):
+            probes.append(lo)
         mid = sf.between(lo, hi)
         if mid is not None:
             probes.append(mid)
-    # every group has an exponent inside an interval of length 2
-    probes.append(sf.between(criticals[0] - 2, criticals[0]))
-    probes.append(sf.between(criticals[-1], criticals[-1] + 2))
-    return sorted(set(probes))
+    return probes
 
 
 def _probe_exponents_for(sf: Semifield, *levels: tuple[int, Element]) -> list[Exponent]:
@@ -189,9 +221,31 @@ def _probe_exponents_for(sf: Semifield, *levels: tuple[int, Element]) -> list[Ex
 
     Each ``(slope, element)`` stands for the line ``slope * exp(lambda) +
     exp(element)``; zero elements have no level and contribute no line.
+
+    Tie points are found on integers: every offset is multiplied by the
+    battery's scale ``S = 12 * D``, where D is the lcm of the offsets'
+    denominators (:func:`_common_scale`).  S also clears the denominator of
+    every probe returned:
+
+    * the offsets lie in (1/D)Z, so each scaled offset is a multiple of 12,
+      in particular even;
+    * slopes are +1, -1 and 0, so two slopes differ by 1 or 2 and a tie
+      point ``(o2 - o1) / (s1 - s2)`` lies in (1/2D)Z;
+    * a probe is a legal tie point or ``Semifield.between`` of two tie
+      points, or of a tie point and that point minus or plus 2.  In ``int``
+      that is an integer.  In ``rat`` it is a midpoint, which halves once:
+      (1/4D)Z.  In ``rat3``, D is a power of 3; two distinct points of
+      (1/2D)Z are more than 1/(3D) apart, so the largest power-of-3 step
+      below their distance is at least 1/(3D), and ``between`` returns a
+      multiple of that step: (1/3D)Z, one extra factor of 3.
+
+    Both (1/4D)Z and (1/3D)Z are cleared by 12 * D.  Legality and
+    ``between`` stay the semifield's: they are asked about the tie points
+    themselves, once each.
     """
-    terms = {(slope, a.exp) for slope, a in levels if not a.is_zero}
-    return _probe_exponents(sf, _tie_points(terms))
+    scale = _common_scale(a for _, a in levels)
+    terms = {(slope, _scaled_exp(a.exp, scale)) for slope, a in levels if not a.is_zero}
+    return _probe_exponents(sf, _tie_points(terms), scale)
 
 
 def companion_membership_oracle(
@@ -231,14 +285,28 @@ def companion_membership_oracle(
     holds a probe (the two unbounded ones always do).  Each beta thus still
     meets a probe in every piece of its own partition that holds a legal
     exponent, and its verdict is the one its own probe set would give.
+
+    The sums are evaluated in integer coordinates.  The battery's scale S
+    (:func:`_probe_exponents_for` proves it clears the denominator of every
+    line and every probe) turns each exponent x into the integer S * x.
+    The map x -> S * x is an injective, order-preserving homomorphism of
+    the rationals, and it takes every exponent the loop meets to an integer
+    (sums and negatives of scaled integers stay integers).  An element's
+    sum, product, inverse and equality read its exponent only through +, -,
+    < and ==.
+    So scaling every exponent, with tags and fibers untouched, commutes
+    with +, * and inverse, and two scaled sums are equal iff the sums are:
+    each verdict is exact, with no Fraction in the loop.
     """
-    probes = _probe_exponents_for(sf, (1, alpha1), (-1, alpha2), (0, alpha), *((0, b) for b in betas))
+    levels = ((1, alpha1), (-1, alpha2), (0, alpha), *((0, b) for b in betas))
+    scale = _common_scale(a for _, a in levels)
+    a1, a2, a, *scaled_betas = (_scaled(x, scale) for _, x in levels)
     verdicts = [True] * len(betas)
-    for exp in probes:
-        lam = sf.tangible(exp)
-        base = lam * alpha1 + lam.inverse() * alpha2
-        lhs = base + alpha
-        for k, beta in enumerate(betas):
+    for exp in _probe_exponents_for(sf, *levels):
+        lam = sf.tangible(_scaled_exp(exp, scale))
+        base = lam * a1 + lam.inverse() * a2
+        lhs = base + a
+        for k, beta in enumerate(scaled_betas):
             if verdicts[k] and base + beta != lhs:
                 verdicts[k] = False
     return verdicts

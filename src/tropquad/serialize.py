@@ -17,7 +17,7 @@ dies with the call, so nothing is carried from one document to the next.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Callable, Optional, Union
 
 from .companions import CompanionSet, CompanionTable, NuClass, NuLeqDoubled, NuLtDoubled, Singleton
 from .forms import QuadraticForm, SymmetricBilinearForm, Vector
@@ -34,16 +34,24 @@ from .semiring import (
 from .stropicalize import RationalQuadraticForm, SupervaluationSpec
 
 
+Path = Union[str, Callable[[], str]]
+
+
 class SchemaError(Exception):
-    """Input does not match the expected schema; `path` locates the problem."""
+    """Input does not match the expected schema; `path` locates the problem.
 
-    def __init__(self, message: str, path: str = "$"):
-        self.path = path
+    Wherever a path is passed, a function that builds it may be passed
+    instead: a reader of many cells then formats a cell's path only when
+    that cell fails.
+    """
+
+    def __init__(self, message: str, path: Path = "$"):
+        self.path = path() if callable(path) else path
         self.reason = message
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{self.path}: {message}")
 
 
-def _expect(cond: bool, message: str, path: str):
+def _expect(cond: bool, message: str, path: Path):
     if not cond:
         raise SchemaError(message, path)
 
@@ -53,13 +61,13 @@ def _is_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _get(obj: dict, key: str, path: str):
+def _get(obj: dict, key: str, path: Path):
     if key not in obj:
         raise SchemaError(f"missing key {key!r}", path)
     return obj[key]
 
 
-def _schema(make, path: str, *args):
+def _schema(make, path: Path, *args):
     """``make(*args)``, with its ValueError re-raised as a SchemaError at path."""
     try:
         return make(*args)
@@ -105,7 +113,7 @@ def _element_reader(sf: Semifield):
     """``read(obj, path)`` for one document: each distinct literal is parsed once."""
     memo: dict[str, Element] = {}
 
-    def read(obj: Any, path: str) -> Element:
+    def read(obj: Any, path: Path) -> Element:
         _expect(isinstance(obj, str), "element must be an encoded string", path)
         element = memo.get(obj)
         if element is None:
@@ -115,31 +123,37 @@ def _element_reader(sf: Semifield):
     return read
 
 
-def rational_from_json(obj: Any, path: str) -> Fraction:
+def rational_from_json(obj: Any, path: Path) -> Fraction:
     if _is_int(obj):
         return Fraction(obj)
     _expect(isinstance(obj, str), "rational must be an int or 'p/q' string", path)
     return Fraction(_schema(parse_rational, path, obj))
 
 
-def _exponent_from_json(sf: Semifield, obj: Any, path: str) -> Exponent:
+def _exponent_from_json(sf: Semifield, obj: Any, path: Path) -> Exponent:
     return _schema(sf.check_exponent, path, rational_from_json(obj, path))
 
 
 def _index_pair(key: str, n: int, path: str, seen: set, strict_upper: bool) -> tuple[int, int]:
     """0-based (i, j) of an "i,j" key; a second key naming a cell in ``seen`` is refused."""
+
+    def where() -> str:
+        return f"{path}.{key}"
+
     parts = key.split(",")
-    _expect(len(parts) == 2, "index key must look like 'i,j'", f"{path}.{key}")
+    _expect(len(parts) == 2, "index key must look like 'i,j'", where)
     try:
         i, j = int(parts[0]), int(parts[1])
     except ValueError:
-        raise SchemaError("index key must hold integers", f"{path}.{key}") from None
-    _expect(1 <= i <= n and 1 <= j <= n, f"indices out of range 1..{n}", f"{path}.{key}")
+        raise SchemaError("index key must hold integers", where) from None
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise SchemaError(f"indices out of range 1..{n}", where)
     if strict_upper:
-        _expect(i < j, "upper coefficient needs i < j", f"{path}.{key}")
+        _expect(i < j, "upper coefficient needs i < j", where)
     else:
-        _expect(i <= j, "triangular coefficient needs i <= j", f"{path}.{key}")
-    _expect((i, j) not in seen, f"duplicate index ({i},{j})", f"{path}.{key}")
+        _expect(i <= j, "triangular coefficient needs i <= j", where)
+    if (i, j) in seen:
+        raise SchemaError(f"duplicate index ({i},{j})", where)
     seen.add((i, j))
     return i - 1, j - 1
 
@@ -154,12 +168,13 @@ def form_from_json(obj: Any, path: str = "$") -> QuadraticForm:
     diag_obj = _get(obj, "diag", path)
     _expect(isinstance(diag_obj, list) and len(diag_obj) == n, f"diag must list {n} elements", f"{path}.diag")
     read = _element_reader(sf)
-    diag = tuple(read(v, f"{path}.diag[{k + 1}]") for k, v in enumerate(diag_obj))
+    diag = tuple(read(v, lambda: f"{path}.diag[{k + 1}]") for k, v in enumerate(diag_obj))
+    upper_path = f"{path}.upper"
     upper_obj = obj.get("upper", {})
-    _expect(isinstance(upper_obj, dict), "upper must be an object", f"{path}.upper")
+    _expect(isinstance(upper_obj, dict), "upper must be an object", upper_path)
     seen = set()
     upper = [
-        (*_index_pair(key, n, f"{path}.upper", seen, strict_upper=True), read(val, f"{path}.upper.{key}"))
+        (*_index_pair(key, n, upper_path, seen, strict_upper=True), read(val, lambda: f"{upper_path}.{key}"))
         for key, val in upper_obj.items()
     ]
     return _schema(QuadraticForm, path, sf, diag, upper)
@@ -184,12 +199,12 @@ def vector_from_json(sf: Semifield, obj: Any, path: str = "$") -> Vector:
     coords = _get(obj, "coords", path)
     _expect(isinstance(coords, list) and coords, "coords must be a nonempty list", f"{path}.coords")
     read = _element_reader(sf)
-    return tuple(read(v, f"{path}.coords[{k + 1}]") for k, v in enumerate(coords))
+    return tuple(read(v, lambda: f"{path}.coords[{k + 1}]") for k, v in enumerate(coords))
 
 
 def vector_from_text(sf: Semifield, text: str) -> Vector:
     read = _element_reader(sf)
-    return tuple(read(p.strip(), f"$.vector[{k + 1}]") for k, p in enumerate(text.split(",")))
+    return tuple(read(p.strip(), lambda: f"$.vector[{k + 1}]") for k, p in enumerate(text.split(",")))
 
 
 def vector_to_json(x: Vector) -> dict:
@@ -205,8 +220,9 @@ def _grid_from_json(sf: Semifield, obj: dict, key: str, path: str):
     read = _element_reader(sf)
     rows = []
     for r, row in enumerate(rows_obj):
-        _expect(isinstance(row, list) and row, "rows must be nonempty lists", f"{path}.{key}[{r + 1}]")
-        rows.append(tuple(read(v, f"{path}.{key}[{r + 1}][{c + 1}]") for c, v in enumerate(row)))
+        row_path = f"{path}.{key}[{r + 1}]"
+        _expect(isinstance(row, list) and row, "rows must be nonempty lists", row_path)
+        rows.append(tuple(read(v, lambda: f"{row_path}[{c + 1}]") for c, v in enumerate(row)))
     return tuple(rows)
 
 
@@ -245,6 +261,7 @@ _CELLS = {
     "nu_class": (NuClass, "exp"),
 }
 _CELL_KINDS = {cls: (kind, field) for kind, (cls, field) in _CELLS.items()}
+_KIND_MESSAGE = "kind must be " + "|".join(_CELLS)
 
 
 def cell_display(cell: CompanionSet) -> str:
@@ -262,15 +279,16 @@ def cell_to_json(cell: CompanionSet) -> dict:
     return {"display": cell_display(cell), "kind": kind, field: text}
 
 
-def cell_from_json(sf: Semifield, read_element, obj: Any, path: str) -> CompanionSet:
-    _expect(isinstance(obj, dict), "cell must be an object", path)
-    kind = _get(obj, "kind", path)
-    _expect(isinstance(kind, str) and kind in _CELLS, "kind must be " + "|".join(_CELLS), f"{path}.kind")
+def cell_from_json(sf: Semifield, read_element, obj: Any, where: Callable[[], str]) -> CompanionSet:
+    """The cell encoded by obj; ``where()`` builds its path, only for an error."""
+    _expect(isinstance(obj, dict), "cell must be an object", where)
+    kind = _get(obj, "kind", where)
+    _expect(isinstance(kind, str) and kind in _CELLS, _KIND_MESSAGE, lambda: f"{where()}.kind")
     cls, field = _CELLS[kind]
-    value = _get(obj, field, path)
+    value = _get(obj, field, where)
     if cls is Singleton:
-        return cls(read_element(value, f"{path}.{field}"))
-    return cls(_exponent_from_json(sf, value, f"{path}.{field}"))
+        return cls(read_element(value, lambda: f"{where()}.{field}"))
+    return cls(_exponent_from_json(sf, value, lambda: f"{where()}.{field}"))
 
 
 def table_to_json(table: CompanionTable) -> dict:
@@ -289,10 +307,9 @@ def table_from_json(obj: Any, path: str = "$") -> CompanionTable:
     read = _element_reader(sf)
     rows = []
     for r, row in enumerate(cells_obj):
-        _expect(isinstance(row, list) and len(row) == n, "cells must be a square grid", f"{path}.cells[{r + 1}]")
-        rows.append(
-            tuple(cell_from_json(sf, read, c, f"{path}.cells[{r + 1}][{c_i + 1}]") for c_i, c in enumerate(row))
-        )
+        row_path = f"{path}.cells[{r + 1}]"
+        _expect(isinstance(row, list) and len(row) == n, "cells must be a square grid", row_path)
+        rows.append(tuple(cell_from_json(sf, read, cell, lambda: f"{row_path}[{c + 1}]") for c, cell in enumerate(row)))
     return CompanionTable(sf, tuple(rows))
 
 
@@ -304,11 +321,12 @@ def ratform_from_json(obj: Any, path: str = "$") -> RationalQuadraticForm:
     n = _get(obj, "n", path)
     _expect(_is_int(n) and n >= 1, "n must be a positive int", f"{path}.n")
     _expect(n <= RATFORM_DIMENSION_LIMIT, f"n must be at most {RATFORM_DIMENSION_LIMIT}", f"{path}.n")
+    coeffs_path = f"{path}.coeffs"
     coeffs_obj = _get(obj, "coeffs", path)
-    _expect(isinstance(coeffs_obj, dict), "coeffs must be an object", f"{path}.coeffs")
+    _expect(isinstance(coeffs_obj, dict), "coeffs must be an object", coeffs_path)
     seen = set()
     coeffs = [
-        (_index_pair(key, n, f"{path}.coeffs", seen, strict_upper=False), rational_from_json(val, f"{path}.coeffs.{key}"))
+        (_index_pair(key, n, coeffs_path, seen, strict_upper=False), rational_from_json(val, lambda: f"{coeffs_path}.{key}"))
         for key, val in coeffs_obj.items()
     ]
     return _schema(RationalQuadraticForm, path, n, tuple(coeffs))

@@ -1,9 +1,11 @@
 """Companion sets and tables against the independent membership oracle."""
 
+import math
 import random
 import sys
 import types
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +41,9 @@ from tropquad import (
     set_max,
     set_min,
 )
+from tropquad.companions import _common_scale, _probe_exponents_for, _scaled
 from tropquad.probes import boundary_probe_elements
+from tropquad.semiring import _canon_exp
 
 from gen import (
     element_strategy,
@@ -546,6 +550,77 @@ def test_lambda_fiber_never_changes_a_verdict_property(data):
         return base + a == base + beta
 
     assert coincide((1,)) == coincide((-1,))
+
+
+# -- the probe-set builder on integer coordinates --------------------------------
+
+
+def _fraction_tie_points(terms):
+    """Reference: the tie points as the builder computed them on Fractions."""
+    return sorted({Fraction(o2 - o1) / (s1 - s2) for (s1, o1), (s2, o2) in combinations(terms, 2) if s1 != s2})
+
+
+def _fraction_probe_exponents(sf, criticals):
+    """Reference: the probe exponents as the builder computed them on Fractions."""
+    if not criticals:
+        return [0]
+    probes = [_canon_exp(c) for c in criticals if sf.legal_exponent(c)]
+    for lo, hi in zip(criticals, criticals[1:]):
+        mid = sf.between(lo, hi)
+        if mid is not None:
+            probes.append(mid)
+    probes.append(sf.between(criticals[0] - 2, criticals[0]))
+    probes.append(sf.between(criticals[-1], criticals[-1] + 2))
+    return sorted(set(probes))
+
+
+@st.composite
+def _wide_lines(draw):
+    """A semifield of any group and rank 0 or 1, and 2-20 lines of slope +1, -1 or 0."""
+    sf = Semifield(draw(st.sampled_from(list(GroupKind))), draw(st.sampled_from((0, 1))))
+    line = st.tuples(st.sampled_from((1, -1, 0)), wide_element_strategy(sf))
+    return sf, draw(st.lists(line, min_size=2, max_size=20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wide_lines())
+def test_integer_probe_set_equals_fraction_probe_set_property(data):
+    """Same probe exponents, in the same order and of the same types, as the
+    Fraction builder (this keeps equality witnesses byte-identical), and the
+    battery's scale clears the denominator of every one of them."""
+    sf, levels = data
+    terms = {(slope, a.exp) for slope, a in levels if not a.is_zero}
+    expected = _fraction_probe_exponents(sf, _fraction_tie_points(terms))
+    probes = _probe_exponents_for(sf, *levels)
+    assert probes == expected
+    assert [type(p) for p in probes] == [type(p) for p in expected]
+    scale = _common_scale(a for _, a in levels)
+    assert all(scale % Fraction(p).denominator == 0 for p in probes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_scaling_exponents_commutes_with_arithmetic_property(data):
+    """x -> S * x on every exponent commutes with +, * and inverse and keeps
+    equality, for any positive integer S that makes the exponents integers."""
+    sf = Semifield(data.draw(st.sampled_from(list(GroupKind))), data.draw(st.sampled_from((0, 1))))
+    a = data.draw(wide_element_strategy(sf))
+    same_level = [a, a.nu()]
+    if not a.is_zero:
+        same_level += [sf.tangible(a.exp, (s,) * sf.fiber_rank) for s in (1, -1)]
+    b = data.draw(st.one_of(wide_element_strategy(sf), st.sampled_from(same_level)))
+    denominators = math.lcm(*(x.exp.denominator for x in (a, b) if not x.is_zero))
+    scale = data.draw(st.integers(1, 10**4)) * denominators
+
+    def up(x):
+        return _scaled(x, scale)
+
+    assert all(isinstance(x.exp, int) for x in (up(a), up(b)) if not x.is_zero)
+    assert up(a + b) == up(a) + up(b)
+    assert up(a * b) == up(a) * up(b)
+    assert (a == b) == (up(a) == up(b))
+    if a.is_tangible:
+        assert up(a.inverse()) == up(a).inverse()
 
 
 @settings(max_examples=200, deadline=None)

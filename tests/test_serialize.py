@@ -212,6 +212,66 @@ def test_repeated_bad_literal_fails_at_its_first_path(read, doc, path):
     assert (exc.value.path, exc.value.reason) == (path, str(direct.value))
 
 
+_FORM = {"semifield": {"group": "int"}, "n": 2, "diag": ["t:1", "t:2"]}
+_TABLE = {
+    "semifield": {"group": "int"},
+    "cells": [
+        [{"kind": "nu_leq", "bound2": "4"}, {"kind": "singleton", "value": "t:3"}],
+        [{"kind": "singleton", "value": "t:3"}, {"kind": "singleton", "value": "0"}],
+    ],
+}
+
+
+def _table_with(r, c, cell):
+    cells = [list(row) for row in _TABLE["cells"]]
+    cells[r][c] = cell
+    return dict(_TABLE, cells=cells)
+
+
+@pytest.mark.parametrize(
+    "read, doc, path, reason",
+    [
+        (form_from_json, dict(_FORM, diag=["t:1", 5]), "$.diag[2]", "element must be an encoded string"),
+        (form_from_json, dict(_FORM, upper={"1-2": "t:0"}), "$.upper.1-2", "index key must look like 'i,j'"),
+        (form_from_json, dict(_FORM, upper={"a,2": "t:0"}), "$.upper.a,2", "index key must hold integers"),
+        (form_from_json, dict(_FORM, upper={"1,3": "t:0"}), "$.upper.1,3", "indices out of range 1..2"),
+        (form_from_json, dict(_FORM, upper={"2,1": "t:0"}), "$.upper.2,1", "upper coefficient needs i < j"),
+        (form_from_json, dict(_FORM, upper={"1,2": "t:0", "01,2": "t:0"}), "$.upper.01,2", "duplicate index (1,2)"),
+        (form_from_json, dict(_FORM, upper={"1,2": "t:x"}), "$.upper.1,2", "not a rational literal: 'x'"),
+        (matrix_from_json, {"semifield": {"group": "int"}, "rows": [["t:1"], "x"]}, "$.rows[2]",
+         "rows must be nonempty lists"),
+        (matrix_from_json, {"semifield": {"group": "int"}, "rows": [["t:1", "t:1"], ["t:1", [1]]]}, "$.rows[2][2]",
+         "element must be an encoded string"),
+        (bilinear_from_json, {"semifield": {"group": "int"}, "gram": [["t:1", "t:1/3"], ["t:1/3", "t:1"]]},
+         "$.gram[1][2]", "exponent 1/3 not in the int group"),
+        (table_from_json, dict(_TABLE, cells=[_TABLE["cells"][0], _TABLE["cells"][1][:1]]), "$.cells[2]",
+         "cells must be a square grid"),
+        (table_from_json, _table_with(0, 1, "t:3"), "$.cells[1][2]", "cell must be an object"),
+        (table_from_json, _table_with(1, 0, {"value": "t:3"}), "$.cells[2][1]", "missing key 'kind'"),
+        (table_from_json, _table_with(0, 0, {"kind": "nu"}), "$.cells[1][1].kind",
+         "kind must be singleton|nu_leq|nu_lt|nu_class"),
+        (table_from_json, _table_with(0, 0, {"kind": "singleton"}), "$.cells[1][1]", "missing key 'value'"),
+        (table_from_json, _table_with(1, 1, {"kind": "singleton", "value": "g:1/3"}), "$.cells[2][2].value",
+         "exponent 1/3 not in the int group"),
+        (table_from_json, _table_with(0, 1, {"kind": "nu_lt", "bound2": "x"}), "$.cells[1][2].bound2",
+         "not a rational literal: 'x'"),
+        (table_from_json, _table_with(0, 1, {"kind": "nu_class", "exp": "1/2"}), "$.cells[1][2].exp",
+         "exponent 1/2 not in the int group"),
+        (lambda doc: vector_from_json(INT, doc), {"coords": ["0", "t:1", None]}, "$.coords[3]",
+         "element must be an encoded string"),
+        (lambda text: vector_from_text(INT, text), "t:1, t:y", "$.vector[2]", "not a rational literal: 'y'"),
+        (ratform_from_json, {"n": 2, "coeffs": {"1,2": [1]}}, "$.coeffs.1,2", "rational must be an int or 'p/q' string"),
+        (ratform_from_json, {"n": 2, "coeffs": {"2,1": "1"}}, "$.coeffs.2,1", "triangular coefficient needs i <= j"),
+    ],
+)
+def test_every_cell_error_keeps_its_path_and_message(read, doc, path, reason):
+    """Cell paths are built only when a cell fails; each error still names its
+    cell the way it always did."""
+    with pytest.raises(SchemaError) as exc:
+        read(doc)
+    assert (exc.value.path, exc.value.reason, str(exc.value)) == (path, reason, f"{path}: {reason}")
+
+
 def test_spaced_and_bare_literals_are_equal():
     diag = form_from_json({"semifield": {"group": "int"}, "n": 2, "diag": [" t:1", "t:1"]}).diag
     assert diag == (t(1), t(1))
