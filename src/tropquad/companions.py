@@ -39,43 +39,50 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Union
 
 from .errors import PreconditionError
 from .forms import QuadraticForm, SymmetricBilinearForm, eval_quadratic
-from .semiring import ZERO, Element, Exponent, Semifield, GroupKind, _canon_exp
+from .semiring import ZERO, Element, Exponent, Semifield, GroupKind, Value, _canon_exp, _set
 
 # ---------------------------------------------------------------------------
 # symbolic companion sets
 
 
-@dataclass(frozen=True, slots=True)
-class Singleton:
-    value: Element
+class Singleton(Value):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Element):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True, slots=True)
-class NuLeqDoubled:
+class NuLeqDoubled(Value):
     """{0} union {beta : 2 * exp(beta) <= bound2}(closed lower set)."""
 
-    bound2: Exponent
+    __slots__ = ("bound2",)
+
+    def __init__(self, bound2: Exponent):
+        _set(self, "bound2", bound2)
 
 
-@dataclass(frozen=True, slots=True)
-class NuLtDoubled:
+class NuLtDoubled(Value):
     """{0} union {beta : 2 * exp(beta) < bound2} (no maximal element)."""
 
-    bound2: Exponent
+    __slots__ = ("bound2",)
+
+    def __init__(self, bound2: Exponent):
+        _set(self, "bound2", bound2)
 
 
-@dataclass(frozen=True, slots=True)
-class NuClass:
+class NuClass(Value):
     """All tangibles with the given exponent, plus its ghost."""
 
-    exp: Exponent
+    __slots__ = ("exp",)
+
+    def __init__(self, exp: Exponent):
+        _set(self, "exp", exp)
 
 
 CompanionSet = Union[Singleton, NuLeqDoubled, NuLtDoubled, NuClass]
@@ -334,12 +341,14 @@ def diagonal_membership_oracle(sf: Semifield, alpha: Element, betas: list[Elemen
 # tables
 
 
-@dataclass(frozen=True, slots=True)
-class CompanionTable:
+class CompanionTable(Value):
     """Symmetric grid of companion sets, one per pair of base vectors."""
 
-    sf: Semifield
-    cells: tuple[tuple[CompanionSet, ...], ...]
+    __slots__ = ("sf", "cells")
+
+    def __init__(self, sf: Semifield, cells: tuple[tuple[CompanionSet, ...], ...]):
+        _set(self, "sf", sf)
+        _set(self, "cells", cells)
 
     @property
     def n(self) -> int:

@@ -8,7 +8,6 @@ is never enumerated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .companions import (
@@ -22,14 +21,16 @@ from .companions import (
 )
 from .errors import PreconditionError
 from .forms import QuadraticForm, SymmetricBilinearForm
-from .semiring import ZERO
+from .semiring import ZERO, Value, _set
 
 
-@dataclass(frozen=True, slots=True)
-class Decomposition:
-    ql: QuadraticForm
-    rigid: QuadraticForm
-    companion: SymmetricBilinearForm
+class Decomposition(Value):
+    __slots__ = ("ql", "rigid", "companion")
+
+    def __init__(self, ql: QuadraticForm, rigid: QuadraticForm, companion: SymmetricBilinearForm):
+        _set(self, "ql", ql)
+        _set(self, "rigid", rigid)
+        _set(self, "companion", companion)
 
 
 def quasilinear_part(q: QuadraticForm) -> QuadraticForm:
@@ -67,12 +68,20 @@ def decompose(q: QuadraticForm, b: Optional[SymmetricBilinearForm] = None) -> De
     return Decomposition(quasilinear_part(q), rho, off_diagonal_companion(rho))
 
 
-@dataclass(frozen=True, slots=True)
-class RigExtrema:
-    minimum: QuadraticForm
-    maximum: Optional[QuadraticForm]
-    no_max_cell: Optional[tuple[int, int]]  # witness when maximum is None
-    table: CompanionTable
+class RigExtrema(Value):
+    __slots__ = ("minimum", "maximum", "no_max_cell", "table")
+
+    def __init__(
+        self,
+        minimum: QuadraticForm,
+        maximum: Optional[QuadraticForm],
+        no_max_cell: Optional[tuple[int, int]],  # witness when maximum is None
+        table: CompanionTable,
+    ):
+        _set(self, "minimum", minimum)
+        _set(self, "maximum", maximum)
+        _set(self, "no_max_cell", no_max_cell)
+        _set(self, "table", table)
 
 
 def rig_extrema(q: QuadraticForm) -> RigExtrema:

@@ -11,12 +11,11 @@ rendered 1-based at the JSON boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import PreconditionError
 from .matrices import MonomialMatrix
-from .semiring import ZERO, Element, Semifield, leq_minimal, semiring_sum
+from .semiring import ZERO, Element, Semifield, Value, _set, leq_minimal, semiring_sum
 
 DIMENSION_LIMIT = 64
 
@@ -25,8 +24,7 @@ Vector = tuple[Element, ...]
 UpperEntries = Union[Mapping[tuple[int, int], Element], Iterable[tuple[int, int, Element]]]
 
 
-@dataclass(frozen=True, slots=True, repr=False, init=False)
-class QuadraticForm:
+class QuadraticForm(Value):
     """Triangular coefficient scheme of a quadratic form.
 
     ``cross`` is the symmetric n x n grid of cross coefficients: entry
@@ -35,9 +33,7 @@ class QuadraticForm:
     mapping ``{(i, j): beta}`` or as triples ``(i, j, beta)``, with i < j.
     """
 
-    sf: Semifield
-    diag: tuple[Element, ...]
-    cross: tuple[tuple[Element, ...], ...]
+    __slots__ = ("sf", "diag", "cross")
 
     def __init__(self, sf: Semifield, diag: Sequence[Element], upper: UpperEntries = ()):
         diag = tuple(sf.element(a) for a in diag)
@@ -54,9 +50,9 @@ class QuadraticForm:
                 raise ValueError(f"duplicate upper index ({i},{j})")
             seen.add((i, j))
             rows[i][j] = rows[j][i] = sf.element(v)
-        object.__setattr__(self, "sf", sf)
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "cross", tuple(map(tuple, rows)))
+        _set(self, "sf", sf)
+        _set(self, "diag", diag)
+        _set(self, "cross", tuple(map(tuple, rows)))
 
     @property
     def n(self) -> int:
@@ -75,15 +71,13 @@ class QuadraticForm:
         return "[" + "; ".join(rows) + "]"
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class SymmetricBilinearForm:
+class SymmetricBilinearForm(Value):
     """Symmetric Gram matrix over the semifield."""
 
-    sf: Semifield
-    gram: tuple[tuple[Element, ...], ...]
+    __slots__ = ("sf", "gram")
 
-    def __post_init__(self):
-        gram = tuple(tuple(self.sf.element(v) for v in row) for row in self.gram)
+    def __init__(self, sf: Semifield, gram: Sequence[Sequence[Element]]):
+        gram = tuple(tuple(sf.element(v) for v in row) for row in gram)
         n = len(gram)
         if not 1 <= n <= DIMENSION_LIMIT:
             raise ValueError(f"dimension {n} outside 1..{DIMENSION_LIMIT}")
@@ -93,7 +87,8 @@ class SymmetricBilinearForm:
             for j in range(i + 1, n):
                 if gram[i][j] != gram[j][i]:
                     raise ValueError(f"gram matrix not symmetric at ({i},{j})")
-        object.__setattr__(self, "gram", gram)
+        _set(self, "sf", sf)
+        _set(self, "gram", gram)
 
     @property
     def n(self) -> int:

@@ -3,27 +3,25 @@ monomial (generalized permutation) matrices with tangible scales."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import PreconditionError
-from .semiring import ZERO, Element, Semifield, semiring_sum
+from .semiring import ZERO, Element, Semifield, Value, _set, semiring_sum
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class GeneralMatrix:
+class GeneralMatrix(Value):
     """Rectangular matrix of semifield elements."""
 
-    sf: Semifield
-    rows: tuple[tuple[Element, ...], ...]
+    __slots__ = ("sf", "rows")
 
-    def __post_init__(self):
-        rows = tuple(tuple(self.sf.element(v) for v in row) for row in self.rows)
+    def __init__(self, sf: Semifield, rows: Sequence[Sequence[Element]]):
+        rows = tuple(tuple(sf.element(v) for v in row) for row in rows)
         if not rows or not rows[0]:
             raise ValueError("matrix must be nonempty")
         if any(len(row) != len(rows[0]) for row in rows):
             raise ValueError("ragged matrix")
-        object.__setattr__(self, "rows", rows)
+        _set(self, "sf", sf)
+        _set(self, "rows", rows)
 
     @property
     def nrows(self) -> int:
@@ -41,17 +39,14 @@ class GeneralMatrix:
         return "[" + "; ".join(" ".join(repr(v) for v in row) for row in self.rows) + "]"
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class MonomialMatrix:
+class MonomialMatrix(Value):
     """One tangible entry per row and column: scales[j] sits at row perm[j] of column j."""
 
-    sf: Semifield
-    perm: tuple[int, ...]
-    scales: tuple[Element, ...]
+    __slots__ = ("sf", "perm", "scales")
 
-    def __post_init__(self):
-        perm = tuple(self.perm)
-        scales = tuple(self.sf.element(c) for c in self.scales)
+    def __init__(self, sf: Semifield, perm: Sequence[int], scales: Sequence[Element]):
+        perm = tuple(perm)
+        scales = tuple(sf.element(c) for c in scales)
         n = len(perm)
         if sorted(perm) != list(range(n)) or len(scales) != n:
             raise ValueError("perm must be a permutation of 0..n-1 matching scales")
@@ -60,8 +55,9 @@ class MonomialMatrix:
                 "tangible scales required",
                 "monomial matrices must carry tangible (unit) scales",
             )
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "scales", scales)
+        _set(self, "sf", sf)
+        _set(self, "perm", perm)
+        _set(self, "scales", scales)
 
     @property
     def n(self) -> int:

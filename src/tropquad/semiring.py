@@ -9,8 +9,11 @@ as soon as one factor is ghost.  The ghost map ``nu`` sends an element to
 the ghost with the same exponent and is an idempotent semiring projection.
 
 Everything is exact: exponents are ints or ``fractions.Fraction``, never
-floats.  All values are immutable; every operation is a pure function, so
-the whole module is safe for concurrent use.
+floats.  All values are immutable: each value class derives from
+:class:`Value`, keeps its fields in ``__slots__`` and sets them only in its
+``__init__``, and ``Value`` makes every later assignment or deletion raise
+``AttributeError``.  Every operation is a pure function, so the whole module
+is safe for concurrent use.
 
 Three exponent groups are supported:
 
@@ -30,7 +33,6 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -51,6 +53,48 @@ class GroupKind(enum.Enum):
     RAT3 = "rat3"
 
 
+_set = object.__setattr__
+
+
+class Value:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields, in order, in ``__slots__`` and sets them in
+    its ``__init__`` through ``object.__setattr__``.  Assigning or deleting
+    an attribute afterwards raises ``AttributeError``.  Two values are equal
+    when they have the same type and equal fields, a value hashes as the
+    tuple of its fields, and its repr is ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # copy and pickle restore slots through this instead of __setattr__
+        for name, value in state[1].items():
+            _set(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
 def _canon_exp(x: Exponent) -> Exponent:
     """Normalize denominator-1 fractions to ints (repr and speed)."""
     if isinstance(x, Fraction) and x.denominator == 1:
@@ -58,19 +102,32 @@ def _canon_exp(x: Exponent) -> Exponent:
     return x
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class Element:
+class Element(Value):
     """A supertropical value: zero, tangible, or ghost.
 
     ``exp`` is None exactly for zero.  ``fiber`` is a tuple over {+1, -1},
     nonempty only for tangibles in a semifield with positive fiber rank.
     Instances compare by value; two tangibles are equal only if exponents
-    and fibers both agree.
+    and fibers both agree.  This is the hot type, so it spells out
+    ``__init__``, ``__eq__`` and ``__hash__`` field by field, and its
+    ``__init__`` calls the slot descriptors' setters directly, which is
+    faster than ``object.__setattr__``.
     """
 
-    tag: str
-    exp: Optional[Exponent] = None
-    fiber: tuple[int, ...] = ()
+    __slots__ = ("tag", "exp", "fiber")
+
+    def __init__(self, tag: str, exp: Optional[Exponent] = None, fiber: tuple[int, ...] = ()):
+        _set_tag(self, tag)
+        _set_exp(self, exp)
+        _set_fiber(self, fiber)
+
+    def __eq__(self, other):
+        if other.__class__ is Element:
+            return self.tag == other.tag and self.exp == other.exp and self.fiber == other.fiber
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.tag, self.exp, self.fiber))
 
     @property
     def is_zero(self) -> bool:
@@ -131,6 +188,8 @@ class Element:
         return format_element(self)
 
 
+_set_tag, _set_exp, _set_fiber = (vars(Element)[name].__set__ for name in Element.__slots__)
+
 ZERO = Element(_TAG_ZERO)
 ONE_RANK0 = Element(_TAG_TANGIBLE, 0, ())
 
@@ -159,8 +218,7 @@ def leq_minimal(x: Element, y: Element) -> bool:
     return x.exp == y.exp and y.tag == _TAG_GHOST
 
 
-@dataclass(frozen=True, slots=True)
-class SquareClassTag:
+class SquareClassTag(Value):
     """Identifies the orbit of an element under multiplication by unit squares.
 
     Unit squares are the tangibles with doubled exponents and identity
@@ -169,9 +227,12 @@ class SquareClassTag:
     tangibles) its full fiber.
     """
 
-    ghost: bool
-    parity: int
-    fiber: Optional[tuple[int, ...]]
+    __slots__ = ("ghost", "parity", "fiber")
+
+    def __init__(self, ghost: bool, parity: int, fiber: Optional[tuple[int, ...]]):
+        _set(self, "ghost", ghost)
+        _set(self, "parity", parity)
+        _set(self, "fiber", fiber)
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
@@ -200,20 +261,20 @@ def format_element(a: Element) -> str:
     return f"t:{a.exp}"
 
 
-@dataclass(frozen=True, slots=True)
-class Semifield:
+class Semifield(Value):
     """Configuration of the ambient semifield: exponent group + fiber rank.
 
     Acts as a factory with validation; the elements themselves stay plain
     values so arithmetic never needs the configuration.
     """
 
-    group: GroupKind = GroupKind.INT
-    fiber_rank: int = 0
+    __slots__ = ("group", "fiber_rank")
 
-    def __post_init__(self):
-        if self.fiber_rank < 0:
+    def __init__(self, group: GroupKind = GroupKind.INT, fiber_rank: int = 0):
+        if fiber_rank < 0:
             raise ValueError("fiber_rank must be nonnegative")
+        _set(self, "group", group)
+        _set(self, "fiber_rank", fiber_rank)
 
     # -- exponent group ---------------------------------------------------
 

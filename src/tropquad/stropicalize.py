@@ -14,13 +14,12 @@ permute and rescale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import PreconditionError
 from .forms import QuadraticForm, SymmetricBilinearForm, balanced_companion, eval_quadratic
-from .semiring import Element, GroupKind, Semifield, SquareClassTag
+from .semiring import Element, GroupKind, Semifield, SquareClassTag, Value, _set
 
 RatMatrix = tuple[tuple[Fraction, ...], ...]
 
@@ -28,8 +27,7 @@ RatMatrix = tuple[tuple[Fraction, ...], ...]
 _QZERO = Fraction(0)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class RationalQuadraticForm:
+class RationalQuadraticForm(Value):
     """Triangular scheme with exact rational coefficients.
 
     ``coeffs`` maps each key (i, j), i <= j, to its nonzero coefficient; it
@@ -38,8 +36,7 @@ class RationalQuadraticForm:
     the form is a value, compared and hashed by content.
     """
 
-    n: int
-    coeffs: dict[tuple[int, int], Fraction]
+    __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs: Iterable[tuple[tuple[int, int], Fraction]] = ()):
         if n < 1:
@@ -51,8 +48,8 @@ class RationalQuadraticForm:
             if (i, j) in canon:
                 raise ValueError(f"duplicate coefficient index ({i},{j})")
             canon[(i, j)] = Fraction(c)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", {k: c for k, c in sorted(canon.items()) if c != 0})
+        _set(self, "n", n)
+        _set(self, "coeffs", {k: c for k, c in sorted(canon.items()) if c != 0})
 
     def __hash__(self) -> int:
         return hash((self.n, frozenset(self.coeffs.items())))
@@ -72,18 +69,18 @@ class RationalQuadraticForm:
 MODES = ("tangible", "ghost", "signed")
 
 
-@dataclass(frozen=True, slots=True)
-class SupervaluationSpec:
+class SupervaluationSpec(Value):
     """prime None means the trivial valuation (everything nonzero maps to level 0)."""
 
-    prime: Optional[int]
-    mode: str = "tangible"
+    __slots__ = ("prime", "mode")
 
-    def __post_init__(self):
-        if self.prime is not None and (self.prime < 2 or not _is_prime(self.prime)):
-            raise ValueError(f"{self.prime} is not a prime")
-        if self.mode not in MODES:
+    def __init__(self, prime: Optional[int], mode: str = "tangible"):
+        if prime is not None and (prime < 2 or not _is_prime(prime)):
+            raise ValueError(f"{prime} is not a prime")
+        if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        _set(self, "prime", prime)
+        _set(self, "mode", mode)
 
     @property
     def semifield(self) -> Semifield:
@@ -165,18 +162,26 @@ def balanced_companion_of_strop(spec: SupervaluationSpec, q: RationalQuadraticFo
     return balanced_companion(stropicalize_form(spec, q))
 
 
-@dataclass(frozen=True, slots=True)
-class AxisReport:
+class AxisReport(Value):
     """Outcome of checking phi-compatibility of evaluation on sampled vectors.
 
     Compatibility is an identity on axis multiples; off the axes it can
     fail, so off-axis counterexamples are informational only.
     """
 
-    axis_checked: int
-    axis_failures: tuple[tuple[tuple[Fraction, ...], Element, Element], ...]
-    off_axis_checked: int
-    off_axis_counterexamples: tuple[tuple[tuple[Fraction, ...], Element, Element], ...]
+    __slots__ = ("axis_checked", "axis_failures", "off_axis_checked", "off_axis_counterexamples")
+
+    def __init__(
+        self,
+        axis_checked: int,
+        axis_failures: tuple[tuple[tuple[Fraction, ...], Element, Element], ...],
+        off_axis_checked: int,
+        off_axis_counterexamples: tuple[tuple[tuple[Fraction, ...], Element, Element], ...],
+    ):
+        _set(self, "axis_checked", axis_checked)
+        _set(self, "axis_failures", axis_failures)
+        _set(self, "off_axis_checked", off_axis_checked)
+        _set(self, "off_axis_counterexamples", off_axis_counterexamples)
 
 
 def axis_compatibility_check(

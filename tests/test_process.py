@@ -1,0 +1,44 @@
+"""Fresh interpreters: what `import tropquad.cli` loads, and `python -m tropquad` end to end."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+ENV = dict(os.environ, PYTHONPATH=str(SRC))
+
+FORM = {"semifield": {"group": "int", "fiber_rank": 0}, "n": 2, "diag": ["t:2", "t:4"], "upper": {"1,2": "t:9"}}
+
+
+def _python(*args, stdin: str = "") -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args], input=stdin, capture_output=True, text=True, env=ENV, timeout=60
+    )
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # either module costs every process about 10 ms of import time
+    probe = "import sys, tropquad.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = _python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_module_eval_prints_one_json_document():
+    proc = _python("-m", "tropquad", "eval", "-", "--vector", "t:1,t:0", stdin=json.dumps(FORM))
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.count("\n") == 1
+    assert json.loads(proc.stdout) == {"value": "t:10"}
+
+
+def test_module_bad_literal_prints_one_json_error():
+    bad = dict(FORM, diag=["t:2", "t:x"])
+    proc = _python("-m", "tropquad", "eval", "-", "--vector", "t:1,t:0", stdin=json.dumps(bad))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    answer = json.loads(proc.stderr)
+    assert answer == {"error": "not a rational literal: 'x'", "path": "$.diag[2]"}
