@@ -16,6 +16,7 @@ from .companions import (
     diagonal_membership_oracle,
     equality_witness,
     functionally_equal,
+    is_balanced_pair,
     is_companion,
     is_quasilinear,
     is_rigid,
@@ -44,7 +45,6 @@ from .forms import (
     change_base,
     eval_bilinear,
     eval_quadratic,
-    is_balanced_pair,
     pointwise_leq_rigid,
     scale_form,
     zero_form,

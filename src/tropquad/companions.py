@@ -117,11 +117,24 @@ def set_max(sf: Semifield, cell: CompanionSet) -> Optional[Element]:
     if isinstance(cell, Singleton):
         return cell.value
     if isinstance(cell, NuLeqDoubled):
-        half = _canon_exp(Fraction(cell.bound2) / 2)
+        half = cell_boundary(cell)
         return sf.ghost(half) if sf.legal_exponent(half) else None
     if isinstance(cell, NuLtDoubled):
         return None
     return sf.ghost(cell.exp)
+
+
+def cell_boundary(cell: CompanionSet) -> Optional[Exponent]:
+    """The exponent at the cell's edge, canonical; None for {0}.
+
+    A lower interval's edge is half its doubled bound, a nu-class's is its
+    exponent, and a nonzero singleton's is its element's exponent.
+    """
+    if isinstance(cell, Singleton):
+        return None if cell.value.is_zero else cell.value.exp
+    if isinstance(cell, NuClass):
+        return cell.exp
+    return _canon_exp(Fraction(cell.bound2) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +417,16 @@ def is_companion(q: QuadraticForm, b: SymmetricBilinearForm) -> bool:
     return all(
         contains(table.cell(i, j), b.gram[i][j]) for i in range(q.n) for j in range(i, q.n)
     )
+
+
+def is_balanced_pair(q: QuadraticForm, b: SymmetricBilinearForm) -> bool:
+    """Whether (q, b) is a balanced pair; b must already be a companion."""
+    if not is_companion(q, b):
+        raise PreconditionError(
+            "companion required",
+            "the bilinear form does not accompany the quadratic form",
+        )
+    return all(b.gram[i][i] == q.diag[i].nu() for i in range(q.n))
 
 
 # ---------------------------------------------------------------------------

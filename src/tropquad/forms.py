@@ -11,7 +11,7 @@ rendered 1-based at the JSON boundary.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from .errors import PreconditionError
 from .matrices import MonomialMatrix
@@ -21,8 +21,6 @@ DIMENSION_LIMIT = 64
 
 Vector = tuple[Element, ...]
 
-UpperEntries = Union[Mapping[tuple[int, int], Element], Iterable[tuple[int, int, Element]]]
-
 
 class QuadraticForm(Value):
     """Triangular coefficient scheme of a quadratic form.
@@ -30,25 +28,20 @@ class QuadraticForm(Value):
     ``cross`` is the symmetric n x n grid of cross coefficients: entry
     (i, j) holds beta_{i,j} for i != j; absent coefficients and the
     diagonal hold zero.  The constructor takes the strict-upper part as a
-    mapping ``{(i, j): beta}`` or as triples ``(i, j, beta)``, with i < j.
+    mapping ``{(i, j): beta}`` with i < j; a mapping names each cell once.
     """
 
     __slots__ = ("sf", "diag", "cross")
 
-    def __init__(self, sf: Semifield, diag: Sequence[Element], upper: UpperEntries = ()):
+    def __init__(self, sf: Semifield, diag: Sequence[Element], upper: Mapping[tuple[int, int], Element] = {}):
         diag = tuple(sf.element(a) for a in diag)
         n = len(diag)
         if not 1 <= n <= DIMENSION_LIMIT:
             raise ValueError(f"dimension {n} outside 1..{DIMENSION_LIMIT}")
-        entries = ((i, j, v) for (i, j), v in upper.items()) if isinstance(upper, Mapping) else upper
         rows = [[ZERO] * n for _ in range(n)]
-        seen = set()
-        for i, j, v in entries:
+        for (i, j), v in upper.items():
             if not (0 <= i < j < n):
                 raise ValueError(f"upper index ({i},{j}) out of range for n={n}")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate upper index ({i},{j})")
-            seen.add((i, j))
             rows[i][j] = rows[j][i] = sf.element(v)
         _set(self, "sf", sf)
         _set(self, "diag", diag)
@@ -138,20 +131,6 @@ def balanced_companion(q: QuadraticForm) -> SymmetricBilinearForm:
     for i, a in enumerate(q.diag):
         rows[i][i] = a.nu()
     return SymmetricBilinearForm(q.sf, tuple(map(tuple, rows)))
-
-
-def is_balanced_pair(q: QuadraticForm, b: SymmetricBilinearForm) -> bool:
-    """Whether (q, b) is a balanced pair; b must already be a companion."""
-    from .companions import is_companion
-
-    if q.n != b.n:
-        raise PreconditionError("dimension match required", "form and Gram dimensions differ")
-    if not is_companion(q, b):
-        raise PreconditionError(
-            "companion required",
-            "the bilinear form does not accompany the quadratic form",
-        )
-    return all(b.gram[i][i] == q.diag[i].nu() for i in range(q.n))
 
 
 def add_forms(q1: QuadraticForm, q2: QuadraticForm) -> QuadraticForm:

@@ -13,19 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .companions import CompanionSet, NuClass, NuLeqDoubled, NuLtDoubled, Singleton
+from .companions import CompanionSet, cell_boundary
 from .semiring import ZERO, Element, Exponent, Semifield
-
-
-def _boundary_exponent(cell: CompanionSet) -> Optional[Fraction]:
-    if isinstance(cell, (NuLeqDoubled, NuLtDoubled)):
-        return Fraction(cell.bound2) / 2
-    if isinstance(cell, NuClass):
-        return Fraction(cell.exp)
-    assert isinstance(cell, Singleton)
-    if not cell.value.is_zero:
-        return Fraction(cell.value.exp)
-    return None
 
 
 def boundary_probe_elements(sf: Semifield, alpha: Optional[Element], cell: CompanionSet) -> list[Element]:
@@ -35,7 +24,7 @@ def boundary_probe_elements(sf: Semifield, alpha: Optional[Element], cell: Compa
     ghost of each of its elements.
     """
     exps: set[Exponent] = set()
-    boundary = _boundary_exponent(cell)
+    boundary = cell_boundary(cell)
     if boundary is not None:
         for offset in (
             Fraction(-1),

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Callable, Optional, Union
 
-from .companions import CompanionSet, CompanionTable, NuClass, NuLeqDoubled, NuLtDoubled, Singleton
+from .companions import CompanionSet, CompanionTable, NuClass, NuLeqDoubled, NuLtDoubled, Singleton, cell_boundary
 from .forms import QuadraticForm, SymmetricBilinearForm, Vector
 from .matrices import GeneralMatrix
 from .semiring import (
@@ -173,10 +173,10 @@ def form_from_json(obj: Any, path: str = "$") -> QuadraticForm:
     upper_obj = obj.get("upper", {})
     _expect(isinstance(upper_obj, dict), "upper must be an object", upper_path)
     seen = set()
-    upper = [
-        (*_index_pair(key, n, upper_path, seen, strict_upper=True), read(val, lambda: f"{upper_path}.{key}"))
+    upper = {
+        _index_pair(key, n, upper_path, seen, strict_upper=True): read(val, lambda: f"{upper_path}.{key}")
         for key, val in upper_obj.items()
-    ]
+    }
     return _schema(QuadraticForm, path, sf, diag, upper)
 
 
@@ -269,7 +269,7 @@ def cell_display(cell: CompanionSet) -> str:
         return "{" + format_element(cell.value) + "}"
     if isinstance(cell, NuClass):
         return f"nu-class({cell.exp})"
-    return f"[0, g:{Fraction(cell.bound2) / 2}{']' if isinstance(cell, NuLeqDoubled) else '['}"
+    return f"[0, g:{cell_boundary(cell)}{']' if isinstance(cell, NuLeqDoubled) else '['}"
 
 
 def cell_to_json(cell: CompanionSet) -> dict:
@@ -325,11 +325,11 @@ def ratform_from_json(obj: Any, path: str = "$") -> RationalQuadraticForm:
     coeffs_obj = _get(obj, "coeffs", path)
     _expect(isinstance(coeffs_obj, dict), "coeffs must be an object", coeffs_path)
     seen = set()
-    coeffs = [
-        (_index_pair(key, n, coeffs_path, seen, strict_upper=False), rational_from_json(val, lambda: f"{coeffs_path}.{key}"))
+    coeffs = {
+        _index_pair(key, n, coeffs_path, seen, strict_upper=False): rational_from_json(val, lambda: f"{coeffs_path}.{key}")
         for key, val in coeffs_obj.items()
-    ]
-    return _schema(RationalQuadraticForm, path, n, tuple(coeffs))
+    }
+    return _schema(RationalQuadraticForm, path, n, coeffs)
 
 
 def ratform_to_json(q: RationalQuadraticForm) -> dict:

@@ -15,7 +15,7 @@ permute and rescale.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import PreconditionError
 from .forms import QuadraticForm, SymmetricBilinearForm, balanced_companion, eval_quadratic
@@ -32,24 +32,21 @@ class RationalQuadraticForm(Value):
 
     ``coeffs`` maps each key (i, j), i <= j, to its nonzero coefficient; it
     has no dimension limit, so it is sparse rather than an n x n grid.  The
-    constructor takes ``((i, j), c)`` pairs.  Treat ``coeffs`` as read-only:
-    the form is a value, compared and hashed by content.
+    constructor takes a mapping ``{(i, j): c}``.  Treat ``coeffs`` as
+    read-only: the form is a value, compared and hashed by content.
     """
 
     __slots__ = ("n", "coeffs")
 
-    def __init__(self, n: int, coeffs: Iterable[tuple[tuple[int, int], Fraction]] = ()):
+    def __init__(self, n: int, coeffs: Mapping[tuple[int, int], Fraction] = {}):
         if n < 1:
             raise ValueError("dimension must be at least 1")
-        canon = {}
-        for (i, j), c in coeffs:
+        for i, j in coeffs:
             if not (0 <= i <= j < n):
                 raise ValueError(f"coefficient index ({i},{j}) out of range")
-            if (i, j) in canon:
-                raise ValueError(f"duplicate coefficient index ({i},{j})")
-            canon[(i, j)] = Fraction(c)
+        canon = ((k, Fraction(c)) for k, c in sorted(coeffs.items()))
         _set(self, "n", n)
-        _set(self, "coeffs", {k: c for k, c in sorted(canon.items()) if c != 0})
+        _set(self, "coeffs", {k: c for k, c in canon if c != 0})
 
     def __hash__(self) -> int:
         return hash((self.n, frozenset(self.coeffs.items())))
@@ -140,7 +137,7 @@ def stropicalize_bilinear(spec: SupervaluationSpec, m: RatMatrix) -> SymmetricBi
     if any(len(row) != n for row in m):
         raise PreconditionError("square matrix required", "Gram matrix must be square")
     for i in range(n):
-        for j in range(n):
+        for j in range(i + 1, n):
             if m[i][j] != m[j][i]:
                 raise PreconditionError("symmetric matrix required", f"asymmetry at ({i + 1},{j + 1})")
     return SymmetricBilinearForm(

@@ -173,12 +173,12 @@ def random_rational(rng, lo=-50, hi=50) -> Fraction:
 
 
 def random_ratform(rng, n, zero_p=0.2) -> RationalQuadraticForm:
-    coeffs = []
+    coeffs = {}
     for i in range(n):
         for j in range(i, n):
             if rng.random() >= zero_p:
-                coeffs.append(((i, j), random_rational(rng)))
-    return RationalQuadraticForm(n, tuple(coeffs))
+                coeffs[(i, j)] = random_rational(rng)
+    return RationalQuadraticForm(n, coeffs)
 
 
 def random_rational_vector(rng, n, zero_p=0.2):

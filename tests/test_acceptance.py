@@ -279,7 +279,7 @@ def test_criterion_7_stropicalization():
     rng = random.Random(0x57120)
     F = Fraction
     # worked example, frozen
-    worked = RationalQuadraticForm(2, (((0, 0), F(1)), ((0, 1), F(2)), ((1, 1), F(4))))
+    worked = RationalQuadraticForm(2, {(0, 0): F(1), (0, 1): F(2), (1, 1): F(4)})
     spec2 = SupervaluationSpec(2, "tangible")
     sf = spec2.semifield
     t, g = sf.tangible, sf.ghost

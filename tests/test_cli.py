@@ -444,7 +444,7 @@ def cli_calls(draw):
         prime = draw(st.sampled_from(["trivial", "2", "3", "5"]))
         mode = draw(st.sampled_from(["tangible", "ghost", "signed"]))
         argv = [command, 0, "--prime", prime, "--mode", mode]
-        return argv, [draw(mutated(ratform_to_json(RationalQuadraticForm(n, coeffs.items()))))]
+        return argv, [draw(mutated(ratform_to_json(RationalQuadraticForm(n, coeffs))))]
     else:
         argv, docs = [command, 0], [form_to_json(q)]
     if draw(st.booleans()):
@@ -505,7 +505,6 @@ def _by_definition(probes, members) -> dict:
             frozenset((str(b1), str(b2))) for b1 in inside for b2 in inside
             if any(m.is_ghost or m.is_zero for m in inside) and b1 + b2 not in members
         },
-        "ghost": {str(b) for b in probes if ZERO in members and (b in members) != (b.nu() in members)},
     }
 
 
@@ -516,7 +515,6 @@ def _named(problems) -> dict:
     return {
         "convexity": {p.rsplit(" at ", 1)[1] for p in after("convexity fails between ")},
         "closure": {frozenset(p.split(" + ")) for p in after("not closed under addition: ")},
-        "ghost": set(after("ghost stability fails at ")),
     }
 
 
@@ -530,7 +528,11 @@ def test_invariant_rules_name_what_their_definitions_find(data):
     probes = boundary_probe_elements(sf, q.cross[i][j] if i != j else None, cell)
     assert ZERO in probes and all(b.nu() in probes for b in probes)
     members = set(data.draw(st.lists(st.sampled_from(probes))))
-    assert _named(_violations(probes, members)) == _by_definition(probes, members)
+    named = _named(_violations(probes, members))
+    assert named == _by_definition(probes, members)
+    # ghost stability has no rule of its own: breaking it breaks closure or convexity
+    if ZERO in members and any((b in members) != (b.nu() in members) for b in probes):
+        assert named["closure"] or named["convexity"]
 
 
 def test_convexity_rule_fires_alone():
@@ -544,6 +546,6 @@ def test_closure_rule_fires_alone():
 
 
 def test_ghost_stability_rule_fires():
-    """With zero inside, b in and nu(b) out means b + b = nu(b) is out: the sum rule fires too."""
+    """With zero inside, b in and nu(b) out means b + b = nu(b) is out: the sum rule reports it."""
     t0, g0 = INT.tangible(0), INT.ghost(0)
-    assert _violations([ZERO, t0, g0], {ZERO, t0}) == ["not closed under addition: t:0 + t:0", "ghost stability fails at t:0"]
+    assert _violations([ZERO, t0, g0], {ZERO, t0}) == ["not closed under addition: t:0 + t:0"]

@@ -289,3 +289,13 @@ def test_min_companion_is_off_diagonal():
             q = random_form(rng, sf, 3)
             b = min_companion(q)
             assert all(b.gram[i][i] == ZERO for i in range(3))
+
+
+def test_default_decompose_splits_along_the_minimal_companion():
+    rng = random.Random(9)
+    for sf in kind_semifields():
+        for _ in range(10):
+            q = random_form(rng, sf, 3)
+            d = decompose(q)
+            assert d == decompose(q, min_companion(q))
+            assert d.rigid == rig_extrema(q).minimum

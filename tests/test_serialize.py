@@ -176,7 +176,7 @@ def test_memo_changes_no_parsed_object_property(data):
 
     upper = {f"{i + 1},{j + 1}": grid[i][j] for i in range(n) for j in range(i + 1, n)}
     form = form_from_json({"semifield": sf_json, "n": n, "diag": [row[0] for row in grid], "upper": upper})
-    expected_upper = [(i, j, parse(grid[i][j])) for i in range(n) for j in range(i + 1, n)]
+    expected_upper = {(i, j): parse(grid[i][j]) for i in range(n) for j in range(i + 1, n)}
     assert form == QuadraticForm(sf, tuple(parse(row[0]) for row in grid), expected_upper)
 
     rows = matrix_from_json({"semifield": sf_json, "rows": grid})

@@ -9,6 +9,7 @@ from tropquad import (
     ZERO,
     GroupKind,
     MonomialMatrix,
+    PreconditionError,
     QuadraticForm,
     RationalQuadraticForm,
     Semifield,
@@ -33,7 +34,7 @@ from tropquad import (
 from gen import random_ratform, random_rational, random_rational_vector
 
 F = Fraction
-WORKED = RationalQuadraticForm(2, (((0, 0), F(1)), ((0, 1), F(2)), ((1, 1), F(4))))
+WORKED = RationalQuadraticForm(2, {(0, 0): F(1), (0, 1): F(2), (1, 1): F(4)})
 P2 = SupervaluationSpec(2, "tangible")
 
 
@@ -110,9 +111,9 @@ def test_worked_example():
 def test_strop_form_more_examples():
     sf = P2.semifield
     t = sf.tangible
-    zero = RationalQuadraticForm(2, ())
+    zero = RationalQuadraticForm(2, {})
     assert stropicalize_form(P2, zero) == QuadraticForm(sf, (ZERO, ZERO))
-    hexagonal = RationalQuadraticForm(2, (((0, 0), F(1)), ((0, 1), F(1)), ((1, 1), F(1))))
+    hexagonal = RationalQuadraticForm(2, {(0, 0): F(1), (0, 1): F(1), (1, 1): F(1)})
     image = stropicalize_form(P2, hexagonal)
     assert image == QuadraticForm(sf, (t(0), t(0)), {(0, 1): t(0)})
     assert is_quasilinear(image)
@@ -125,6 +126,14 @@ def test_strop_bilinear_examples():
     assert stropicalize_bilinear(P2, ident).gram == ((t(0), ZERO), (ZERO, t(0)))
     zero = ((F(0), F(0)), (F(0), F(0)))
     assert stropicalize_bilinear(P2, zero).gram == ((ZERO, ZERO), (ZERO, ZERO))
+
+
+def test_strop_bilinear_names_the_first_asymmetric_cell():
+    m = ((F(1), F(2), F(7)), (F(2), F(1), F(5)), (F(0), F(3), F(1)))  # asymmetric at (1,3) and (2,3)
+    with pytest.raises(PreconditionError) as err:
+        stropicalize_bilinear(P2, m)
+    assert err.value.precondition == "symmetric matrix required"
+    assert str(err.value) == "asymmetry at (1,3)"
 
 
 def test_balanced_matches_generic_balanced_companion():
@@ -210,26 +219,26 @@ def test_axis_compatibility():
 
 def test_off_axis_failure_exists():
     # x^2 - y^2 at p = 2: the valuation of q(1, 1) = 0 jumps
-    q = RationalQuadraticForm(2, (((0, 0), F(1)), ((1, 1), F(-1))))
+    q = RationalQuadraticForm(2, {(0, 0): F(1), (1, 1): F(-1)})
     report = axis_compatibility_check(P2, q, [(F(1), F(1))])
     assert report.off_axis_counterexamples
 
 
 def test_square_class_sequence_examples():
-    even = RationalQuadraticForm(2, (((0, 0), F(1)), ((1, 1), F(4))))
+    even = RationalQuadraticForm(2, {(0, 0): F(1), (1, 1): F(4)})
     tags = square_class_sequence(P2, even)
     assert [(tag.ghost, tag.parity) for tag in tags] == [(False, 0), (False, 0)]
 
-    mixed = RationalQuadraticForm(2, (((0, 0), F(1)), ((1, 1), F(2))))
+    mixed = RationalQuadraticForm(2, {(0, 0): F(1), (1, 1): F(2)})
     tags = square_class_sequence(P2, mixed)
     assert sorted(tag.parity for tag in tags) == [0, 1]
 
     signed = SupervaluationSpec(2, "signed")
-    neg = RationalQuadraticForm(2, (((0, 0), F(-1)), ((0, 1), F(1)), ((1, 1), F(1))))
+    neg = RationalQuadraticForm(2, {(0, 0): F(-1), (0, 1): F(1), (1, 1): F(1)})
     tags = square_class_sequence(signed, neg)
     assert sorted(tag.fiber for tag in tags) == [(-1,), (1,)]
 
-    with_zero = RationalQuadraticForm(2, (((0, 1), F(3)),))
+    with_zero = RationalQuadraticForm(2, {(0, 1): F(3)})
     tags = square_class_sequence(P2, with_zero)
     assert tags == (None, None)
 

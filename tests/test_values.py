@@ -86,7 +86,7 @@ def samples() -> list:
         (table, CompanionTable(INT, ((NuClass(0),),))),
         (Decomposition(ql=QuadraticForm(INT, (t(1), ZERO)), rigid=rigid, companion=b), Decomposition(q, q, b)),
         (RigExtrema(minimum=rigid, maximum=None, no_max_cell=(0, 1), table=table), RigExtrema(rigid, rigid, None, table)),
-        (RationalQuadraticForm(n=2, coeffs=[((0, 0), 1), ((0, 1), Fraction(1, 2))]), RationalQuadraticForm(1)),
+        (RationalQuadraticForm(n=2, coeffs={(0, 0): 1, (0, 1): Fraction(1, 2)}), RationalQuadraticForm(1)),
         (SupervaluationSpec(prime=3, mode="signed"), SupervaluationSpec(None)),
         (
             AxisReport(axis_checked=1, axis_failures=(), off_axis_checked=2, off_axis_counterexamples=((vec, t(0), g(0)),)),
