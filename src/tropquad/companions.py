@@ -27,12 +27,14 @@ Both run on integers.  One scale S per battery, twelve times the lcm of
 the exponent denominators, makes S * x an integer for every exponent x of
 the lines, their tie points and the probes (the proof is in
 :func:`_probe_exponents_for`).  Tie points are found, sorted and
-deduplicated as integers, and the oracle evaluates its sums on elements
-whose exponents are multiplied by S.  That is exact: x -> S * x is an
-injective, order-preserving homomorphism, and element arithmetic and
+deduplicated as integers, the probes are picked among them by the integer
+forms of the group's rules, :meth:`Semifield.legal_scaled` and
+:meth:`Semifield.between_scaled`, and the oracle evaluates its sums on
+elements whose exponents are multiplied by S.  That is exact: x -> S * x
+is an injective, order-preserving homomorphism, and element arithmetic and
 equality read exponents only through +, -, < and ==, so they commute with
-the scaling.  The group's legality and ``between`` rules stay on
-:class:`Semifield`, asked once per tie point on unscaled values.
+the scaling.  An exponent becomes a rational again only where it leaves as
+an element: in :func:`equality_witness`'s vectors.
 """
 
 from __future__ import annotations
@@ -196,6 +198,11 @@ def _scaled_exp(x: Exponent, scale: int) -> int:
     return x.numerator * (scale // x.denominator)
 
 
+def _unscaled_exp(x: int, scale: int) -> Exponent:
+    """The exponent ``x / scale``, canonical: an int when it is whole."""
+    return x // scale if x % scale == 0 else Fraction(x, scale)
+
+
 def _scaled(a: Element, scale: int) -> Element:
     """a with its exponent multiplied by scale; tag and fiber unchanged."""
     return a if a.is_zero else Element(a.tag, _scaled_exp(a.exp, scale), a.fiber)
@@ -215,8 +222,8 @@ def _tie_points(terms: set[tuple[int, int]]) -> list[int]:
     return sorted({(o2 - o1) // (s1 - s2) for (s1, o1), (s2, o2) in combinations(terms, 2) if s1 != s2})
 
 
-def _probe_exponents(sf: Semifield, criticals: list[int], scale: int) -> list[Exponent]:
-    """Legal exponents covering every region the critical points cut out.
+def _probe_exponents(sf: Semifield, criticals: list[int], scale: int) -> list[int]:
+    """Legal exponents covering every region the critical points cut out, times scale.
 
     ``criticals`` are the distinct critical points times scale, ascending.
     The probes come out ascending and distinct without a sort: each is a
@@ -224,48 +231,50 @@ def _probe_exponents(sf: Semifield, criticals: list[int], scale: int) -> list[Ex
     """
     if not criticals:
         return [0]
-    points = [c // scale if c % scale == 0 else Fraction(c, scale) for c in criticals]
     # every group has an exponent inside an interval of length 2
-    probes = [sf.between(points[0] - 2, points[0])]
-    for lo, hi in zip(points, points[1:] + [points[-1] + 2]):
-        if sf.legal_exponent(lo):
+    reach = 2 * scale
+    probes = [sf.between_scaled(criticals[0] - reach, criticals[0], scale)]
+    for lo, hi in zip(criticals, criticals[1:] + [criticals[-1] + reach]):
+        if sf.legal_scaled(lo, scale):
             probes.append(lo)
-        mid = sf.between(lo, hi)
+        mid = sf.between_scaled(lo, hi, scale)
         if mid is not None:
             probes.append(mid)
     return probes
 
 
-def _probe_exponents_for(sf: Semifield, *levels: tuple[int, Element]) -> list[Exponent]:
+def _probe_exponents_for(sf: Semifield, *levels: tuple[int, Element]) -> tuple[int, list[int]]:
     """Probe exponents for summands whose nu-level is linear in exp(lambda).
 
     Each ``(slope, element)`` stands for the line ``slope * exp(lambda) +
     exp(element)``; zero elements have no level and contribute no line.
+    Returns the battery's scale S and the probe exponents times S.
 
-    Tie points are found on integers: every offset is multiplied by the
+    Everything is found on integers: every offset is multiplied by the
     battery's scale ``S = 12 * D``, where D is the lcm of the offsets'
     denominators (:func:`_common_scale`).  S also clears the denominator of
-    every probe returned:
+    every probe:
 
     * the offsets lie in (1/D)Z, so each scaled offset is a multiple of 12,
       in particular even;
     * slopes are +1, -1 and 0, so two slopes differ by 1 or 2 and a tie
       point ``(o2 - o1) / (s1 - s2)`` lies in (1/2D)Z;
-    * a probe is a legal tie point or ``Semifield.between`` of two tie
-      points, or of a tie point and that point minus or plus 2.  In ``int``
-      that is an integer.  In ``rat`` it is a midpoint, which halves once:
-      (1/4D)Z.  In ``rat3``, D is a power of 3; two distinct points of
-      (1/2D)Z are more than 1/(3D) apart, so the largest power-of-3 step
-      below their distance is at least 1/(3D), and ``between`` returns a
-      multiple of that step: (1/3D)Z, one extra factor of 3.
+    * a probe is a legal tie point or the group's ``between`` pick of two
+      tie points, or of a tie point and that point minus or plus 2.  In
+      ``int`` that is an integer.  In ``rat`` it is a midpoint, which
+      halves once: (1/4D)Z.  In ``rat3``, D is a power of 3; two distinct
+      points of (1/2D)Z are more than 1/(3D) apart, so the largest
+      power-of-3 step below their distance is at least 1/(3D), and the
+      pick is a multiple of that step: (1/3D)Z, one extra factor of 3.
 
-    Both (1/4D)Z and (1/3D)Z are cleared by 12 * D.  Legality and
-    ``between`` stay the semifield's: they are asked about the tie points
-    themselves, once each.
+    Both (1/4D)Z and (1/3D)Z are cleared by 12 * D, so the semifield's
+    integer rules, :meth:`Semifield.legal_scaled` and
+    :meth:`Semifield.between_scaled`, decide every probe at scale S (the
+    latter raises rather than round if S did not clear its pick).
     """
     scale = _common_scale(a for _, a in levels)
     terms = {(slope, _scaled_exp(a.exp, scale)) for slope, a in levels if not a.is_zero}
-    return _probe_exponents(sf, _tie_points(terms), scale)
+    return scale, _probe_exponents(sf, _tie_points(terms), scale)
 
 
 def companion_membership_oracle(
@@ -319,11 +328,12 @@ def companion_membership_oracle(
     each verdict is exact, with no Fraction in the loop.
     """
     levels = ((1, alpha1), (-1, alpha2), (0, alpha), *((0, b) for b in betas))
-    scale = _common_scale(a for _, a in levels)
+    scale, exps = _probe_exponents_for(sf, *levels)
     a1, a2, a, *scaled_betas = (_scaled(x, scale) for _, x in levels)
+    one = sf.one
     verdicts = [True] * len(betas)
-    for exp in _probe_exponents_for(sf, *levels):
-        lam = sf.tangible(_scaled_exp(exp, scale))
+    for exp in exps:
+        lam = Element(one.tag, exp, one.fiber)
         base = lam * a1 + lam.inverse() * a2
         lhs = base + a
         for k, beta in enumerate(scaled_betas):
@@ -484,8 +494,9 @@ def equality_witness(q1: QuadraticForm, q2: QuadraticForm):
             b2 = q2.beta(i, j)
             if b1 == b2:
                 continue
-            for exp in _probe_exponents_for(sf, (1, q1.diag[i]), (-1, q1.diag[j]), (0, b1), (0, b2)):
-                lam = sf.tangible(exp)
+            scale, exps = _probe_exponents_for(sf, (1, q1.diag[i]), (-1, q1.diag[j]), (0, b1), (0, b2))
+            for exp in exps:
+                lam = sf.tangible(_unscaled_exp(exp, scale))
                 x = tuple(lam if k == i else (sf.one if k == j else ZERO) for k in range(n))
                 if eval_quadratic(q1, x) != eval_quadratic(q2, x):
                     return x

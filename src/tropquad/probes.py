@@ -6,15 +6,20 @@ group), in tangible and ghost flavors, and always includes zero and the
 form's own cross coefficient.  Dense groups additionally get points found
 strictly inside the one-third neighborhoods, which matters when the
 boundary itself is not a legal exponent.
+
+The exponents are found on integers, at one scale per battery: eighteen
+times the boundary's denominator (the proof is in
+:func:`boundary_probe_elements`).  The semifield's integer rules decide
+legality and the points inside the neighborhoods, and each exponent turns
+back into a rational once, when its elements are built.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
-from .companions import CompanionSet, cell_boundary
-from .semiring import ZERO, Element, Exponent, Semifield
+from .companions import CompanionSet, _scaled_exp, _unscaled_exp, cell_boundary
+from .semiring import ZERO, Element, Semifield
 
 
 def boundary_probe_elements(sf: Semifield, alpha: Optional[Element], cell: CompanionSet) -> list[Element]:
@@ -22,34 +27,37 @@ def boundary_probe_elements(sf: Semifield, alpha: Optional[Element], cell: Compa
 
     alpha is None for a diagonal cell.  The battery holds zero and the
     ghost of each of its elements.
+
+    With D the boundary's denominator, the scale S = 18 * D clears every
+    exponent the battery holds: the boundary and its whole, half and third
+    offsets lie in (1/6D)Z, and so does the ``rat`` midpoint of a
+    one-third neighborhood (a sixth step from its ends).  The ``int`` pick
+    inside a neighborhood is an integer, and the ``rat3`` pick is a
+    multiple of 1/9, the largest power-of-3 step shorter than 1/3.
     """
-    exps: set[Exponent] = set()
-    boundary = cell_boundary(cell)
-    if boundary is not None:
-        for offset in (
-            Fraction(-1),
-            Fraction(-1, 2),
-            Fraction(-1, 3),
-            Fraction(0),
-            Fraction(1, 3),
-            Fraction(1, 2),
-            Fraction(1),
-        ):
-            candidate = boundary + offset
-            if sf.legal_exponent(candidate):
-                exps.add(candidate)
-        for lo, hi in ((boundary - Fraction(1, 3), boundary), (boundary, boundary + Fraction(1, 3))):
-            inside = sf.between(lo, hi)
-            if inside is not None:
-                exps.add(inside)
+    if (boundary := cell_boundary(cell)) is None:
+        exps = [0]
     else:
-        exps.add(0)
+        scale = 18 * boundary.denominator
+        edge = _scaled_exp(boundary, scale)
+        half, third = scale // 2, scale // 3
+        steps = (-scale, -half, -third, 0, third, half, scale)
+        found = {edge + step for step in steps if sf.legal_scaled(edge + step, scale)}
+        for lo, hi in ((edge - third, edge), (edge, edge + third)):
+            inside = sf.between_scaled(lo, hi, scale)
+            if inside is not None:
+                found.add(inside)
+        exps = [_unscaled_exp(x, scale) for x in sorted(found)]
+    # the exponents are legal and canonical, so the elements need no checks
+    one = sf.one
+    flipped = (-1,) + one.fiber[1:]
     probes: list[Element] = [ZERO]
-    for exp in sorted(Fraction(e) for e in exps):
-        probes.append(sf.tangible(exp))
-        probes.append(sf.ghost(exp))
+    for exp in exps:
+        tangible = Element(one.tag, exp, one.fiber)
+        probes.append(tangible)
+        probes.append(tangible.nu())
         if sf.fiber_rank > 0:
-            probes.append(sf.tangible(exp, (-1,) + sf.identity_fiber()[1:]))
+            probes.append(Element(one.tag, exp, flipped))
     if alpha is not None and not alpha.is_zero:
         probes.append(alpha)
         probes.append(alpha.nu())

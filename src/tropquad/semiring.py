@@ -278,38 +278,77 @@ class Semifield(Value):
 
     # -- exponent group ---------------------------------------------------
 
-    def legal_exponent(self, x: Exponent) -> bool:
-        if isinstance(x, float):
-            return False
+    # The group rules are stated once, on integers: an exponent x / S is
+    # handed over as the integer x and the scale S.  The rational forms
+    # below read the same rules with S the lcm of their denominators.
+
+    def _legal_denominator(self, q: int) -> bool:
+        """Whether a reduced fraction of denominator q lies in the group."""
         if self.group is GroupKind.INT:
-            return x.denominator == 1
+            return q == 1
         if self.group is GroupKind.RAT:
             return True
-        q = x.denominator
         while q % 3 == 0:
             q //= 3
         return q == 1
+
+    def legal_exponent(self, x: Exponent) -> bool:
+        if isinstance(x, float):
+            return False
+        return self._legal_denominator(x.denominator)
+
+    def legal_scaled(self, x: int, scale: int) -> bool:
+        """Whether the exponent x / scale is legal."""
+        return self._legal_denominator(scale // math.gcd(x, scale))
 
     def check_exponent(self, x: Exponent) -> Exponent:
         if not self.legal_exponent(x):
             raise ValueError(f"exponent {x} not in the {self.group.value} group")
         return _canon_exp(x)
 
-    def between(self, lo: Exponent, hi: Exponent) -> Optional[Exponent]:
-        """Some legal exponent strictly between lo and hi, or None."""
+    def _between_ratio(self, lo: int, hi: int, scale: int) -> Optional[tuple[int, int]]:
+        """The group's pick strictly between lo / scale and hi / scale, or None.
+
+        The pick m is returned as (n, d) with n / d = scale * m.  ``int``
+        picks the least integer above lo; ``rat`` the midpoint; ``rat3`` the
+        largest step 1/p, p a power of 3, shorter than the interval, and the
+        least multiple of it above lo.
+        """
         if lo >= hi:
             return None
         if self.group is GroupKind.RAT:
-            return _canon_exp((Fraction(lo) + Fraction(hi)) / 2)
+            return lo + hi, 2
         if self.group is GroupKind.INT:
-            m = math.floor(lo) + 1
-            return m if m < hi else None
-        step = Fraction(1)
-        while step >= Fraction(hi) - Fraction(lo):
-            step /= 3
-        m = math.floor(Fraction(lo) / step) + 1
-        value = m * step
-        return _canon_exp(value)
+            m = (lo // scale + 1) * scale
+            return (m, 1) if m < hi else None
+        p = 1
+        while scale >= (hi - lo) * p:  # step 1/p not shorter than (hi - lo) / scale
+            p *= 3
+        return (lo * p // scale + 1) * scale, p
+
+    def between(self, lo: Exponent, hi: Exponent) -> Optional[Exponent]:
+        """Some legal exponent strictly between lo and hi, or None."""
+        scale = math.lcm(lo.denominator, hi.denominator)
+        ratio = self._between_ratio(
+            lo.numerator * (scale // lo.denominator), hi.numerator * (scale // hi.denominator), scale
+        )
+        if ratio is None:
+            return None
+        return _canon_exp(Fraction(ratio[0], ratio[1] * scale))
+
+    def between_scaled(self, lo: int, hi: int, scale: int) -> Optional[int]:
+        """``scale * between(lo / scale, hi / scale)``, or None.
+
+        Raises ValueError, rather than round, when scale does not clear the
+        denominator of the pick.
+        """
+        ratio = self._between_ratio(lo, hi, scale)
+        if ratio is None:
+            return None
+        n, d = ratio
+        if n % d:
+            raise ValueError(f"scale {scale} does not clear the pick between {lo}/{scale} and {hi}/{scale}")
+        return n // d
 
     # -- element factories -------------------------------------------------
 

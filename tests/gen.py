@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,6 +20,37 @@ from tropquad import (
 )
 
 ALL_KINDS = (GroupKind.INT, GroupKind.RAT, GroupKind.RAT3)
+
+
+def fraction_legal(sf: Semifield, x) -> bool:
+    """Reference: whether the rational x lies in sf's exponent group, on Fractions."""
+    q = Fraction(x).denominator
+    if sf.group is GroupKind.INT:
+        return q == 1
+    if sf.group is GroupKind.RAT:
+        return True
+    while q % 3 == 0:
+        q //= 3
+    return q == 1
+
+
+def fraction_between(sf: Semifield, lo, hi):
+    """Reference: the group's pick strictly between lo and hi, on Fractions, or None."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo >= hi:
+        return None
+    if sf.group is GroupKind.RAT:
+        value = (lo + hi) / 2
+    elif sf.group is GroupKind.INT:
+        value = Fraction(math.floor(lo) + 1)
+        if value >= hi:
+            return None
+    else:
+        step = Fraction(1)
+        while step >= hi - lo:
+            step /= 3
+        value = (math.floor(lo / step) + 1) * step
+    return int(value) if value.denominator == 1 else value
 
 
 def kind_semifields(rank: int = 0) -> list[Semifield]:

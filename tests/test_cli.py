@@ -5,12 +5,24 @@ import io
 import json
 import os
 import tempfile
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tropquad import ZERO, GeneralMatrix, GroupKind, QuadraticForm, RationalQuadraticForm, Semifield, companion_table
+from tropquad import (
+    ZERO,
+    GeneralMatrix,
+    GroupKind,
+    QuadraticForm,
+    RationalQuadraticForm,
+    Semifield,
+    companion_table,
+    contains,
+    diagonal_cell,
+    pair_analysis,
+)
 from tropquad import cli
 from tropquad.cli import main
 from tropquad.probes import boundary_probe_elements
@@ -24,7 +36,7 @@ from tropquad.serialize import (
     table_to_json,
 )
 
-from gen import element_strategy
+from gen import element_strategy, wide_element_strategy
 
 FORM = {"semifield": {"group": "int", "fiber_rank": 0}, "n": 2, "diag": ["t:2", "t:4"], "upper": {"1,2": "t:3"}}
 FORM_GHOSTED = {"semifield": {"group": "int", "fiber_rank": 0}, "n": 2, "diag": ["t:2", "t:4"], "upper": {"1,2": "g:3"}}
@@ -549,3 +561,67 @@ def test_ghost_stability_rule_fires():
     """With zero inside, b in and nu(b) out means b + b = nu(b) is out: the sum rule reports it."""
     t0, g0 = INT.tangible(0), INT.ghost(0)
     assert _violations([ZERO, t0, g0], {ZERO, t0}) == ["not closed under addition: t:0 + t:0"]
+
+
+def _pairwise_violations(in_cell, probes, inside) -> list[str]:
+    """Reference: both rules walked over every pair, as their definitions read."""
+    problems = []
+    members = [b for b, ok in zip(probes, inside) if ok]
+    for mid, ok in zip(probes, inside):
+        if ok:
+            continue
+        lo = next((b for b in members if leq_minimal(b, mid)), None)
+        hi = next((b for b in members if leq_minimal(mid, b)), None)
+        if lo is not None and hi is not None:
+            problems.append(f"convexity fails between {lo} and {hi} at {mid}")
+    if any(m.is_ghost or m.is_zero for m in members):
+        for b1, b2 in combinations_with_replacement(members, 2):
+            if not in_cell(b1 + b2):
+                problems.append(f"not closed under addition: {b1} + {b2}")
+    return problems
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_linear_invariant_rules_equal_the_pairwise_rules_property(data):
+    """The same problems, in the same order, as the pairwise walk of both rules:
+    on closed-form batteries with narrow or wide exponents and one probe held
+    twice, classified by the cell or with random probes flipped."""
+    sf = data.draw(SEMIFIELDS)
+    elems = data.draw(st.sampled_from((element_strategy, wide_element_strategy)))(sf)
+    a1, a2, alpha = (data.draw(elems) for _ in range(3))
+    if data.draw(st.booleans()):
+        cell = pair_analysis(sf, a1, a2, alpha)[1]
+    else:
+        cell, alpha = diagonal_cell(a1), None
+    probes = boundary_probe_elements(sf, alpha, cell)
+    probes.insert(data.draw(st.integers(0, len(probes))), data.draw(st.sampled_from(probes)))
+    inside = [contains(cell, b) for b in probes]
+    if data.draw(st.booleans()):
+        # flipped probes: a member must lie in the cell, so the cell follows the mask
+        flips = data.draw(st.lists(st.booleans(), min_size=len(probes), max_size=len(probes)))
+        inside = [ok != flip for ok, flip in zip(inside, flips)]
+        flagged = {b for b, ok in zip(probes, inside) if ok}
+
+        def in_cell(b):
+            return b in flagged
+    else:
+
+        def in_cell(b):
+            return contains(cell, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "contains", lambda _cell, b: in_cell(b))
+        linear = cli._cell_invariant_violations(cell, probes, inside)
+    assert linear == _pairwise_violations(in_cell, probes, inside)
+
+
+def test_convexity_rule_fires_at_a_copy_of_a_member():
+    """A probe held twice, in by one copy and out by the other, lies between members."""
+    probes = boundary_probe_elements(INT, INT.tangible(3), companion_table(QuadraticForm(
+        INT, [INT.tangible(2), INT.tangible(4)], {(0, 1): INT.tangible(3)})).cell(0, 1))
+    assert [str(b) for b in probes] == ["0", "t:2", "g:2", "t:3", "g:3", "t:4", "g:4", "t:3", "g:3"]
+    inside = [k == 3 for k in range(len(probes))]
+    problems = cli._cell_invariant_violations(None, probes, inside)
+    assert problems == ["convexity fails between t:3 and t:3 at t:3"]
+    assert problems == _pairwise_violations(lambda b: True, probes, inside)

@@ -41,12 +41,14 @@ from tropquad import (
     set_max,
     set_min,
 )
-from tropquad.companions import _common_scale, _probe_exponents_for, _scaled
+from tropquad.companions import _common_scale, _probe_exponents_for, _scaled, cell_boundary
 from tropquad.probes import boundary_probe_elements
 from tropquad.semiring import _canon_exp
 
 from gen import (
     element_strategy,
+    fraction_between,
+    fraction_legal,
     kind_semifields,
     pair_triples_for_kind,
     random_form,
@@ -485,9 +487,10 @@ def test_oracle_shares_no_code_with_the_case_analysis():
     reached, names = _names_reached(companion_membership_oracle, diagonal_membership_oracle)
     assert {"_probe_exponents_for", "_tie_points", "_probe_exponents"} <= reached
     closed_form = {
-        "pair_analysis", "pair_branch", "companion_set_pair", "contains", "diagonal_cell",
+        "pair_analysis", "contains", "diagonal_cell", "cell_boundary",
         "set_min", "set_max", "companion_table", "CompanionSet", "CompanionTable",
         "Singleton", "NuLeqDoubled", "NuLtDoubled", "NuClass", "PairBranch",
+        "build_companion", "is_companion", "is_balanced_pair", "is_quasilinear", "functionally_equal",
     }
     assert not names & closed_form, names & closed_form
 
@@ -591,11 +594,66 @@ def test_integer_probe_set_equals_fraction_probe_set_property(data):
     sf, levels = data
     terms = {(slope, a.exp) for slope, a in levels if not a.is_zero}
     expected = _fraction_probe_exponents(sf, _fraction_tie_points(terms))
-    probes = _probe_exponents_for(sf, *levels)
+    scale, scaled = _probe_exponents_for(sf, *levels)
+    probes = [_canon_exp(Fraction(p, scale)) for p in scaled]
     assert probes == expected
     assert [type(p) for p in probes] == [type(p) for p in expected]
-    scale = _common_scale(a for _, a in levels)
-    assert all(scale % Fraction(p).denominator == 0 for p in probes)
+    assert scale == _common_scale(a for _, a in levels)
+    assert all(isinstance(p, int) for p in scaled)
+
+
+def _fraction_boundary_probe_elements(sf, alpha, cell):
+    """Reference: the battery as the builder computed it on Fractions."""
+    exps = set()
+    boundary = cell_boundary(cell)
+    if boundary is not None:
+        for offset in (Fraction(k, d) for k in (-1, 0, 1) for d in (1, 2, 3)):
+            if fraction_legal(sf, boundary + offset):
+                exps.add(boundary + offset)
+        for lo, hi in ((boundary - Fraction(1, 3), boundary), (boundary, boundary + Fraction(1, 3))):
+            inside = fraction_between(sf, lo, hi)
+            if inside is not None:
+                exps.add(inside)
+    else:
+        exps.add(0)
+    probes = [ZERO]
+    for exp in sorted(Fraction(e) for e in exps):
+        probes.append(sf.tangible(exp))
+        probes.append(sf.ghost(exp))
+        if sf.fiber_rank > 0:
+            probes.append(sf.tangible(exp, (-1,) + sf.identity_fiber()[1:]))
+    if alpha is not None and not alpha.is_zero:
+        probes.append(alpha)
+        probes.append(alpha.nu())
+    return probes
+
+
+@st.composite
+def _battery_inputs(draw):
+    """A semifield, a cell of any kind ({0} included) over wide exponents, and alpha or None."""
+    sf = Semifield(draw(st.sampled_from(list(GroupKind))), draw(st.sampled_from((0, 1))))
+    elems = wide_element_strategy(sf)
+    exp = elems.filter(lambda a: not a.is_zero).map(lambda a: a.exp)
+    cell = draw(st.one_of(
+        st.just(Singleton(ZERO)),
+        elems.map(Singleton),
+        exp.map(NuClass),
+        exp.map(NuLeqDoubled),
+        exp.map(NuLtDoubled),
+    ))
+    return sf, draw(st.one_of(st.none(), elems)), cell
+
+
+@settings(max_examples=500, deadline=None)
+@given(_battery_inputs())
+def test_integer_battery_equals_fraction_battery_property(data):
+    """Same elements, in the same order and with the same exponent types, as
+    the battery built on Fractions, for every kind of cell."""
+    sf, alpha, cell = data
+    probes = boundary_probe_elements(sf, alpha, cell)
+    expected = _fraction_boundary_probe_elements(sf, alpha, cell)
+    assert probes == expected
+    assert [type(b.exp) for b in probes] == [type(b.exp) for b in expected]
 
 
 @settings(max_examples=300, deadline=None)

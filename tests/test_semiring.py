@@ -1,6 +1,7 @@
 """Semifield arithmetic: frozen examples, axiom grids, and the minimal order."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from tropquad import (
     leq_minimal,
 )
 
-from gen import ALL_KINDS, element_grid, kind_semifields, random_element
+from gen import ALL_KINDS, element_grid, fraction_between, fraction_legal, kind_semifields, random_element
 
 INT = Semifield(GroupKind.INT)
 RAT = Semifield(GroupKind.RAT)
@@ -235,6 +236,57 @@ def test_prime_and_its_root():
     assert INT.between(pi.exp, 0) is None
     with pytest.raises(PreconditionError):
         RAT.prime()
+
+
+# -- the group rules on scaled integers ----------------------------------------------
+
+
+# denominators with and without factors of 2 and 3, so some scales clear a pick and some do not
+DENOMINATORS = st.one_of(st.integers(1, 60), st.integers(0, 8).map(lambda k: 3**k))
+RATIONALS = st.builds(Fraction, st.integers(-10**4, 10**4), DENOMINATORS)
+# far apart, or close enough that rat3 refines its step
+INTERVALS = RATIONALS.flatmap(lambda lo: st.tuples(
+    st.just(lo), st.one_of(RATIONALS, st.builds(Fraction, st.integers(-3, 3), DENOMINATORS).map(lo.__add__))
+))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from(ALL_KINDS), INTERVALS, st.integers(1, 60))
+def test_integer_between_agrees_with_fraction_reference_property(kind, interval, factor):
+    """At a scale S that makes lo and hi integers, ``between_scaled`` is S times
+    the reference pick when S clears it, raises when it does not, and is None
+    when there is no pick; the rational form returns the pick itself."""
+    sf = Semifield(kind)
+    lo, hi = interval
+    pick = fraction_between(sf, lo, hi)
+    assert sf.between(lo, hi) == pick
+    assert type(sf.between(lo, hi)) is type(pick)
+    scale = factor * math.lcm(lo.denominator, hi.denominator)
+    scaled = int(lo * scale), int(hi * scale)
+    if pick is None:
+        assert sf.between_scaled(*scaled, scale) is None
+    elif (pick * scale).denominator == 1:
+        assert sf.between_scaled(*scaled, scale) == pick * scale
+    else:
+        with pytest.raises(ValueError):
+            sf.between_scaled(*scaled, scale)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from(ALL_KINDS), st.integers(-10**4, 10**4), st.integers(1, 3**8 * 60))
+def test_integer_legality_agrees_with_fraction_reference_property(kind, x, scale):
+    sf = Semifield(kind)
+    assert sf.legal_scaled(x, scale) == fraction_legal(sf, Fraction(x, scale))
+    assert sf.legal_exponent(Fraction(x, scale)) == fraction_legal(sf, Fraction(x, scale))
+
+
+def test_integer_between_refuses_a_scale_that_does_not_clear():
+    # the picks between 0 and 1: 1/2 in rat, 1/3 in rat3, none in int
+    for sf, scale in ((RAT, 2), (RAT3, 3)):
+        with pytest.raises(ValueError):
+            sf.between_scaled(0, 1, 1)
+        assert sf.between_scaled(0, scale, scale) == 1
+    assert INT.between_scaled(0, 1, 1) is None
 
 
 # -- randomized algebra laws ----------------------------------------------------------
