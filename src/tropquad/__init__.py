@@ -70,11 +70,9 @@ from .semiring import (
     semiring_sum,
 )
 from .stropicalize import (
-    AxisReport,
     RationalQuadraticForm,
     SupervaluationSpec,
     apply_supervaluation,
-    axis_compatibility_check,
     balanced_companion_of_strop,
     padic_valuation,
     ring_companion_matrix,

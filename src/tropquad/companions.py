@@ -23,10 +23,19 @@ diagonal (alpha, alpha) with cross term nu(alpha).  The oracle and
 :func:`_probe_exponents_for`, which shares no code with the case analysis
 or the companion-set types.
 
-Both run on integers.  One scale S per battery, twelve times the lcm of
-the exponent denominators, makes S * x an integer for every exponent x of
-the lines, their tie points and the probes (the proof is in
-:func:`_probe_exponents_for`).  Tie points are found, sorted and
+The case analysis and :func:`cell_boundary` compute on the exponents as
+given: an int plus an int stays an int, and a Fraction is built only where
+an exponent already is one, or where half an odd doubled bound leaves the
+integers.  Whether half the diagonal sum is an exponent is the group rule
+:meth:`Semifield.legal_scaled` at (numerator, 2 * denominator) of the sum.
+:func:`companion_table` reads each cross coefficient off its row of
+``q.cross``.  Nothing is memoized across cells: each cell is one
+comparison of a few exponents.
+
+The oracle and the witness run on integers.  One scale S per battery,
+twelve times the lcm of the exponent denominators, makes S * x an integer
+for every exponent x of the lines, their tie points and the probes (the
+proof is in :func:`_probe_exponents_for`).  Tie points are found, sorted and
 deduplicated as integers, the probes are picked among them by the integer
 forms of the group's rules, :meth:`Semifield.legal_scaled` and
 :meth:`Semifield.between_scaled`, and the oracle evaluates its sums on
@@ -136,7 +145,7 @@ def cell_boundary(cell: CompanionSet) -> Optional[Exponent]:
         return None if cell.value.is_zero else cell.value.exp
     if isinstance(cell, NuClass):
         return cell.exp
-    return _canon_exp(Fraction(cell.bound2) / 2)
+    return _unscaled_exp(cell.bound2.numerator, 2 * cell.bound2.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +172,8 @@ def pair_analysis(
     the rank-2 form with diagonal (alpha1, alpha2) and cross term alpha."""
     if alpha1.is_zero or alpha2.is_zero:
         return PairBranch.ZERO_SIDE, Singleton(alpha)
-    total = _canon_exp(Fraction(alpha1.exp) + Fraction(alpha2.exp))
-    halvable = sf.legal_exponent(Fraction(total) / 2)
+    total = _canon_exp(alpha1.exp + alpha2.exp)
+    halvable = sf.legal_scaled(total.numerator, 2 * total.denominator)
     ghost_pair = alpha1.is_ghost and alpha2.is_ghost
     if not alpha.is_zero and 2 * alpha.exp > total:
         # exactly half a discrete step above the mean, the set widens
@@ -382,16 +391,18 @@ class CompanionTable(Value):
 
 
 def companion_table(q: QuadraticForm) -> CompanionTable:
-    """Each cell depends only on the two coefficients it indexes."""
-    n = q.n
+    """Each cell depends only on the two coefficients it indexes.
+
+    The cross coefficients are read off the rows of ``q.cross``.
+    """
+    sf, diag = q.sf, q.diag
+    n = len(diag)
     grid: list[list[CompanionSet]] = [[None] * n for _ in range(n)]  # type: ignore[list-item]
-    for i in range(n):
-        grid[i][i] = diagonal_cell(q.diag[i])
+    for i, (alpha1, row) in enumerate(zip(diag, q.cross)):
+        grid[i][i] = diagonal_cell(alpha1)
         for j in range(i + 1, n):
-            _, cell = pair_analysis(q.sf, q.diag[i], q.diag[j], q.beta(i, j))
-            grid[i][j] = cell
-            grid[j][i] = cell
-    return CompanionTable(q.sf, tuple(tuple(row) for row in grid))
+            grid[i][j] = grid[j][i] = pair_analysis(sf, alpha1, diag[j], row[j])[1]
+    return CompanionTable(sf, tuple(map(tuple, grid)))
 
 
 def build_companion(table: CompanionTable, choice) -> SymmetricBilinearForm:

@@ -97,7 +97,7 @@ class Value:
 
 def _canon_exp(x: Exponent) -> Exponent:
     """Normalize denominator-1 fractions to ints (repr and speed)."""
-    if isinstance(x, Fraction) and x.denominator == 1:
+    if x.__class__ is not int and isinstance(x, Fraction) and x.denominator == 1:
         return int(x)
     return x
 
@@ -261,6 +261,11 @@ def format_element(a: Element) -> str:
     return f"t:{a.exp}"
 
 
+# the legal fibers of ranks 0 and 1; a tuple matches one only if its
+# entries equal the signs, which is what check_fiber asks
+_SMALL_FIBERS = (((),), ((1,), (-1,)))
+
+
 class Semifield(Value):
     """Configuration of the ambient semifield: exponent group + fiber rank.
 
@@ -392,15 +397,26 @@ class Semifield(Value):
         return self.tangible(-1)
 
     def element(self, a: Element) -> Element:
-        """Validate that an element fits this semifield and return it."""
-        if a.tag == _TAG_ZERO:
+        """Validate that an element fits this semifield and return it.
+
+        Every group holds the integers, so an ``int`` exponent needs no
+        test.  A fiber of rank 0 or 1 is screened by equality with the
+        legal fibers of its rank; any other fiber, and any that fails the
+        screen, goes to :meth:`check_fiber`, which raises the error.
+        """
+        tag = a.tag
+        if tag == _TAG_ZERO:
             if a.exp is not None or a.fiber:
                 raise ValueError("zero carries no exponent or fiber")
             return a
-        self.check_exponent(a.exp)
-        if a.tag == _TAG_TANGIBLE:
-            self.check_fiber(a.fiber)
-        elif a.fiber:
+        if a.exp.__class__ is not int:
+            self.check_exponent(a.exp)
+        fiber = a.fiber
+        if tag == _TAG_TANGIBLE:
+            rank = self.fiber_rank
+            if fiber.__class__ is not tuple or rank > 1 or fiber not in _SMALL_FIBERS[rank]:
+                self.check_fiber(fiber)
+        elif fiber:
             raise ValueError("ghosts carry no fiber")
         return a
 

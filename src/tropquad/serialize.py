@@ -12,6 +12,14 @@ once with :meth:`Semifield.parse_element` and hands the same immutable
 :class:`Element` to every later copy.  Only successful parses are kept, so
 an invalid literal fails at the path of its first occurrence, and the memo
 dies with the call, so nothing is carried from one document to the next.
+
+The write side mirrors it for companion tables, whose cells repeat just as
+often: :func:`table_to_json` encodes each distinct cell once per call,
+through one :func:`_cell_encoder`.  Its memo is keyed by exactly what the
+encoding reads (the cell's class, its exponent as an int or as a reduced
+Fraction's numerator and denominator, and a singleton's tag and fiber), so
+two cells of one key print the same text.  A cell whose exponent has any
+other type bypasses the memo.
 """
 
 from __future__ import annotations
@@ -291,11 +299,43 @@ def cell_from_json(sf: Semifield, read_element, obj: Any, where: Callable[[], st
     return cls(_exponent_from_json(sf, value, lambda: f"{where()}.{field}"))
 
 
+def _cell_encoder() -> Callable[[CompanionSet], dict]:
+    """``encode(cell)`` for one table: each distinct cell is encoded once.
+
+    The key is what the encoding reads (see the module docstring), and
+    cells of one key share one dict.  A cell whose exponent is neither an
+    int nor a Fraction is encoded on its own: 2.0 == 2 prints differently.
+    """
+    memo: dict[tuple, dict] = {}
+
+    def encode(cell: CompanionSet) -> dict:
+        cls = cell.__class__
+        value = getattr(cell, _CELL_KINDS[cls][1])
+        if cls is Singleton:
+            key, exp = (value.tag, tuple(value.fiber)), value.exp
+        else:
+            key, exp = cls, value
+        if exp.__class__ is int or exp is None:
+            key = (key, exp)
+        elif exp.__class__ is Fraction:
+            key = (key, exp.numerator, exp.denominator)
+        else:
+            return cell_to_json(cell)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = cell_to_json(cell)
+        return out
+
+    return encode
+
+
 def table_to_json(table: CompanionTable) -> dict:
+    """The table's JSON; equal cells share one encoding dict (see :func:`_cell_encoder`)."""
+    encode = _cell_encoder()
     return {
         "semifield": semifield_to_json(table.sf),
         "n": table.n,
-        "cells": [[cell_to_json(cell) for cell in row] for row in table.cells],
+        "cells": [[encode(cell) for cell in row] for row in table.cells],
     }
 
 

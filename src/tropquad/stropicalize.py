@@ -10,6 +10,14 @@ the CLI offers a min-plus rendering for display only.
 The image form q^phi is the coefficientwise image of the triangular scheme
 and lives on the standard base, which monomial base changes can only
 permute and rescale.
+
+The coefficients of a form, and above all the entries of a Gram matrix,
+repeat.  So :func:`stropicalize_form`, :func:`stropicalize_bilinear` and
+:func:`square_class_sequence` each map coefficients through one
+:func:`_image_map`, which reads ``spec.semifield`` once and computes the
+image of each distinct coefficient once per call.  That is exact: phi(c)
+depends on the value of c alone, and the memo is keyed by the value's
+lowest-terms numerator and denominator.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .errors import PreconditionError
-from .forms import QuadraticForm, SymmetricBilinearForm, balanced_companion, eval_quadratic
+from .forms import QuadraticForm, SymmetricBilinearForm, balanced_companion
 from .semiring import Element, GroupKind, Semifield, SquareClassTag, Value, _set
 
 RatMatrix = tuple[tuple[Fraction, ...], ...]
@@ -111,8 +119,11 @@ def padic_valuation(p: int, a: Fraction) -> int:
 
 def apply_supervaluation(spec: SupervaluationSpec, a) -> Element:
     """phi: zero to zero, nonzero a to level -v_p(a), tagged per mode."""
-    a = Fraction(a)
-    sf = spec.semifield
+    return _supervaluation(spec, spec.semifield, Fraction(a))
+
+
+def _supervaluation(spec: SupervaluationSpec, sf: Semifield, a: Fraction) -> Element:
+    """apply_supervaluation on a Fraction, with ``spec.semifield`` already read as sf."""
     if a == 0:
         return sf.zero
     level = 0 if spec.prime is None else -padic_valuation(spec.prime, a)
@@ -123,12 +134,33 @@ def apply_supervaluation(spec: SupervaluationSpec, a) -> Element:
     return sf.tangible(level)
 
 
+def _image_map(spec: SupervaluationSpec):
+    """``image(c)`` for one call: apply_supervaluation, once per distinct coefficient.
+
+    The memo's key, a Fraction's lowest-terms numerator and denominator,
+    names the value exactly and hashes faster than the Fraction.
+    """
+    sf = spec.semifield
+    memo: dict[tuple[int, int], Element] = {}
+
+    def image(c) -> Element:
+        if c.__class__ is not Fraction:
+            c = Fraction(c)
+        key = (c.numerator, c.denominator)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = _supervaluation(spec, sf, c)
+        return out
+
+    return image
+
+
 def stropicalize_form(spec: SupervaluationSpec, q: RationalQuadraticForm) -> QuadraticForm:
     """Coefficientwise image of the triangular scheme."""
-    sf = spec.semifield
-    diag = tuple(apply_supervaluation(spec, q.coeff(i, i)) for i in range(q.n))
-    upper = {(i, j): apply_supervaluation(spec, c) for (i, j), c in q.coeffs.items() if i != j}
-    return QuadraticForm(sf, diag, upper)
+    image = _image_map(spec)
+    diag = tuple(image(q.coeff(i, i)) for i in range(q.n))
+    upper = {(i, j): image(c) for (i, j), c in q.coeffs.items() if i != j}
+    return QuadraticForm(spec.semifield, diag, upper)
 
 
 def stropicalize_bilinear(spec: SupervaluationSpec, m: RatMatrix) -> SymmetricBilinearForm:
@@ -140,9 +172,8 @@ def stropicalize_bilinear(spec: SupervaluationSpec, m: RatMatrix) -> SymmetricBi
         for j in range(i + 1, n):
             if m[i][j] != m[j][i]:
                 raise PreconditionError("symmetric matrix required", f"asymmetry at ({i + 1},{j + 1})")
-    return SymmetricBilinearForm(
-        spec.semifield, tuple(tuple(apply_supervaluation(spec, c) for c in row) for row in m)
-    )
+    image = _image_map(spec)
+    return SymmetricBilinearForm(spec.semifield, tuple(tuple(map(image, row)) for row in m))
 
 
 def ring_companion_matrix(q: RationalQuadraticForm) -> RatMatrix:
@@ -159,54 +190,6 @@ def balanced_companion_of_strop(spec: SupervaluationSpec, q: RationalQuadraticFo
     return balanced_companion(stropicalize_form(spec, q))
 
 
-class AxisReport(Value):
-    """Outcome of checking phi-compatibility of evaluation on sampled vectors.
-
-    Compatibility is an identity on axis multiples; off the axes it can
-    fail, so off-axis counterexamples are informational only.
-    """
-
-    __slots__ = ("axis_checked", "axis_failures", "off_axis_checked", "off_axis_counterexamples")
-
-    def __init__(
-        self,
-        axis_checked: int,
-        axis_failures: tuple[tuple[tuple[Fraction, ...], Element, Element], ...],
-        off_axis_checked: int,
-        off_axis_counterexamples: tuple[tuple[tuple[Fraction, ...], Element, Element], ...],
-    ):
-        _set(self, "axis_checked", axis_checked)
-        _set(self, "axis_failures", axis_failures)
-        _set(self, "off_axis_checked", off_axis_checked)
-        _set(self, "off_axis_counterexamples", off_axis_counterexamples)
-
-
-def axis_compatibility_check(
-    spec: SupervaluationSpec, q: RationalQuadraticForm, samples: Sequence[Sequence[Fraction]]
-) -> AxisReport:
-    qphi = stropicalize_form(spec, q)
-    axis_checked = off_checked = 0
-    axis_failures = []
-    off_examples = []
-    for raw in samples:
-        vec = tuple(Fraction(c) for c in raw)
-        if len(vec) != q.n:
-            raise PreconditionError("dimension match required", "sample vector length mismatch")
-        image = tuple(apply_supervaluation(spec, c) for c in vec)
-        lhs = eval_quadratic(qphi, image)
-        rhs = apply_supervaluation(spec, q.evaluate(vec))
-        on_axis = sum(1 for c in vec if c != 0) <= 1
-        if on_axis:
-            axis_checked += 1
-            if lhs != rhs:
-                axis_failures.append((vec, lhs, rhs))
-        else:
-            off_checked += 1
-            if lhs != rhs:
-                off_examples.append((vec, lhs, rhs))
-    return AxisReport(axis_checked, tuple(axis_failures), off_checked, tuple(off_examples))
-
-
 def square_class_sequence(
     spec: SupervaluationSpec, q: RationalQuadraticForm
 ) -> tuple[Optional[SquareClassTag], ...]:
@@ -215,10 +198,11 @@ def square_class_sequence(
     Zero diagonal entries contribute None, the marker for the zero class.
     """
     sf = spec.semifield
+    image = _image_map(spec)
     tags: list[Optional[SquareClassTag]] = []
     for i in range(q.n):
-        image = apply_supervaluation(spec, q.coeff(i, i))
-        tags.append(None if image.is_zero else sf.square_class(image))
+        a = image(q.coeff(i, i))
+        tags.append(None if a.is_zero else sf.square_class(a))
     return tuple(sorted(tags, key=_class_sort_key))
 
 

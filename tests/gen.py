@@ -14,9 +14,14 @@ from tropquad import (
     GeneralMatrix,
     GroupKind,
     MonomialMatrix,
+    NuClass,
+    NuLeqDoubled,
+    NuLtDoubled,
+    PairBranch,
     QuadraticForm,
     RationalQuadraticForm,
     Semifield,
+    Singleton,
 )
 
 ALL_KINDS = (GroupKind.INT, GroupKind.RAT, GroupKind.RAT3)
@@ -32,6 +37,42 @@ def fraction_legal(sf: Semifield, x) -> bool:
     while q % 3 == 0:
         q //= 3
     return q == 1
+
+
+def _fraction_canon(x):
+    return int(x) if isinstance(x, Fraction) and x.denominator == 1 else x
+
+
+def fraction_pair_analysis(sf: Semifield, alpha1: Element, alpha2: Element, alpha: Element):
+    """Reference: the rank-2 case analysis computed on Fractions, as
+    ``pair_analysis`` computed it before it kept the exponents' own type."""
+    if alpha1.is_zero or alpha2.is_zero:
+        return PairBranch.ZERO_SIDE, Singleton(alpha)
+    total = _fraction_canon(Fraction(alpha1.exp) + Fraction(alpha2.exp))
+    halvable = sf.legal_exponent(Fraction(total) / 2)
+    ghost_pair = alpha1.is_ghost and alpha2.is_ghost
+    if not alpha.is_zero and 2 * alpha.exp > total:
+        if sf.group is GroupKind.INT and not halvable and 2 * alpha.exp == total + 1:
+            if ghost_pair:
+                return PairBranch.DOMINANT_EDGE_GHOSTS, NuLeqDoubled(_fraction_canon(2 * alpha.exp))
+            return PairBranch.DOMINANT_EDGE_TANGIBLE, NuClass(alpha.exp)
+        return PairBranch.DOMINANT, Singleton(alpha)
+    if halvable:
+        return PairBranch.MEAN_IN_GROUP, NuLeqDoubled(total)
+    if sf.group is GroupKind.INT:
+        if ghost_pair:
+            return PairBranch.MEAN_GAP_DISCRETE_GHOSTS, NuLeqDoubled(total + 1)
+        return PairBranch.MEAN_GAP_DISCRETE_TANGIBLE, NuLeqDoubled(total - 1)
+    return PairBranch.MEAN_GAP_DENSE, NuLtDoubled(total)
+
+
+def fraction_cell_boundary(cell):
+    """Reference: ``cell_boundary`` computed on Fractions."""
+    if isinstance(cell, Singleton):
+        return None if cell.value.is_zero else cell.value.exp
+    if isinstance(cell, NuClass):
+        return cell.exp
+    return _fraction_canon(Fraction(cell.bound2) / 2)
 
 
 def fraction_between(sf: Semifield, lo, hi):
@@ -211,10 +252,6 @@ def random_ratform(rng, n, zero_p=0.2) -> RationalQuadraticForm:
             if rng.random() >= zero_p:
                 coeffs[(i, j)] = random_rational(rng)
     return RationalQuadraticForm(n, coeffs)
-
-
-def random_rational_vector(rng, n, zero_p=0.2):
-    return tuple(Fraction(0) if rng.random() < zero_p else random_rational(rng, -9, 9) for _ in range(n))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from tropquad import (
     ZERO,
+    Element,
     GroupKind,
     NuClass,
     NuLeqDoubled,
@@ -46,9 +47,12 @@ from tropquad.probes import boundary_probe_elements
 from tropquad.semiring import _canon_exp
 
 from gen import (
+    element_grid,
     element_strategy,
     fraction_between,
+    fraction_cell_boundary,
     fraction_legal,
+    fraction_pair_analysis,
     kind_semifields,
     pair_triples_for_kind,
     random_form,
@@ -96,6 +100,54 @@ def test_pair_branches():
     assert pair_analysis(RAT3, RAT3.tangible(1), RAT3.tangible(2), ZERO)[0] is PairBranch.MEAN_GAP_DENSE
     assert pair_analysis(INT, t(0), t(1), ZERO)[0] is PairBranch.MEAN_GAP_DISCRETE_TANGIBLE
     assert pair_analysis(INT, g(0), g(1), ZERO)[0] is PairBranch.MEAN_GAP_DISCRETE_GHOSTS
+
+
+WIDE = 10**15
+# per group: integers, half and third steps, and exponents far from the others
+PAIR_EXPONENTS = {
+    GroupKind.INT: (-3, -1, 0, 1, 2, 4, WIDE, WIDE + 1),
+    GroupKind.RAT: (-1, Fraction(-1, 2), 0, Fraction(1, 3), Fraction(1, 2), Fraction(5, 6), 2, WIDE + Fraction(1, 2)),
+    GroupKind.RAT3: (-1, Fraction(-1, 3), 0, Fraction(1, 9), Fraction(2, 3), 1, 3, WIDE + Fraction(1, 3)),
+}
+
+
+def _cell_exponent(cell):
+    """The exponent a cell holds: its element's for a singleton."""
+    if isinstance(cell, Singleton):
+        return cell.value.exp
+    return cell.bound2 if isinstance(cell, (NuLeqDoubled, NuLtDoubled)) else cell.exp
+
+
+@pytest.mark.parametrize("rank", (0, 1))
+def test_pair_analysis_matches_the_fraction_reference(rank):
+    """Branch, cell and the type of every exponent agree with the Fraction
+    computation on every triple over zero, ghosts and tangibles of each fiber."""
+    seen = set()
+    for kind, exps in PAIR_EXPONENTS.items():
+        sf = Semifield(kind, rank)
+        # a hand-built element may hold a whole exponent as a Fraction
+        whole = Fraction(2, 1)
+        elements = element_grid(sf, exps) + [Element("ghost", whole), Element("tangible", whole, sf.identity_fiber())]
+        for a1 in elements:
+            for a2 in elements:
+                for alpha in elements:
+                    branch, cell = pair_analysis(sf, a1, a2, alpha)
+                    ref_branch, ref_cell = fraction_pair_analysis(sf, a1, a2, alpha)
+                    assert (branch, cell) == (ref_branch, ref_cell), (a1, a2, alpha)
+                    assert type(_cell_exponent(cell)) is type(_cell_exponent(ref_cell))
+                    edge, ref_edge = cell_boundary(cell), fraction_cell_boundary(ref_cell)
+                    assert edge == ref_edge and type(edge) is type(ref_edge)
+                    seen.add(branch)
+    assert seen == set(PairBranch)
+
+
+def test_cell_boundary_matches_the_fraction_reference():
+    cells = [Singleton(ZERO), Singleton(t(3)), Singleton(RAT.ghost(Fraction(1, 2))), NuClass(Fraction(2, 3)), NuClass(5)]
+    for bound2 in (-3, -2, 0, 7, WIDE + 1, Fraction(1, 3), Fraction(-5, 9), Fraction(6, 1), Fraction(7, 1), WIDE + Fraction(1, 2)):
+        cells.extend((NuLeqDoubled(bound2), NuLtDoubled(bound2)))
+    for cell in cells:
+        edge, ref_edge = cell_boundary(cell), fraction_cell_boundary(cell)
+        assert edge == ref_edge and type(edge) is type(ref_edge), cell
 
 
 def test_oracle_examples():

@@ -344,3 +344,49 @@ def test_element_validation_rejects_malformed():
         INT.element(Element("zero", 0))
     with pytest.raises(ValueError):
         INT1.element(Element("tangible", 1, (2,)))
+
+
+# (semifield, element) -> the exact ValueError message; pinned from the
+# validation before int exponents and rank-0/1 fibers took a fast screen
+ELEMENT_ERRORS = [
+    (INT, ("tangible", 2.0, ()), "exponent 2.0 not in the int group"),
+    (RAT, ("ghost", 2.0, ()), "exponent 2.0 not in the rat group"),
+    (INT, ("tangible", Fraction(1, 2), ()), "exponent 1/2 not in the int group"),
+    (RAT3, ("ghost", Fraction(1, 2), ()), "exponent 1/2 not in the rat3 group"),
+    (INT1, ("tangible", Fraction(1, 2), (5,)), "exponent 1/2 not in the int group"),
+    (INT1, ("tangible", 1, (1, 1)), "bad fiber (1, 1) for rank 1"),
+    (INT1, ("tangible", 1, ()), "bad fiber () for rank 1"),
+    (INT, ("tangible", 1, (1,)), "bad fiber (1,) for rank 0"),
+    (INT1, ("tangible", 1, [2]), "bad fiber (2,) for rank 1"),
+    (INT1, ("tangible", 1, (0,)), "bad fiber (0,) for rank 1"),
+    (INT1, ("tangible", -3, (2,)), "bad fiber (2,) for rank 1"),
+    (Semifield(GroupKind.RAT, 2), ("tangible", 1, (1, 2)), "bad fiber (1, 2) for rank 2"),
+    (INT1, ("ghost", 1, (1,)), "ghosts carry no fiber"),
+    (INT, ("zero", 0, ()), "zero carries no exponent or fiber"),
+    (INT1, ("zero", None, (1,)), "zero carries no exponent or fiber"),
+]
+
+
+@pytest.mark.parametrize("sf, fields, message", ELEMENT_ERRORS)
+def test_element_validation_errors_keep_their_messages(sf, fields, message):
+    from tropquad import Element
+
+    with pytest.raises(ValueError) as info:
+        sf.element(Element(*fields))
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_element_validation_accepts_what_it_accepted():
+    from tropquad import Element
+
+    # entries equal to the signs pass, as check_fiber's `in (1, -1)` lets them
+    for sf, a in [
+        (INT, Element("tangible", 3, ())),
+        (INT, Element("tangible", Fraction(4, 1), ())),
+        (RAT3, Element("ghost", Fraction(-1, 9))),
+        (INT1, Element("tangible", -2, (True,))),
+        (INT1, Element("tangible", 0, (-1.0,))),
+        (INT1, Element("tangible", 0, [1])),
+        (Semifield(GroupKind.RAT, 2), Element("tangible", Fraction(1, 2), (1, -1))),
+    ]:
+        assert sf.element(a) is a

@@ -1,19 +1,22 @@
 """Round trips and positioned schema errors for every JSON surface."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropquad import GeneralMatrix, GroupKind, QuadraticForm, Semifield, companion_table
-from tropquad.companions import CompanionTable, Singleton
+from tropquad import ZERO, Element, GeneralMatrix, GroupKind, QuadraticForm, Semifield, companion_table
+from tropquad.companions import CompanionTable, NuClass, NuLeqDoubled, NuLtDoubled, Singleton
 from tropquad.semiring import format_element
 from tropquad.serialize import (
     SchemaError,
     bilinear_from_json,
     bilinear_to_json,
     cell_display,
+    cell_to_json,
     form_from_json,
     form_to_json,
     matrix_from_json,
@@ -294,3 +297,40 @@ def test_each_distinct_literal_is_parsed_once_per_document(monkeypatch):
     # the memo lives for one document: an identical second one is parsed afresh
     assert matrix_from_json(doc) == first
     assert sorted(parsed) == ["0", "0", "t:0", "t:0"]
+
+
+def _cell_pool(sf: Semifield) -> list:
+    """Cells that are equal or differ only in what a key might drop: the
+    class (NuLeqDoubled(b) beside NuLtDoubled(b)), a singleton's fiber, and
+    the type of an exponent of one value (1 == True, 4 == Fraction(4, 1)).
+    Floats print apart from equal ints (4.0, and -0.0 == 0.0); a float is
+    no group's exponent, and only a nu-class can still display one."""
+    pool = [Singleton(ZERO), NuClass(4.0), NuClass(0.0), NuClass(-0.0)]
+    for b in (0, 1, -3, 4, Fraction(4, 1), Fraction(1, 3), Fraction(-5, 9), True):
+        pool.extend((NuLeqDoubled(b), NuLtDoubled(b), NuClass(b)))
+    for e in (0, 2, Fraction(2, 3)):
+        pool.append(Singleton(Element("ghost", e)))
+        pool.extend(Singleton(Element("tangible", e, f)) for f in itertools.product((1, -1), repeat=sf.fiber_rank))
+    # Semifield.element lets a fiber be given as a list
+    pool.append(Singleton(Element("tangible", 2, [-1] * sf.fiber_rank)))
+    return pool
+
+
+def test_table_encoding_is_the_per_cell_encoding():
+    rng = random.Random(12)
+    for sf in kind_semifields(1) + kind_semifields(2):
+        pool = _cell_pool(sf)
+        for n in (1, 2, 5, 12):
+            for _ in range(4):
+                upper = {(i, j): rng.choice(pool) for i in range(n) for j in range(i, n)}
+                for symmetric in (True, False):
+                    cells = tuple(
+                        tuple(upper[min(i, j), max(i, j)] if symmetric else rng.choice(pool) for j in range(n))
+                        for i in range(n)
+                    )
+                    table = CompanionTable(sf, cells)
+                    assert table_to_json(table)["cells"] == [[cell_to_json(c) for c in row] for row in table.cells]
+    # companion tables of random forms, whose cells repeat
+    for sf in kind_semifields(1):
+        table = companion_table(random_form(rng, sf, 24))
+        assert table_to_json(table)["cells"] == [[cell_to_json(c) for c in row] for row in table.cells]

@@ -1,4 +1,4 @@
-"""Value semantics of the package's 17 immutable classes.
+"""Value semantics of the package's 16 immutable classes.
 
 Each class keeps its fields in ``__slots__`` and derives from
 ``semiring.Value``: equality means the same type and equal fields, a value
@@ -16,7 +16,6 @@ import pytest
 
 from tropquad import (
     ZERO,
-    AxisReport,
     CompanionTable,
     Decomposition,
     Element,
@@ -60,7 +59,6 @@ FIELDS = {
     RigExtrema: ("minimum", "maximum", "no_max_cell", "table"),
     RationalQuadraticForm: ("n", "coeffs"),
     SupervaluationSpec: ("prime", "mode"),
-    AxisReport: ("axis_checked", "axis_failures", "off_axis_checked", "off_axis_counterexamples"),
 }
 
 
@@ -70,7 +68,6 @@ def samples() -> list:
     rigid = QuadraticForm(INT, (ZERO, ZERO), {(0, 1): t(0)})
     b = SymmetricBilinearForm(sf=INT, gram=((ZERO, g(2)), (g(2), ZERO)))
     table = CompanionTable(sf=INT, cells=((Singleton(t(1)), NuLeqDoubled(4)), (NuLeqDoubled(4), NuLtDoubled(3))))
-    vec = (Fraction(1), Fraction(1, 2))
     return [
         (Element(tag="tangible", exp=Fraction(1, 3), fiber=(-1,)), Element("ghost", 2)),
         (SquareClassTag(ghost=False, parity=1, fiber=(1, -1)), SquareClassTag(True, 0, None)),
@@ -88,10 +85,6 @@ def samples() -> list:
         (RigExtrema(minimum=rigid, maximum=None, no_max_cell=(0, 1), table=table), RigExtrema(rigid, rigid, None, table)),
         (RationalQuadraticForm(n=2, coeffs={(0, 0): 1, (0, 1): Fraction(1, 2)}), RationalQuadraticForm(1)),
         (SupervaluationSpec(prime=3, mode="signed"), SupervaluationSpec(None)),
-        (
-            AxisReport(axis_checked=1, axis_failures=(), off_axis_checked=2, off_axis_counterexamples=((vec, t(0), g(0)),)),
-            AxisReport(0, (), 0, ()),
-        ),
     ]
 
 
@@ -235,7 +228,6 @@ REPRS = {
     'RigExtrema': ["RigExtrema(minimum=[0 t:0; 0], maximum=None, no_max_cell=(0, 1), table=CompanionTable(sf=Semifield(group=<GroupKind.INT: 'int'>, fiber_rank=0), cells=((Singleton(value=t:1), NuLeqDoubled(bound2=4)), (NuLeqDoubled(bound2=4), NuLtDoubled(bound2=3)))))", "RigExtrema(minimum=[0 t:0; 0], maximum=[0 t:0; 0], no_max_cell=None, table=CompanionTable(sf=Semifield(group=<GroupKind.INT: 'int'>, fiber_rank=0), cells=((Singleton(value=t:1), NuLeqDoubled(bound2=4)), (NuLeqDoubled(bound2=4), NuLtDoubled(bound2=3)))))"],
     'RationalQuadraticForm': ['RationalQuadraticForm(n=2, coeffs={(0, 0): Fraction(1, 1), (0, 1): Fraction(1, 2)})', 'RationalQuadraticForm(n=1, coeffs={})'],
     'SupervaluationSpec': ["SupervaluationSpec(prime=3, mode='signed')", "SupervaluationSpec(prime=None, mode='tangible')"],
-    'AxisReport': ['AxisReport(axis_checked=1, axis_failures=(), off_axis_checked=2, off_axis_counterexamples=(((Fraction(1, 1), Fraction(1, 2)), t:0, g:0),))', 'AxisReport(axis_checked=0, axis_failures=(), off_axis_checked=0, off_axis_counterexamples=())'],
 }
 
 
