@@ -12,7 +12,6 @@ from .companions import (
     companion_membership_oracle,
     companion_table,
     contains,
-    diagonal_cell,
     diagonal_membership_oracle,
     equality_witness,
     functionally_equal,

@@ -12,7 +12,8 @@ geometric mean of the two diagonal coefficients (at the exponent level):
 The case analysis is written once, in :func:`pair_analysis`, which returns
 the branch that fired beside the cell; pair-level predicates read it off
 the cell (forced means a :class:`Singleton`, the zero form accompanies the
-pair iff the cell contains zero).  It is cross-validated everywhere by
+pair iff the cell contains zero), and a diagonal cell is the same rule at
+(alpha, alpha, nu(alpha)).  It is cross-validated everywhere by
 :func:`companion_membership_oracle`, an independent decision procedure
 that checks the defining one-parameter family of scaling identities on a
 finite critical set of exponents, for a whole battery of candidates in one
@@ -21,13 +22,15 @@ probed once.  :func:`diagonal_membership_oracle` is the same procedure on the
 diagonal (alpha, alpha) with cross term nu(alpha).  The oracle and
 :func:`equality_witness` build the critical set with one helper,
 :func:`_probe_exponents_for`, which shares no code with the case analysis
-or the companion-set types.
+or the companion-set types.  :func:`functionally_equal` and
+:func:`equality_witness` read one scan of the cells,
+:func:`_first_difference`.
 
 The case analysis and :func:`cell_boundary` compute on the exponents as
 given: an int plus an int stays an int, and a Fraction is built only where
 an exponent already is one, or where half an odd doubled bound leaves the
-integers.  Whether half the diagonal sum is an exponent is the group rule
-:meth:`Semifield.legal_scaled` at (numerator, 2 * denominator) of the sum.
+integers.  Whether half the diagonal sum is an exponent is the group's
+one halving rule, :meth:`Semifield.halvable`.
 :func:`companion_table` reads each cross coefficient off its row of
 ``q.cross``.  Nothing is memoized across cells: each cell is one
 comparison of a few exponents.
@@ -50,13 +53,12 @@ from __future__ import annotations
 
 import enum
 import math
-from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Union
 
 from .errors import PreconditionError
 from .forms import QuadraticForm, SymmetricBilinearForm, eval_quadratic
-from .semiring import ZERO, Element, Exponent, Semifield, GroupKind, Value, _canon_exp, _set
+from .semiring import ZERO, Element, Exponent, GroupKind, Semifield, Value, _canon_exp, _scaled_exp, _set, _unscaled_exp
 
 # ---------------------------------------------------------------------------
 # symbolic companion sets
@@ -128,8 +130,7 @@ def set_max(sf: Semifield, cell: CompanionSet) -> Optional[Element]:
     if isinstance(cell, Singleton):
         return cell.value
     if isinstance(cell, NuLeqDoubled):
-        half = cell_boundary(cell)
-        return sf.ghost(half) if sf.legal_exponent(half) else None
+        return sf.ghost(cell_boundary(cell)) if sf.halvable(cell.bound2) else None
     if isinstance(cell, NuLtDoubled):
         return None
     return sf.ghost(cell.exp)
@@ -173,7 +174,7 @@ def pair_analysis(
     if alpha1.is_zero or alpha2.is_zero:
         return PairBranch.ZERO_SIDE, Singleton(alpha)
     total = _canon_exp(alpha1.exp + alpha2.exp)
-    halvable = sf.legal_scaled(total.numerator, 2 * total.denominator)
+    halvable = sf.halvable(total)
     ghost_pair = alpha1.is_ghost and alpha2.is_ghost
     if not alpha.is_zero and 2 * alpha.exp > total:
         # exactly half a discrete step above the mean, the set widens
@@ -191,25 +192,8 @@ def pair_analysis(
     return PairBranch.MEAN_GAP_DENSE, NuLtDoubled(total)
 
 
-def diagonal_cell(alpha: Element) -> CompanionSet:
-    """Admissible Gram diagonal entries over a diagonal coefficient."""
-    if alpha.is_zero:
-        return Singleton(ZERO)
-    return NuLeqDoubled(_canon_exp(2 * alpha.exp))
-
-
 # ---------------------------------------------------------------------------
 # the independent membership oracle
-
-
-def _scaled_exp(x: Exponent, scale: int) -> int:
-    """``scale * x`` for an exponent whose denominator divides scale."""
-    return x.numerator * (scale // x.denominator)
-
-
-def _unscaled_exp(x: int, scale: int) -> Exponent:
-    """The exponent ``x / scale``, canonical: an int when it is whole."""
-    return x // scale if x % scale == 0 else Fraction(x, scale)
 
 
 def _scaled(a: Element, scale: int) -> Element:
@@ -393,13 +377,14 @@ class CompanionTable(Value):
 def companion_table(q: QuadraticForm) -> CompanionTable:
     """Each cell depends only on the two coefficients it indexes.
 
-    The cross coefficients are read off the rows of ``q.cross``.
+    The cross coefficients are read off the rows of ``q.cross``.  A
+    diagonal cell is the rank-2 case at (alpha, alpha, nu(alpha)).
     """
     sf, diag = q.sf, q.diag
     n = len(diag)
     grid: list[list[CompanionSet]] = [[None] * n for _ in range(n)]  # type: ignore[list-item]
     for i, (alpha1, row) in enumerate(zip(diag, q.cross)):
-        grid[i][i] = diagonal_cell(alpha1)
+        grid[i][i] = pair_analysis(sf, alpha1, alpha1, alpha1.nu())[1]
         for j in range(i + 1, n):
             grid[i][j] = grid[j][i] = pair_analysis(sf, alpha1, diag[j], row[j])[1]
     return CompanionTable(sf, tuple(map(tuple, grid)))
@@ -432,8 +417,8 @@ def build_companion(table: CompanionTable, choice) -> SymmetricBilinearForm:
 
 def is_companion(q: QuadraticForm, b: SymmetricBilinearForm) -> bool:
     """Whether b accompanies q, via cellwise membership."""
-    if q.n != b.n:
-        raise PreconditionError("dimension match required", "form and Gram dimensions differ")
+    if q.sf != b.sf or q.n != b.n:
+        raise PreconditionError("dimension match required", "form and Gram matrix live on different modules")
     table = companion_table(q)
     return all(
         contains(table.cell(i, j), b.gram[i][j]) for i in range(q.n) for j in range(i, q.n)
@@ -468,6 +453,22 @@ def is_quasilinear(q: QuadraticForm) -> bool:
     )
 
 
+def _first_difference(q1: QuadraticForm, q2: QuadraticForm) -> Optional[tuple[int, int]]:
+    """(i, i) for the first unequal diagonal coefficient, else the first (i, j),
+    i < j, whose q2 cross coefficient lies outside q1's cell, else None."""
+    if q1.sf != q2.sf or q1.n != q2.n:
+        raise PreconditionError("dimension match required", "forms live on different modules")
+    for i, (a1, a2) in enumerate(zip(q1.diag, q2.diag)):
+        if a1 != a2:
+            return i, i
+    table = companion_table(q1)
+    for i in range(q1.n):
+        for j in range(i + 1, q1.n):
+            if not contains(table.cell(i, j), q2.beta(i, j)):
+                return i, j
+    return None
+
+
 def functionally_equal(q1: QuadraticForm, q2: QuadraticForm) -> bool:
     """Whether two triangular schemes denote the same function.
 
@@ -475,14 +476,7 @@ def functionally_equal(q1: QuadraticForm, q2: QuadraticForm) -> bool:
     single companion, so equal diagonals plus cellwise admissibility of the
     other scheme's cross coefficients decide equality.
     """
-    if q1.sf != q2.sf or q1.n != q2.n:
-        raise PreconditionError("dimension match required", "forms live on different modules")
-    if q1.diag != q2.diag:
-        return False
-    table = companion_table(q1)
-    return all(
-        contains(table.cell(i, j), q2.beta(i, j)) for i in range(q1.n) for j in range(i + 1, q1.n)
-    )
+    return _first_difference(q1, q2) is None
 
 
 def equality_witness(q1: QuadraticForm, q2: QuadraticForm):
@@ -490,25 +484,21 @@ def equality_witness(q1: QuadraticForm, q2: QuadraticForm):
 
     Unequal diagonals are separated by a unit vector.  An inadmissible
     cross coefficient is separated by a vector supported on its two
-    indices, found among the oracle's probe exponents.
+    indices, found among the oracle's probe exponents; on such a vector the
+    forms differ only in that coefficient, so only an inadmissible one can
+    separate them.
     """
-    if functionally_equal(q1, q2):
+    found = _first_difference(q1, q2)
+    if found is None:
         return None
-    sf = q1.sf
-    n = q1.n
-    for i in range(n):
-        if q1.diag[i] != q2.diag[i]:
-            return tuple(sf.one if k == i else ZERO for k in range(n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            b1 = q1.beta(i, j)
-            b2 = q2.beta(i, j)
-            if b1 == b2:
-                continue
-            scale, exps = _probe_exponents_for(sf, (1, q1.diag[i]), (-1, q1.diag[j]), (0, b1), (0, b2))
-            for exp in exps:
-                lam = sf.tangible(_unscaled_exp(exp, scale))
-                x = tuple(lam if k == i else (sf.one if k == j else ZERO) for k in range(n))
-                if eval_quadratic(q1, x) != eval_quadratic(q2, x):
-                    return x
+    sf, n = q1.sf, q1.n
+    i, j = found
+    if i == j:
+        return tuple(sf.one if k == i else ZERO for k in range(n))
+    scale, exps = _probe_exponents_for(sf, (1, q1.diag[i]), (-1, q1.diag[j]), (0, q1.beta(i, j)), (0, q2.beta(i, j)))
+    for exp in exps:
+        lam = sf.tangible(_unscaled_exp(exp, scale))
+        x = tuple(lam if k == i else (sf.one if k == j else ZERO) for k in range(n))
+        if eval_quadratic(q1, x) != eval_quadratic(q2, x):
+            return x
     raise AssertionError("unequal forms must admit a distinguishing vector")

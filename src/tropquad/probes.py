@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .companions import CompanionSet, _scaled_exp, _unscaled_exp, cell_boundary
-from .semiring import ZERO, Element, Semifield
+from .companions import CompanionSet, cell_boundary
+from .semiring import ZERO, Element, Semifield, _scaled_exp, _unscaled_exp
 
 
 def boundary_probe_elements(sf: Semifield, alpha: Optional[Element], cell: CompanionSet) -> list[Element]:

@@ -102,6 +102,16 @@ def _canon_exp(x: Exponent) -> Exponent:
     return x
 
 
+def _scaled_exp(x: Exponent, scale: int) -> int:
+    """``scale * x`` for an exponent whose denominator divides scale."""
+    return x.numerator * (scale // x.denominator)
+
+
+def _unscaled_exp(x: int, scale: int) -> Exponent:
+    """The exponent ``x / scale``, canonical: an int when it is whole."""
+    return x // scale if x % scale == 0 else Fraction(x, scale)
+
+
 class Element(Value):
     """A supertropical value: zero, tangible, or ghost.
 
@@ -306,6 +316,10 @@ class Semifield(Value):
         """Whether the exponent x / scale is legal."""
         return self._legal_denominator(scale // math.gcd(x, scale))
 
+    def halvable(self, x: Exponent) -> bool:
+        """Whether half the exponent x is legal: x lies in the doubled group."""
+        return self.legal_scaled(x.numerator, 2 * x.denominator)
+
     def check_exponent(self, x: Exponent) -> Exponent:
         if not self.legal_exponent(x):
             raise ValueError(f"exponent {x} not in the {self.group.value} group")
@@ -402,7 +416,8 @@ class Semifield(Value):
         Every group holds the integers, so an ``int`` exponent needs no
         test.  A fiber of rank 0 or 1 is screened by equality with the
         legal fibers of its rank; any other fiber, and any that fails the
-        screen, goes to :meth:`check_fiber`, which raises the error.
+        screen, goes to :meth:`check_fiber`, which raises the error; a
+        fiber given as a list, say, comes back as the validated tuple.
         """
         tag = a.tag
         if tag == _TAG_ZERO:
@@ -415,7 +430,8 @@ class Semifield(Value):
         if tag == _TAG_TANGIBLE:
             rank = self.fiber_rank
             if fiber.__class__ is not tuple or rank > 1 or fiber not in _SMALL_FIBERS[rank]:
-                self.check_fiber(fiber)
+                if (checked := self.check_fiber(fiber)) is not fiber:
+                    return Element(tag, a.exp, checked)
         elif fiber:
             raise ValueError("ghosts carry no fiber")
         return a
@@ -426,21 +442,15 @@ class Semifield(Value):
         """Whether a is nu-equivalent to a square; rejects zero."""
         if a.is_zero:
             raise PreconditionError("nonzero element required", "zero has no nu-square class")
-        return self.legal_exponent(Fraction(a.exp) / 2)
-
-    def _exp_parity(self, x: Exponent) -> int:
-        # residue of the exponent modulo the doubled group; for `rat`
-        # everything is halvable so the residue is always 0
-        if self.group is GroupKind.RAT:
-            return 0
-        return Fraction(x).numerator % 2
+        return self.halvable(a.exp)
 
     def square_class(self, a: Element) -> SquareClassTag:
         if a.is_zero:
             raise PreconditionError("nonzero element required", "zero has no square class")
+        parity = 0 if self.halvable(a.exp) else 1
         if a.is_ghost:
-            return SquareClassTag(True, self._exp_parity(a.exp), None)
-        return SquareClassTag(False, self._exp_parity(a.exp), a.fiber)
+            return SquareClassTag(True, parity, None)
+        return SquareClassTag(False, parity, a.fiber)
 
     # -- text encoding -----------------------------------------------------
 

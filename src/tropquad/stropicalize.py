@@ -14,10 +14,10 @@ permute and rescale.
 The coefficients of a form, and above all the entries of a Gram matrix,
 repeat.  So :func:`stropicalize_form`, :func:`stropicalize_bilinear` and
 :func:`square_class_sequence` each map coefficients through one
-:func:`_image_map`, which reads ``spec.semifield`` once and computes the
-image of each distinct coefficient once per call.  That is exact: phi(c)
-depends on the value of c alone, and the memo is keyed by the value's
-lowest-terms numerator and denominator.
+:func:`_image_map`, which computes the image of each distinct coefficient
+once per call.  That is exact: phi(c) depends on the value of c alone, and
+the memo is keyed by the value's lowest-terms numerator and denominator.
+``spec.semifield`` is one of two module-level values and builds nothing.
 """
 
 from __future__ import annotations
@@ -89,7 +89,10 @@ class SupervaluationSpec(Value):
 
     @property
     def semifield(self) -> Semifield:
-        return Semifield(GroupKind.INT, 1 if self.mode == "signed" else 0)
+        return _SIGNED if self.mode == "signed" else _UNSIGNED
+
+
+_SIGNED, _UNSIGNED = Semifield(GroupKind.INT, 1), Semifield(GroupKind.INT, 0)
 
 
 def _is_prime(p: int) -> bool:
@@ -119,11 +122,8 @@ def padic_valuation(p: int, a: Fraction) -> int:
 
 def apply_supervaluation(spec: SupervaluationSpec, a) -> Element:
     """phi: zero to zero, nonzero a to level -v_p(a), tagged per mode."""
-    return _supervaluation(spec, spec.semifield, Fraction(a))
-
-
-def _supervaluation(spec: SupervaluationSpec, sf: Semifield, a: Fraction) -> Element:
-    """apply_supervaluation on a Fraction, with ``spec.semifield`` already read as sf."""
+    a = Fraction(a)
+    sf = spec.semifield
     if a == 0:
         return sf.zero
     level = 0 if spec.prime is None else -padic_valuation(spec.prime, a)
@@ -140,7 +140,6 @@ def _image_map(spec: SupervaluationSpec):
     The memo's key, a Fraction's lowest-terms numerator and denominator,
     names the value exactly and hashes faster than the Fraction.
     """
-    sf = spec.semifield
     memo: dict[tuple[int, int], Element] = {}
 
     def image(c) -> Element:
@@ -149,7 +148,7 @@ def _image_map(spec: SupervaluationSpec):
         key = (c.numerator, c.denominator)
         out = memo.get(key)
         if out is None:
-            out = memo[key] = _supervaluation(spec, sf, c)
+            out = memo[key] = apply_supervaluation(spec, c)
         return out
 
     return image

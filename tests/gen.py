@@ -75,6 +75,14 @@ def fraction_cell_boundary(cell):
     return _fraction_canon(Fraction(cell.bound2) / 2)
 
 
+def diagonal_cell_reference(alpha: Element):
+    """Reference: the diagonal rule as ``companions.diagonal_cell`` stated it
+    before diagonal cells became the rank-2 case at (alpha, alpha, nu(alpha))."""
+    if alpha.is_zero:
+        return Singleton(ZERO)
+    return NuLeqDoubled(_fraction_canon(2 * alpha.exp))
+
+
 def fraction_between(sf: Semifield, lo, hi):
     """Reference: the group's pick strictly between lo and hi, on Fractions, or None."""
     lo, hi = Fraction(lo), Fraction(hi)

@@ -20,7 +20,6 @@ from tropquad import (
     Semifield,
     companion_table,
     contains,
-    diagonal_cell,
     pair_analysis,
 )
 from tropquad import cli
@@ -593,7 +592,7 @@ def test_linear_invariant_rules_equal_the_pairwise_rules_property(data):
     if data.draw(st.booleans()):
         cell = pair_analysis(sf, a1, a2, alpha)[1]
     else:
-        cell, alpha = diagonal_cell(a1), None
+        cell, alpha = pair_analysis(sf, a1, a1, a1.nu())[1], None
     probes = boundary_probe_elements(sf, alpha, cell)
     probes.insert(data.draw(st.integers(0, len(probes))), data.draw(st.sampled_from(probes)))
     inside = [contains(cell, b) for b in probes]

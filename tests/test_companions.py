@@ -23,22 +23,24 @@ from tropquad import (
     QuadraticForm,
     Semifield,
     Singleton,
+    SymmetricBilinearForm,
     balanced_companion,
     build_companion,
     companion_membership_oracle,
     companion_table,
     contains,
-    diagonal_cell,
     diagonal_membership_oracle,
     equality_witness,
     eval_bilinear,
     eval_quadratic,
     functionally_equal,
+    is_balanced_pair,
     is_companion,
     is_quasilinear,
     is_rigid,
     leq_minimal,
     pair_analysis,
+    rigid_complement,
     set_max,
     set_min,
 )
@@ -47,6 +49,7 @@ from tropquad.probes import boundary_probe_elements
 from tropquad.semiring import _canon_exp
 
 from gen import (
+    diagonal_cell_reference,
     element_grid,
     element_strategy,
     fraction_between,
@@ -139,6 +142,23 @@ def test_pair_analysis_matches_the_fraction_reference(rank):
                     assert edge == ref_edge and type(edge) is type(ref_edge)
                     seen.add(branch)
     assert seen == set(PairBranch)
+
+
+@pytest.mark.parametrize("rank", (0, 1))
+def test_table_diagonal_is_the_diagonal_rule(rank):
+    """A diagonal cell is the rank-2 case at (alpha, alpha, nu(alpha)): its
+    branch is ZERO_SIDE or MEAN_IN_GROUP, and its cell is the diagonal rule."""
+    for kind, exps in PAIR_EXPONENTS.items():
+        sf = Semifield(kind, rank)
+        whole = Fraction(2, 1)
+        diag = element_grid(sf, exps) + [Element("ghost", whole), Element("tangible", whole, sf.identity_fiber())]
+        table = companion_table(QuadraticForm(sf, tuple(diag)))
+        for i, alpha in enumerate(diag):
+            branch, cell = pair_analysis(sf, alpha, alpha, alpha.nu())
+            expected = diagonal_cell_reference(alpha)
+            assert branch is (PairBranch.ZERO_SIDE if alpha.is_zero else PairBranch.MEAN_IN_GROUP)
+            assert cell == expected and table.cell(i, i) == expected, alpha
+            assert type(_cell_exponent(cell)) is type(_cell_exponent(expected))
 
 
 def test_cell_boundary_matches_the_fraction_reference():
@@ -247,7 +267,7 @@ def test_table_cells_depend_only_on_their_pair():
 def test_diagonal_cell_oracle_agreement(data):
     sf = Semifield(data.draw(st.sampled_from(list(GroupKind))), data.draw(st.sampled_from((0, 1))))
     alpha = data.draw(wide_element_strategy(sf))
-    cell = diagonal_cell(alpha)
+    cell = pair_analysis(sf, alpha, alpha, alpha.nu())[1]
     probes = boundary_probe_elements(sf, None, cell)
     assert [contains(cell, b) for b in probes] == diagonal_membership_oracle(sf, alpha, probes)
 
@@ -465,6 +485,51 @@ def test_equality_is_symmetric_and_matches_evaluation():
                 assert eval_quadratic(q1, witness) != eval_quadratic(q2, witness)
 
 
+def test_equality_verdict_and_witness_agree():
+    rng = random.Random(31)
+    for sf in kind_semifields(0) + kind_semifields(1):
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            q1 = random_form(rng, sf, n)
+            if rng.random() < 0.6:
+                # q1's diagonal, q2's cross coefficients mostly drawn from q1's cells
+                table = companion_table(q1)
+                upper = {}
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        cell = table.cell(i, j)
+                        opts = [b for b in boundary_probe_elements(sf, q1.beta(i, j), cell) if contains(cell, b)]
+                        upper[(i, j)] = rng.choice(opts) if rng.random() < 0.8 else random_vector(rng, sf, 1)[0]
+                q2 = QuadraticForm(sf, q1.diag, upper)
+            else:
+                q2 = random_form(rng, sf, n)
+            witness = equality_witness(q1, q2)
+            assert functionally_equal(q1, q2) == (witness is None)
+            if witness is not None:
+                assert eval_quadratic(q1, witness) != eval_quadratic(q2, witness)
+
+
+def test_witness_skips_admissible_differences():
+    """Pairs (1,2) and (1,3) differ but are admissible; the witness sits on
+    the inadmissible pair (2,3) and is the vector the full pair scan gave."""
+    q1 = QuadraticForm(INT, (t(0), t(0), t(0)), {(0, 1): t(-1), (0, 2): t(-2), (1, 2): t(-1)})
+    q2 = QuadraticForm(INT, (t(0), t(0), t(0)), {(0, 1): ZERO, (0, 2): g(-2), (1, 2): t(1)})
+    table = companion_table(q1)
+    assert [contains(table.cell(i, j), q2.beta(i, j)) for i, j in ((0, 1), (0, 2), (1, 2))] == [True, True, False]
+    assert not functionally_equal(q1, q2)
+    assert equality_witness(q1, q2) == (ZERO, t(-1), t(0))
+
+
+def test_companion_predicates_reject_another_semifield():
+    """A Gram matrix over another group is refused, not read cell by cell."""
+    q = QuadraticForm(INT, (t(1), t(1)))
+    b = SymmetricBilinearForm(RAT, ((RAT.ghost(1), RAT.tangible(Fraction(1, 2))), (RAT.tangible(Fraction(1, 2)), RAT.ghost(1))))
+    for predicate in (is_companion, is_balanced_pair, rigid_complement):
+        with pytest.raises(PreconditionError) as info:
+            predicate(q, b)
+        assert info.value.precondition == "dimension match required"
+
+
 def test_equality_rejects_mismatched_shapes():
     q1 = QuadraticForm(INT, (t(1),))
     q2 = QuadraticForm(INT, (t(1), t(2)))
@@ -539,7 +604,7 @@ def test_oracle_shares_no_code_with_the_case_analysis():
     reached, names = _names_reached(companion_membership_oracle, diagonal_membership_oracle)
     assert {"_probe_exponents_for", "_tie_points", "_probe_exponents"} <= reached
     closed_form = {
-        "pair_analysis", "contains", "diagonal_cell", "cell_boundary",
+        "pair_analysis", "contains", "halvable", "_first_difference", "cell_boundary",
         "set_min", "set_max", "companion_table", "CompanionSet", "CompanionTable",
         "Singleton", "NuLeqDoubled", "NuLtDoubled", "NuClass", "PairBranch",
         "build_companion", "is_companion", "is_balanced_pair", "is_quasilinear", "functionally_equal",
@@ -578,7 +643,7 @@ def test_batch_verdicts_equal_one_beta_verdicts_property(data):
     cross = companion_membership_oracle(sf, a1, a2, a, betas)
     assert cross == [companion_membership_oracle(sf, a1, a2, a, [b])[0] for b in betas]
     assert cross == [contains(cell, b) for b in betas]
-    betas = drawn + boundary_probe_elements(sf, None, diagonal_cell(a1))
+    betas = drawn + boundary_probe_elements(sf, None, pair_analysis(sf, a1, a1, a1.nu())[1])
     diagonal = diagonal_membership_oracle(sf, a1, betas)
     assert diagonal == [diagonal_membership_oracle(sf, a1, [b])[0] for b in betas]
 

@@ -386,7 +386,48 @@ def test_element_validation_accepts_what_it_accepted():
         (RAT3, Element("ghost", Fraction(-1, 9))),
         (INT1, Element("tangible", -2, (True,))),
         (INT1, Element("tangible", 0, (-1.0,))),
-        (INT1, Element("tangible", 0, [1])),
         (Semifield(GroupKind.RAT, 2), Element("tangible", Fraction(1, 2), (1, -1))),
     ]:
         assert sf.element(a) is a
+    # a fiber given as a list comes back as the validated tuple
+    checked = INT1.element(Element("tangible", 0, [1]))
+    assert checked == Element("tangible", 0, (1,)) and type(checked.fiber) is tuple
+
+
+def test_a_list_fiber_leaves_the_form_hashable():
+    from tropquad import Element, QuadraticForm
+
+    sf = INT1
+    listed = QuadraticForm(sf, (ZERO, sf.tangible(0)), {(0, 1): Element("tangible", 1, [1])})
+    tupled = QuadraticForm(sf, (ZERO, sf.tangible(0)), {(0, 1): Element("tangible", 1, (1,))})
+    assert hash(listed) == hash(tupled) and listed == tupled
+
+
+# -- the halving rule -----------------------------------------------------------------
+
+
+def exp_parity_reference(sf, x) -> int:
+    """The residue modulo the doubled group as ``square_class`` computed it
+    before it read ``halvable``: 0 in ``rat``, else the numerator's parity."""
+    if sf.group is GroupKind.RAT:
+        return 0
+    return Fraction(x).numerator % 2
+
+
+HALVING_EXPONENTS = (
+    -3, -2, -1, 0, 1, 2, 7, 10**15 + 1, Fraction(4, 1), Fraction(1, 2), Fraction(-3, 2), Fraction(1, 3),
+    Fraction(2, 3), Fraction(-5, 9), Fraction(4, 9), Fraction(7, 6), Fraction(10**15 + 1, 27),
+)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_halvable_is_half_legal_and_gives_the_square_class_parity(kind):
+    for rank in (0, 1):
+        sf = Semifield(kind, rank)
+        for x in HALVING_EXPONENTS:
+            assert sf.halvable(x) == fraction_legal(sf, Fraction(x) / 2), (sf, x)
+            if not fraction_legal(sf, x):
+                continue
+            for a in (sf.ghost(x), sf.tangible(x)):
+                assert sf.is_nu_square(a) == sf.halvable(x)
+                assert sf.square_class(a).parity == exp_parity_reference(sf, x), (sf, a)

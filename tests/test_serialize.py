@@ -311,7 +311,7 @@ def _cell_pool(sf: Semifield) -> list:
     for e in (0, 2, Fraction(2, 3)):
         pool.append(Singleton(Element("ghost", e)))
         pool.extend(Singleton(Element("tangible", e, f)) for f in itertools.product((1, -1), repeat=sf.fiber_rank))
-    # Semifield.element lets a fiber be given as a list
+    # an Element built directly, not through Semifield.element, may hold a list fiber
     pool.append(Singleton(Element("tangible", 2, [-1] * sf.fiber_rank)))
     return pool
 
