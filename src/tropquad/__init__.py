@@ -18,7 +18,6 @@ from .companions import (
     is_balanced_pair,
     is_companion,
     is_quasilinear,
-    is_rigid,
     pair_analysis,
     set_max,
     set_min,
@@ -44,6 +43,7 @@ from .forms import (
     change_base,
     eval_bilinear,
     eval_quadratic,
+    is_rigid,
     pointwise_leq_rigid,
     scale_form,
     zero_form,

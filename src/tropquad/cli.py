@@ -24,11 +24,10 @@ from .companions import (
     diagonal_membership_oracle,
     equality_witness,
     is_quasilinear,
-    is_rigid,
 )
 from .decomposition import quasilinear_part, rig_extrema
 from .errors import PreconditionError
-from .forms import DIMENSION_LIMIT, balanced_companion, eval_quadratic
+from .forms import DIMENSION_LIMIT, balanced_companion, eval_quadratic, is_rigid
 from .matrices import invert, monomial_decomposition
 from .semiring import Element, format_element, leq_minimal
 from .serialize import SchemaError
@@ -84,9 +83,19 @@ def _emit(args, payload: dict, pretty_lines: Callable[[], list[str]]) -> int:
 
 def _show(args, a: Element) -> str:
     if args.min_plus and not a.is_zero:
-        flipped = Element(a.tag, -a.exp, a.fiber)
-        return format_element(flipped)
+        a = Element(a.tag, -a.exp, a.fiber)
     return format_element(a)
+
+
+def _show_form(args, q) -> str:
+    """q in the layout of its repr, each element through :func:`_show`."""
+    rows = (" ".join(_show(args, v) for v in (q.diag[i], *row[i + 1 :])) for i, row in enumerate(q.cross))
+    return "[" + "; ".join(rows) + "]"
+
+
+def _show_gram(args, b) -> str:
+    """b in the layout of its repr, each element through :func:`_show`."""
+    return "[" + ", ".join("[" + ", ".join(_show(args, v) for v in row) + "]" for row in b.gram) + "]"
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -324,16 +333,10 @@ def _cmd_stropicalize(args) -> int:
     }
 
     def lines():
-        image = f"image form: {qphi!r}"
-        if args.min_plus:
-            image = "image form (min-plus display): [" + "; ".join(
-                " ".join(_show(args, v) for v in (qphi.diag[i], *row[i + 1 :]))
-                for i, row in enumerate(qphi.cross)
-            ) + "]"
         return [
-            image,
-            f"balanced companion: {balanced!r}",
-            f"companion image: {b_phi!r}",
+            ("image form (min-plus display): " if args.min_plus else "image form: ") + _show_form(args, qphi),
+            f"balanced companion: {_show_gram(args, balanced)}",
+            f"companion image: {_show_gram(args, b_phi)}",
             f"quasilinear: {payload['quasilinear']}",
         ]
 
@@ -354,7 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact quadratic forms over supertropical semifields",
     )
     parser.add_argument("--pretty", action="store_true", help="human-readable output instead of JSON")
-    parser.add_argument("--min-plus", action="store_true", help="negate exponents in pretty output")
+    parser.add_argument(
+        "--min-plus", action="store_true", help="negate exponents in pretty eval, equal and stropicalize output"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_text, *inputs, semifield=True):

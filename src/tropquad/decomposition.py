@@ -10,19 +10,14 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .companions import CompanionTable, NuLtDoubled, companion_table, is_companion, set_max, set_min
+from .companions import NuLtDoubled, companion_table, is_companion, set_max, set_min
 from .errors import PreconditionError
-from .forms import QuadraticForm, SymmetricBilinearForm
-from .semiring import ZERO, Value, _set
+from .forms import QuadraticForm, SymmetricBilinearForm, is_rigid
+from .semiring import ZERO, Value
 
 
 class Decomposition(Value):
     __slots__ = ("ql", "rigid", "companion")
-
-    def __init__(self, ql: QuadraticForm, rigid: QuadraticForm, companion: SymmetricBilinearForm):
-        _set(self, "ql", ql)
-        _set(self, "rigid", rigid)
-        _set(self, "companion", companion)
 
 
 def quasilinear_part(q: QuadraticForm) -> QuadraticForm:
@@ -46,7 +41,7 @@ def rigid_complement(q: QuadraticForm, b: SymmetricBilinearForm) -> QuadraticFor
 
 def off_diagonal_companion(rho: QuadraticForm) -> SymmetricBilinearForm:
     """A rigid form's unique companion: zero diagonal, its own cross coefficients."""
-    if any(not a.is_zero for a in rho.diag):
+    if not is_rigid(rho):
         raise PreconditionError("rigid form required", "the form has a nonzero diagonal coefficient")
     return SymmetricBilinearForm(rho.sf, rho.cross)
 
@@ -58,19 +53,9 @@ def decompose(q: QuadraticForm, b: Optional[SymmetricBilinearForm] = None) -> De
 
 
 class RigExtrema(Value):
-    __slots__ = ("minimum", "maximum", "no_max_cell", "table")
+    """``no_max_cell`` is the witness (i, j) when ``maximum`` is None."""
 
-    def __init__(
-        self,
-        minimum: QuadraticForm,
-        maximum: Optional[QuadraticForm],
-        no_max_cell: Optional[tuple[int, int]],  # witness when maximum is None
-        table: CompanionTable,
-    ):
-        _set(self, "minimum", minimum)
-        _set(self, "maximum", maximum)
-        _set(self, "no_max_cell", no_max_cell)
-        _set(self, "table", table)
+    __slots__ = ("minimum", "maximum", "no_max_cell", "table")
 
 
 def rig_extrema(q: QuadraticForm) -> RigExtrema:

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 from .errors import PreconditionError
 from .matrices import MonomialMatrix
-from .semiring import ZERO, Element, Semifield, Value, _set, leq_minimal, semiring_sum
+from .semiring import ZERO, Element, Semifield, Value, leq_minimal, semiring_sum
 
 DIMENSION_LIMIT = 64
 
@@ -43,9 +43,7 @@ class QuadraticForm(Value):
             if not (0 <= i < j < n):
                 raise ValueError(f"upper index ({i},{j}) out of range for n={n}")
             rows[i][j] = rows[j][i] = sf.element(v)
-        _set(self, "sf", sf)
-        _set(self, "diag", diag)
-        _set(self, "cross", tuple(map(tuple, rows)))
+        Value.__init__(self, sf, diag, tuple(map(tuple, rows)))
 
     @property
     def n(self) -> int:
@@ -80,8 +78,7 @@ class SymmetricBilinearForm(Value):
             for j in range(i + 1, n):
                 if gram[i][j] != gram[j][i]:
                     raise ValueError(f"gram matrix not symmetric at ({i},{j})")
-        _set(self, "sf", sf)
-        _set(self, "gram", gram)
+        Value.__init__(self, sf, gram)
 
     @property
     def n(self) -> int:
@@ -148,6 +145,11 @@ def scale_form(lam: Element, q: QuadraticForm) -> QuadraticForm:
     return QuadraticForm(q.sf, diag, upper)
 
 
+def is_rigid(q: QuadraticForm) -> bool:
+    """A form admits exactly one companion iff its diagonal vanishes."""
+    return all(a.is_zero for a in q.diag)
+
+
 def pointwise_leq_rigid(r1: QuadraticForm, r2: QuadraticForm) -> bool:
     """Functional order between rigid (zero-diagonal) forms.
 
@@ -157,12 +159,8 @@ def pointwise_leq_rigid(r1: QuadraticForm, r2: QuadraticForm) -> bool:
     addition and multiplication gives the converse.  Non-rigid inputs are
     rejected; no such reduction is available for them.
     """
-    for r in (r1, r2):
-        if any(not a.is_zero for a in r.diag):
-            raise PreconditionError(
-                "rigid form required",
-                "pointwise comparison is only defined for zero-diagonal forms",
-            )
+    if not (is_rigid(r1) and is_rigid(r2)):
+        raise PreconditionError("rigid form required", "pointwise comparison is only defined for zero-diagonal forms")
     if r1.n != r2.n:
         raise PreconditionError("dimension match required", "cannot compare forms of different dimension")
     return all(leq_minimal(a, b) for row1, row2 in zip(r1.cross, r2.cross) for a, b in zip(row1, row2))

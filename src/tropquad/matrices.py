@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import PreconditionError
-from .semiring import ZERO, Element, Semifield, Value, _set, semiring_sum
+from .semiring import ZERO, Element, Semifield, Value, semiring_sum
 
 
 class GeneralMatrix(Value):
@@ -20,8 +20,7 @@ class GeneralMatrix(Value):
             raise ValueError("matrix must be nonempty")
         if any(len(row) != len(rows[0]) for row in rows):
             raise ValueError("ragged matrix")
-        _set(self, "sf", sf)
-        _set(self, "rows", rows)
+        Value.__init__(self, sf, rows)
 
     @property
     def nrows(self) -> int:
@@ -55,9 +54,7 @@ class MonomialMatrix(Value):
                 "tangible scales required",
                 "monomial matrices must carry tangible (unit) scales",
             )
-        _set(self, "sf", sf)
-        _set(self, "perm", perm)
-        _set(self, "scales", scales)
+        Value.__init__(self, sf, perm, scales)
 
     @property
     def n(self) -> int:

@@ -10,10 +10,10 @@ the ghost with the same exponent and is an idempotent semiring projection.
 
 Everything is exact: exponents are ints or ``fractions.Fraction``, never
 floats.  All values are immutable: each value class derives from
-:class:`Value`, keeps its fields in ``__slots__`` and sets them only in its
-``__init__``, and ``Value`` makes every later assignment or deletion raise
-``AttributeError``.  Every operation is a pure function, so the whole module
-is safe for concurrent use.
+:class:`Value`, declares its fields once, in ``__slots__``, and sets them
+only at construction; ``Value`` makes every later assignment or deletion
+raise ``AttributeError``.  Every operation is a pure function, so the whole
+module is safe for concurrent use.
 
 Three exponent groups are supported:
 
@@ -59,14 +59,22 @@ _set = object.__setattr__
 class Value:
     """Base of the package's immutable value classes.
 
-    A subclass names its fields, in order, in ``__slots__`` and sets them in
-    its ``__init__`` through ``object.__setattr__``.  Assigning or deleting
-    an attribute afterwards raises ``AttributeError``.  Two values are equal
-    when they have the same type and equal fields, a value hashes as the
-    tuple of its fields, and its repr is ``Name(field=value, ...)``.
+    A subclass declares its fields once, in order, in ``__slots__``; this
+    ``__init__`` sets them by position or name, and a validating subclass
+    ends its own in one call of it.  Assigning or deleting an attribute
+    afterwards raises ``AttributeError``.  Two values are equal when they
+    have the same type and equal fields, a value hashes as the tuple of its
+    fields, and its repr is ``Name(field=value, ...)``.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values, **named):
+        names = self.__slots__
+        if len(values) > len(names) or sorted([*names[: len(values)], *named]) != sorted(names):
+            raise TypeError(f"{type(self).__name__} takes each of the fields {names} once, by position or name")
+        for name, value in (*zip(names, values), *named.items()):
+            _set(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -239,11 +247,6 @@ class SquareClassTag(Value):
 
     __slots__ = ("ghost", "parity", "fiber")
 
-    def __init__(self, ghost: bool, parity: int, fiber: Optional[tuple[int, ...]]):
-        _set(self, "ghost", ghost)
-        _set(self, "parity", parity)
-        _set(self, "fiber", fiber)
-
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 
@@ -288,8 +291,7 @@ class Semifield(Value):
     def __init__(self, group: GroupKind = GroupKind.INT, fiber_rank: int = 0):
         if fiber_rank < 0:
             raise ValueError("fiber_rank must be nonnegative")
-        _set(self, "group", group)
-        _set(self, "fiber_rank", fiber_rank)
+        Value.__init__(self, group, fiber_rank)
 
     # -- exponent group ---------------------------------------------------
 
@@ -396,10 +398,10 @@ class Semifield(Value):
     def tangible(self, exp: Exponent, fiber: Optional[tuple[int, ...]] = None) -> Element:
         if fiber is None:
             fiber = self.identity_fiber()
-        return Element(_TAG_TANGIBLE, self.check_exponent(exp), self.check_fiber(fiber))
+        return self.element(Element(_TAG_TANGIBLE, _canon_exp(exp), fiber))
 
     def ghost(self, exp: Exponent) -> Element:
-        return Element(_TAG_GHOST, self.check_exponent(exp))
+        return self.element(Element(_TAG_GHOST, _canon_exp(exp)))
 
     def prime(self) -> Element:
         """Tangible whose ghost is the largest ghost below e (discrete only)."""
@@ -413,11 +415,14 @@ class Semifield(Value):
     def element(self, a: Element) -> Element:
         """Validate that an element fits this semifield and return it.
 
-        Every group holds the integers, so an ``int`` exponent needs no
-        test.  A fiber of rank 0 or 1 is screened by equality with the
-        legal fibers of its rank; any other fiber, and any that fails the
-        screen, goes to :meth:`check_fiber`, which raises the error; a
-        fiber given as a list, say, comes back as the validated tuple.
+        This is the one statement of an element's legality: :meth:`tangible`
+        and :meth:`ghost`, and :meth:`parse_element` through them, build
+        their elements through it.  Every group holds the integers, so an
+        ``int`` exponent needs no test.  A fiber of rank 0 or 1 is screened
+        by equality with the legal fibers of its rank; any other fiber, and
+        any that fails the screen, goes to :meth:`check_fiber`, which raises
+        the error; a fiber given as a list, say, comes back as the validated
+        tuple.
         """
         tag = a.tag
         if tag == _TAG_ZERO:

@@ -2,7 +2,9 @@
 
 External indices are 1-based ("1,2" keys); internal storage is 0-based.
 Serialization is deterministic: keys are sorted and element text uses the
-shared encoding from :mod:`tropquad.semiring`.
+shared encoding from :mod:`tropquad.semiring`.  Each ``*_from_json``
+reader reads a whole document and takes no path: its errors are located
+from the document root, ``$``.
 
 A document's element literals repeat: a grid drawn from a few exponents
 holds each literal many times.  Each ``*_from_json`` call (and
@@ -94,20 +96,20 @@ RATFORM_DIMENSION_LIMIT = 4096
 PRIME_LIMIT = 2**31 - 1
 
 
-def semifield_from_json(obj: Any, path: str = "$.semifield") -> Semifield:
-    _expect(isinstance(obj, dict), "semifield config must be an object", path)
-    group = _get(obj, "group", path)
-    _expect(isinstance(group, str) and group in _GROUPS, f"group must be one of {sorted(_GROUPS)}", f"{path}.group")
+def semifield_from_json(obj: Any) -> Semifield:
+    _expect(isinstance(obj, dict), "semifield config must be an object", "$.semifield")
+    group = _get(obj, "group", "$.semifield")
+    _expect(isinstance(group, str) and group in _GROUPS, f"group must be one of {sorted(_GROUPS)}", "$.semifield.group")
     rank = obj.get("fiber_rank", 0)
-    _expect(_is_int(rank) and rank >= 0, "fiber_rank must be a nonnegative int", f"{path}.fiber_rank")
-    _expect(rank <= FIBER_RANK_LIMIT, f"fiber_rank must be at most {FIBER_RANK_LIMIT}", f"{path}.fiber_rank")
+    _expect(_is_int(rank) and rank >= 0, "fiber_rank must be a nonnegative int", "$.semifield.fiber_rank")
+    _expect(rank <= FIBER_RANK_LIMIT, f"fiber_rank must be at most {FIBER_RANK_LIMIT}", "$.semifield.fiber_rank")
     return Semifield(_GROUPS[group], rank)
 
 
-def _object_sf(obj: Any, what: str, path: str) -> Semifield:
-    """Check that obj is an object and read its ``semifield`` member."""
-    _expect(isinstance(obj, dict), f"{what} must be an object", path)
-    return semifield_from_json(_get(obj, "semifield", path), f"{path}.semifield")
+def _object_sf(obj: Any, what: str) -> Semifield:
+    """Check that the document obj is an object and read its ``semifield`` member."""
+    _expect(isinstance(obj, dict), f"{what} must be an object", "$")
+    return semifield_from_json(_get(obj, "semifield", "$"))
 
 
 def semifield_to_json(sf: Semifield) -> dict:
@@ -169,23 +171,22 @@ def _index_pair(key: str, n: int, path: str, seen: set, strict_upper: bool) -> t
 # -- quadratic forms ---------------------------------------------------------
 
 
-def form_from_json(obj: Any, path: str = "$") -> QuadraticForm:
-    sf = _object_sf(obj, "form", path)
-    n = _get(obj, "n", path)
-    _expect(_is_int(n) and n >= 1, "n must be a positive int", f"{path}.n")
-    diag_obj = _get(obj, "diag", path)
-    _expect(isinstance(diag_obj, list) and len(diag_obj) == n, f"diag must list {n} elements", f"{path}.diag")
+def form_from_json(obj: Any) -> QuadraticForm:
+    sf = _object_sf(obj, "form")
+    n = _get(obj, "n", "$")
+    _expect(_is_int(n) and n >= 1, "n must be a positive int", "$.n")
+    diag_obj = _get(obj, "diag", "$")
+    _expect(isinstance(diag_obj, list) and len(diag_obj) == n, f"diag must list {n} elements", "$.diag")
     read = _element_reader(sf)
-    diag = tuple(read(v, lambda: f"{path}.diag[{k + 1}]") for k, v in enumerate(diag_obj))
-    upper_path = f"{path}.upper"
+    diag = tuple(read(v, lambda: f"$.diag[{k + 1}]") for k, v in enumerate(diag_obj))
     upper_obj = obj.get("upper", {})
-    _expect(isinstance(upper_obj, dict), "upper must be an object", upper_path)
+    _expect(isinstance(upper_obj, dict), "upper must be an object", "$.upper")
     seen = set()
     upper = {
-        _index_pair(key, n, upper_path, seen, strict_upper=True): read(val, lambda: f"{upper_path}.{key}")
+        _index_pair(key, n, "$.upper", seen, strict_upper=True): read(val, lambda: f"$.upper.{key}")
         for key, val in upper_obj.items()
     }
-    return _schema(QuadraticForm, path, sf, diag, upper)
+    return _schema(QuadraticForm, "$", sf, diag, upper)
 
 
 def form_to_json(q: QuadraticForm) -> dict:
@@ -202,12 +203,12 @@ def form_to_json(q: QuadraticForm) -> dict:
     }
 
 
-def vector_from_json(sf: Semifield, obj: Any, path: str = "$") -> Vector:
-    _expect(isinstance(obj, dict), "vector must be an object", path)
-    coords = _get(obj, "coords", path)
-    _expect(isinstance(coords, list) and coords, "coords must be a nonempty list", f"{path}.coords")
+def vector_from_json(sf: Semifield, obj: Any) -> Vector:
+    _expect(isinstance(obj, dict), "vector must be an object", "$")
+    coords = _get(obj, "coords", "$")
+    _expect(isinstance(coords, list) and coords, "coords must be a nonempty list", "$.coords")
     read = _element_reader(sf)
-    return tuple(read(v, lambda: f"{path}.coords[{k + 1}]") for k, v in enumerate(coords))
+    return tuple(read(v, lambda: f"$.coords[{k + 1}]") for k, v in enumerate(coords))
 
 
 def vector_from_text(sf: Semifield, text: str) -> Vector:
@@ -222,40 +223,38 @@ def vector_to_json(x: Vector) -> dict:
 # -- bilinear forms and matrices ---------------------------------------------
 
 
-def _grid_from_json(sf: Semifield, obj: dict, key: str, path: str):
-    rows_obj = _get(obj, key, path)
-    _expect(isinstance(rows_obj, list) and rows_obj, f"{key} must be a nonempty list", f"{path}.{key}")
+def _grid_from_json(sf: Semifield, obj: dict, key: str):
+    rows_obj = _get(obj, key, "$")
+    _expect(isinstance(rows_obj, list) and rows_obj, f"{key} must be a nonempty list", f"$.{key}")
     read = _element_reader(sf)
     rows = []
     for r, row in enumerate(rows_obj):
-        row_path = f"{path}.{key}[{r + 1}]"
+        row_path = f"$.{key}[{r + 1}]"
         _expect(isinstance(row, list) and row, "rows must be nonempty lists", row_path)
         rows.append(tuple(read(v, lambda: f"{row_path}[{c + 1}]") for c, v in enumerate(row)))
     return tuple(rows)
 
 
-def bilinear_from_json(obj: Any, path: str = "$") -> SymmetricBilinearForm:
-    sf = _object_sf(obj, "bilinear form", path)
-    return _schema(SymmetricBilinearForm, path, sf, _grid_from_json(sf, obj, "gram", path))
+def _grid_to_json(sf: Semifield, key: str, rows) -> dict:
+    return {"semifield": semifield_to_json(sf), key: [[format_element(v) for v in row] for row in rows]}
+
+
+def bilinear_from_json(obj: Any) -> SymmetricBilinearForm:
+    sf = _object_sf(obj, "bilinear form")
+    return _schema(SymmetricBilinearForm, "$", sf, _grid_from_json(sf, obj, "gram"))
 
 
 def bilinear_to_json(b: SymmetricBilinearForm) -> dict:
-    return {
-        "semifield": semifield_to_json(b.sf),
-        "gram": [[format_element(v) for v in row] for row in b.gram],
-    }
+    return _grid_to_json(b.sf, "gram", b.gram)
 
 
-def matrix_from_json(obj: Any, path: str = "$") -> GeneralMatrix:
-    sf = _object_sf(obj, "matrix", path)
-    return _schema(GeneralMatrix, path, sf, _grid_from_json(sf, obj, "rows", path))
+def matrix_from_json(obj: Any) -> GeneralMatrix:
+    sf = _object_sf(obj, "matrix")
+    return _schema(GeneralMatrix, "$", sf, _grid_from_json(sf, obj, "rows"))
 
 
 def matrix_to_json(m: GeneralMatrix) -> dict:
-    return {
-        "semifield": semifield_to_json(m.sf),
-        "rows": [[format_element(v) for v in row] for row in m.rows],
-    }
+    return _grid_to_json(m.sf, "rows", m.rows)
 
 
 # -- companion cells and tables ------------------------------------------------
@@ -339,15 +338,15 @@ def table_to_json(table: CompanionTable) -> dict:
     }
 
 
-def table_from_json(obj: Any, path: str = "$") -> CompanionTable:
-    sf = _object_sf(obj, "table", path)
-    cells_obj = _get(obj, "cells", path)
-    _expect(isinstance(cells_obj, list) and cells_obj, "cells must be a nonempty list", f"{path}.cells")
+def table_from_json(obj: Any) -> CompanionTable:
+    sf = _object_sf(obj, "table")
+    cells_obj = _get(obj, "cells", "$")
+    _expect(isinstance(cells_obj, list) and cells_obj, "cells must be a nonempty list", "$.cells")
     n = len(cells_obj)
     read = _element_reader(sf)
     rows = []
     for r, row in enumerate(cells_obj):
-        row_path = f"{path}.cells[{r + 1}]"
+        row_path = f"$.cells[{r + 1}]"
         _expect(isinstance(row, list) and len(row) == n, "cells must be a square grid", row_path)
         rows.append(tuple(cell_from_json(sf, read, cell, lambda: f"{row_path}[{c + 1}]") for c, cell in enumerate(row)))
     return CompanionTable(sf, tuple(rows))
@@ -356,20 +355,19 @@ def table_from_json(obj: Any, path: str = "$") -> CompanionTable:
 # -- rational forms and square classes -----------------------------------------
 
 
-def ratform_from_json(obj: Any, path: str = "$") -> RationalQuadraticForm:
-    _expect(isinstance(obj, dict), "rational form must be an object", path)
-    n = _get(obj, "n", path)
-    _expect(_is_int(n) and n >= 1, "n must be a positive int", f"{path}.n")
-    _expect(n <= RATFORM_DIMENSION_LIMIT, f"n must be at most {RATFORM_DIMENSION_LIMIT}", f"{path}.n")
-    coeffs_path = f"{path}.coeffs"
-    coeffs_obj = _get(obj, "coeffs", path)
-    _expect(isinstance(coeffs_obj, dict), "coeffs must be an object", coeffs_path)
+def ratform_from_json(obj: Any) -> RationalQuadraticForm:
+    _expect(isinstance(obj, dict), "rational form must be an object", "$")
+    n = _get(obj, "n", "$")
+    _expect(_is_int(n) and n >= 1, "n must be a positive int", "$.n")
+    _expect(n <= RATFORM_DIMENSION_LIMIT, f"n must be at most {RATFORM_DIMENSION_LIMIT}", "$.n")
+    coeffs_obj = _get(obj, "coeffs", "$")
+    _expect(isinstance(coeffs_obj, dict), "coeffs must be an object", "$.coeffs")
     seen = set()
     coeffs = {
-        _index_pair(key, n, coeffs_path, seen, strict_upper=False): rational_from_json(val, lambda: f"{coeffs_path}.{key}")
+        _index_pair(key, n, "$.coeffs", seen, strict_upper=False): rational_from_json(val, lambda: f"$.coeffs.{key}")
         for key, val in coeffs_obj.items()
     }
-    return _schema(RationalQuadraticForm, path, n, coeffs)
+    return _schema(RationalQuadraticForm, "$", n, coeffs)
 
 
 def ratform_to_json(q: RationalQuadraticForm) -> dict:

@@ -27,7 +27,7 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import PreconditionError
 from .forms import QuadraticForm, SymmetricBilinearForm, balanced_companion
-from .semiring import Element, GroupKind, Semifield, SquareClassTag, Value, _set
+from .semiring import Element, GroupKind, Semifield, SquareClassTag, Value
 
 RatMatrix = tuple[tuple[Fraction, ...], ...]
 
@@ -53,8 +53,7 @@ class RationalQuadraticForm(Value):
             if not (0 <= i <= j < n):
                 raise ValueError(f"coefficient index ({i},{j}) out of range")
         canon = ((k, Fraction(c)) for k, c in sorted(coeffs.items()))
-        _set(self, "n", n)
-        _set(self, "coeffs", {k: c for k, c in canon if c != 0})
+        Value.__init__(self, n, {k: c for k, c in canon if c != 0})
 
     def __hash__(self) -> int:
         return hash((self.n, frozenset(self.coeffs.items())))
@@ -84,8 +83,7 @@ class SupervaluationSpec(Value):
             raise ValueError(f"{prime} is not a prime")
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        _set(self, "prime", prime)
-        _set(self, "mode", mode)
+        Value.__init__(self, prime, mode)
 
     @property
     def semifield(self) -> Semifield:
@@ -96,8 +94,6 @@ _SIGNED, _UNSIGNED = Semifield(GroupKind.INT, 1), Semifield(GroupKind.INT, 0)
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
     d = 2
     while d * d <= p:
         if p % d == 0:

@@ -4,7 +4,9 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
@@ -13,11 +15,16 @@ from hypothesis import strategies as st
 
 from tropquad import (
     ZERO,
+    Element,
     GeneralMatrix,
     GroupKind,
+    NuClass,
+    NuLeqDoubled,
+    NuLtDoubled,
     QuadraticForm,
     RationalQuadraticForm,
     Semifield,
+    Singleton,
     companion_table,
     contains,
     pair_analysis,
@@ -280,12 +287,39 @@ def test_pretty_mode(files, capsys):
     assert "[0, g:3]" in out and "{" not in out.splitlines()[0]
 
 
+# an element literal of the text encoding: "0", "t:<rat>", "t:<rat>:<signs>" or "g:<rat>"
+LITERAL = re.compile(r"0|[tg]:-?\d+(?:/\d+)?(?::[+-]+)?")
+
+
+def _negated(literal: str) -> str:
+    """An element literal with its exponent negated."""
+    if literal == "0":
+        return literal
+    tag, exp, *signs = literal.split(":")
+    return ":".join([tag, str(-Fraction(exp)), *signs])
+
+
 def test_minplus_display(files, capsys):
-    code, out, _ = run(
-        capsys, "--pretty", "--min-plus", "stropicalize", files("r.json", RATFORM), "--prime", "2"
-    )
-    assert code == 0
-    assert "t:1" in out and "t:2" in out  # negated exponents in display
+    """Each exponent on the image, balanced-companion and companion-image
+    lines is the negation of the matching JSON entry."""
+    for ratform in (RATFORM, {"n": 2, "coeffs": {"1,1": "2", "1,2": "1/4", "2,2": "8"}}):
+        for mode in ("tangible", "ghost", "signed"):
+            path = files("r.json", ratform)
+            _, out, _ = run(capsys, "stropicalize", path, "--prime", "2", "--mode", mode)
+            payload = json.loads(out)
+            form, n = payload["form"], payload["form"]["n"]
+            triangle = [form["diag"][i] if i == j else form["upper"].get(f"{i + 1},{j + 1}", "0")
+                        for i in range(n) for j in range(i, n)]
+            code, out, _ = run(capsys, "--pretty", "--min-plus", "stropicalize", path, "--prime", "2", "--mode", mode)
+            assert code == 0
+            image, balanced, b_phi, _ = out.splitlines()
+            assert image.startswith("image form (min-plus display): [")
+            for line, entries in [
+                (image, triangle),
+                (balanced, [v for row in payload["balanced"]["gram"] for v in row]),
+                (b_phi, [v for row in payload["b_phi"]["gram"] for v in row]),
+            ]:
+                assert LITERAL.findall(line.split(": ", 1)[1]) == [_negated(v) for v in entries]
 
 
 def test_check_table_semifield_mismatch(files, capsys):
@@ -624,3 +658,49 @@ def test_convexity_rule_fires_at_a_copy_of_a_member():
     problems = cli._cell_invariant_violations(None, probes, inside)
     assert problems == ["convexity fails between t:3 and t:3 at t:3"]
     assert problems == _pairwise_violations(lambda b: True, probes, inside)
+
+
+def _canon(x: Fraction):
+    return int(x) if x.denominator == 1 else x
+
+
+# any rational exponent, in its semifield's group or not
+ANY_EXPONENT = st.fractions(-8, 8, max_denominator=12).map(_canon)
+
+
+@st.composite
+def any_elements(draw, sf):
+    """Zero, ghosts and tangibles of any fiber over any rational exponent, built without validation."""
+    tag = draw(st.sampled_from(["zero", "ghost", "tangible"]))
+    if tag == "zero":
+        return ZERO
+    if tag == "ghost":
+        return Element("ghost", draw(ANY_EXPONENT))
+    fiber = tuple(draw(st.sampled_from((1, -1))) for _ in range(sf.fiber_rank))
+    return Element("tangible", draw(ANY_EXPONENT), fiber)
+
+
+@st.composite
+def any_cells(draw, sf):
+    """A cell of each of the four kinds, with any exponent; a singleton holds any element."""
+    kind = draw(st.sampled_from([Singleton, NuLeqDoubled, NuLtDoubled, NuClass]))
+    if kind is Singleton:
+        return Singleton(draw(any_elements(sf)))
+    return kind(draw(ANY_EXPONENT))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_invariant_rules_never_fire_on_a_cell(data):
+    """check classifies each probe with ``contains(cell, .)``, and every cell
+    kind is a lower set of the minimal order, a nu-class or a singleton: its
+    members are convex, and closed once one of them is zero or a ghost.  So
+    neither rule of ``_cell_invariant_violations`` can fire, whatever the
+    battery: with the cell's own probes, extra ones and duplicates."""
+    sf = data.draw(SEMIFIELDS)
+    cell = data.draw(any_cells(sf))
+    alpha = data.draw(st.one_of(st.none(), any_elements(sf)))
+    probes = boundary_probe_elements(sf, alpha, cell)
+    for extra in data.draw(st.lists(st.one_of(any_elements(sf), st.sampled_from(probes)), max_size=8)):
+        probes.insert(data.draw(st.integers(0, len(probes))), extra)
+    assert cli._cell_invariant_violations(cell, probes, [contains(cell, b) for b in probes]) == []

@@ -20,12 +20,22 @@ from tropquad import (
     identity_matrix,
     invert,
     is_balanced_pair,
+    is_rigid,
+    off_diagonal_companion,
     pointwise_leq_rigid,
     scale_form,
     zero_form,
 )
 
-from gen import kind_semifields, random_element, random_form, random_monomial, random_vector
+from gen import (
+    kind_semifields,
+    random_element,
+    random_form,
+    random_monomial,
+    random_nonzero,
+    random_rigid_form,
+    random_vector,
+)
 
 INT = Semifield(GroupKind.INT)
 t = INT.tangible
@@ -217,3 +227,36 @@ def test_form_validation():
         QuadraticForm(Semifield(GroupKind.INT, 1), (t(1),))  # rank-0 element in rank-1 field
     q = form((t(1), t(2)), {(0, 1): ZERO})
     assert q == form((t(1), t(2)))  # a zero cross term is the absent one
+
+
+def _rigid_verdicts(q: QuadraticForm, rho: QuadraticForm) -> list:
+    """What each of the three rigidity tests says of q: True, or the (label, message) it raises."""
+    verdicts = [is_rigid(q)]
+    for call in (lambda: off_diagonal_companion(q), lambda: pointwise_leq_rigid(q, rho), lambda: pointwise_leq_rigid(rho, q)):
+        try:
+            call()
+            verdicts.append(True)
+        except PreconditionError as exc:
+            verdicts.append((exc.precondition, str(exc)))
+    return verdicts
+
+
+def test_rigidity_is_one_test():
+    """is_rigid, off_diagonal_companion and pointwise_leq_rigid agree on which forms are rigid."""
+    rng = random.Random(14)
+    not_rigid = [
+        False,
+        ("rigid form required", "the form has a nonzero diagonal coefficient"),
+        ("rigid form required", "pointwise comparison is only defined for zero-diagonal forms"),
+        ("rigid form required", "pointwise comparison is only defined for zero-diagonal forms"),
+    ]
+    for sf in kind_semifields() + kind_semifields(1):
+        for n in (1, 2, 4):
+            for _ in range(10):
+                rho = random_rigid_form(rng, sf, n)
+                assert _rigid_verdicts(rho, rho) == [True] * 4
+                assert off_diagonal_companion(rho).gram == rho.cross
+                k = rng.randrange(n)
+                diag = tuple(random_nonzero(rng, sf) if i == k else ZERO for i in range(n))
+                q = QuadraticForm(sf, diag, {(i, j): rho.cross[i][j] for i in range(n) for j in range(i + 1, n)})
+                assert _rigid_verdicts(q, rho) == not_rigid

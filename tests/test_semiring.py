@@ -367,13 +367,40 @@ ELEMENT_ERRORS = [
 ]
 
 
+def _factory_calls(sf, tag, exp, fiber) -> dict:
+    """The calls of tangible, ghost and parse_element that build the pinned element, where one can."""
+    calls = {}
+    if tag == "tangible":
+        calls["tangible"] = lambda: sf.tangible(exp, fiber)
+    if tag == "ghost" and not fiber:
+        calls["ghost"] = lambda: sf.ghost(exp)
+    says_fiber = (tag == "tangible" and (fiber or sf.fiber_rank == 0)) or (tag == "ghost" and not fiber)
+    if says_fiber and not isinstance(exp, float) and set(fiber) <= {1, -1}:
+        signs = "".join("+" if s > 0 else "-" for s in fiber)
+        calls["parse_element"] = lambda: sf.parse_element(f"{tag[0]}:{exp}" + (f":{signs}" if signs else ""))
+    return calls
+
+
+def test_every_factory_meets_pinned_cases():
+    names = [name for sf, fields, _ in ELEMENT_ERRORS for name in _factory_calls(sf, *fields)]
+    assert {name: names.count(name) for name in names} == {"tangible": 10, "ghost": 2, "parse_element": 4}
+
+
 @pytest.mark.parametrize("sf, fields, message", ELEMENT_ERRORS)
 def test_element_validation_errors_keep_their_messages(sf, fields, message):
+    """Semifield.element, and the factories that validate through it."""
     from tropquad import Element
 
-    with pytest.raises(ValueError) as info:
-        sf.element(Element(*fields))
-    assert type(info.value) is ValueError and str(info.value) == message
+    for build in [lambda: sf.element(Element(*fields)), *_factory_calls(sf, *fields).values()]:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_factories_keep_exponents_canonical():
+    assert type(INT.tangible(Fraction(4, 2)).exp) is int and INT.tangible(Fraction(4, 2)).exp == 2
+    assert type(RAT.ghost(Fraction(-6, 3)).exp) is int
+    assert RAT3.tangible(Fraction(1, 9)).exp == Fraction(1, 9)
 
 
 def test_element_validation_accepts_what_it_accepted():

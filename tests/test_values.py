@@ -235,3 +235,40 @@ REPRS = {
 def test_reprs_are_unchanged(k):
     a, b = PAIRS[k]
     assert [repr(a), repr(b)] == REPRS[type(a).__name__]
+
+
+# the records that take Value's generic constructor, with one value per field
+RECORDS = {
+    SquareClassTag: (False, 1, (1, -1)),
+    CompanionTable: (INT, ((NuClass(0),),)),
+    Decomposition: (QuadraticForm(INT, (t(1),)), QuadraticForm(INT, (ZERO,)), SymmetricBilinearForm(INT, ((ZERO,),))),
+    RigExtrema: (QuadraticForm(INT, (ZERO,)), None, (0, 1), CompanionTable(INT, ((NuClass(0),),))),
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_generic_constructor_takes_fields_by_position_name_or_both(cls):
+    values, names = RECORDS[cls], FIELDS[cls]
+    expected = cls(*values)
+    assert _fields(expected) == values
+    assert cls(**dict(zip(names, values))) == expected
+    assert cls(**dict(reversed(list(zip(names, values))))) == expected
+    for k in range(len(values)):
+        assert cls(*values[:k], **dict(zip(names[k:], values[k:]))) == expected
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_generic_constructor_refuses_a_missing_extra_or_repeated_field(cls):
+    values, names = RECORDS[cls], FIELDS[cls]
+    message = f"{cls.__name__} takes each of the fields {names} once, by position or name"
+    for args, kwargs in [
+        (values[:-1], {}),  # missing, by position
+        ((), dict(zip(names[1:], values[1:]))),  # missing, by name
+        ((*values, None), {}),  # extra, by position
+        (values, {"extra": None}),  # extra, by name
+        (values, {names[0]: values[0]}),  # repeated
+        (values[:1], {names[0]: values[0], **dict(zip(names[1:], values[1:]))}),  # repeated, all named too
+    ]:
+        with pytest.raises(TypeError) as info:
+            cls(*args, **kwargs)
+        assert str(info.value) == message
