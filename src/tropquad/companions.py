@@ -18,7 +18,11 @@ pair iff the cell contains zero), and a diagonal cell is the same rule at
 that checks the defining one-parameter family of scaling identities on a
 finite critical set of exponents, for a whole battery of candidates in one
 pass; the verdict never depends on the scalar's fiber, so each exponent is
-probed once.  :func:`diagonal_membership_oracle` is the same procedure on the
+probed once.  The oracle ranks the battery once by exponent; at each probe
+the lambda-part absorbs every candidate below its exponent and ties every
+candidate at it, so one comparison decides each of those two groups, and
+only the candidates above it are compared one by one.
+:func:`diagonal_membership_oracle` is the same procedure on the
 diagonal (alpha, alpha) with cross term nu(alpha).  The oracle and
 :func:`equality_witness` build the critical set with one helper,
 :func:`_probe_exponents_for`, which shares no code with the case analysis
@@ -38,22 +42,23 @@ comparison of a few exponents.
 The oracle and the witness run on integers.  One scale S per battery,
 twelve times the lcm of the exponent denominators, makes S * x an integer
 for every exponent x of the lines, their tie points and the probes (the
-proof is in :func:`_probe_exponents_for`).  Tie points are found, sorted and
-deduplicated as integers, the probes are picked among them by the integer
-forms of the group's rules, :meth:`Semifield.legal_scaled` and
-:meth:`Semifield.between_scaled`, and the oracle evaluates its sums on
-elements whose exponents are multiplied by S.  That is exact: x -> S * x
-is an injective, order-preserving homomorphism, and element arithmetic and
-equality read exponents only through +, -, < and ==, so they commute with
-the scaling.  An exponent becomes a rational again only where it leaves as
-an element: in :func:`equality_witness`'s vectors.
+proof is in :func:`_probe_exponents_for`).  Tie points are found, one
+slope group against another, sorted and deduplicated as integers, the
+probes are picked among them by the integer forms of the group's rules,
+:meth:`Semifield.legal_scaled` and :meth:`Semifield.between_scaled`, and
+the oracle evaluates its sums on elements whose exponents are multiplied
+by S.  That is exact: x -> S * x is an injective, order-preserving
+homomorphism, and element arithmetic and equality read exponents only
+through +, -, < and ==, so they commute with the scaling.  An exponent
+becomes a rational again only where it leaves as an element: in
+:func:`equality_witness`'s vectors.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from itertools import combinations
+from bisect import bisect_left, bisect_right
 from typing import Optional, Union
 
 from .errors import PreconditionError
@@ -214,10 +219,18 @@ def _common_scale(elements) -> int:
 def _tie_points(terms: set[tuple[int, int]]) -> list[int]:
     """Where two lines ``slope * x + offset`` of different slopes meet, ascending.
 
-    The offsets are even integers and the slopes differ by 1 or 2, so each
-    meeting point is an integer.
+    The slopes are +1, -1 and 0, so the lines fall into three groups by
+    slope, and only a line of one group meets a line of another: a flat
+    line ``f`` meets a rising one ``x + u`` at ``f - u`` and a falling one
+    ``-x + d`` at ``d - f``, and a rising and a falling line meet at
+    ``(d - u) / 2``.  The offsets are even integers, so each meeting point
+    is an integer.
     """
-    return sorted({(o2 - o1) // (s1 - s2) for (s1, o1), (s2, o2) in combinations(terms, 2) if s1 != s2})
+    up, down, flat = ([o for s, o in terms if s == slope] for slope in (1, -1, 0))
+    points = {f - u for u in up for f in flat}
+    points.update(d - f for d in down for f in flat)
+    points.update((d - u) // 2 for u in up for d in down)
+    return sorted(points)
 
 
 def _probe_exponents(sf: Semifield, criticals: list[int], scale: int) -> list[int]:
@@ -313,6 +326,33 @@ def companion_membership_oracle(
     meets a probe in every piece of its own partition that holds a legal
     exponent, and its verdict is the one its own probe set would give.
 
+    At a probe, write ``base = lambda * alpha1 + lambda^-1 * alpha2`` and
+    ``lhs = base + alpha``; beta survives the probe iff ``base + beta ==
+    lhs``.  The addition rule of :mod:`tropquad.semiring` (zero is the
+    identity; of two nonzero summands the one of strictly larger exponent
+    wins, and a tie gives the ghost of the shared exponent) splits the
+    candidates by where they rank against base:
+
+    * beta zero, or base nonzero and exp(beta) < exp(base): base wins, so
+      ``base + beta = base`` and one comparison, ``base == lhs``, decides
+      every such beta;
+    * base nonzero and exp(beta) == exp(base): the tie gives the ghost, so
+      ``base + beta = nu(base)`` and ``nu(base) == lhs`` decides them all;
+    * beta nonzero and base zero or exp(beta) > exp(base): beta wins, so
+      ``base + beta = beta``, and each such beta is compared with lhs.
+
+    So the candidates are ranked once, zeros first as a group of their
+    own, then the rest by exponent, and at each probe two bisections find
+    the ranks of the first two cases; a base of zero ranks every zero
+    below it and every other candidate above it.  Each case replaces the
+    sum ``base + beta`` by the element it equals, so a candidate fails a
+    probe here exactly when one sum and one comparison per pair of probe
+    and candidate would fail it there.  A failure is final in both, so a
+    refuted candidate is never tested again, and refuting the lowest ranks
+    at once is recorded as one index below which every rank is refuted.
+    The ranking is a permutation of the battery, and each verdict goes
+    back to its candidate's place.
+
     The sums are evaluated in integer coordinates.  The battery's scale S
     (:func:`_probe_exponents_for` proves it clears the denominator of every
     line and every probe) turns each exponent x into the integer S * x.
@@ -322,21 +362,42 @@ def companion_membership_oracle(
     sum, product, inverse and equality read its exponent only through +, -,
     < and ==.
     So scaling every exponent, with tags and fibers untouched, commutes
-    with +, * and inverse, and two scaled sums are equal iff the sums are:
-    each verdict is exact, with no Fraction in the loop.
+    with +, * and inverse, and two scaled sums are equal iff the sums are,
+    and the ranking is the ranking of the unscaled exponents: each verdict
+    is exact, with no Fraction in the loop.
     """
     levels = ((1, alpha1), (-1, alpha2), (0, alpha), *((0, b) for b in betas))
     scale, exps = _probe_exponents_for(sf, *levels)
     a1, a2, a, *scaled_betas = (_scaled(x, scale) for _, x in levels)
-    one = sf.one
-    verdicts = [True] * len(betas)
+    by_exp = sorted([(b.exp, k) for k, b in enumerate(scaled_betas) if not b.is_zero])
+    order = [k for k, b in enumerate(scaled_betas) if b.is_zero]
+    zeros = len(order)
+    order += [k for _, k in by_exp]
+    keys = [x for x, _ in by_exp]
+    ranked = [scaled_betas[k] for k in order]
+    live = [True] * len(ranked)
+    dead_below = 0  # every rank below this one is refuted
+    tag, fiber = sf.one.tag, sf.one.fiber
     for exp in exps:
-        lam = Element(one.tag, exp, one.fiber)
-        base = lam * a1 + lam.inverse() * a2
+        # lambda's fiber is its own inverse
+        base = Element(tag, exp, fiber) * a1 + Element(tag, -exp, fiber) * a2
         lhs = base + a
-        for k, beta in enumerate(scaled_betas):
-            if verdicts[k] and base + beta != lhs:
-                verdicts[k] = False
+        if base.is_zero:
+            lo = hi = zeros
+        else:
+            lo = zeros + bisect_left(keys, base.exp)
+            hi = zeros + bisect_right(keys, base.exp, lo - zeros)
+        if base != lhs:
+            dead_below = max(dead_below, lo)
+        if lo < hi and lhs != base.nu():
+            for r in range(lo, hi):
+                live[r] = False
+        for r in range(max(hi, dead_below), len(ranked)):
+            if live[r] and ranked[r] != lhs:
+                live[r] = False
+    verdicts = [False] * len(betas)
+    for r in range(dead_below, len(ranked)):
+        verdicts[order[r]] = live[r]
     return verdicts
 
 

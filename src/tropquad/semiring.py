@@ -2,11 +2,13 @@
 
 An element is zero, tangible, or ghost.  Tangibles carry an exponent in a
 totally ordered abelian group plus an optional sign vector (the "fiber") in
-an elementary 2-group; ghosts carry only the exponent.  Addition picks the
-summand with the strictly larger exponent, and collapses ties to the ghost
-of the shared exponent; multiplication adds exponents and ghosts the result
-as soon as one factor is ghost.  The ghost map ``nu`` sends an element to
-the ghost with the same exponent and is an idempotent semiring projection.
+an elementary 2-group; ghosts carry only the exponent.  Zero is the
+additive identity.  Of two nonzero summands, addition picks the one with
+the strictly larger exponent, and collapses ties to the ghost of the shared
+exponent, whatever the summands' tags and fibers; multiplication adds
+exponents and ghosts the result as soon as one factor is ghost.  The ghost
+map ``nu`` sends an element to the ghost with the same exponent and is an
+idempotent semiring projection.
 
 Everything is exact: exponents are ints or ``fractions.Fraction``, never
 floats.  All values are immutable: each value class derives from
@@ -34,6 +36,7 @@ import enum
 import math
 import re
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Union
 
 from .errors import PreconditionError
@@ -190,8 +193,11 @@ class Element(Value):
             return ZERO
         exp = self.exp + other.exp
         if self.tag == _TAG_TANGIBLE and other.tag == _TAG_TANGIBLE:
-            fiber = tuple(a * b for a, b in zip(self.fiber, other.fiber, strict=True))
-            return Element(_TAG_TANGIBLE, exp, fiber)
+            f1, f2 = self.fiber, other.fiber
+            if len(f1) != len(f2):
+                raise ValueError(f"cannot multiply fibers of ranks {len(f1)} and {len(f2)}")
+            # rank 0 builds no product, and map multiplies the signs without a generator's frames
+            return Element(_TAG_TANGIBLE, exp, tuple(map(mul, f1, f2)) if f1 else ())
         return Element(_TAG_GHOST, exp)
 
     def __pow__(self, n: int) -> "Element":

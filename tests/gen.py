@@ -23,6 +23,7 @@ from tropquad import (
     Semifield,
     Singleton,
 )
+from tropquad.companions import _probe_exponents_for, _scaled
 
 ALL_KINDS = (GroupKind.INT, GroupKind.RAT, GroupKind.RAT3)
 
@@ -100,6 +101,25 @@ def fraction_between(sf: Semifield, lo, hi):
             step /= 3
         value = (math.floor(lo / step) + 1) * step
     return int(value) if value.denominator == 1 else value
+
+
+def membership_oracle_reference(sf: Semifield, alpha1: Element, alpha2: Element, alpha: Element, betas):
+    """Reference: ``companion_membership_oracle`` as it decided its battery
+    before it ranked the candidates, one sum and one comparison per pair of
+    probe and candidate."""
+    levels = ((1, alpha1), (-1, alpha2), (0, alpha), *((0, b) for b in betas))
+    scale, exps = _probe_exponents_for(sf, *levels)
+    a1, a2, a, *scaled_betas = (_scaled(x, scale) for _, x in levels)
+    one = sf.one
+    verdicts = [True] * len(betas)
+    for exp in exps:
+        lam = Element(one.tag, exp, one.fiber)
+        base = lam * a1 + lam.inverse() * a2
+        lhs = base + a
+        for k, beta in enumerate(scaled_betas):
+            if verdicts[k] and base + beta != lhs:
+                verdicts[k] = False
+    return verdicts
 
 
 def kind_semifields(rank: int = 0) -> list[Semifield]:

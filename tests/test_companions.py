@@ -57,6 +57,7 @@ from gen import (
     fraction_legal,
     fraction_pair_analysis,
     kind_semifields,
+    membership_oracle_reference,
     pair_triples_for_kind,
     random_form,
     random_tangible,
@@ -610,6 +611,45 @@ def test_oracle_shares_no_code_with_the_case_analysis():
         "build_companion", "is_companion", "is_balanced_pair", "is_quasilinear", "functionally_equal",
     }
     assert not names & closed_form, names & closed_form
+
+
+@st.composite
+def _ranked_battery_inputs(draw):
+    """A semifield of any group and fiber rank 0, 1 or 2, a rank-2 triple
+    (alpha1 = alpha2 = 0 now and then, so every probe's lambda-part is zero)
+    and a battery mixing drawn elements, zeros, duplicates, elements at
+    alpha's exponent and a boundary battery of a cell of any kind."""
+    sf = Semifield(draw(st.sampled_from(list(GroupKind))), draw(st.sampled_from((0, 1, 2))))
+    elems = st.one_of(element_strategy(sf), wide_element_strategy(sf))
+    a1, a2, a = draw(elems), draw(elems), draw(elems)
+    if draw(st.integers(0, 4)) == 0:
+        a1 = a2 = ZERO
+    at_alpha = [ZERO]
+    if not a.is_zero:
+        at_alpha += [a, a.nu(), sf.tangible(a.exp), sf.tangible(a.exp, (-1,) * sf.fiber_rank)]
+    betas = draw(st.lists(st.one_of(elems, st.sampled_from(at_alpha)), max_size=8))
+    exp = elems.filter(lambda x: not x.is_zero).map(lambda x: x.exp)
+    cell = draw(st.one_of(
+        st.just(pair_analysis(sf, a1, a2, a)[1]),
+        st.just(Singleton(ZERO)),
+        elems.map(Singleton),
+        exp.map(NuClass),
+        exp.map(NuLeqDoubled),
+        exp.map(NuLtDoubled),
+    ))
+    betas += boundary_probe_elements(sf, draw(st.sampled_from((a, None))), cell)
+    betas += draw(st.lists(st.sampled_from(betas), max_size=4))
+    return sf, a1, a2, a, draw(st.permutations(betas))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ranked_battery_inputs())
+def test_oracle_matches_the_pairwise_reference(data):
+    """Ranking the battery decides each candidate as one sum and one
+    comparison per pair of probe and candidate would."""
+    sf, a1, a2, a, betas = data
+    assert companion_membership_oracle(sf, a1, a2, a, betas) == membership_oracle_reference(sf, a1, a2, a, betas)
+    assert diagonal_membership_oracle(sf, a1, betas) == membership_oracle_reference(sf, a1, a1, a1.nu(), betas)
 
 
 # -- property-based statement of the flagship invariant ---------------------------

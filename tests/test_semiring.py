@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from tropquad import (
     ZERO,
+    Element,
     GroupKind,
     PreconditionError,
     Semifield,
@@ -47,6 +48,28 @@ def test_multiplication_examples():
     k = (-1,)
     assert INT1.tangible(2, k) * INT1.tangible(-2, k) == INT1.one
     assert INT1.tangible(1, (1,)) * INT1.tangible(2, (-1,)) == INT1.tangible(3, (-1,))
+
+
+def test_rank0_products_keep_the_empty_fiber():
+    """Products of two rank-0 tangibles, and of a tangible and a ghost:
+    the summed exponent, of its own type, the tag and the () fiber."""
+    for sf in kind_semifields(0):
+        for x, y in itertools.product((-3, 0, 2, Fraction(1, 3), Fraction(-7, 9)), repeat=2):
+            if not (sf.legal_exponent(Fraction(x)) and sf.legal_exponent(Fraction(y))):
+                continue
+            product = sf.tangible(x) * sf.tangible(y)
+            assert (product.tag, product.exp, product.fiber) == ("tangible", x + y, ())
+            assert type(product.exp) is type(x + y) and type(product.fiber) is tuple
+            for mixed in (sf.tangible(x) * sf.ghost(y), sf.ghost(y) * sf.tangible(x)):
+                assert (mixed.tag, mixed.exp, mixed.fiber) == ("ghost", x + y, ())
+
+
+def test_products_of_mismatched_fiber_ranks_raise():
+    rank0, rank1 = Element("tangible", 1, ()), Element("tangible", 2, (-1,))
+    with pytest.raises(ValueError):
+        rank0 * rank1
+    with pytest.raises(ValueError):
+        rank1 * rank0
 
 
 def test_powers():
