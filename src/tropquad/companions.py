@@ -39,19 +39,11 @@ one halving rule, :meth:`Semifield.halvable`.
 ``q.cross``.  Nothing is memoized across cells: each cell is one
 comparison of a few exponents.
 
-The oracle and the witness run on integers.  One scale S per battery,
-twelve times the lcm of the exponent denominators, makes S * x an integer
-for every exponent x of the lines, their tie points and the probes (the
-proof is in :func:`_probe_exponents_for`).  Tie points are found, one
-slope group against another, sorted and deduplicated as integers, the
-probes are picked among them by the integer forms of the group's rules,
-:meth:`Semifield.legal_scaled` and :meth:`Semifield.between_scaled`, and
-the oracle evaluates its sums on elements whose exponents are multiplied
-by S.  That is exact: x -> S * x is an injective, order-preserving
-homomorphism, and element arithmetic and equality read exponents only
-through +, -, < and ==, so they commute with the scaling.  An exponent
-becomes a rational again only where it leaves as an element: in
-:func:`equality_witness`'s vectors.
+The oracle and the witness run on integers, in one frame per battery:
+:func:`_probe_exponents_for` scales each line once by the battery's scale
+and finds the probes at that scale, and its docstring proves the frame
+exact.  An exponent becomes a rational again only where it leaves as an
+element: in :func:`equality_witness`'s vectors.
 """
 
 from __future__ import annotations
@@ -254,17 +246,19 @@ def _probe_exponents(sf: Semifield, criticals: list[int], scale: int) -> list[in
     return probes
 
 
-def _probe_exponents_for(sf: Semifield, *levels: tuple[int, Element]) -> tuple[int, list[int]]:
-    """Probe exponents for summands whose nu-level is linear in exp(lambda).
+def _probe_exponents_for(sf: Semifield, *levels: tuple[int, Element]) -> tuple[int, list[Element], list[int]]:
+    """The battery's integer frame: its scale, its lines scaled, its probes.
 
     Each ``(slope, element)`` stands for the line ``slope * exp(lambda) +
     exp(element)``; zero elements have no level and contribute no line.
-    Returns the battery's scale S and the probe exponents times S.
+    Returns the battery's scale S, the elements in the order given with
+    their exponents multiplied by S (:func:`_scaled`; zero stays zero), and
+    the probe exponents times S.  The tie points are read off the scaled
+    elements, so each line is scaled once.
 
-    Everything is found on integers: every offset is multiplied by the
-    battery's scale ``S = 12 * D``, where D is the lcm of the offsets'
-    denominators (:func:`_common_scale`).  S also clears the denominator of
-    every probe:
+    S = 12 * D, where D is the lcm of the offsets' denominators
+    (:func:`_common_scale`), clears the denominator of every offset, tie
+    point and probe:
 
     * the offsets lie in (1/D)Z, so each scaled offset is a multiple of 12,
       in particular even;
@@ -282,10 +276,18 @@ def _probe_exponents_for(sf: Semifield, *levels: tuple[int, Element]) -> tuple[i
     integer rules, :meth:`Semifield.legal_scaled` and
     :meth:`Semifield.between_scaled`, decide every probe at scale S (the
     latter raises rather than round if S did not clear its pick).
+
+    Computing on the scaled elements is exact.  x -> S * x is an injective,
+    order-preserving homomorphism of the rationals, and an element's sum,
+    product, inverse and equality read its exponent only through +, -, <
+    and ==.  So scaling every exponent, with tags and fibers untouched,
+    commutes with +, * and inverse, two scaled sums are equal iff the sums
+    are, and sums and negatives of scaled exponents stay integers.
     """
     scale = _common_scale(a for _, a in levels)
-    terms = {(slope, _scaled_exp(a.exp, scale)) for slope, a in levels if not a.is_zero}
-    return scale, _probe_exponents(sf, _tie_points(terms), scale)
+    scaled = [_scaled(a, scale) for _, a in levels]
+    terms = {(slope, a.exp) for (slope, _), a in zip(levels, scaled) if not a.is_zero}
+    return scale, scaled, _probe_exponents(sf, _tie_points(terms), scale)
 
 
 def companion_membership_oracle(
@@ -353,22 +355,14 @@ def companion_membership_oracle(
     The ranking is a permutation of the battery, and each verdict goes
     back to its candidate's place.
 
-    The sums are evaluated in integer coordinates.  The battery's scale S
-    (:func:`_probe_exponents_for` proves it clears the denominator of every
-    line and every probe) turns each exponent x into the integer S * x.
-    The map x -> S * x is an injective, order-preserving homomorphism of
-    the rationals, and it takes every exponent the loop meets to an integer
-    (sums and negatives of scaled integers stay integers).  An element's
-    sum, product, inverse and equality read its exponent only through +, -,
-    < and ==.
-    So scaling every exponent, with tags and fibers untouched, commutes
-    with +, * and inverse, and two scaled sums are equal iff the sums are,
-    and the ranking is the ranking of the unscaled exponents: each verdict
-    is exact, with no Fraction in the loop.
+    The sums are evaluated on the elements as :func:`_probe_exponents_for`
+    returns them, scaled into the battery's integer frame; its docstring
+    proves each verdict exact, with no Fraction in the loop.  Scaling keeps
+    order, so the ranking of the scaled exponents is the ranking of the
+    unscaled ones.
     """
     levels = ((1, alpha1), (-1, alpha2), (0, alpha), *((0, b) for b in betas))
-    scale, exps = _probe_exponents_for(sf, *levels)
-    a1, a2, a, *scaled_betas = (_scaled(x, scale) for _, x in levels)
+    _, (a1, a2, a, *scaled_betas), exps = _probe_exponents_for(sf, *levels)
     by_exp = sorted([(b.exp, k) for k, b in enumerate(scaled_betas) if not b.is_zero])
     order = [k for k, b in enumerate(scaled_betas) if b.is_zero]
     zeros = len(order)
@@ -552,7 +546,7 @@ def equality_witness(q1: QuadraticForm, q2: QuadraticForm):
     i, j = found
     if i == j:
         return tuple(sf.one if k == i else ZERO for k in range(n))
-    scale, exps = _probe_exponents_for(sf, (1, q1.diag[i]), (-1, q1.diag[j]), (0, q1.beta(i, j)), (0, q2.beta(i, j)))
+    scale, _, exps = _probe_exponents_for(sf, (1, q1.diag[i]), (-1, q1.diag[j]), (0, q1.beta(i, j)), (0, q2.beta(i, j)))
     for exp in exps:
         lam = sf.tangible(_unscaled_exp(exp, scale))
         x = tuple(lam if k == i else (sf.one if k == j else ZERO) for k in range(n))

@@ -201,11 +201,15 @@ class Element(Value):
         return Element(_TAG_GHOST, exp)
 
     def __pow__(self, n: int) -> "Element":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = ONE_RANK0 if not self.fiber else Element(_TAG_TANGIBLE, 0, tuple(1 for _ in self.fiber))
-        for _ in range(n):
-            out = out * self
+        """The n-th power, by squaring; n < 1 needs a tangible, as :meth:`inverse` does."""
+        if n > 0:
+            out, base, n = self, self, n - 1
+        else:  # a ghost or zero cannot name its semifield's one: it carries no fiber rank
+            out, base, n = Element(_TAG_TANGIBLE, 0, (1,) * len(self.fiber)), self.inverse(), -n
+        while n:
+            if n & 1:
+                out = out * base
+            base, n = base * base, n >> 1
         return out
 
     def __repr__(self) -> str:
@@ -215,7 +219,6 @@ class Element(Value):
 _set_tag, _set_exp, _set_fiber = (vars(Element)[name].__set__ for name in Element.__slots__)
 
 ZERO = Element(_TAG_ZERO)
-ONE_RANK0 = Element(_TAG_TANGIBLE, 0, ())
 
 
 def semiring_sum(terms) -> Element:
@@ -316,7 +319,7 @@ class Semifield(Value):
         return q == 1
 
     def legal_exponent(self, x: Exponent) -> bool:
-        if isinstance(x, float):
+        if isinstance(x, (float, bool)):  # bool is an int, but prints as a word
             return False
         return self._legal_denominator(x.denominator)
 

@@ -108,7 +108,7 @@ def membership_oracle_reference(sf: Semifield, alpha1: Element, alpha2: Element,
     before it ranked the candidates, one sum and one comparison per pair of
     probe and candidate."""
     levels = ((1, alpha1), (-1, alpha2), (0, alpha), *((0, b) for b in betas))
-    scale, exps = _probe_exponents_for(sf, *levels)
+    scale, _, exps = _probe_exponents_for(sf, *levels)
     a1, a2, a, *scaled_betas = (_scaled(x, scale) for _, x in levels)
     one = sf.one
     verdicts = [True] * len(betas)
@@ -210,6 +210,35 @@ def wide_element_strategy(sf: Semifield):
         dens = st.integers(0, 12).map(lambda k: 3**k) if sf.group is GroupKind.RAT3 else st.integers(1, bound)
         wide = dens.flatmap(lambda d: st.builds(Fraction, st.integers(-bound * d, bound * d), st.just(d)))
     return _elements_over(sf, st.one_of(exponent_strategy(sf), wide.map(sf.check_exponent)))
+
+
+# any rational exponent in [-8, 8] of denominator at most 12, in its
+# semifield's group or not: one draw from the list, which shrinks towards 0
+ANY_EXPONENT = st.sampled_from(sorted(
+    {_fraction_canon(Fraction(k, d)) for d in range(1, 13) for k in range(-8 * d, 8 * d + 1)},
+    key=lambda x: (x.denominator, abs(x), x),
+))
+
+
+@st.composite
+def any_elements(draw, sf):
+    """Zero, ghosts and tangibles of any fiber over any rational exponent, built without validation."""
+    tag = draw(st.sampled_from(["zero", "ghost", "tangible"]))
+    if tag == "zero":
+        return ZERO
+    if tag == "ghost":
+        return Element("ghost", draw(ANY_EXPONENT))
+    fiber = tuple(draw(st.sampled_from((1, -1))) for _ in range(sf.fiber_rank))
+    return Element("tangible", draw(ANY_EXPONENT), fiber)
+
+
+@st.composite
+def any_cells(draw, sf):
+    """A cell of each of the four kinds, with any exponent; a singleton holds any element."""
+    kind = draw(st.sampled_from([Singleton, NuLeqDoubled, NuLtDoubled, NuClass]))
+    if kind is Singleton:
+        return Singleton(draw(any_elements(sf)))
+    return kind(draw(ANY_EXPONENT))
 
 
 def random_vector(rng, sf, n, zero_p=0.25):

@@ -42,7 +42,7 @@ from tropquad.serialize import (
     table_to_json,
 )
 
-from gen import element_strategy, wide_element_strategy
+from gen import any_cells, any_elements, element_strategy, wide_element_strategy
 
 FORM = {"semifield": {"group": "int", "fiber_rank": 0}, "n": 2, "diag": ["t:2", "t:4"], "upper": {"1,2": "t:3"}}
 FORM_GHOSTED = {"semifield": {"group": "int", "fiber_rank": 0}, "n": 2, "diag": ["t:2", "t:4"], "upper": {"1,2": "g:3"}}
@@ -658,35 +658,6 @@ def test_convexity_rule_fires_at_a_copy_of_a_member():
     problems = cli._cell_invariant_violations(None, probes, inside)
     assert problems == ["convexity fails between t:3 and t:3 at t:3"]
     assert problems == _pairwise_violations(lambda b: True, probes, inside)
-
-
-def _canon(x: Fraction):
-    return int(x) if x.denominator == 1 else x
-
-
-# any rational exponent, in its semifield's group or not
-ANY_EXPONENT = st.fractions(-8, 8, max_denominator=12).map(_canon)
-
-
-@st.composite
-def any_elements(draw, sf):
-    """Zero, ghosts and tangibles of any fiber over any rational exponent, built without validation."""
-    tag = draw(st.sampled_from(["zero", "ghost", "tangible"]))
-    if tag == "zero":
-        return ZERO
-    if tag == "ghost":
-        return Element("ghost", draw(ANY_EXPONENT))
-    fiber = tuple(draw(st.sampled_from((1, -1))) for _ in range(sf.fiber_rank))
-    return Element("tangible", draw(ANY_EXPONENT), fiber)
-
-
-@st.composite
-def any_cells(draw, sf):
-    """A cell of each of the four kinds, with any exponent; a singleton holds any element."""
-    kind = draw(st.sampled_from([Singleton, NuLeqDoubled, NuLtDoubled, NuClass]))
-    if kind is Singleton:
-        return Singleton(draw(any_elements(sf)))
-    return kind(draw(ANY_EXPONENT))
 
 
 @settings(max_examples=500, deadline=None)

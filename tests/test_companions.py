@@ -49,6 +49,8 @@ from tropquad.probes import boundary_probe_elements
 from tropquad.semiring import _canon_exp
 
 from gen import (
+    any_cells,
+    any_elements,
     diagonal_cell_reference,
     element_grid,
     element_strategy,
@@ -383,33 +385,59 @@ def test_quasilinear_matches_zero_membership_and_function():
 # -- cell structure invariants ------------------------------------------------------
 
 
-def test_cells_are_convex():
-    rng = random.Random(8)
+def _assert_convex(cell, probes):
+    """Pairwise: a probe that lies between two members in the minimal order is a member."""
+    members = [b for b in probes if contains(cell, b)]
+    for mid in probes:
+        if any(leq_minimal(b, mid) for b in members) and any(leq_minimal(mid, b) for b in members):
+            assert contains(cell, mid), (cell, mid)
+
+
+def _assert_closed_once_meeting_ghosts(cell, probes):
+    """Pairwise: once a member is zero or a ghost, every sum of two members is a member."""
+    members = [b for b in probes if contains(cell, b)]
+    if any(m.is_ghost or m.is_zero for m in members):
+        for b1 in members:
+            for b2 in members:
+                assert contains(cell, b1 + b2), (cell, b1, b2)
+
+
+@st.composite
+def _any_cell_batteries(draw):
+    """Any cell of the four kinds (illegal exponents and fibered singletons
+    included) with its battery, plus up to 8 extra or duplicated probes."""
+    sf = Semifield(draw(st.sampled_from(list(GroupKind))), draw(st.sampled_from((0, 1))))
+    cell = draw(any_cells(sf))
+    probes = boundary_probe_elements(sf, draw(st.one_of(st.none(), any_elements(sf))), cell)
+    for extra in draw(st.lists(st.one_of(any_elements(sf), st.sampled_from(probes)), max_size=8)):
+        probes.insert(draw(st.integers(0, len(probes))), extra)
+    return cell, probes
+
+
+def _on_every_battery(seed, check):
+    """check(cell, probes) on the closed-form cells of seeded random triples
+    with their batteries, then on 500 drawn :func:`_any_cell_batteries`."""
+    rng = random.Random(seed)
     for sf in kind_semifields():
         for _ in range(60):
             a1, a2, a = uniform_triple(rng, sf)
             cell = pair_analysis(sf, a1, a2, a)[1]
-            probes = boundary_probe_elements(sf, a, cell)
-            members = [b for b in probes if contains(cell, b)]
-            for b1 in members:
-                for b2 in members:
-                    for mid in probes:
-                        if leq_minimal(b1, mid) and leq_minimal(mid, b2):
-                            assert contains(cell, mid)
+            check(cell, boundary_probe_elements(sf, a, cell))
+
+    @settings(max_examples=500, deadline=None)
+    @given(_any_cell_batteries())
+    def on_any_cell(battery):
+        check(*battery)
+
+    on_any_cell()
+
+
+def test_cells_are_convex():
+    _on_every_battery(8, _assert_convex)
 
 
 def test_ghost_meeting_cells_closed_under_addition():
-    rng = random.Random(9)
-    for sf in kind_semifields():
-        for _ in range(60):
-            a1, a2, a = uniform_triple(rng, sf)
-            cell = pair_analysis(sf, a1, a2, a)[1]
-            members = [b for b in boundary_probe_elements(sf, a, cell) if contains(cell, b)]
-            meets_ghosts = any(m.is_ghost or m.is_zero for m in members)
-            if meets_ghosts:
-                for b1 in members:
-                    for b2 in members:
-                        assert contains(cell, b1 + b2)
+    _on_every_battery(9, _assert_closed_once_meeting_ghosts)
 
 
 def test_quasilinear_cells_sum_rule_and_ghost_stability():
@@ -751,12 +779,13 @@ def test_integer_probe_set_equals_fraction_probe_set_property(data):
     sf, levels = data
     terms = {(slope, a.exp) for slope, a in levels if not a.is_zero}
     expected = _fraction_probe_exponents(sf, _fraction_tie_points(terms))
-    scale, scaled = _probe_exponents_for(sf, *levels)
+    scale, elements, scaled = _probe_exponents_for(sf, *levels)
     probes = [_canon_exp(Fraction(p, scale)) for p in scaled]
     assert probes == expected
     assert [type(p) for p in probes] == [type(p) for p in expected]
     assert scale == _common_scale(a for _, a in levels)
     assert all(isinstance(p, int) for p in scaled)
+    assert elements == [_scaled(a, scale) for _, a in levels]
 
 
 def _fraction_boundary_probe_elements(sf, alpha, cell):
