@@ -537,19 +537,20 @@ def equality_witness(q1: QuadraticForm, q2: QuadraticForm):
     cross coefficient is separated by a vector supported on its two
     indices, found among the oracle's probe exponents; on such a vector the
     forms differ only in that coefficient, so only an inadmissible one can
-    separate them.
+    separate them.  Every other term at that vector is a product with ZERO,
+    so each form is evaluated as its rank-2 restriction to the two indices.
     """
     found = _first_difference(q1, q2)
     if found is None:
         return None
-    sf, n = q1.sf, q1.n
+    sf, n, one = q1.sf, q1.n, q1.sf.one
     i, j = found
     if i == j:
-        return tuple(sf.one if k == i else ZERO for k in range(n))
+        return tuple(one if k == i else ZERO for k in range(n))
+    r1, r2 = (QuadraticForm(sf, (q.diag[i], q.diag[j]), {(0, 1): q.beta(i, j)}) for q in (q1, q2))
     scale, _, exps = _probe_exponents_for(sf, (1, q1.diag[i]), (-1, q1.diag[j]), (0, q1.beta(i, j)), (0, q2.beta(i, j)))
     for exp in exps:
         lam = sf.tangible(_unscaled_exp(exp, scale))
-        x = tuple(lam if k == i else (sf.one if k == j else ZERO) for k in range(n))
-        if eval_quadratic(q1, x) != eval_quadratic(q2, x):
-            return x
+        if eval_quadratic(r1, (lam, one)) != eval_quadratic(r2, (lam, one)):
+            return tuple(lam if k == i else (one if k == j else ZERO) for k in range(n))
     raise AssertionError("unequal forms must admit a distinguishing vector")

@@ -257,13 +257,22 @@ class SquareClassTag(Value):
     __slots__ = ("ghost", "parity", "fiber")
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+# matched whole, with fullmatch: a "$" anchor would also let a final newline through
+_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?")
 
 
 def parse_rational(text: str) -> Exponent:
-    if not _RATIONAL_RE.match(text):
+    """The rational that the literal ``p`` or ``p/q`` names, canonical: an int when it is whole.
+
+    The grammar is checked first; an integer literal then becomes an int
+    without a ``Fraction``.
+    """
+    if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r}")
-    return _canon_exp(Fraction(text))
+    p, slash, q = text.partition("/")
+    if not slash:
+        return int(p)
+    return _canon_exp(Fraction(int(p), int(q)))
 
 
 def format_element(a: Element) -> str:

@@ -6,6 +6,13 @@ shared encoding from :mod:`tropquad.semiring`.  Each ``*_from_json``
 reader reads a whole document and takes no path: its errors are located
 from the document root, ``$``.
 
+A path is built only when a check fails.  The readers of many values
+(elements, index keys, cells, rational coefficients) take a value's path
+as a format string and its arguments, such as ``("$.diag[{}]", 3)`` or
+``("$.upper.{}", key)``, and call ``str.format`` only on the branch that
+raises, so a document that passes builds no path string, closure or
+lambda per key or per value.
+
 A document's element literals repeat: a grid drawn from a few exponents
 holds each literal many times.  Each ``*_from_json`` call (and
 :func:`vector_from_text`) therefore reads its elements through one
@@ -27,7 +34,7 @@ other type bypasses the memo.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional
 
 from .companions import CompanionSet, CompanionTable, NuClass, NuLeqDoubled, NuLtDoubled, Singleton, cell_boundary
 from .forms import QuadraticForm, SymmetricBilinearForm, Vector
@@ -44,24 +51,21 @@ from .semiring import (
 from .stropicalize import RationalQuadraticForm, SupervaluationSpec
 
 
-Path = Union[str, Callable[[], str]]
-
-
 class SchemaError(Exception):
     """Input does not match the expected schema; `path` locates the problem.
 
-    Wherever a path is passed, a function that builds it may be passed
-    instead: a reader of many cells then formats a cell's path only when
-    that cell fails.
+    The path is a JSON path from the document root, such as
+    ``$.upper.1,2``.  A reader formats it when it raises this error, and
+    never on a value that passes (see the module docstring).
     """
 
-    def __init__(self, message: str, path: Path = "$"):
-        self.path = path() if callable(path) else path
+    def __init__(self, message: str, path: str = "$"):
+        self.path = path
         self.reason = message
-        super().__init__(f"{self.path}: {message}")
+        super().__init__(f"{path}: {message}")
 
 
-def _expect(cond: bool, message: str, path: Path):
+def _expect(cond: bool, message: str, path: str):
     if not cond:
         raise SchemaError(message, path)
 
@@ -71,13 +75,13 @@ def _is_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _get(obj: dict, key: str, path: Path):
+def _get(obj: dict, key: str, path: str):
     if key not in obj:
         raise SchemaError(f"missing key {key!r}", path)
     return obj[key]
 
 
-def _schema(make, path: Path, *args):
+def _schema(make, path: str, *args):
     """``make(*args)``, with its ValueError re-raised as a SchemaError at path."""
     try:
         return make(*args)
@@ -120,52 +124,77 @@ def semifield_to_json(sf: Semifield) -> dict:
 
 
 def _element_reader(sf: Semifield):
-    """``read(obj, path)`` for one document: each distinct literal is parsed once."""
-    memo: dict[str, Element] = {}
+    """``read(obj, path, *args)`` for one document: each distinct literal is parsed once.
 
-    def read(obj: Any, path: Path) -> Element:
-        _expect(isinstance(obj, str), "element must be an encoded string", path)
-        element = memo.get(obj)
-        if element is None:
-            element = memo[obj] = _schema(sf.parse_element, path, obj)
+    ``path.format(*args)`` locates obj, and is formatted only if obj fails.
+    """
+    memo: dict[str, Element] = {}
+    parse = sf.parse_element
+
+    def read(obj: Any, path: str, *args) -> Element:
+        if obj.__class__ is str:
+            element = memo.get(obj)
+            if element is not None:
+                return element
+        elif not isinstance(obj, str):
+            raise SchemaError("element must be an encoded string", path.format(*args))
+        try:
+            element = memo[obj] = parse(obj)
+        except ValueError as exc:
+            raise SchemaError(str(exc), path.format(*args)) from exc
         return element
 
     return read
 
 
-def rational_from_json(obj: Any, path: Path) -> Fraction:
+def rational_from_json(obj: Any, path: str, *args) -> Exponent:
+    """The rational obj, a JSON int or a ``p/q`` string, as an int when it is whole.
+
+    ``path.format(*args)`` locates obj, and is formatted only if obj fails.
+    """
     if _is_int(obj):
-        return Fraction(obj)
-    _expect(isinstance(obj, str), "rational must be an int or 'p/q' string", path)
-    return Fraction(_schema(parse_rational, path, obj))
+        return obj
+    if isinstance(obj, str):
+        try:
+            return parse_rational(obj)
+        except ValueError as exc:
+            raise SchemaError(str(exc), path.format(*args)) from exc
+    raise SchemaError("rational must be an int or 'p/q' string", path.format(*args))
 
 
-def _exponent_from_json(sf: Semifield, obj: Any, path: Path) -> Exponent:
-    return _schema(sf.check_exponent, path, rational_from_json(obj, path))
-
-
-def _index_pair(key: str, n: int, path: str, seen: set, strict_upper: bool) -> tuple[int, int]:
-    """0-based (i, j) of an "i,j" key; a second key naming a cell in ``seen`` is refused."""
-
-    def where() -> str:
-        return f"{path}.{key}"
-
-    parts = key.split(",")
-    _expect(len(parts) == 2, "index key must look like 'i,j'", where)
+def _exponent_from_json(sf: Semifield, obj: Any, path: str, *args) -> Exponent:
+    x = rational_from_json(obj, path, *args)
     try:
-        i, j = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise SchemaError("index key must hold integers", where) from None
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise SchemaError(f"indices out of range 1..{n}", where)
-    if strict_upper:
-        _expect(i < j, "upper coefficient needs i < j", where)
+        return sf.check_exponent(x)
+    except ValueError as exc:
+        raise SchemaError(str(exc), path.format(*args)) from exc
+
+
+def _index_pair(key: str, n: int, path: str, known: dict, strict_upper: bool) -> tuple[int, int]:
+    """0-based (i, j) of an "i,j" key; a key naming a cell already in ``known`` is refused.
+
+    Errors are located at ``{path}.{key}``.
+    """
+    parts = key.split(",")
+    if len(parts) != 2:
+        reason = "index key must look like 'i,j'"
     else:
-        _expect(i <= j, "triangular coefficient needs i <= j", where)
-    if (i, j) in seen:
-        raise SchemaError(f"duplicate index ({i},{j})", where)
-    seen.add((i, j))
-    return i - 1, j - 1
+        try:
+            i, j = int(parts[0]) - 1, int(parts[1]) - 1
+        except ValueError:
+            reason = "index key must hold integers"
+        else:
+            if not (0 <= i < n and 0 <= j < n):
+                reason = f"indices out of range 1..{n}"
+            elif strict_upper and i >= j:
+                reason = "upper coefficient needs i < j"
+            elif i > j:
+                reason = "triangular coefficient needs i <= j"
+            elif (i, j) in known:
+                reason = f"duplicate index ({i + 1},{j + 1})"
+            else:
+                return i, j
+    raise SchemaError(reason, f"{path}.{key}")
 
 
 # -- quadratic forms ---------------------------------------------------------
@@ -178,14 +207,13 @@ def form_from_json(obj: Any) -> QuadraticForm:
     diag_obj = _get(obj, "diag", "$")
     _expect(isinstance(diag_obj, list) and len(diag_obj) == n, f"diag must list {n} elements", "$.diag")
     read = _element_reader(sf)
-    diag = tuple(read(v, lambda: f"$.diag[{k + 1}]") for k, v in enumerate(diag_obj))
+    diag = tuple([read(v, "$.diag[{}]", k) for k, v in enumerate(diag_obj, 1)])
     upper_obj = obj.get("upper", {})
     _expect(isinstance(upper_obj, dict), "upper must be an object", "$.upper")
-    seen = set()
-    upper = {
-        _index_pair(key, n, "$.upper", seen, strict_upper=True): read(val, lambda: f"$.upper.{key}")
-        for key, val in upper_obj.items()
-    }
+    upper = {}
+    for key, val in upper_obj.items():
+        ij = _index_pair(key, n, "$.upper", upper, strict_upper=True)
+        upper[ij] = read(val, "$.upper.{}", key)
     return _schema(QuadraticForm, "$", sf, diag, upper)
 
 
@@ -208,12 +236,12 @@ def vector_from_json(sf: Semifield, obj: Any) -> Vector:
     coords = _get(obj, "coords", "$")
     _expect(isinstance(coords, list) and coords, "coords must be a nonempty list", "$.coords")
     read = _element_reader(sf)
-    return tuple(read(v, lambda: f"$.coords[{k + 1}]") for k, v in enumerate(coords))
+    return tuple([read(v, "$.coords[{}]", k) for k, v in enumerate(coords, 1)])
 
 
 def vector_from_text(sf: Semifield, text: str) -> Vector:
     read = _element_reader(sf)
-    return tuple(read(p.strip(), lambda: f"$.vector[{k + 1}]") for k, p in enumerate(text.split(",")))
+    return tuple([read(p.strip(), "$.vector[{}]", k) for k, p in enumerate(text.split(","), 1)])
 
 
 def vector_to_json(x: Vector) -> dict:
@@ -227,11 +255,12 @@ def _grid_from_json(sf: Semifield, obj: dict, key: str):
     rows_obj = _get(obj, key, "$")
     _expect(isinstance(rows_obj, list) and rows_obj, f"{key} must be a nonempty list", f"$.{key}")
     read = _element_reader(sf)
+    path = f"$.{key}[{{}}][{{}}]"
     rows = []
-    for r, row in enumerate(rows_obj):
-        row_path = f"$.{key}[{r + 1}]"
-        _expect(isinstance(row, list) and row, "rows must be nonempty lists", row_path)
-        rows.append(tuple(read(v, lambda: f"{row_path}[{c + 1}]") for c, v in enumerate(row)))
+    for r, row in enumerate(rows_obj, 1):
+        if not (isinstance(row, list) and row):
+            raise SchemaError("rows must be nonempty lists", f"$.{key}[{r}]")
+        rows.append(tuple([read(v, path, r, c) for c, v in enumerate(row, 1)]))
     return tuple(rows)
 
 
@@ -286,16 +315,25 @@ def cell_to_json(cell: CompanionSet) -> dict:
     return {"display": cell_display(cell), "kind": kind, field: text}
 
 
-def cell_from_json(sf: Semifield, read_element, obj: Any, where: Callable[[], str]) -> CompanionSet:
-    """The cell encoded by obj; ``where()`` builds its path, only for an error."""
-    _expect(isinstance(obj, dict), "cell must be an object", where)
-    kind = _get(obj, "kind", where)
-    _expect(isinstance(kind, str) and kind in _CELLS, _KIND_MESSAGE, lambda: f"{where()}.kind")
+def cell_from_json(sf: Semifield, read_element, obj: Any, path: str, *args) -> CompanionSet:
+    """The cell encoded by obj, read with ``read_element`` if it is a singleton.
+
+    ``path.format(*args)`` locates the cell and ``path + ".{}"`` formats the
+    path of its member; each is formatted only if that check fails.
+    """
+    if not isinstance(obj, dict):
+        raise SchemaError("cell must be an object", path.format(*args))
+    if "kind" not in obj:
+        raise SchemaError("missing key 'kind'", path.format(*args))
+    kind = obj["kind"]
+    if not (isinstance(kind, str) and kind in _CELLS):
+        raise SchemaError(_KIND_MESSAGE, path.format(*args) + ".kind")
     cls, field = _CELLS[kind]
-    value = _get(obj, field, where)
+    if field not in obj:
+        raise SchemaError(f"missing key {field!r}", path.format(*args))
     if cls is Singleton:
-        return cls(read_element(value, lambda: f"{where()}.{field}"))
-    return cls(_exponent_from_json(sf, value, lambda: f"{where()}.{field}"))
+        return cls(read_element(obj[field], path + ".{}", *args, field))
+    return cls(_exponent_from_json(sf, obj[field], path + ".{}", *args, field))
 
 
 def _cell_encoder() -> Callable[[CompanionSet], dict]:
@@ -345,10 +383,10 @@ def table_from_json(obj: Any) -> CompanionTable:
     n = len(cells_obj)
     read = _element_reader(sf)
     rows = []
-    for r, row in enumerate(cells_obj):
-        row_path = f"$.cells[{r + 1}]"
-        _expect(isinstance(row, list) and len(row) == n, "cells must be a square grid", row_path)
-        rows.append(tuple(cell_from_json(sf, read, cell, lambda: f"{row_path}[{c + 1}]") for c, cell in enumerate(row)))
+    for r, row in enumerate(cells_obj, 1):
+        if not (isinstance(row, list) and len(row) == n):
+            raise SchemaError("cells must be a square grid", f"$.cells[{r}]")
+        rows.append(tuple([cell_from_json(sf, read, cell, "$.cells[{}][{}]", r, c) for c, cell in enumerate(row, 1)]))
     return CompanionTable(sf, tuple(rows))
 
 
@@ -362,11 +400,10 @@ def ratform_from_json(obj: Any) -> RationalQuadraticForm:
     _expect(n <= RATFORM_DIMENSION_LIMIT, f"n must be at most {RATFORM_DIMENSION_LIMIT}", "$.n")
     coeffs_obj = _get(obj, "coeffs", "$")
     _expect(isinstance(coeffs_obj, dict), "coeffs must be an object", "$.coeffs")
-    seen = set()
-    coeffs = {
-        _index_pair(key, n, "$.coeffs", seen, strict_upper=False): rational_from_json(val, lambda: f"$.coeffs.{key}")
-        for key, val in coeffs_obj.items()
-    }
+    coeffs = {}
+    for key, val in coeffs_obj.items():
+        ij = _index_pair(key, n, "$.coeffs", coeffs, strict_upper=False)
+        coeffs[ij] = rational_from_json(val, "$.coeffs.{}", key)
     return _schema(RationalQuadraticForm, "$", n, coeffs)
 
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
+from typing import Any
 
 from hypothesis import strategies as st
 
@@ -22,8 +24,11 @@ from tropquad import (
     RationalQuadraticForm,
     Semifield,
     Singleton,
+    SymmetricBilinearForm,
 )
 from tropquad.companions import _probe_exponents_for, _scaled
+from tropquad.semiring import Exponent, _canon_exp
+from tropquad.serialize import RATFORM_DIMENSION_LIMIT, SchemaError, _get, _is_int, _object_sf
 
 ALL_KINDS = (GroupKind.INT, GroupKind.RAT, GroupKind.RAT3)
 
@@ -427,3 +432,159 @@ def pair_triples_for_kind(rng, sf, total=1000):
         triples.append(uniform_triple(rng, sf))
     rng.shuffle(triples)
     return triples
+
+
+# ---------------------------------------------------------------------------
+# reference schema readers: the readers as they were before they formatted a
+# path only on failure, tested index keys against the dict they fill, and read
+# an integer literal without a Fraction.  The bodies are kept verbatim, but for
+# two things: the helpers that differ from the package's are renamed _ref_*,
+# and a path may still be a function that builds it, which _ref_path resolves
+# (the key reader raises at ``where()``).
+
+
+def _ref_path(path) -> str:
+    return path() if callable(path) else path
+
+
+def _ref_expect(cond: bool, message: str, path):
+    if not cond:
+        raise SchemaError(message, _ref_path(path))
+
+
+def _ref_schema(make, path, *args):
+    """``make(*args)``, with its ValueError re-raised as a SchemaError at path."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise SchemaError(str(exc), _ref_path(path)) from exc
+
+
+_REF_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+
+
+def parse_rational_reference(text: str) -> Exponent:
+    if not _REF_RATIONAL_RE.match(text):
+        raise ValueError(f"not a rational literal: {text!r}")
+    return _canon_exp(Fraction(text))
+
+
+def parse_element_reference(sf: Semifield, text: str) -> Element:
+    """``Semifield.parse_element``, reading its exponents with :func:`parse_rational_reference`."""
+    text = text.strip()
+    if text == "0":
+        return ZERO
+    parts = text.split(":")
+    if parts[0] == "g" and len(parts) == 2:
+        return sf.ghost(parse_rational_reference(parts[1]))
+    if parts[0] == "t" and len(parts) in (2, 3):
+        exp = parse_rational_reference(parts[1])
+        if len(parts) == 2:
+            return sf.tangible(exp)
+        if any(c not in "+-" for c in parts[2]) or not parts[2]:
+            raise ValueError(f"bad fiber signs in {text!r}")
+        fiber = tuple(1 if c == "+" else -1 for c in parts[2])
+        return sf.tangible(exp, fiber)
+    raise ValueError(f"bad element literal: {text!r}")
+
+
+def _ref_element_reader(sf: Semifield):
+    """``read(obj, path)`` for one document: each distinct literal is parsed once."""
+    memo: dict[str, Element] = {}
+
+    def read(obj: Any, path) -> Element:
+        _ref_expect(isinstance(obj, str), "element must be an encoded string", path)
+        element = memo.get(obj)
+        if element is None:
+            element = memo[obj] = _ref_schema(lambda text: parse_element_reference(sf, text), path, obj)
+        return element
+
+    return read
+
+
+def _ref_rational_from_json(obj: Any, path) -> Fraction:
+    if _is_int(obj):
+        return Fraction(obj)
+    _ref_expect(isinstance(obj, str), "rational must be an int or 'p/q' string", path)
+    return Fraction(_ref_schema(parse_rational_reference, path, obj))
+
+
+def _ref_index_pair(key: str, n: int, path: str, seen: set, strict_upper: bool) -> tuple[int, int]:
+    """0-based (i, j) of an "i,j" key; a second key naming a cell in ``seen`` is refused."""
+
+    def where() -> str:
+        return f"{path}.{key}"
+
+    parts = key.split(",")
+    _ref_expect(len(parts) == 2, "index key must look like 'i,j'", where)
+    try:
+        i, j = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise SchemaError("index key must hold integers", where()) from None
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise SchemaError(f"indices out of range 1..{n}", where())
+    if strict_upper:
+        _ref_expect(i < j, "upper coefficient needs i < j", where)
+    else:
+        _ref_expect(i <= j, "triangular coefficient needs i <= j", where)
+    if (i, j) in seen:
+        raise SchemaError(f"duplicate index ({i},{j})", where())
+    seen.add((i, j))
+    return i - 1, j - 1
+
+
+def form_from_json_reference(obj: Any) -> QuadraticForm:
+    sf = _object_sf(obj, "form")
+    n = _get(obj, "n", "$")
+    _ref_expect(_is_int(n) and n >= 1, "n must be a positive int", "$.n")
+    diag_obj = _get(obj, "diag", "$")
+    _ref_expect(isinstance(diag_obj, list) and len(diag_obj) == n, f"diag must list {n} elements", "$.diag")
+    read = _ref_element_reader(sf)
+    diag = tuple(read(v, lambda: f"$.diag[{k + 1}]") for k, v in enumerate(diag_obj))
+    upper_obj = obj.get("upper", {})
+    _ref_expect(isinstance(upper_obj, dict), "upper must be an object", "$.upper")
+    seen = set()
+    upper = {
+        _ref_index_pair(key, n, "$.upper", seen, strict_upper=True): read(val, lambda: f"$.upper.{key}")
+        for key, val in upper_obj.items()
+    }
+    return _ref_schema(QuadraticForm, "$", sf, diag, upper)
+
+
+def _ref_grid_from_json(sf: Semifield, obj: dict, key: str):
+    rows_obj = _get(obj, key, "$")
+    _ref_expect(isinstance(rows_obj, list) and rows_obj, f"{key} must be a nonempty list", f"$.{key}")
+    read = _ref_element_reader(sf)
+    rows = []
+    for r, row in enumerate(rows_obj):
+        row_path = f"$.{key}[{r + 1}]"
+        _ref_expect(isinstance(row, list) and row, "rows must be nonempty lists", row_path)
+        rows.append(tuple(read(v, lambda: f"{row_path}[{c + 1}]") for c, v in enumerate(row)))
+    return tuple(rows)
+
+
+def bilinear_from_json_reference(obj: Any) -> SymmetricBilinearForm:
+    sf = _object_sf(obj, "bilinear form")
+    return _ref_schema(SymmetricBilinearForm, "$", sf, _ref_grid_from_json(sf, obj, "gram"))
+
+
+def matrix_from_json_reference(obj: Any) -> GeneralMatrix:
+    sf = _object_sf(obj, "matrix")
+    return _ref_schema(GeneralMatrix, "$", sf, _ref_grid_from_json(sf, obj, "rows"))
+
+
+def ratform_from_json_reference(obj: Any) -> RationalQuadraticForm:
+    _ref_expect(isinstance(obj, dict), "rational form must be an object", "$")
+    n = _get(obj, "n", "$")
+    _ref_expect(_is_int(n) and n >= 1, "n must be a positive int", "$.n")
+    _ref_expect(n <= RATFORM_DIMENSION_LIMIT, f"n must be at most {RATFORM_DIMENSION_LIMIT}", "$.n")
+    coeffs_obj = _get(obj, "coeffs", "$")
+    _ref_expect(isinstance(coeffs_obj, dict), "coeffs must be an object", "$.coeffs")
+    seen = set()
+    coeffs = {
+        _ref_index_pair(key, n, "$.coeffs", seen, strict_upper=False): _ref_rational_from_json(
+            val, lambda: f"$.coeffs.{key}"
+        )
+        for key, val in coeffs_obj.items()
+    }
+    return _ref_schema(RationalQuadraticForm, "$", n, coeffs)

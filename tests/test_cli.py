@@ -219,6 +219,25 @@ def test_booleans_are_not_ints(files, capsys, command, obj, path):
 
 
 @pytest.mark.parametrize(
+    "command, obj, error",
+    [
+        ("classes", dict(RATFORM, coeffs={"1,1": "1/2\n"}), {"error": "not a rational literal: '1/2\\n'", "path": "$.coeffs.1,1"}),
+        (
+            "companions",
+            {"semifield": {"group": "int", "fiber_rank": 1}, "n": 1, "diag": ["t:1\n:+"]},
+            {"error": "not a rational literal: '1\\n'", "path": "$.diag[1]"},
+        ),
+    ],
+)
+def test_a_trailing_newline_is_no_rational_literal(files, capsys, command, obj, error):
+    """Rationals are ``p/q`` or integers, with nothing after them, a final newline included."""
+    extra = ("--prime", "2") if command == "classes" else ()
+    code, out, err = run(capsys, command, files("f.json", obj), *extra)
+    assert code == 1 and out == ""
+    assert json.loads(err) == error
+
+
+@pytest.mark.parametrize(
     "cell, path",
     [
         ({"kind": "nu_class", "exp": "1/2"}, "$.cells[1][2].exp"),

@@ -549,6 +549,26 @@ def test_witness_skips_admissible_differences():
     assert equality_witness(q1, q2) == (ZERO, t(-1), t(0))
 
 
+def test_witness_on_a_pair_separates_the_whole_forms():
+    """The witness is found on the rank-2 restrictions to its pair; it still
+    has the forms' length, lives on that pair, and separates the whole forms,
+    whose other coefficients are nonzero."""
+    rng = random.Random(43)
+    for sf in kind_semifields(0) + kind_semifields(1):
+        for _ in range(12):
+            n = rng.randint(5, 12)
+            q1 = random_form(rng, sf, n, upper_density=0.9, zero_p=0.1)
+            upper = {(i, j): q1.cross[i][j] for i in range(n) for j in range(i + 1, n)}
+            i, j = sorted(rng.sample(range(n), 2))
+            upper[(i, j)] = random_vector(rng, sf, 1, zero_p=0.3)[0]
+            q2 = QuadraticForm(sf, q1.diag, upper)
+            witness = equality_witness(q1, q2)
+            assert (witness is None) == functionally_equal(q1, q2)
+            if witness is not None:
+                assert len(witness) == n and {k for k, x in enumerate(witness) if not x.is_zero} == {i, j}
+                assert eval_quadratic(q1, witness) != eval_quadratic(q2, witness)
+
+
 def test_companion_predicates_reject_another_semifield():
     """A Gram matrix over another group is refused, not read cell by cell."""
     q = QuadraticForm(INT, (t(1), t(1)))

@@ -6,6 +6,8 @@ import pytest
 
 from tropquad import (
     ZERO,
+    Element,
+    GeneralMatrix,
     GroupKind,
     MonomialMatrix,
     PreconditionError,
@@ -227,6 +229,28 @@ def test_form_validation():
         QuadraticForm(Semifield(GroupKind.INT, 1), (t(1),))  # rank-0 element in rank-1 field
     q = form((t(1), t(2)), {(0, 1): ZERO})
     assert q == form((t(1), t(2)))  # a zero cross term is the absent one
+
+
+@pytest.mark.parametrize("kind", list(GroupKind))
+@pytest.mark.parametrize("tag, exp, twin_exp", [("tangible", 1, True), ("ghost", 2, 2.0)])
+def test_constructors_refuse_a_bool_or_float_exponent_after_an_equal_int(kind, tag, exp, twin_exp):
+    """``Element("tangible", True) == Element("tangible", 1)`` with equal hashes,
+    and ``2.0 == 2`` likewise.  A constructor that skipped elements equal to
+    ones it had validated would let the bool or float through; each
+    constructor validates every coefficient as the object it is."""
+    sf = Semifield(kind)
+    first = sf.tangible(exp) if tag == "tangible" else sf.ghost(exp)
+    twin = Element(tag, twin_exp)
+    assert twin == first and hash(twin) == hash(first)
+    for build in (
+        lambda: QuadraticForm(sf, (first, twin)),
+        lambda: QuadraticForm(sf, (first, first), {(0, 1): twin}),
+        lambda: SymmetricBilinearForm(sf, ((first, twin), (twin, first))),
+        lambda: GeneralMatrix(sf, ((first, twin), (first, first))),
+    ):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == f"exponent {twin_exp} not in the {kind.value} group"
 
 
 def _rigid_verdicts(q: QuadraticForm, rho: QuadraticForm) -> list:

@@ -17,8 +17,17 @@ from tropquad import (
     Semifield,
     leq_minimal,
 )
+from tropquad.semiring import parse_rational
 
-from gen import ALL_KINDS, element_grid, fraction_between, fraction_legal, kind_semifields, random_element
+from gen import (
+    ALL_KINDS,
+    element_grid,
+    fraction_between,
+    fraction_legal,
+    kind_semifields,
+    parse_rational_reference,
+    random_element,
+)
 
 INT = Semifield(GroupKind.INT)
 RAT = Semifield(GroupKind.RAT)
@@ -391,6 +400,41 @@ def test_parse_rejects_garbage():
     for bad in ("t", "t:1.5", "x:3", "t:1:+0", "g:1:+", "t:3:++"):
         with pytest.raises(ValueError):
             INT1.parse_element(bad)
+
+
+def _parsed(parse, text):
+    """The value parse gives with its type, or its ValueError's message."""
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        return "refused", str(exc)
+    return value, type(value)
+
+
+# digits (ASCII and others), signs, slashes and near misses; no newline, whose verdict changed
+@settings(max_examples=500, deadline=None)
+@given(st.text("0123456789+-/ _.xe٣١½\t", max_size=7))
+def test_parse_rational_agrees_with_the_reference_property(text):
+    """An integer literal becomes an int without a Fraction, a p/q literal a
+    reduced Fraction or an int; the value, its type and every refusal are
+    what the former Fraction(text) parse gave (``tests/gen.py``)."""
+    assert _parsed(parse_rational, text) == _parsed(parse_rational_reference, text)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("7", 7), ("-0", 0), ("+3", 3), ("007", 7), ("4/2", 2), ("-03/6", Fraction(-1, 2)), ("٣", 3), ("١٢/3", 4)],
+)
+def test_parse_rational_values(text, value):
+    assert _parsed(parse_rational, text) == (value, type(value))
+
+
+@pytest.mark.parametrize("text", ["1\n", "1/2\n", "-3\n", "\n1", "1\n/2", " 1", "1 "])
+def test_parse_rational_refuses_a_newline_or_space(text):
+    """The grammar is matched whole: a final newline, which a "$" anchor lets through, is refused too."""
+    with pytest.raises(ValueError) as info:
+        parse_rational(text)
+    assert str(info.value) == f"not a rational literal: {text!r}"
 
 
 def test_element_validation_rejects_malformed():

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropquad import ZERO, Element, GeneralMatrix, GroupKind, QuadraticForm, Semifield, companion_table
+from tropquad import (
+    ZERO,
+    Element,
+    GeneralMatrix,
+    GroupKind,
+    QuadraticForm,
+    Semifield,
+    SymmetricBilinearForm,
+    companion_table,
+)
 from tropquad.companions import CompanionTable, NuClass, NuLeqDoubled, NuLtDoubled, Singleton
 from tropquad.semiring import format_element
 from tropquad.serialize import (
@@ -33,12 +42,16 @@ from tropquad.serialize import (
 )
 
 from gen import (
+    bilinear_from_json_reference,
     element_strategy,
+    form_from_json_reference,
     kind_semifields,
+    matrix_from_json_reference,
     random_form,
     random_ratform,
     random_square_matrix,
     random_vector,
+    ratform_from_json_reference,
 )
 
 INT = Semifield(GroupKind.INT)
@@ -334,3 +347,172 @@ def test_table_encoding_is_the_per_cell_encoding():
     for sf in kind_semifields(1):
         table = companion_table(random_form(rng, sf, 24))
         assert table_to_json(table)["cells"] == [[cell_to_json(c) for c in row] for row in table.cells]
+
+
+def test_int_literals_build_no_fraction(monkeypatch):
+    """An integer literal becomes an int directly: reading an int-group form
+    and matrix builds no Fraction."""
+    rng = random.Random(17)
+    sf = Semifield(GroupKind.INT, 1)
+    form_doc = form_to_json(random_form(rng, sf, 64))
+    matrix_doc = matrix_to_json(random_square_matrix(rng, sf, 64))
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    q, m = form_from_json(form_doc), matrix_from_json(matrix_doc)
+    assert built == []
+    assert q.n == m.nrows == 64 and len(set(form_doc["diag"]) | set(form_doc["upper"].values())) > 20
+    # the count sees the Fraction that a p/q literal needs
+    form_from_json(dict(form_doc, semifield={"group": "rat", "fiber_rank": 1}, diag=["t:1/2:+"] * 64))
+    assert built != []
+
+
+# -- the readers against the readers they replaced ------------------------------------
+
+
+def _arabic_indic(text: str) -> str:
+    return text.translate({ord(d): chr(0x660 + int(d)) for d in "0123456789"})
+
+
+# rationals as a document writes them, legal or not: signed, zero-padded,
+# reducible (4/2) and Unicode-digit ones, and near misses of the grammar
+_RATIONAL_TEXTS = st.one_of(
+    st.integers(-12, 12).map(str),
+    st.builds("{}/{}".format, st.integers(-12, 12), st.integers(1, 12)),
+    st.text("0123456789+-/ _.x٣", max_size=5),
+    st.sampled_from([
+        "+3", "-0", "007", "-03/6", "+4/2", "4/2", "٣", "-٣/9", "١٢/3", "2/1٣",
+        "1/0", "1/01", "1.5", "x", "1/2/3", "", " 1", "1 ", "½", "1_0", "0x1", "--1", "+-1", "/2", "2/",
+    ]),
+)
+
+
+@st.composite
+def _element_texts(draw):
+    """Element literals, legal or not; no newline, whose verdict changed on purpose."""
+    head = draw(st.sampled_from(["0", "t", "t", "g", "g", "z", " t"]))
+    if head == "0":
+        return draw(st.sampled_from(["0", " 0 ", "00", "0:1"]))
+    fiber = draw(st.sampled_from(["", "", "", ":+", ":-", ":+-", ":", ":x", ":+:+"]))
+    return f"{head}:{draw(_RATIONAL_TEXTS)}{fiber}"
+
+
+# values a JSON document may hold where an element or a rational is due
+_NON_STRINGS = st.sampled_from([5, -2, 0, None, True, False, 1.5, [1], ["t:1"], {"a": 1}])
+
+
+def _index_keys(n: int):
+    """Index keys, in range or not, upper or not, and the aliases int() reads the same."""
+    pair = st.one_of(
+        st.tuples(st.integers(1, n), st.integers(1, n)).map(sorted),
+        st.tuples(st.integers(0, n + 1), st.integers(0, n + 1)),
+    )
+    plain = pair.map(lambda ij: f"{ij[0]},{ij[1]}")
+    alias = st.tuples(pair, st.sampled_from(["0{},{}", " {},{}", "{}, {}", "+{},{}", "{},0{}", "{}_0,{}"])).map(
+        lambda t: t[1].format(*t[0])
+    )
+    return st.one_of(
+        plain, plain, alias,
+        plain.map(_arabic_indic),
+        st.sampled_from(["1-2", "a,2", "1,2,3", "", ",", "1,", "1.0,2", "1,2 ", "١,2"]),
+    )
+
+
+@st.composite
+def _coefficient_entries(draw, n: int, good, value, duplicate_before_bad: bool):
+    """The key-value entries of a coefficient object, in document order.
+
+    With ``duplicate_before_bad``, a legal key and then an alias of it
+    holding a bad value come at a drawn place: the duplicate key, read
+    before its value, is the first error there.
+    """
+    entries = draw(st.lists(st.tuples(_index_keys(n), value), max_size=8))
+    if duplicate_before_bad and n >= 2:
+        i = draw(st.integers(1, n - 1))
+        j = draw(st.integers(i + 1, n))
+        bad = draw(st.one_of(_NON_STRINGS, st.just("t:x")))
+        at = draw(st.integers(0, len(entries)))
+        entries[at:at] = [(f"{i},{j}", draw(good)), (f"0{i},{j}", bad)]
+    return entries
+
+
+@st.composite
+def _reader_documents(draw, duplicate_before_bad: bool):
+    """(reader, reference reader, document): a form, matrix, bilinear form or rational form."""
+    what = draw(st.sampled_from(["form", "matrix", "bilinear", "ratform"]))
+    n = draw(st.integers(1, 4))
+    if what == "ratform":
+        value = st.one_of(_RATIONAL_TEXTS, st.integers(-5, 5), _NON_STRINGS)
+        entries = draw(_coefficient_entries(n, _RATIONAL_TEXTS.filter(str.isascii), value, duplicate_before_bad))
+        doc = {"n": draw(st.sampled_from([n] * 6 + [0, True, "2"])), "coeffs": dict(entries)}
+        return ratform_from_json, ratform_from_json_reference, doc
+    sf = Semifield(draw(st.sampled_from(list(GroupKind))), draw(st.sampled_from((0, 1))))
+    good = element_strategy(sf).map(format_element)
+    # a few literals per document, so that they repeat and the memo is hit
+    pool = draw(st.lists(st.one_of(good, good, _element_texts(), _NON_STRINGS), min_size=1, max_size=5))
+    value = st.sampled_from(pool)
+    sf_json = semifield_to_json(sf)
+    if what == "form":
+        diag = [draw(value) for _ in range(draw(st.sampled_from([n, n, n, n + 1])))]
+        entries = draw(_coefficient_entries(n, good, value, duplicate_before_bad))
+        return form_from_json, form_from_json_reference, {"semifield": sf_json, "n": n, "diag": diag, "upper": dict(entries)}
+    grid = [[draw(value) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):  # symmetric, as a Gram matrix must be
+        grid = [[grid[min(r, c)][max(r, c)] for c in range(n)] for r in range(n)]
+    if draw(st.integers(0, 5)) == 0:
+        grid[draw(st.integers(0, n - 1))] = draw(st.sampled_from([[], "x", None]))
+    if what == "matrix":
+        return matrix_from_json, matrix_from_json_reference, {"semifield": sf_json, "rows": grid}
+    return bilinear_from_json, bilinear_from_json_reference, {"semifield": sf_json, "gram": grid}
+
+
+def _exponent_types(value) -> list:
+    if isinstance(value, QuadraticForm):
+        elements = [*value.diag, *(v for row in value.cross for v in row)]
+    elif isinstance(value, GeneralMatrix):
+        elements = [v for row in value.rows for v in row]
+    elif isinstance(value, SymmetricBilinearForm):
+        elements = [v for row in value.gram for v in row]
+    else:
+        return [(key, type(c)) for key, c in value.coeffs.items()]
+    return [type(a.exp) for a in elements]
+
+
+def _outcome(read, doc):
+    """The object read with its exponent types, or the error as (path, reason, message)."""
+    try:
+        value = read(doc)
+    except SchemaError as exc:
+        return "error", exc.path, exc.reason, str(exc)
+    return "read", value, _exponent_types(value)
+
+
+@pytest.mark.parametrize("duplicate_before_bad", [False, True])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_readers_agree_with_the_reference_readers_property(duplicate_before_bad, data):
+    """Every reader returns the object, with the exponent types, that the
+    reader it replaced returns, or fails at the same path with the same
+    reason; the reference keeps the former code in ``tests/gen.py``."""
+    read, reference, doc = data.draw(_reader_documents(duplicate_before_bad))
+    assert _outcome(read, doc) == _outcome(reference, doc)
+
+
+@pytest.mark.parametrize(
+    "doc, path, reason",
+    [
+        (dict(_FORM, upper={"1,2": "t:0", "01,2": "t:0", "1,3": "t:x"}), "$.upper.01,2", "duplicate index (1,2)"),
+        (dict(_FORM, upper={"1,2": "t:0", "1,3": "t:x", "01,2": "t:0"}), "$.upper.1,3", "indices out of range 1..2"),
+        (dict(_FORM, upper={"1,2": "t:x", "01,2": "t:0"}), "$.upper.1,2", "not a rational literal: 'x'"),
+        (dict(_FORM, upper={"١,2": "t:0", "1,2": "t:0"}), "$.upper.1,2", "duplicate index (1,2)"),
+    ],
+)
+def test_key_errors_fire_in_key_order(doc, path, reason):
+    with pytest.raises(SchemaError) as exc:
+        form_from_json(doc)
+    assert (exc.value.path, exc.value.reason) == (path, reason)
