@@ -501,18 +501,3 @@ def test_readers_agree_with_the_reference_readers_property(duplicate_before_bad,
     reason; the reference keeps the former code in ``tests/gen.py``."""
     read, reference, doc = data.draw(_reader_documents(duplicate_before_bad))
     assert _outcome(read, doc) == _outcome(reference, doc)
-
-
-@pytest.mark.parametrize(
-    "doc, path, reason",
-    [
-        (dict(_FORM, upper={"1,2": "t:0", "01,2": "t:0", "1,3": "t:x"}), "$.upper.01,2", "duplicate index (1,2)"),
-        (dict(_FORM, upper={"1,2": "t:0", "1,3": "t:x", "01,2": "t:0"}), "$.upper.1,3", "indices out of range 1..2"),
-        (dict(_FORM, upper={"1,2": "t:x", "01,2": "t:0"}), "$.upper.1,2", "not a rational literal: 'x'"),
-        (dict(_FORM, upper={"١,2": "t:0", "1,2": "t:0"}), "$.upper.1,2", "duplicate index (1,2)"),
-    ],
-)
-def test_key_errors_fire_in_key_order(doc, path, reason):
-    with pytest.raises(SchemaError) as exc:
-        form_from_json(doc)
-    assert (exc.value.path, exc.value.reason) == (path, reason)
