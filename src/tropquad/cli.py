@@ -4,8 +4,9 @@ Every subcommand reads JSON inputs (path or "-" for stdin) through
 ``_load``, the one place where ``--semifield`` replaces an input's own
 "semifield" member.  It runs one pipeline and prints a JSON result with
 sorted keys, so outputs are deterministic and diffable.  Exit codes: 0
-success, 1 malformed input (with the JSON path of the problem), 2
-violated algebraic precondition (with the precondition's name).
+success, 1 malformed input or arguments (with the JSON path of the
+problem, ``$.argv`` for arguments), 2 violated algebraic precondition
+(with the precondition's name).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from itertools import combinations_with_replacement
 from typing import Callable
 
@@ -85,17 +87,6 @@ def _show(args, a: Element) -> str:
     if args.min_plus and not a.is_zero:
         a = Element(a.tag, -a.exp, a.fiber)
     return format_element(a)
-
-
-def _show_form(args, q) -> str:
-    """q in the layout of its repr, each element through :func:`_show`."""
-    rows = (" ".join(_show(args, v) for v in (q.diag[i], *row[i + 1 :])) for i, row in enumerate(q.cross))
-    return "[" + "; ".join(rows) + "]"
-
-
-def _show_gram(args, b) -> str:
-    """b in the layout of its repr, each element through :func:`_show`."""
-    return "[" + ", ".join("[" + ", ".join(_show(args, v) for v in row) + "]" for row in b.gram) + "]"
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -333,10 +324,11 @@ def _cmd_stropicalize(args) -> int:
     }
 
     def lines():
+        show = partial(_show, args)
         return [
-            ("image form (min-plus display): " if args.min_plus else "image form: ") + _show_form(args, qphi),
-            f"balanced companion: {_show_gram(args, balanced)}",
-            f"companion image: {_show_gram(args, b_phi)}",
+            ("image form (min-plus display): " if args.min_plus else "image form: ") + qphi.render(show),
+            f"balanced companion: {balanced.render(show)}",
+            f"companion image: {b_phi.render(show)}",
             f"quasilinear: {payload['quasilinear']}",
         ]
 
@@ -351,8 +343,16 @@ def _cmd_classes(args) -> int:
     return _emit(args, payload, lambda: ["square classes: " + json.dumps(payload["square_classes"], sort_keys=True)])
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise :class:`SchemaError` at ``$.argv``, which :func:`main` answers
+    as malformed input; the subcommand parsers are of this class too."""
+
+    def error(self, message: str):
+        raise SchemaError(message, "$.argv")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tropquad",
         description="Exact quadratic forms over supertropical semifields",
     )
@@ -395,8 +395,8 @@ _PARSER = build_parser()  # built once per process: a build costs about 1.7 ms
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         return args.fn(args)
     except SchemaError as exc:
         print(json.dumps({"error": exc.reason, "path": exc.path}, sort_keys=True), file=sys.stderr)

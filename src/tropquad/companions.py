@@ -53,7 +53,7 @@ import math
 from bisect import bisect_left, bisect_right
 from typing import Optional, Union
 
-from .errors import PreconditionError
+from .errors import PreconditionError, check_operands
 from .forms import QuadraticForm, SymmetricBilinearForm, eval_quadratic, is_rigid  # is_rigid: re-exported
 from .semiring import ZERO, Element, Exponent, GroupKind, Semifield, Value, _canon_exp, _scaled_exp, _set, _unscaled_exp
 
@@ -473,8 +473,7 @@ def build_companion(table: CompanionTable, choice) -> SymmetricBilinearForm:
 
 def is_companion(q: QuadraticForm, b: SymmetricBilinearForm) -> bool:
     """Whether b accompanies q, via cellwise membership."""
-    if q.sf != b.sf or q.n != b.n:
-        raise PreconditionError("dimension match required", "form and Gram matrix live on different modules")
+    check_operands("form and Gram matrix", q, b)
     table = companion_table(q)
     return all(
         contains(table.cell(i, j), b.gram[i][j]) for i in range(q.n) for j in range(i, q.n)
@@ -507,8 +506,7 @@ def is_quasilinear(q: QuadraticForm) -> bool:
 def _first_difference(q1: QuadraticForm, q2: QuadraticForm) -> Optional[tuple[int, int]]:
     """(i, i) for the first unequal diagonal coefficient, else the first (i, j),
     i < j, whose q2 cross coefficient lies outside q1's cell, else None."""
-    if q1.sf != q2.sf or q1.n != q2.n:
-        raise PreconditionError("dimension match required", "forms live on different modules")
+    check_operands("forms", q1, q2)
     for i, (a1, a2) in enumerate(zip(q1.diag, q2.diag)):
         if a1 != a2:
             return i, i

@@ -11,11 +11,11 @@ rendered 1-based at the JSON boundary.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .errors import PreconditionError
+from .errors import PreconditionError, check_operands, check_vector
 from .matrices import MonomialMatrix
-from .semiring import ZERO, Element, Semifield, Value, leq_minimal, semiring_sum
+from .semiring import ZERO, Element, Semifield, Value, format_element, leq_minimal, semiring_sum
 
 DIMENSION_LIMIT = 64
 
@@ -55,11 +55,13 @@ class QuadraticForm(Value):
             raise ValueError("beta is defined for distinct indices")
         return self.cross[i][j]
 
-    def __repr__(self) -> str:
-        rows = []
-        for i, row in enumerate(self.cross):
-            rows.append(" ".join(repr(v) for v in (self.diag[i], *row[i + 1 :])))
+    def render(self, show: Callable[[Element], str]) -> str:
+        """The triangle row by row, alpha_i then beta_{i,j} for j > i, each element through ``show``."""
+        rows = (" ".join(map(show, (self.diag[i], *row[i + 1 :]))) for i, row in enumerate(self.cross))
         return "[" + "; ".join(rows) + "]"
+
+    def __repr__(self) -> str:
+        return self.render(format_element)
 
 
 class SymmetricBilinearForm(Value):
@@ -84,23 +86,16 @@ class SymmetricBilinearForm(Value):
     def n(self) -> int:
         return len(self.gram)
 
+    def render(self, show: Callable[[Element], str]) -> str:
+        """The Gram matrix row by row, each element through ``show``."""
+        return "[" + ", ".join("[" + ", ".join(map(show, row)) + "]" for row in self.gram) + "]"
+
     def __repr__(self) -> str:
-        rows = ("[" + ", ".join(repr(v) for v in row) + "]" for row in self.gram)
-        return "[" + ", ".join(rows) + "]"
+        return self.render(format_element)
 
 
 def zero_form(sf: Semifield, n: int) -> QuadraticForm:
     return QuadraticForm(sf, (ZERO,) * n)
-
-
-def check_vector(q_or_b, x: Sequence[Element]) -> Vector:
-    x = tuple(x)
-    if len(x) != q_or_b.n:
-        raise PreconditionError(
-            "dimension match required",
-            f"vector length {len(x)} does not match dimension {q_or_b.n}",
-        )
-    return x
 
 
 def eval_quadratic(q: QuadraticForm, x: Sequence[Element]) -> Element:
@@ -131,8 +126,7 @@ def balanced_companion(q: QuadraticForm) -> SymmetricBilinearForm:
 
 
 def add_forms(q1: QuadraticForm, q2: QuadraticForm) -> QuadraticForm:
-    if q1.n != q2.n:
-        raise PreconditionError("dimension match required", "cannot add forms of different dimension")
+    check_operands("forms", q1, q2)
     diag = tuple(a + b for a, b in zip(q1.diag, q2.diag))
     n = q1.n
     upper = {(i, j): q1.cross[i][j] + q2.cross[i][j] for i in range(n) for j in range(i + 1, n)}
@@ -161,8 +155,7 @@ def pointwise_leq_rigid(r1: QuadraticForm, r2: QuadraticForm) -> bool:
     """
     if not (is_rigid(r1) and is_rigid(r2)):
         raise PreconditionError("rigid form required", "pointwise comparison is only defined for zero-diagonal forms")
-    if r1.n != r2.n:
-        raise PreconditionError("dimension match required", "cannot compare forms of different dimension")
+    check_operands("forms", r1, r2)
     return all(leq_minimal(a, b) for row1, row2 in zip(r1.cross, r2.cross) for a, b in zip(row1, row2))
 
 
@@ -171,8 +164,7 @@ def change_base(q: QuadraticForm, p: MonomialMatrix) -> QuadraticForm:
 
     The result evaluates as x -> q(Px).
     """
-    if q.n != p.n:
-        raise PreconditionError("dimension match required", "form and matrix dimensions differ")
+    check_operands("form and matrix", q, p)
     diag = tuple(p.scales[k] * p.scales[k] * q.diag[p.perm[k]] for k in range(q.n))
     n = q.n
     upper = {

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import PreconditionError
+from .errors import PreconditionError, check_operands, check_vector
 from .semiring import ZERO, Element, Semifield, Value, semiring_sum
 
 
@@ -67,8 +67,7 @@ class MonomialMatrix(Value):
         return GeneralMatrix(self.sf, tuple(tuple(r) for r in rows))
 
     def apply(self, x: Sequence[Element]) -> tuple[Element, ...]:
-        if len(x) != self.n:
-            raise PreconditionError("dimension match required", "vector length mismatch")
+        x = check_vector(self, x)
         out = [ZERO] * self.n
         for j in range(self.n):
             out[self.perm[j]] = self.scales[j] * x[j]
@@ -83,8 +82,7 @@ def identity_matrix(sf: Semifield, n: int) -> MonomialMatrix:
 
 
 def mat_mul(a: GeneralMatrix, b: GeneralMatrix) -> GeneralMatrix:
-    if a.ncols != b.nrows:
-        raise PreconditionError("dimension match required", "inner dimensions differ")
+    check_operands("matrices", a, b, (a.ncols, b.nrows))
     rows = tuple(
         tuple(semiring_sum(a.rows[i][j] * b.rows[j][k] for j in range(a.ncols)) for k in range(b.ncols))
         for i in range(a.nrows)

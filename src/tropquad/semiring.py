@@ -307,6 +307,10 @@ class Semifield(Value):
     __slots__ = ("group", "fiber_rank")
 
     def __init__(self, group: GroupKind = GroupKind.INT, fiber_rank: int = 0):
+        if not isinstance(group, GroupKind):
+            raise ValueError(f"group must be a GroupKind, not {group!r}")
+        if isinstance(fiber_rank, bool) or not isinstance(fiber_rank, int):
+            raise ValueError(f"fiber_rank must be an int, not {fiber_rank!r}")
         if fiber_rank < 0:
             raise ValueError("fiber_rank must be nonnegative")
         Value.__init__(self, group, fiber_rank)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .errors import PreconditionError
+from .errors import PreconditionError, check_vector
 from .forms import QuadraticForm, SymmetricBilinearForm, balanced_companion
 from .semiring import Element, GroupKind, Semifield, SquareClassTag, Value
 
@@ -33,6 +33,13 @@ RatMatrix = tuple[tuple[Fraction, ...], ...]
 
 
 _QZERO = Fraction(0)
+
+
+def _exact(what: str, x):
+    """x, unless it is a float (inexact) or a bool (an int that prints as a word)."""
+    if isinstance(x, (float, bool)):
+        raise ValueError(f"{what} must be an exact number, not {type(x).__name__} {x!r}")
+    return x
 
 
 class RationalQuadraticForm(Value):
@@ -49,9 +56,10 @@ class RationalQuadraticForm(Value):
     def __init__(self, n: int, coeffs: Mapping[tuple[int, int], Fraction] = {}):
         if n < 1:
             raise ValueError("dimension must be at least 1")
-        for i, j in coeffs:
+        for (i, j), c in coeffs.items():
             if not (0 <= i <= j < n):
                 raise ValueError(f"coefficient index ({i},{j}) out of range")
+            _exact("coefficient", c)
         canon = ((k, Fraction(c)) for k, c in sorted(coeffs.items()))
         Value.__init__(self, n, {k: c for k, c in canon if c != 0})
 
@@ -62,8 +70,7 @@ class RationalQuadraticForm(Value):
         return self.coeffs.get((i, j) if i <= j else (j, i), _QZERO)
 
     def evaluate(self, x: Sequence[Fraction]) -> Fraction:
-        if len(x) != self.n:
-            raise PreconditionError("dimension match required", "vector length mismatch")
+        x = check_vector(self, x)
         total = Fraction(0)
         for (i, j), c in self.coeffs.items():
             total += c * x[i] * x[j]
@@ -79,7 +86,7 @@ class SupervaluationSpec(Value):
     __slots__ = ("prime", "mode")
 
     def __init__(self, prime: Optional[int], mode: str = "tangible"):
-        if prime is not None and (prime < 2 or not _is_prime(prime)):
+        if prime is not None and (_exact("prime", prime) < 2 or not _is_prime(prime)):
             raise ValueError(f"{prime} is not a prime")
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
@@ -118,7 +125,7 @@ def padic_valuation(p: int, a: Fraction) -> int:
 
 def apply_supervaluation(spec: SupervaluationSpec, a) -> Element:
     """phi: zero to zero, nonzero a to level -v_p(a), tagged per mode."""
-    a = Fraction(a)
+    a = Fraction(_exact("argument", a))
     sf = spec.semifield
     if a == 0:
         return sf.zero

@@ -270,6 +270,30 @@ def test_precondition_exit_code(files, capsys):
     assert json.loads(err)["precondition"] == "dimension match required"
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["eval", "FORM"], "the following arguments are required: --vector"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        (["classes", "RATFORM", "--prime", "2", "--mode", "bogus"], "argument --mode: invalid choice: 'bogus'"),
+    ],
+)
+def test_argument_errors_answer_in_json(files, capsys, argv, error):
+    paths = {"FORM": files("f.json", FORM), "RATFORM": files("r.json", RATFORM)}
+    code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    answer = json.loads(err)
+    assert answer["path"] == "$.argv" and answer["error"].startswith(error)
+
+
+def test_help_still_prints_help(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tropquad")
+
+
 def test_semifield_override(files, capsys):
     bare = {"semifield": {"group": "int", "fiber_rank": 0}, "n": 1, "diag": ["t:1/3"]}
     code, _, err = run(capsys, "companions", files("f.json", bare))

@@ -42,3 +42,11 @@ def test_module_bad_literal_prints_one_json_error():
     assert proc.stderr.count("\n") == 1
     answer = json.loads(proc.stderr)
     assert answer == {"error": "not a rational literal: 'x'", "path": "$.diag[2]"}
+
+
+def test_module_argument_error_prints_one_json_error():
+    proc = _python("-m", "tropquad", "eval", "-", stdin=json.dumps(FORM))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr) == {"error": "the following arguments are required: --vector", "path": "$.argv"}

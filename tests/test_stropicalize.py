@@ -58,6 +58,21 @@ def test_apply_examples():
     assert apply_supervaluation(trivial, F(123, 7)) == trivial.semifield.one
 
 
+@pytest.mark.parametrize("a", [0.1, 4.0, True, False])
+def test_apply_refuses_a_float_or_bool(a):
+    with pytest.raises(ValueError) as info:
+        apply_supervaluation(P2, a)
+    assert str(info.value) == f"argument must be an exact number, not {type(a).__name__} {a!r}"
+
+
+def test_exact_inputs_keep_working():
+    """ints, Fractions and rational strings, as a coefficient and as the argument."""
+    for c in (4, F(4), "4", "8/2"):
+        assert RationalQuadraticForm(1, {(0, 0): c}).coeffs == {(0, 0): F(4)}
+        assert apply_supervaluation(P2, c) == P2.semifield.tangible(-2)
+    assert apply_supervaluation(P2, 0) == ZERO
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         SupervaluationSpec(4, "tangible")

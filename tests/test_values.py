@@ -177,6 +177,21 @@ def test_copy_and_pickle_keep_the_value(k):
     "build, error, message",
     [
         (lambda: Semifield(GroupKind.INT, -1), ValueError, "fiber_rank must be nonnegative"),
+        (lambda: Semifield("int"), ValueError, "group must be a GroupKind, not 'int'"),
+        (lambda: Semifield(GroupKind.INT, True), ValueError, "fiber_rank must be an int, not True"),
+        (lambda: Semifield(GroupKind.INT, 1.0), ValueError, "fiber_rank must be an int, not 1.0"),
+        (lambda: SupervaluationSpec(2.0), ValueError, "prime must be an exact number, not float 2.0"),
+        (lambda: SupervaluationSpec(True), ValueError, "prime must be an exact number, not bool True"),
+        (
+            lambda: RationalQuadraticForm(1, {(0, 0): 0.1}),
+            ValueError,
+            "coefficient must be an exact number, not float 0.1",
+        ),
+        (
+            lambda: RationalQuadraticForm(1, {(0, 0): True}),
+            ValueError,
+            "coefficient must be an exact number, not bool True",
+        ),
         (lambda: SupervaluationSpec(4), ValueError, "4 is not a prime"),
         (lambda: SupervaluationSpec(1), ValueError, "1 is not a prime"),
         (lambda: SupervaluationSpec(2, "max"), ValueError, "mode must be one of ('tangible', 'ghost', 'signed')"),
