@@ -18,10 +18,12 @@ pair iff the cell contains zero), and a diagonal cell is the same rule at
 that checks the defining one-parameter family of scaling identities on a
 finite critical set of exponents, for a whole battery of candidates in one
 pass; the verdict never depends on the scalar's fiber, so each exponent is
-probed once.  The oracle ranks the battery once by exponent; at each probe
-the lambda-part absorbs every candidate below its exponent and ties every
-candidate at it, so one comparison decides each of those two groups, and
-only the candidates above it are compared one by one.
+probed once.  At each probe the lambda-part absorbs every candidate below
+its exponent, ties every candidate at it and loses to every candidate above
+it, so one pass over the probes collects three facts (the largest exponent
+of the lambda-part at which it differs from the left side, the exponents at
+which its ghost does, and its least exponent), and each candidate is
+decided from them with no sum.
 :func:`diagonal_membership_oracle` is the same procedure on the
 diagonal (alpha, alpha) with cross term nu(alpha).  The oracle and
 :func:`equality_witness` build the critical set with one helper,
@@ -50,7 +52,6 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_left, bisect_right
 from typing import Optional, Union
 
 from .errors import PreconditionError, check_operands
@@ -128,14 +129,19 @@ def set_min(sf: Semifield, cell: CompanionSet) -> Element:
 
 
 def set_max(sf: Semifield, cell: CompanionSet) -> Optional[Element]:
-    """The maximum of the cell, or None when no maximal element exists."""
+    """The maximum of the cell, or None when no maximal element exists.
+
+    A lower interval's maximum is the ghost at its largest exponent: in
+    ``int`` the largest integer e with 2e <= bound2 (or 2e < bound2); in a
+    dense group half a closed bound, if that is an exponent.
+    """
     if isinstance(cell, Singleton):
         return cell.value
-    if isinstance(cell, NuLeqDoubled):
-        return sf.ghost(cell_boundary(cell)) if sf.halvable(cell.bound2) else None
-    if isinstance(cell, NuLtDoubled):
-        return None
-    return sf.ghost(cell.exp)
+    if isinstance(cell, NuClass):
+        return sf.ghost(cell.exp)
+    if sf.group is GroupKind.INT:
+        return sf.ghost(cell.bound2 // 2 if isinstance(cell, NuLeqDoubled) else -(-cell.bound2 // 2) - 1)
+    return sf.ghost(cell_boundary(cell)) if isinstance(cell, NuLeqDoubled) and sf.halvable(cell.bound2) else None
 
 
 def cell_boundary(cell: CompanionSet) -> Optional[Exponent]:
@@ -330,69 +336,56 @@ def companion_membership_oracle(
 
     At a probe, write ``base = lambda * alpha1 + lambda^-1 * alpha2`` and
     ``lhs = base + alpha``; beta survives the probe iff ``base + beta ==
-    lhs``.  The addition rule of :mod:`tropquad.semiring` (zero is the
+    lhs``.  If alpha1 and alpha2 are both zero, base is zero at every probe,
+    so ``base + beta = beta`` and ``lhs = alpha``: the verdict is ``beta ==
+    alpha``.  Otherwise base is nonzero at every probe; call its exponent
+    b.  The addition rule of :mod:`tropquad.semiring` (zero is the
     identity; of two nonzero summands the one of strictly larger exponent
-    wins, and a tie gives the ghost of the shared exponent) splits the
-    candidates by where they rank against base:
+    wins, and a tie gives the ghost of the shared exponent) gives ``base +
+    beta`` without a sum: ``base`` if beta is zero or exp(beta) < b,
+    ``nu(base)`` if exp(beta) == b, and ``beta`` if exp(beta) > b.  So one
+    pass over the probes collects three facts that decide every candidate:
 
-    * beta zero, or base nonzero and exp(beta) < exp(base): base wins, so
-      ``base + beta = base`` and one comparison, ``base == lhs``, decides
-      every such beta;
-    * base nonzero and exp(beta) == exp(base): the tie gives the ghost, so
-      ``base + beta = nu(base)`` and ``nu(base) == lhs`` decides them all;
-    * beta nonzero and base zero or exp(beta) > exp(base): beta wins, so
-      ``base + beta = beta``, and each such beta is compared with lhs.
+    * ``below``, the largest b at which ``base != lhs``.  A zero beta
+      survives iff there is none; a nonzero beta needs exp(beta) >= below,
+      since at every probe with b > exp(beta) its sum is base.
+    * ``ties``, the set of b at which ``nu(base) != lhs``.  A nonzero beta
+      whose exponent lies in it fails the probe where it ties base.
+    * ``low``, the least b.  A nonzero beta with exp(beta) > low must equal
+      lhs at every probe with b < exp(beta), and there ``lhs = base +
+      alpha`` is base, nu(base) or alpha.  The first two have exponent b,
+      so beta survives those probes iff it is alpha.
 
-    So the candidates are ranked once, zeros first as a group of their
-    own, then the rest by exponent, and at each probe two bisections find
-    the ranks of the first two cases; a base of zero ranks every zero
-    below it and every other candidate above it.  Each case replaces the
-    sum ``base + beta`` by the element it equals, so a candidate fails a
-    probe here exactly when one sum and one comparison per pair of probe
-    and candidate would fail it there.  A failure is final in both, so a
-    refuted candidate is never tested again, and refuting the lowest ranks
-    at once is recorded as one index below which every rank is refuted.
-    The ranking is a permutation of the battery, and each verdict goes
-    back to its candidate's place.
+    Each candidate then costs a set lookup and a few comparisons, and its
+    verdict is the conjunction that one sum and one comparison per pair of
+    probe and candidate would give.
 
     The sums are evaluated on the elements as :func:`_probe_exponents_for`
     returns them, scaled into the battery's integer frame; its docstring
     proves each verdict exact, with no Fraction in the loop.  Scaling keeps
-    order, so the ranking of the scaled exponents is the ranking of the
-    unscaled ones.
+    order, so comparing scaled exponents is comparing unscaled ones.
     """
     levels = ((1, alpha1), (-1, alpha2), (0, alpha), *((0, b) for b in betas))
     _, (a1, a2, a, *scaled_betas), exps = _probe_exponents_for(sf, *levels)
-    by_exp = sorted([(b.exp, k) for k, b in enumerate(scaled_betas) if not b.is_zero])
-    order = [k for k, b in enumerate(scaled_betas) if b.is_zero]
-    zeros = len(order)
-    order += [k for _, k in by_exp]
-    keys = [x for x, _ in by_exp]
-    ranked = [scaled_betas[k] for k in order]
-    live = [True] * len(ranked)
-    dead_below = 0  # every rank below this one is refuted
+    if a1.is_zero and a2.is_zero:
+        return [b == a for b in scaled_betas]
     tag, fiber = sf.one.tag, sf.one.fiber
+    base_exps, misses, ties = [], [], set()
     for exp in exps:
         # lambda's fiber is its own inverse
         base = Element(tag, exp, fiber) * a1 + Element(tag, -exp, fiber) * a2
         lhs = base + a
-        if base.is_zero:
-            lo = hi = zeros
-        else:
-            lo = zeros + bisect_left(keys, base.exp)
-            hi = zeros + bisect_right(keys, base.exp, lo - zeros)
-        if base != lhs:
-            dead_below = max(dead_below, lo)
-        if lo < hi and lhs != base.nu():
-            for r in range(lo, hi):
-                live[r] = False
-        for r in range(max(hi, dead_below), len(ranked)):
-            if live[r] and ranked[r] != lhs:
-                live[r] = False
-    verdicts = [False] * len(betas)
-    for r in range(dead_below, len(ranked)):
-        verdicts[order[r]] = live[r]
-    return verdicts
+        base_exps.append(base.exp)
+        if lhs != base:
+            misses.append(base.exp)
+        if lhs != base.nu():
+            ties.add(base.exp)
+    below, low = max(misses, default=None), min(base_exps)
+    return [
+        below is None if beta.is_zero
+        else (below is None or beta.exp >= below) and beta.exp not in ties and (beta.exp <= low or beta == a)
+        for beta in scaled_betas
+    ]
 
 
 def diagonal_membership_oracle(sf: Semifield, alpha: Element, betas: list[Element]) -> list[bool]:

@@ -100,7 +100,7 @@ def zero_form(sf: Semifield, n: int) -> QuadraticForm:
 
 def eval_quadratic(q: QuadraticForm, x: Sequence[Element]) -> Element:
     """Value of the form: sum of alpha_i x_i^2 and beta_{i,j} x_i x_j."""
-    x = check_vector(q, x)
+    x = tuple(map(q.sf.element, check_vector(q, x)))
     terms = [q.diag[i] * x[i] * x[i] for i in range(q.n)]
     for i, row in enumerate(q.cross):
         terms.extend(row[j] * x[i] * x[j] for j in range(i + 1, q.n) if not row[j].is_zero)
@@ -108,8 +108,8 @@ def eval_quadratic(q: QuadraticForm, x: Sequence[Element]) -> Element:
 
 
 def eval_bilinear(b: SymmetricBilinearForm, x: Sequence[Element], y: Sequence[Element]) -> Element:
-    x = check_vector(b, x)
-    y = check_vector(b, y)
+    x = tuple(map(b.sf.element, check_vector(b, x)))
+    y = tuple(map(b.sf.element, check_vector(b, y)))
     return semiring_sum(b.gram[i][j] * x[i] * y[j] for i in range(b.n) for j in range(b.n))
 
 

@@ -67,7 +67,7 @@ class MonomialMatrix(Value):
         return GeneralMatrix(self.sf, tuple(tuple(r) for r in rows))
 
     def apply(self, x: Sequence[Element]) -> tuple[Element, ...]:
-        x = check_vector(self, x)
+        x = tuple(map(self.sf.element, check_vector(self, x)))
         out = [ZERO] * self.n
         for j in range(self.n):
             out[self.perm[j]] = self.scales[j] * x[j]

@@ -70,7 +70,7 @@ class RationalQuadraticForm(Value):
         return self.coeffs.get((i, j) if i <= j else (j, i), _QZERO)
 
     def evaluate(self, x: Sequence[Fraction]) -> Fraction:
-        x = check_vector(self, x)
+        x = [_exact("coordinate", c) for c in check_vector(self, x)]
         total = Fraction(0)
         for (i, j), c in self.coeffs.items():
             total += c * x[i] * x[j]
@@ -110,6 +110,9 @@ def _is_prime(p: int) -> bool:
 
 
 def padic_valuation(p: int, a: Fraction) -> int:
+    """The exponent of p in the nonzero rational a; p must be at least 2."""
+    if p < 2:
+        raise ValueError(f"the base of a valuation must be at least 2, not {p}")
     if a == 0:
         raise ValueError("the valuation of zero is not finite")
     v = 0

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tropquad import (
@@ -69,6 +69,7 @@ from gen import (
 )
 
 INT = Semifield(GroupKind.INT)
+INT1 = Semifield(GroupKind.INT, 1)
 RAT = Semifield(GroupKind.RAT)
 RAT3 = Semifield(GroupKind.RAT3)
 t = INT.tangible
@@ -232,6 +233,45 @@ def test_set_extrema_really_extreme():
                     assert leq_minimal(b, hi)
             if hi is not None:
                 assert contains(cell, hi)
+
+
+# exponents of each group's grid, fine enough to hold every edge below
+_GRIDS = {
+    GroupKind.INT: range(-4, 5),
+    GroupKind.RAT: [_canon_exp(Fraction(k, 12)) for k in range(-48, 49)],
+    GroupKind.RAT3: [_canon_exp(Fraction(k, 9)) for k in range(-36, 37)],
+}
+# doubled bounds and nu-class exponents, in a cell's group or not
+_BOUNDS = [-3, -2, 0, 1, 3, 4, Fraction(7, 2), Fraction(-5, 3), Fraction(2, 3), Fraction(1, 2)]
+
+
+@pytest.mark.parametrize("rank", (0, 1))
+@pytest.mark.parametrize("kind", list(GroupKind))
+def test_set_max_is_the_largest_member(kind, rank):
+    """On hand-built cells of every kind, set_max is the maximum under the
+    minimal order of the cell's members in a grid that holds every edge.
+
+    A dense group has no maximum below an open edge, nor below a closed one
+    that is no exponent, but a finite grid still has a largest member; there
+    set_max is None, and the group's pick between that member and the edge
+    is a larger member.
+    """
+    sf = Semifield(kind, rank)
+    grid = element_grid(sf, _GRIDS[kind])
+    cells = [Singleton(x) for x in grid[::7]]
+    cells += [cls(b) for cls in (NuLeqDoubled, NuLtDoubled) for b in _BOUNDS]
+    cells += [NuClass(e) for e in _GRIDS[kind][::5]]
+    for cell in cells:
+        members = [x for x in grid if contains(cell, x)]
+        tops = [m for m in members if all(leq_minimal(x, m) for x in members)]
+        top = set_max(sf, cell)
+        if top is not None:
+            assert tops == [top], cell
+        else:
+            assert kind is not GroupKind.INT and isinstance(cell, (NuLeqDoubled, NuLtDoubled)), cell
+            (largest,) = tops
+            above = sf.ghost(sf.between(largest.exp, Fraction(cell.bound2) / 2))
+            assert contains(cell, above) and not leq_minimal(above, largest), cell
 
 
 # -- tables ---------------------------------------------------------------------
@@ -662,7 +702,7 @@ def test_oracle_shares_no_code_with_the_case_analysis():
 
 
 @st.composite
-def _ranked_battery_inputs(draw):
+def _mixed_battery_inputs(draw):
     """A semifield of any group and fiber rank 0, 1 or 2, a rank-2 triple
     (alpha1 = alpha2 = 0 now and then, so every probe's lambda-part is zero)
     and a battery mixing drawn elements, zeros, duplicates, elements at
@@ -691,10 +731,23 @@ def _ranked_battery_inputs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_ranked_battery_inputs())
+@given(_mixed_battery_inputs())
+# alpha1 = alpha2 = 0: base is zero at every probe, and only alpha itself survives
+@example(data=(INT1, ZERO, ZERO, INT1.tangible(2, (-1,)), [
+    INT1.tangible(2, (-1,)), INT1.ghost(2), ZERO, INT1.tangible(2, (1,)), INT1.tangible(-1, (-1,))]))
+# below t:5 the left side is t:3, then g:3, then base itself: t:5 is refuted, t:3 (alpha) survives
+@example(data=(INT, t(0), t(0), t(3), [t(5), t(3), g(3), t(4), ZERO]))
+# base is t:1 at both lowest probes: only the tie there refutes t:1 and g:1
+@example(data=(INT, t(0), t(1), ZERO, [t(1), g(1), t(0), g(0), t(-1), ZERO]))
+# duplicated candidates, zeros among them, in a dense group
+@example(data=(RAT, RAT.tangible(1), RAT.ghost(-1), RAT.tangible(-1), [
+    RAT.ghost(0), ZERO, RAT.tangible(-2), RAT.ghost(0), ZERO, RAT.tangible(-2), RAT.tangible(Fraction(1, 2)),
+    RAT.tangible(Fraction(1, 2))]))
 def test_oracle_matches_the_pairwise_reference(data):
-    """Ranking the battery decides each candidate as one sum and one
-    comparison per pair of probe and candidate would."""
+    """Deciding each candidate from three per-probe facts (the largest
+    exponent of base at which base differs from the left side, the
+    exponents at which its ghost does, its least exponent) gives the verdict
+    that one sum and one comparison per pair of probe and candidate would."""
     sf, a1, a2, a, betas = data
     assert companion_membership_oracle(sf, a1, a2, a, betas) == membership_oracle_reference(sf, a1, a2, a, betas)
     assert diagonal_membership_oracle(sf, a1, betas) == membership_oracle_reference(sf, a1, a1, a1.nu(), betas)

@@ -93,6 +93,29 @@ def test_a_short_vector_is_refused_with_one_message(name):
     VECTOR_CALLS[name](FULL)
 
 
+# a coordinate of another semifield: an exponent outside the int group, a fiber of another rank
+FOREIGN = [
+    (RAT.tangible(Fraction(1, 3)), "exponent 1/3 not in the int group"),
+    (Semifield(GroupKind.INT, 1).tangible(1), r"bad fiber \(1,\) for rank 0"),
+]
+SEMIFIELD_CALLS = [name for name in VECTOR_CALLS if name != "RationalQuadraticForm.evaluate"]
+
+
+@pytest.mark.parametrize("coordinate, message", FOREIGN, ids=["exponent", "fiber"])
+@pytest.mark.parametrize("name", SEMIFIELD_CALLS)
+def test_a_coordinate_outside_the_semifield_is_refused(name, coordinate, message):
+    with pytest.raises(ValueError, match=message):
+        VECTOR_CALLS[name]((ONE, coordinate, ONE))
+
+
+@pytest.mark.parametrize("coordinate", [0.5, 2.0, True, False])
+def test_a_rational_form_refuses_an_inexact_coordinate(coordinate):
+    q = RationalQuadraticForm(2, {(0, 0): 1, (0, 1): 1})
+    with pytest.raises(ValueError, match=f"coordinate must be an exact number, not {type(coordinate).__name__}"):
+        q.evaluate([Q1, coordinate])
+    assert q.evaluate([Q1, 2]) == q.evaluate([Q1, Fraction(2)]) == 3
+
+
 def test_the_label_is_written_in_one_module():
     src = Path(tropquad.__file__).parent
     holders = sorted(p.name for p in src.glob("*.py") if f'"{LABEL}"' in p.read_text(encoding="utf-8"))

@@ -1,7 +1,11 @@
 """Valuation-derived images of rational quadratic forms."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +37,7 @@ from tropquad import (
 
 from gen import random_ratform, random_rational
 
+ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 F = Fraction
 WORKED = RationalQuadraticForm(2, {(0, 0): F(1), (0, 1): F(2), (1, 1): F(4)})
 P2 = SupervaluationSpec(2, "tangible")
@@ -44,6 +49,27 @@ def test_padic_valuation():
     assert padic_valuation(5, F(-50, 3)) == 2
     with pytest.raises(ValueError):
         padic_valuation(2, F(0))
+
+
+def test_padic_valuation_refuses_a_base_below_two():
+    """A base of 1 or -1 used to divide forever, and 0 to divide by zero; the
+    calls run in a fresh interpreter, so a hang fails the test instead of
+    stalling the run."""
+    probe = (
+        "from tropquad import padic_valuation\n"
+        "for p in (1, -1, 0):\n"
+        "    try:\n"
+        "        padic_valuation(p, 3)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=ENV, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"the base of a valuation must be at least 2, not {p}" for p in (1, -1, 0)
+    ]
 
 
 def test_apply_examples():
