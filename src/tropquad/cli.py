@@ -181,64 +181,25 @@ def _cmd_equal(args) -> int:
 
 
 def _cell_invariant_violations(cell, probes, inside) -> list[str]:
-    """Convexity and sum rules over a classified probe battery.
+    """Convexity and closure of a cell's members, walked pairwise over a probe battery.
 
-    ``inside[k]`` tells whether ``probes[k]`` is a member; every member
-    must satisfy ``contains(cell, b)``, as it does when ``inside[k]`` is
-    ``contains(cell, probes[k])``.  The battery holds zero and the ghost of
-    each of its elements, as ``boundary_probe_elements`` builds it, and it
-    may hold one element twice.  Ghost stability (with zero inside, b is in
-    iff nu(b) is) needs no rule of its own: if b is in and nu(b) is out,
-    the sum rule fails at b + b = nu(b); if b is out and nu(b) is in,
-    convexity fails at 0 <= b <= nu(b).
-
-    Both rules are decided from per-battery summaries, in time linear in
-    the battery, by the closed rules of ``+`` and ``leq_minimal``:
-
-    * *Closure* (checked once a member is zero or a ghost).  Zero adds as
-      the identity, two members of different exponents sum to the larger
-      one, and two of one exponent sum to the ghost of that exponent,
-      whatever their tags and fibers.  So every sum of members is a member
-      or nu(b) of a member b, and b + b = nu(b) is one of the sums: the
-      members are closed iff ``contains(cell, nu(b))`` for every member b.
-      For zero and ghosts nu(b) = b, so only tangible members are asked.
-    * *Convexity.*  A non-member ``mid`` has a member b <= mid iff zero is
-      a member, or ``mid`` is nonzero and the least nonzero member
-      exponent is below exp(mid), or equal to it with ``mid`` a ghost or
-      ``mid`` equal to a member (b == mid).  It has a member b >= mid iff
-      ``mid`` is zero and some member exists, or the largest nonzero member
-      exponent is above exp(mid), or equal to it with a ghost member there
-      or ``mid`` equal to a member.  A member equal to ``mid`` has its
-      exponent, so it is looked for only at the least or largest exponent.
-
-    A rule that fails is walked pairwise, in battery order, so each message
-    names the same first witnesses as the rule's definition does.
+    ``inside[k]`` tells whether ``probes[k]`` is a member; a sum of members
+    is asked of ``contains(cell, .)``.  ``check`` does not call this: every
+    cell kind is a lower set of the minimal order, a nu-class or a singleton,
+    so its members are convex and closed and neither rule can fire.  It
+    stays while the bench tracer's ``cli.invariants`` span binds it by name,
+    and goes with that span (ROADMAP item 2).
     """
-    members = [b for b, ok in zip(probes, inside) if ok]
-    exps = [b.exp for b in members if not b.is_zero]
-    has_zero = len(exps) < len(members)
-    if exps:
-        low, high = min(exps), max(exps)
-        ghost_at_high = any(b.is_ghost and b.exp == high for b in members)
-
-    def between_members(mid) -> bool:
-        if mid.is_zero:
-            return has_zero  # zero lies below every member, and only zero below zero
-        if not exps:
-            return False  # only zero is a member, and it lies above no nonzero mid
-        e = mid.exp
-        below = has_zero or low < e or (low == e and (mid.is_ghost or mid in members))
-        return below and (high > e or (high == e and (ghost_at_high or mid in members)))
-
     problems = []
+    members = [b for b, ok in zip(probes, inside) if ok]
     for mid, ok in zip(probes, inside):
-        if not ok and between_members(mid):
-            lo = next(b for b in members if leq_minimal(b, mid))
-            hi = next(b for b in members if leq_minimal(mid, b))
+        if ok:
+            continue
+        lo = next((b for b in members if leq_minimal(b, mid)), None)
+        hi = next((b for b in members if leq_minimal(mid, b)), None)
+        if lo is not None and hi is not None:
             problems.append(f"convexity fails between {lo} and {hi} at {mid}")
-    if any(m.is_ghost or m.is_zero for m in members) and not all(
-        contains(cell, b.nu()) for b in members if b.is_tangible
-    ):
+    if any(m.is_ghost or m.is_zero for m in members):
         for b1, b2 in combinations_with_replacement(members, 2):
             if not contains(cell, b1 + b2):
                 problems.append(f"not closed under addition: {b1} + {b2}")
@@ -254,17 +215,15 @@ def _cmd_check(args) -> int:
             cell = table.cell(i, j)
             a1, a2, alpha = q.diag[i], q.diag[j], q.cross[i][j] if i != j else None
             probes = boundary_probe_elements(q.sf, alpha, cell)
-            inside = [contains(cell, b) for b in probes]
             if alpha is None:
                 by_oracle = diagonal_membership_oracle(q.sf, a1, probes)
             else:
                 by_oracle = companion_membership_oracle(q.sf, a1, a2, alpha, probes)
             bad = [
                 f"oracle disagrees at {format_element(beta)}"
-                for beta, closed, ok in zip(probes, inside, by_oracle)
-                if closed != ok
+                for beta, ok in zip(probes, by_oracle)
+                if contains(cell, beta) != ok
             ]
-            bad.extend(_cell_invariant_violations(cell, probes, inside))
             entry = {"i": i + 1, "j": j + 1, "probes": len(probes), "ok": not bad}
             report["cells"].append(entry)
             if bad:

@@ -42,6 +42,14 @@ def _exact(what: str, x):
     return x
 
 
+def _base(what: str, p) -> int:
+    """p, unless it is not an int: a float or bool is inexact, anything else ill-typed."""
+    if p.__class__ is not int:
+        _exact(what, p)
+        raise ValueError(f"{what} must be an int, not {type(p).__name__} {p!r}")
+    return p
+
+
 class RationalQuadraticForm(Value):
     """Triangular scheme with exact rational coefficients.
 
@@ -70,7 +78,7 @@ class RationalQuadraticForm(Value):
         return self.coeffs.get((i, j) if i <= j else (j, i), _QZERO)
 
     def evaluate(self, x: Sequence[Fraction]) -> Fraction:
-        x = [_exact("coordinate", c) for c in check_vector(self, x)]
+        x = [Fraction(_exact("coordinate", c)) for c in check_vector(self, x)]
         total = Fraction(0)
         for (i, j), c in self.coeffs.items():
             total += c * x[i] * x[j]
@@ -86,7 +94,7 @@ class SupervaluationSpec(Value):
     __slots__ = ("prime", "mode")
 
     def __init__(self, prime: Optional[int], mode: str = "tangible"):
-        if prime is not None and (_exact("prime", prime) < 2 or not _is_prime(prime)):
+        if prime is not None and (_base("prime", prime) < 2 or not _is_prime(prime)):
             raise ValueError(f"{prime} is not a prime")
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
@@ -110,9 +118,11 @@ def _is_prime(p: int) -> bool:
 
 
 def padic_valuation(p: int, a: Fraction) -> int:
-    """The exponent of p in the nonzero rational a; p must be at least 2."""
-    if p < 2:
+    """The exponent of p in the nonzero rational a; p must be an int of at least 2."""
+    if _base("the base of a valuation", p) < 2:
         raise ValueError(f"the base of a valuation must be at least 2, not {p}")
+    if a.__class__ is not Fraction:  # apply_supervaluation hands over a Fraction
+        a = Fraction(_exact("argument", a))
     if a == 0:
         raise ValueError("the valuation of zero is not finite")
     v = 0

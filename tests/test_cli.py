@@ -7,7 +7,6 @@ import os
 import re
 import tempfile
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +26,6 @@ from tropquad import (
     Singleton,
     companion_table,
     contains,
-    pair_analysis,
 )
 from tropquad import cli
 from tropquad.cli import main
@@ -42,7 +40,7 @@ from tropquad.serialize import (
     table_to_json,
 )
 
-from gen import any_cells, any_elements, element_strategy, wide_element_strategy
+from gen import any_cells, any_elements, element_strategy
 
 FORM = {"semifield": {"group": "int", "fiber_rank": 0}, "n": 2, "diag": ["t:2", "t:4"], "upper": {"1,2": "t:3"}}
 FORM_GHOSTED = {"semifield": {"group": "int", "fiber_rank": 0}, "n": 2, "diag": ["t:2", "t:4"], "upper": {"1,2": "g:3"}}
@@ -171,20 +169,32 @@ def test_rational_form_beyond_the_dimension_limit(files, capsys):
         assert json.loads(err) == {"error": f"n must be at most {n}", "path": "$.n"}
 
 
-def test_check_ok_and_corrupted_table(files, capsys, tmp_path):
+def _corrupted_table(files, capsys, form_path) -> str:
+    """A saved table of the form whose cell (1,2) is replaced by the singleton {t:3}."""
+    code, out, _ = run(capsys, "companions", form_path)
+    assert code == 0
+    table = json.loads(out)
+    table["cells"][0][1] = {"kind": "singleton", "value": "t:3"}
+    table["cells"][1][0] = {"kind": "singleton", "value": "t:3"}
+    return files("table.json", table)
+
+
+# the one table diff that check prints for FORM against its corrupted table
+CORRUPTED_DIFF = [{"table": [
+    {"computed": {"bound2": "6", "display": "[0, g:3]", "kind": "nu_leq"},
+     "given": {"display": "{t:3}", "kind": "singleton", "value": "t:3"}, "i": i, "j": j}
+    for i, j in ((1, 2), (2, 1))
+]}]
+
+
+def test_check_ok_and_corrupted_table(files, capsys):
     form_path = files("f.json", FORM)
     code, out, _ = run(capsys, "check", form_path)
     assert code == 0
     report = json.loads(out)
     assert report["ok"] is True and not report["mismatches"]
 
-    code, out, _ = run(capsys, "companions", form_path)
-    table = json.loads(out)
-    table["cells"][0][1] = {"kind": "singleton", "value": "t:3"}
-    table["cells"][1][0] = {"kind": "singleton", "value": "t:3"}
-    bad_path = tmp_path / "table.json"
-    bad_path.write_text(json.dumps(table))
-    code, out, _ = run(capsys, "check", form_path, "--table", str(bad_path))
+    code, out, _ = run(capsys, "check", form_path, "--table", _corrupted_table(files, capsys, form_path))
     assert code == 2
     assert json.loads(out)["ok"] is False
 
@@ -328,6 +338,67 @@ def test_pretty_mode(files, capsys):
     code, out, _ = run(capsys, "--pretty", "companions", files("f.json", FORM))
     assert code == 0
     assert "[0, g:3]" in out and "{" not in out.splitlines()[0]
+
+
+RAT3_HALF_OPEN = {"semifield": {"group": "rat3", "fiber_rank": 0}, "n": 2, "diag": ["t:0", "t:1"], "upper": {}}
+# forms that differ at the witness (t:-2, t:0), so min-plus shows (t:2, t:0)
+WITNESSED = [
+    {"semifield": {"group": "int", "fiber_rank": 0}, "n": 2, "diag": ["t:-2", "t:-2"], "upper": {"1,2": v}}
+    for v in ("t:1", "g:1")
+]
+
+
+@pytest.mark.parametrize(
+    "argv, inputs, lines",
+    [
+        (["decompose"], [RAT3_HALF_OPEN], [
+            "quasilinear part: [t:0 0; t:1]",
+            "minimal rigid complement: [0 0; 0]",
+            "maximal rigid complement: none",
+            "no maximum because cell (1,2) is half-open",
+        ]),
+        (["decompose"], [FORM], [
+            "quasilinear part: [t:2 0; t:4]",
+            "minimal rigid complement: [0 0; 0]",
+            "maximal rigid complement: [0 g:3; 0]",
+        ]),
+        (["rigid-extrema"], [RAT3_HALF_OPEN], ["min: [0 0; 0]", "max: none"]),
+        (["rigid-extrema"], [FORM], ["min: [0 0; 0]", "max: [0 g:3; 0]"]),
+        (["invert"], [MATRIX], ["inverse: [t:-2 0; 0 t:1]"]),
+        (["equal"], WITNESSED, ["equal: False", "witness vector: t:-2, t:0"]),
+        (["--min-plus", "equal"], WITNESSED, ["equal: False", "witness vector: t:2, t:0"]),
+        (["equal"], [FORM, FORM_GHOSTED], ["equal: True"]),
+        (["--min-plus", "equal"], [FORM, FORM], ["equal: True"]),
+        (["check"], [FORM], ["cells checked: 3", "ok: True"]),
+    ],
+)
+def test_pretty_text(files, capsys, argv, inputs, lines):
+    paths = [files(f"in{k}.json", obj) for k, obj in enumerate(inputs)]
+    code, out, err = run(capsys, "--pretty", *argv, *paths)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == lines
+
+
+def test_pretty_check_prints_its_mismatches(files, capsys):
+    form_path = files("f.json", FORM)
+    code, out, _ = run(capsys, "--pretty", "check", form_path, "--table", _corrupted_table(files, capsys, form_path))
+    assert code == 2
+    assert out.splitlines() == [
+        "cells checked: 3",
+        "ok: False",
+        "MISMATCHES: " + json.dumps(CORRUPTED_DIFF, sort_keys=True),
+    ]
+
+
+def test_classes_under_the_trivial_valuation(files, capsys):
+    """The trivial valuation sends every nonzero rational to level 0, so each class has parity 0."""
+    path = files("r.json", {"n": 2, "coeffs": {"1,1": "2", "1,2": "1/4", "2,2": "-8"}})
+    code, out, _ = run(capsys, "classes", path, "--prime", "trivial", "--mode", "signed")
+    assert code == 0
+    assert out == json.dumps({"square_classes": [
+        {"fiber": "-", "kind": "tangible", "parity": 0},
+        {"fiber": "+", "kind": "tangible", "parity": 0},
+    ]}, sort_keys=True) + "\n"
 
 
 # an element literal of the text encoding: "0", "t:<rat>", "t:<rat>:<signs>" or "g:<rat>"
@@ -568,8 +639,9 @@ def test_every_input_answers_with_one_json_document(call):
 
 # -- the invariant rules of check ----------------------------------------------
 #
-# On closed-form cells the rules never fire, so these tests hand `check` a
-# cell whose members are an arbitrary set: ``cli.contains`` is replaced by
+# `check` no longer runs these rules: on a cell that `contains` reads they
+# cannot fire.  To show what the rules find, these tests hand them a cell
+# whose members are an arbitrary set: ``cli.contains`` is replaced by
 # membership in that set.
 
 INT = Semifield(GroupKind.INT, 0)
@@ -623,6 +695,22 @@ def test_invariant_rules_name_what_their_definitions_find(data):
         assert named["closure"] or named["convexity"]
 
 
+def test_check_runs_no_invariant_rule(files, capsys, monkeypatch):
+    """A cell's verdict is oracle agreement alone; a saved table is still compared."""
+
+    def refuse(*_):
+        raise AssertionError("check ran the invariant rules")
+
+    monkeypatch.setattr(cli, "_cell_invariant_violations", refuse)
+    for form in (FORM, FORM_GHOSTED, RIGID1, RIGID2, RAT3_HALF_OPEN):
+        code, out, _ = run(capsys, "check", files("f.json", form))
+        assert code == 0 and json.loads(out)["ok"] is True
+    form_path = files("f.json", FORM)
+    code, out, _ = run(capsys, "check", form_path, "--table", _corrupted_table(files, capsys, form_path))
+    assert code == 2
+    assert json.loads(out)["mismatches"] == CORRUPTED_DIFF
+
+
 def test_convexity_rule_fires_alone():
     t0, t1, t2 = (INT.tangible(e) for e in (0, 1, 2))
     assert _violations([t0, t1, t2], {t0, t2}) == ["convexity fails between t:0 and t:2 at t:1"]
@@ -639,59 +727,6 @@ def test_ghost_stability_rule_fires():
     assert _violations([ZERO, t0, g0], {ZERO, t0}) == ["not closed under addition: t:0 + t:0"]
 
 
-def _pairwise_violations(in_cell, probes, inside) -> list[str]:
-    """Reference: both rules walked over every pair, as their definitions read."""
-    problems = []
-    members = [b for b, ok in zip(probes, inside) if ok]
-    for mid, ok in zip(probes, inside):
-        if ok:
-            continue
-        lo = next((b for b in members if leq_minimal(b, mid)), None)
-        hi = next((b for b in members if leq_minimal(mid, b)), None)
-        if lo is not None and hi is not None:
-            problems.append(f"convexity fails between {lo} and {hi} at {mid}")
-    if any(m.is_ghost or m.is_zero for m in members):
-        for b1, b2 in combinations_with_replacement(members, 2):
-            if not in_cell(b1 + b2):
-                problems.append(f"not closed under addition: {b1} + {b2}")
-    return problems
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.data())
-def test_linear_invariant_rules_equal_the_pairwise_rules_property(data):
-    """The same problems, in the same order, as the pairwise walk of both rules:
-    on closed-form batteries with narrow or wide exponents and one probe held
-    twice, classified by the cell or with random probes flipped."""
-    sf = data.draw(SEMIFIELDS)
-    elems = data.draw(st.sampled_from((element_strategy, wide_element_strategy)))(sf)
-    a1, a2, alpha = (data.draw(elems) for _ in range(3))
-    if data.draw(st.booleans()):
-        cell = pair_analysis(sf, a1, a2, alpha)[1]
-    else:
-        cell, alpha = pair_analysis(sf, a1, a1, a1.nu())[1], None
-    probes = boundary_probe_elements(sf, alpha, cell)
-    probes.insert(data.draw(st.integers(0, len(probes))), data.draw(st.sampled_from(probes)))
-    inside = [contains(cell, b) for b in probes]
-    if data.draw(st.booleans()):
-        # flipped probes: a member must lie in the cell, so the cell follows the mask
-        flips = data.draw(st.lists(st.booleans(), min_size=len(probes), max_size=len(probes)))
-        inside = [ok != flip for ok, flip in zip(inside, flips)]
-        flagged = {b for b, ok in zip(probes, inside) if ok}
-
-        def in_cell(b):
-            return b in flagged
-    else:
-
-        def in_cell(b):
-            return contains(cell, b)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "contains", lambda _cell, b: in_cell(b))
-        linear = cli._cell_invariant_violations(cell, probes, inside)
-    assert linear == _pairwise_violations(in_cell, probes, inside)
-
-
 def test_convexity_rule_fires_at_a_copy_of_a_member():
     """A probe held twice, in by one copy and out by the other, lies between members."""
     probes = boundary_probe_elements(INT, INT.tangible(3), companion_table(QuadraticForm(
@@ -700,7 +735,6 @@ def test_convexity_rule_fires_at_a_copy_of_a_member():
     inside = [k == 3 for k in range(len(probes))]
     problems = cli._cell_invariant_violations(None, probes, inside)
     assert problems == ["convexity fails between t:3 and t:3 at t:3"]
-    assert problems == _pairwise_violations(lambda b: True, probes, inside)
 
 
 @settings(max_examples=500, deadline=None)

@@ -116,6 +116,13 @@ def test_a_rational_form_refuses_an_inexact_coordinate(coordinate):
     assert q.evaluate([Q1, 2]) == q.evaluate([Q1, Fraction(2)]) == 3
 
 
+def test_a_rational_form_reads_a_coordinate_as_it_reads_a_coefficient():
+    """ints, Fractions and rational strings, as the constructor takes them."""
+    q = RationalQuadraticForm(2, {(0, 0): "1/2", (0, 1): 1})
+    for coordinate in (2, Fraction(2), "2", "4/2"):
+        assert q.evaluate([coordinate, "1/3"]) == Fraction(8, 3)
+
+
 def test_the_label_is_written_in_one_module():
     src = Path(tropquad.__file__).parent
     holders = sorted(p.name for p in src.glob("*.py") if f'"{LABEL}"' in p.read_text(encoding="utf-8"))

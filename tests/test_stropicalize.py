@@ -99,6 +99,31 @@ def test_exact_inputs_keep_working():
     assert apply_supervaluation(P2, 0) == ZERO
 
 
+@pytest.mark.parametrize("p", [2.5, 2.0, True, "3", F(3)])
+def test_padic_valuation_refuses_a_base_that_is_not_an_int(p):
+    kind = "an exact number" if isinstance(p, (float, bool)) else "an int"
+    with pytest.raises(ValueError) as info:
+        padic_valuation(p, 4)
+    assert str(info.value) == f"the base of a valuation must be {kind}, not {type(p).__name__} {p!r}"
+
+
+def test_padic_valuation_reads_its_argument_as_apply_supervaluation_does():
+    for a in (F(9, 2), "9/2", "4.5"):
+        assert padic_valuation(3, a) == 2
+    assert padic_valuation(2, 12) == 2
+    for a in (4.5, True):
+        with pytest.raises(ValueError) as info:
+            padic_valuation(3, a)
+        assert str(info.value) == f"argument must be an exact number, not {type(a).__name__} {a!r}"
+
+
+@pytest.mark.parametrize("p", ["3", F(3)])
+def test_spec_refuses_a_prime_that_is_not_an_int(p):
+    with pytest.raises(ValueError) as info:
+        SupervaluationSpec(p)
+    assert str(info.value) == f"prime must be an int, not {type(p).__name__} {p!r}"
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         SupervaluationSpec(4, "tangible")
