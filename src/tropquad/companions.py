@@ -44,15 +44,20 @@ comparison of a few exponents.
 The oracle and the witness run on integers, in one frame per battery:
 :func:`_probe_exponents_for` scales each line once by the battery's scale
 and finds the probes at that scale, and its docstring proves the frame
-exact.  An exponent becomes a rational again only where it leaves as an
-element: in :func:`equality_witness`'s vectors.
+exact.  The oracle takes its candidates at a caller's integer frame as
+they are (``check`` holds a cell's battery at one frame from the moment it
+is built to its verdict), and :func:`_scaled_cell` puts a cell in that
+frame for :func:`contains`.  An exponent becomes a rational again only
+where it leaves as an element: in :func:`equality_witness`'s vectors and
+in ``check``'s message about a probe where the oracle disagrees.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import Optional, Union
+from fractions import Fraction
+from typing import Optional, Sequence, Union
 
 from .errors import PreconditionError, check_operands
 from .forms import QuadraticForm, SymmetricBilinearForm, eval_quadratic, is_rigid  # is_rigid: re-exported
@@ -209,9 +214,31 @@ def _scaled(a: Element, scale: int) -> Element:
     return a if a.is_zero else Element(a.tag, _scaled_exp(a.exp, scale), a.fiber)
 
 
-def _common_scale(elements) -> int:
-    """Twelve times the lcm of the elements' exponent denominators."""
-    return 12 * math.lcm(*(a.exp.denominator for a in elements if not a.is_zero))
+def _scaled_cell(cell: CompanionSet, scale: int) -> CompanionSet:
+    """The cell with its bound, exponent or element multiplied by scale, like :func:`_scaled`.
+
+    scale must clear the cell's exponents (a doubled bound's denominator
+    divides the boundary's).  :func:`contains` reads an exponent only
+    through ``2 * x``, ``<``, ``<=`` and ``==``, which the homomorphism
+    x -> scale * x keeps (see :func:`_probe_exponents_for`), so
+    ``contains(_scaled_cell(cell, S), _scaled(b, S)) == contains(cell, b)``.
+    """
+    if isinstance(cell, Singleton):
+        return Singleton(_scaled(cell.value, scale))
+    if isinstance(cell, NuClass):
+        return NuClass(_scaled_exp(cell.exp, scale))
+    return cell.__class__(_scaled_exp(cell.bound2, scale))
+
+
+def _common_scale(lines, candidates=(), frame: int = 1) -> int:
+    """Twelve times the lcm of frame, the lines' exponent denominators and
+    frame times each candidate's: the scale at which every exponent, a
+    candidate's taken as its exponent over frame, is an integer."""
+    return 12 * math.lcm(
+        frame,
+        *(a.exp.denominator for a in lines if not a.is_zero),
+        *(frame * b.exp.denominator for b in candidates if b.exp.__class__ is Fraction),
+    )
 
 
 def _tie_points(terms: set[tuple[int, int]]) -> list[int]:
@@ -252,33 +279,44 @@ def _probe_exponents(sf: Semifield, criticals: list[int], scale: int) -> list[in
     return probes
 
 
-def _probe_exponents_for(sf: Semifield, *levels: tuple[int, Element]) -> tuple[int, list[Element], list[int]]:
+def _probe_exponents_for(
+    sf: Semifield, *lines: tuple[int, Element], candidates: Sequence[Element] = (), frame: int = 1
+) -> tuple[int, list[Element], list[int]]:
     """The battery's integer frame: its scale, its lines scaled, its probes.
 
-    Each ``(slope, element)`` stands for the line ``slope * exp(lambda) +
-    exp(element)``; zero elements have no level and contribute no line.
-    Returns the battery's scale S, the elements in the order given with
-    their exponents multiplied by S (:func:`_scaled`; zero stays zero), and
-    the probe exponents times S.  The tie points are read off the scaled
-    elements, so each line is scaled once.
+    Each ``(slope, element)`` of ``lines`` stands for the line ``slope *
+    exp(lambda) + exp(element)``, and each candidate for a flat line at its
+    exponent over ``frame``: a caller that holds its candidates at a frame
+    F, every exponent multiplied by F, hands them over as they are.  Zero
+    elements have no level and contribute no line.  Returns the battery's
+    scale S, the lines' elements and then the candidates in the order given
+    with their exponents at scale S (:func:`_scaled`, by S for a line and by
+    the integer S // frame for a candidate; zero stays zero), and the probe
+    exponents times S.  The tie points are read off the scaled elements, so
+    each line is scaled once.
 
-    S = 12 * D, where D is the lcm of the offsets' denominators
-    (:func:`_common_scale`), clears the denominator of every offset, tie
-    point and probe:
+    S = 12 * D, where D is the lcm of frame, the lines' denominators and
+    frame times each candidate's (:func:`_common_scale`), clears the
+    denominator of every offset, tie point and probe.  The scale is taken
+    from the inputs alone and trusts nothing a caller computed: a candidate
+    at frame F whose exponent is an integer has its offset in (1/F)Z, and
+    one whose exponent has denominator d has it in (1/(F d))Z, so D clears
+    every offset and S // frame is an integer.  Then:
 
-    * the offsets lie in (1/D)Z, so each scaled offset is a multiple of 12,
-      in particular even;
+    * each scaled offset is a multiple of 12, in particular even;
     * slopes are +1, -1 and 0, so two slopes differ by 1 or 2 and a tie
       point ``(o2 - o1) / (s1 - s2)`` lies in (1/2D)Z;
     * a probe is a legal tie point or the group's ``between`` pick of two
       tie points, or of a tie point and that point minus or plus 2.  In
       ``int`` that is an integer.  In ``rat`` it is a midpoint, which
-      halves once: (1/4D)Z.  In ``rat3``, D is a power of 3; two distinct
-      points of (1/2D)Z are more than 1/(3D) apart, so the largest
-      power-of-3 step below their distance is at least 1/(3D), and the
-      pick is a multiple of that step: (1/3D)Z, one extra factor of 3.
+      halves once: (1/4D)Z.  In ``rat3`` the step argument needs only the
+      power-of-3 part D3 of D: the offsets are exponents of the group, so
+      they lie in (1/D3)Z and the tie points in (1/2D3)Z; two distinct such
+      points are more than 1/(3D3) apart, so the largest power-of-3 step
+      below their distance is at least 1/(3D3), and the pick is a multiple
+      of that step: (1/3D3)Z, one extra factor of 3.
 
-    Both (1/4D)Z and (1/3D)Z are cleared by 12 * D, so the semifield's
+    Both (1/4D)Z and (1/3D3)Z are cleared by 12 * D, so the semifield's
     integer rules, :meth:`Semifield.legal_scaled` and
     :meth:`Semifield.between_scaled`, decide every probe at scale S (the
     latter raises rather than round if S did not clear its pick).
@@ -290,14 +328,19 @@ def _probe_exponents_for(sf: Semifield, *levels: tuple[int, Element]) -> tuple[i
     commutes with +, * and inverse, two scaled sums are equal iff the sums
     are, and sums and negatives of scaled exponents stay integers.
     """
-    scale = _common_scale(a for _, a in levels)
-    scaled = [_scaled(a, scale) for _, a in levels]
-    terms = {(slope, a.exp) for (slope, _), a in zip(levels, scaled) if not a.is_zero}
+    scale = _common_scale((a for _, a in lines), candidates, frame)
+    scaled = [_scaled(a, scale) for _, a in lines]
+    terms = {(slope, a.exp) for (slope, _), a in zip(lines, scaled) if not a.is_zero}
+    if candidates:
+        up = scale // frame
+        framed = [_scaled(b, up) for b in candidates]
+        terms.update((0, b.exp) for b in framed if not b.is_zero)
+        scaled += framed
     return scale, scaled, _probe_exponents(sf, _tie_points(terms), scale)
 
 
 def companion_membership_oracle(
-    sf: Semifield, alpha1: Element, alpha2: Element, alpha: Element, betas: list[Element]
+    sf: Semifield, alpha1: Element, alpha2: Element, alpha: Element, betas: list[Element], frame: int = 1
 ) -> list[bool]:
     """Decide cross-coefficient membership of each beta from its definition.
 
@@ -360,20 +403,29 @@ def companion_membership_oracle(
     verdict is the conjunction that one sum and one comparison per pair of
     probe and candidate would give.
 
-    The sums are evaluated on the elements as :func:`_probe_exponents_for`
-    returns them, scaled into the battery's integer frame; its docstring
-    proves each verdict exact, with no Fraction in the loop.  Scaling keeps
-    order, so comparing scaled exponents is comparing unscaled ones.
+    The candidates may come at a frame: with ``frame`` F, each beta's
+    exponent is F times the one it stands for.  The sums are evaluated on
+    the elements as :func:`_probe_exponents_for` returns them, scaled into
+    the battery's integer frame at a scale it takes from the inputs alone;
+    its docstring proves each verdict exact, with no Fraction in the loop.
+    Scaling keeps order, so comparing scaled exponents is comparing
+    unscaled ones.  Lambda has the identity fiber, so ``lambda * alpha1``
+    is alpha1 with its exponent raised by exp(lambda), its tag and fiber
+    kept (zero stays zero), and ``lambda^-1 * alpha2`` is alpha2 lowered by
+    it: each lambda-term is built as that one element.
     """
-    levels = ((1, alpha1), (-1, alpha2), (0, alpha), *((0, b) for b in betas))
-    _, (a1, a2, a, *scaled_betas), exps = _probe_exponents_for(sf, *levels)
+    _, (a1, a2, a, *scaled_betas), exps = _probe_exponents_for(
+        sf, (1, alpha1), (-1, alpha2), (0, alpha), candidates=betas, frame=frame
+    )
     if a1.is_zero and a2.is_zero:
         return [b == a for b in scaled_betas]
-    tag, fiber = sf.one.tag, sf.one.fiber
+    (t1, e1, f1), (t2, e2, f2) = (a1.tag, a1.exp, a1.fiber), (a2.tag, a2.exp, a2.fiber)
     base_exps, misses, ties = [], [], set()
     for exp in exps:
-        # lambda's fiber is its own inverse
-        base = Element(tag, exp, fiber) * a1 + Element(tag, -exp, fiber) * a2
+        # lambda * a1 is a1 raised by exp, and lambda^-1 * a2 is a2 lowered by it
+        up = ZERO if e1 is None else Element(t1, e1 + exp, f1)
+        down = ZERO if e2 is None else Element(t2, e2 - exp, f2)
+        base = up + down
         lhs = base + a
         base_exps.append(base.exp)
         if lhs != base:
@@ -388,7 +440,7 @@ def companion_membership_oracle(
     ]
 
 
-def diagonal_membership_oracle(sf: Semifield, alpha: Element, betas: list[Element]) -> list[bool]:
+def diagonal_membership_oracle(sf: Semifield, alpha: Element, betas: list[Element], frame: int = 1) -> list[bool]:
     """Decide for each beta whether it is an admissible Gram diagonal entry.
 
     The defining family of identities, after dividing by the product of the
@@ -403,7 +455,7 @@ def diagonal_membership_oracle(sf: Semifield, alpha: Element, betas: list[Elemen
     (0, nu(alpha)) meets the lines of slope +1 and -1 only at exponent 0,
     where those two already tie, so it adds no tie point.
     """
-    return companion_membership_oracle(sf, alpha, alpha, alpha.nu(), betas)
+    return companion_membership_oracle(sf, alpha, alpha, alpha.nu(), betas, frame)
 
 
 # ---------------------------------------------------------------------------

@@ -10,20 +10,39 @@ boundary itself is not a legal exponent.
 The exponents are found on integers, at one scale per battery: eighteen
 times the boundary's denominator (the proof is in
 :func:`boundary_probe_elements`).  The semifield's integer rules decide
-legality and the points inside the neighborhoods, and each exponent turns
-back into a rational once, when its elements are built.
+legality and the points inside the neighborhoods.  A battery comes out at
+a frame F, every exponent multiplied by F: at F = 1 its exponents are the
+rationals they stand for, and at the F of :func:`battery_frame` they are
+integers, which ``check`` keeps from the battery to the verdict.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from .companions import CompanionSet, cell_boundary
 from .semiring import ZERO, Element, Semifield, _scaled_exp, _unscaled_exp
 
 
-def boundary_probe_elements(sf: Semifield, alpha: Optional[Element], cell: CompanionSet) -> list[Element]:
-    """Elements worth testing for membership in the cell of cross coefficient alpha.
+def battery_frame(alpha: Optional[Element], cell: CompanionSet) -> int:
+    """The frame at which the cell's battery, the cell and alpha have integer exponents.
+
+    That is lcm(18 * D, den exp(alpha)), with D the boundary's denominator
+    (1 for the cell {0}): 18 * D clears the battery (see
+    :func:`boundary_probe_elements`), and the boundary's denominator is a
+    multiple of the cell's doubled bound's.
+    """
+    boundary = cell_boundary(cell)
+    frame = 18 if boundary is None else 18 * boundary.denominator
+    return frame if alpha is None or alpha.is_zero else math.lcm(frame, alpha.exp.denominator)
+
+
+def boundary_probe_elements(
+    sf: Semifield, alpha: Optional[Element], cell: CompanionSet, frame: int = 1
+) -> list[Element]:
+    """Elements worth testing for membership in the cell of cross coefficient alpha,
+    with every exponent multiplied by ``frame``.
 
     alpha is None for a diagonal cell.  The battery holds zero and the
     ghost of each of its elements.
@@ -47,8 +66,8 @@ def boundary_probe_elements(sf: Semifield, alpha: Optional[Element], cell: Compa
             inside = sf.between_scaled(lo, hi, scale)
             if inside is not None:
                 found.add(inside)
-        exps = [_unscaled_exp(x, scale) for x in sorted(found)]
-    # the exponents are legal and canonical, so the elements need no checks
+        exps = [_unscaled_exp(x * frame, scale) for x in sorted(found)]
+    # the exponents are legal and canonical (at frame 1), so the elements need no checks
     one = sf.one
     flipped = (-1,) + one.fiber[1:]
     probes: list[Element] = [ZERO]
@@ -59,6 +78,7 @@ def boundary_probe_elements(sf: Semifield, alpha: Optional[Element], cell: Compa
         if sf.fiber_rank > 0:
             probes.append(Element(one.tag, exp, flipped))
     if alpha is not None and not alpha.is_zero:
+        alpha = Element(alpha.tag, _unscaled_exp(alpha.exp.numerator * frame, alpha.exp.denominator), alpha.fiber)
         probes.append(alpha)
         probes.append(alpha.nu())
     return probes

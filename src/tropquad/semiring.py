@@ -36,7 +36,7 @@ import enum
 import math
 import re
 from fractions import Fraction
-from operator import mul
+from operator import attrgetter, mul
 from typing import Optional, Union
 
 from .errors import PreconditionError
@@ -67,7 +67,9 @@ class Value:
     ends its own in one call of it.  Assigning or deleting an attribute
     afterwards raises ``AttributeError``.  Two values are equal when they
     have the same type and equal fields, a value hashes as the tuple of its
-    fields, and its repr is ``Name(field=value, ...)``.
+    fields, and its repr is ``Name(field=value, ...)``.  Each subclass gets
+    ``_fields(value)``, which builds that tuple, with ``operator.attrgetter``
+    over its ``__slots__``.
     """
 
     __slots__ = ()
@@ -90,16 +92,21 @@ class Value:
         for name, value in state[1].items():
             _set(self, name, value)
 
-    def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = cls.__slots__
+        get = attrgetter(*names)
+        # attrgetter builds the tuple in C for two or more names; of one name it returns the bare field
+        cls._fields = staticmethod(get if len(names) > 1 else lambda value: (get(value),))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
+            fields = self._fields
+            return fields(self) == fields(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._fields(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

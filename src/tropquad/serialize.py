@@ -22,6 +22,10 @@ once with :meth:`Semifield.parse_element` and hands the same immutable
 an invalid literal fails at the path of its first occurrence, and the memo
 dies with the call, so nothing is carried from one document to the next.
 
+A table's cells repeat the same way, so :func:`table_from_json` reads
+them through one :func:`_cell_reader`, which reads each distinct cell
+encoding once per document on the same terms.
+
 The write side mirrors it for companion tables, whose cells repeat just as
 often: :func:`table_to_json` encodes each distinct cell once per call,
 through one :func:`_cell_encoder`.  Its memo is keyed by exactly what the
@@ -336,6 +340,31 @@ def cell_from_json(sf: Semifield, read_element, obj: Any, path: str, *args) -> C
     return cls(_exponent_from_json(sf, obj[field], path + ".{}", *args, field))
 
 
+def _cell_reader(sf: Semifield):
+    """``read(obj, path, *args)`` for one table: each distinct cell encoding is read once.
+
+    The memo is keyed by the cell's kind and member when both are exact
+    ``str``, which is all :func:`cell_from_json` reads of such a cell, and
+    keeps only cells that were read without error, so a malformed cell
+    fails at the path of its first occurrence.  Any other cell is read on
+    its own.
+    """
+    memo: dict[tuple[str, str], CompanionSet] = {}
+    read_element = _element_reader(sf)
+
+    def read(obj: Any, path: str, *args) -> CompanionSet:
+        if obj.__class__ is dict and (kind := obj.get("kind")).__class__ is str and kind in _CELLS:
+            key = (kind, obj.get(_CELLS[kind][1]))
+            if key[1].__class__ is str:
+                cell = memo.get(key)
+                if cell is None:
+                    cell = memo[key] = cell_from_json(sf, read_element, obj, path, *args)
+                return cell
+        return cell_from_json(sf, read_element, obj, path, *args)
+
+    return read
+
+
 def _cell_encoder() -> Callable[[CompanionSet], dict]:
     """``encode(cell)`` for one table: each distinct cell is encoded once.
 
@@ -381,12 +410,12 @@ def table_from_json(obj: Any) -> CompanionTable:
     cells_obj = _get(obj, "cells", "$")
     _expect(isinstance(cells_obj, list) and cells_obj, "cells must be a nonempty list", "$.cells")
     n = len(cells_obj)
-    read = _element_reader(sf)
+    read = _cell_reader(sf)
     rows = []
     for r, row in enumerate(cells_obj, 1):
         if not (isinstance(row, list) and len(row) == n):
             raise SchemaError("cells must be a square grid", f"$.cells[{r}]")
-        rows.append(tuple([cell_from_json(sf, read, cell, "$.cells[{}][{}]", r, c) for c, cell in enumerate(row, 1)]))
+        rows.append(tuple([read(cell, "$.cells[{}][{}]", r, c) for c, cell in enumerate(row, 1)]))
     return CompanionTable(sf, tuple(rows))
 
 

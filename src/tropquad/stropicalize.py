@@ -42,6 +42,16 @@ def _exact(what: str, x):
     return x
 
 
+def _rational(what: str, x) -> Fraction:
+    """x as a Fraction: it must be an exact number or a rational string, which the error names."""
+    try:
+        return Fraction(_exact(what, x))
+    except TypeError:
+        raise ValueError(f"{what} must be a number or a string, not {type(x).__name__} {x!r}") from None
+    except OverflowError:  # an infinite Decimal
+        raise ValueError(f"{what} must be finite, not {x!r}") from None
+
+
 def _base(what: str, p) -> int:
     """p, unless it is not an int: a float or bool is inexact, anything else ill-typed."""
     if p.__class__ is not int:
@@ -62,13 +72,15 @@ class RationalQuadraticForm(Value):
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs: Mapping[tuple[int, int], Fraction] = {}):
-        if n < 1:
+        if _base("dimension", n) < 1:
             raise ValueError("dimension must be at least 1")
-        for (i, j), c in coeffs.items():
+        for key in coeffs:
+            i, j = key if key.__class__ is tuple and len(key) == 2 else (None, None)
+            if i.__class__ is not int or j.__class__ is not int:
+                raise ValueError(f"coefficient index {key!r} must be a pair of ints")
             if not (0 <= i <= j < n):
                 raise ValueError(f"coefficient index ({i},{j}) out of range")
-            _exact("coefficient", c)
-        canon = ((k, Fraction(c)) for k, c in sorted(coeffs.items()))
+        canon = ((k, _rational("coefficient", c)) for k, c in sorted(coeffs.items()))
         Value.__init__(self, n, {k: c for k, c in canon if c != 0})
 
     def __hash__(self) -> int:
@@ -78,7 +90,7 @@ class RationalQuadraticForm(Value):
         return self.coeffs.get((i, j) if i <= j else (j, i), _QZERO)
 
     def evaluate(self, x: Sequence[Fraction]) -> Fraction:
-        x = [Fraction(_exact("coordinate", c)) for c in check_vector(self, x)]
+        x = [_rational("coordinate", c) for c in check_vector(self, x)]
         total = Fraction(0)
         for (i, j), c in self.coeffs.items():
             total += c * x[i] * x[j]
@@ -122,7 +134,7 @@ def padic_valuation(p: int, a: Fraction) -> int:
     if _base("the base of a valuation", p) < 2:
         raise ValueError(f"the base of a valuation must be at least 2, not {p}")
     if a.__class__ is not Fraction:  # apply_supervaluation hands over a Fraction
-        a = Fraction(_exact("argument", a))
+        a = _rational("argument", a)
     if a == 0:
         raise ValueError("the valuation of zero is not finite")
     v = 0
@@ -138,7 +150,7 @@ def padic_valuation(p: int, a: Fraction) -> int:
 
 def apply_supervaluation(spec: SupervaluationSpec, a) -> Element:
     """phi: zero to zero, nonzero a to level -v_p(a), tagged per mode."""
-    a = Fraction(_exact("argument", a))
+    a = _rational("argument", a)
     sf = spec.semifield
     if a == 0:
         return sf.zero

@@ -44,8 +44,8 @@ from tropquad import (
     set_max,
     set_min,
 )
-from tropquad.companions import _common_scale, _probe_exponents_for, _scaled, cell_boundary
-from tropquad.probes import boundary_probe_elements
+from tropquad.companions import _common_scale, _probe_exponents_for, _scaled, _scaled_cell, cell_boundary
+from tropquad.probes import battery_frame, boundary_probe_elements
 from tropquad.semiring import _canon_exp
 
 from gen import (
@@ -913,6 +913,81 @@ def test_integer_battery_equals_fraction_battery_property(data):
     expected = _fraction_boundary_probe_elements(sf, alpha, cell)
     assert probes == expected
     assert [type(b.exp) for b in probes] == [type(b.exp) for b in expected]
+
+
+# -- one integer frame from battery to verdict ------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_lambda_term_is_its_element_raised_property(data):
+    """The oracle builds lambda * a as a with its exponent raised by exp(lambda),
+    its tag and fiber kept, and lambda^-1 * a as a lowered by it: lambda has
+    the identity fiber."""
+    sf = Semifield(data.draw(st.sampled_from(list(GroupKind))), data.draw(st.sampled_from((0, 1, 2))))
+    a = data.draw(st.one_of(any_elements(sf), wide_element_strategy(sf)))
+    x = data.draw(wide_element_strategy(sf).filter(lambda b: not b.is_zero)).exp
+    one = sf.one
+    for exp, product in ((x, Element(one.tag, x, one.fiber) * a), (-x, Element(one.tag, -x, one.fiber) * a)):
+        assert product == (a if a.is_zero else Element(a.tag, a.exp + exp, a.fiber))
+
+
+@st.composite
+def _framed_inputs(draw):
+    """A semifield, a rank-2 triple, a cell (its own or any kind), alpha or
+    None, and a frame that clears the cell's battery, the cell and alpha."""
+    sf = Semifield(draw(st.sampled_from(list(GroupKind))), draw(st.sampled_from((0, 1))))
+    elems = st.one_of(element_strategy(sf), wide_element_strategy(sf))
+    a1, a2, a = draw(elems), draw(elems), draw(elems)
+    cell = draw(st.one_of(st.just(pair_analysis(sf, a1, a2, a)[1]), any_cells(sf)))
+    alpha = draw(st.sampled_from((a, None)))
+    return sf, a1, a2, a, alpha, cell, battery_frame(alpha, cell) * draw(st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_framed_inputs())
+def test_a_battery_decides_the_same_at_any_frame_that_clears_it_property(data):
+    """At a frame F that clears it, the battery is the frame-1 battery with
+    every exponent times F, both oracles give the frame-1 verdicts, and
+    ``contains`` on the cell scaled by F gives the frame-1 memberships."""
+    sf, a1, a2, a, alpha, cell, frame = data
+    battery = boundary_probe_elements(sf, alpha, cell)
+    framed = boundary_probe_elements(sf, alpha, cell, frame)
+    assert framed == [_scaled(b, frame) for b in battery]
+    assert all(isinstance(b.exp, int) for b in framed if not b.is_zero)
+    scaled_cell = _scaled_cell(cell, frame)
+    assert [contains(scaled_cell, b) for b in framed] == [contains(cell, b) for b in battery]
+    assert companion_membership_oracle(sf, a1, a2, a, framed, frame) == companion_membership_oracle(
+        sf, a1, a2, a, battery
+    )
+    assert diagonal_membership_oracle(sf, a1, framed, frame) == diagonal_membership_oracle(sf, a1, battery)
+
+
+@st.composite
+def _rat3_triples(draw):
+    sf = Semifield(GroupKind.RAT3, draw(st.sampled_from((0, 1))))
+    elems = st.one_of(element_strategy(sf), wide_element_strategy(sf))
+    return sf, draw(elems), draw(elems), draw(elems)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rat3_triples())
+# battery frame 36 = 4 * 9, and a pick of this cross cell's probe set needs 27 in the
+# scale: 12 * 36 has it, lcm(36, 12 * 1) = 36 does not, and between_scaled would raise
+@example(data=(RAT3, RAT3.tangible(3), RAT3.tangible(-2), ZERO))
+def test_a_rat3_battery_at_its_frame_never_raises_property(data):
+    """The oracle's scale, 12 * lcm(frame, D), clears every rat3 pick of a
+    battery held at its frame, and the oracle agrees with ``contains`` there."""
+    sf, a1, a2, a = data
+    for alpha, cell in ((a, pair_analysis(sf, a1, a2, a)[1]), (None, pair_analysis(sf, a1, a1, a1.nu())[1])):
+        frame = battery_frame(alpha, cell)
+        framed = boundary_probe_elements(sf, alpha, cell, frame)
+        if alpha is None:
+            verdicts = diagonal_membership_oracle(sf, a1, framed, frame)
+        else:
+            verdicts = companion_membership_oracle(sf, a1, a2, a, framed, frame)
+        scaled = _scaled_cell(cell, frame)
+        assert verdicts == [contains(scaled, b) for b in framed]
 
 
 @settings(max_examples=300, deadline=None)

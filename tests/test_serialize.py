@@ -20,6 +20,7 @@ from tropquad import (
 )
 from tropquad.companions import CompanionTable, NuClass, NuLeqDoubled, NuLtDoubled, Singleton
 from tropquad.semiring import format_element
+from tropquad import serialize
 from tropquad.serialize import (
     SchemaError,
     bilinear_from_json,
@@ -310,6 +311,45 @@ def test_each_distinct_literal_is_parsed_once_per_document(monkeypatch):
     # the memo lives for one document: an identical second one is parsed afresh
     assert matrix_from_json(doc) == first
     assert sorted(parsed) == ["0", "0", "t:0", "t:0"]
+
+
+def test_a_repeated_bad_cell_fails_at_its_first_path():
+    bad = {"kind": "nu_lt", "bound2": "1/2"}
+    doc = dict(_TABLE, cells=[[_TABLE["cells"][0][0], bad], [bad, bad]])
+    with pytest.raises(SchemaError) as exc:
+        table_from_json(doc)
+    assert (exc.value.path, exc.value.reason) == ("$.cells[1][2].bound2", "exponent 1/2 not in the int group")
+
+
+def test_each_distinct_cell_is_read_once_per_document(monkeypatch):
+    """Cells whose kind and member are the same strings are read once; a
+    member given as a JSON int, or an extra key, changes nothing read."""
+    read = []
+    cell_from_json = serialize.cell_from_json
+
+    def counting(sf, read_element, obj, path, *args):
+        read.append(obj)
+        return cell_from_json(sf, read_element, obj, path, *args)
+
+    monkeypatch.setattr(serialize, "cell_from_json", counting)
+    kinds = [
+        {"kind": "nu_leq", "bound2": "4"},
+        {"kind": "nu_leq", "bound2": "4", "display": "[0, g:2]"},
+        {"kind": "singleton", "value": "t:3"},
+        {"kind": "nu_lt", "bound2": 4},
+    ]
+    cells = [[kinds[(r * 3 + c) % 4] for c in range(16)] for r in range(16)]
+    doc = {"semifield": {"group": "int"}, "cells": cells}
+    table = table_from_json(doc)
+    # the two nu_leq encodings share a key; each int member is read on its own
+    assert sum(1 for obj in read if obj["kind"] != "nu_lt") == 2
+    assert sum(1 for obj in read if obj["kind"] == "nu_lt") == sum(row.count(kinds[3]) for row in cells)
+    assert table.cells == tuple(
+        tuple(cell_from_json(INT, serialize._element_reader(INT), obj, "$") for obj in row) for row in cells
+    )
+    read.clear()
+    assert table_from_json(doc) == table
+    assert len([obj for obj in read if obj["kind"] != "nu_lt"]) == 2  # the memo lives for one document
 
 
 def _cell_pool(sf: Semifield) -> list:

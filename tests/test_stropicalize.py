@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -115,6 +116,27 @@ def test_padic_valuation_reads_its_argument_as_apply_supervaluation_does():
         with pytest.raises(ValueError) as info:
             padic_valuation(3, a)
         assert str(info.value) == f"argument must be an exact number, not {type(a).__name__} {a!r}"
+
+
+@pytest.mark.parametrize("x", [None, [1], (1, 2), {}, 1j])
+def test_a_value_that_is_neither_a_number_nor_a_string_is_named(x):
+    """A coefficient, a coordinate and a valuation's argument name the input, as a float's error does."""
+    calls = [
+        ("coefficient", lambda: RationalQuadraticForm(1, {(0, 0): x})),
+        ("coordinate", lambda: RationalQuadraticForm(1, {(0, 0): 1}).evaluate([x])),
+        ("argument", lambda: apply_supervaluation(P2, x)),
+        ("argument", lambda: padic_valuation(3, x)),
+    ]
+    for what, call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"{what} must be a number or a string, not {type(x).__name__} {x!r}"
+
+
+def test_an_infinite_decimal_is_refused_by_name():
+    with pytest.raises(ValueError) as info:
+        RationalQuadraticForm(1, {(0, 0): Decimal("-Infinity")})
+    assert str(info.value) == "coefficient must be finite, not Decimal('-Infinity')"
 
 
 @pytest.mark.parametrize("p", ["3", F(3)])

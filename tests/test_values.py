@@ -35,6 +35,7 @@ from tropquad import (
     SupervaluationSpec,
     SymmetricBilinearForm,
 )
+from tropquad.semiring import Value
 
 INT = Semifield(GroupKind.INT)
 RAT3_1 = Semifield(GroupKind.RAT3, 1)
@@ -134,6 +135,29 @@ def test_hash_is_the_hash_of_the_field_tuple(k):
     assert len({a, again}) == 1
 
 
+def _value_classes() -> set:
+    """Every subclass of Value that the package defines, at any depth."""
+    found, todo = set(), [Value]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("tropquad.") and sub not in found:
+                found.add(sub)
+                todo.append(sub)
+    return found
+
+
+def test_every_value_subclass_hashes_as_the_tuple_of_its_slots():
+    """The field tuple, built with attrgetter, is a tuple for one-slot classes
+    too, so a value hashes as it did when the tuple was built field by field."""
+    assert _value_classes() == set(FIELDS)
+    for a, b in PAIRS:
+        for v in (a, b):
+            slots = tuple(getattr(v, name) for name in v.__slots__)
+            assert v._fields(v) == slots and type(v._fields(v)) is tuple
+            if not isinstance(v, RationalQuadraticForm):  # hashes its coefficient dict as a frozenset
+                assert hash(v) == hash(slots)
+
+
 @pytest.mark.parametrize("k", range(len(PAIRS)), ids=_ids(PAIRS))
 def test_fields_cannot_be_assigned_or_deleted(k):
     a, b = PAIRS[k]
@@ -191,6 +215,22 @@ def test_copy_and_pickle_keep_the_value(k):
             lambda: RationalQuadraticForm(1, {(0, 0): True}),
             ValueError,
             "coefficient must be an exact number, not bool True",
+        ),
+        (
+            lambda: RationalQuadraticForm(2.0, {(0, 0): 1}),
+            ValueError,
+            "dimension must be an exact number, not float 2.0",
+        ),
+        (lambda: RationalQuadraticForm(True, {}), ValueError, "dimension must be an exact number, not bool True"),
+        (lambda: RationalQuadraticForm("2", {}), ValueError, "dimension must be an int, not str '2'"),
+        (lambda: RationalQuadraticForm(2, {(0.0, 1): 1}), ValueError, "coefficient index (0.0, 1) must be a pair of ints"),
+        (lambda: RationalQuadraticForm(2, {(0, True): 1}), ValueError, "coefficient index (0, True) must be a pair of ints"),
+        (lambda: RationalQuadraticForm(2, {0: 1}), ValueError, "coefficient index 0 must be a pair of ints"),
+        (lambda: RationalQuadraticForm(2, {(0, 1, 1): 1}), ValueError, "coefficient index (0, 1, 1) must be a pair of ints"),
+        (
+            lambda: RationalQuadraticForm(1, {(0, 0): None}),
+            ValueError,
+            "coefficient must be a number or a string, not NoneType None",
         ),
         (lambda: SupervaluationSpec(4), ValueError, "4 is not a prime"),
         (lambda: SupervaluationSpec(1), ValueError, "1 is not a prime"),
