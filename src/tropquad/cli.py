@@ -19,20 +19,12 @@ from itertools import combinations_with_replacement
 from typing import Callable
 
 from . import serialize
-from .companions import (
-    _scaled_cell,
-    companion_membership_oracle,
-    companion_table,
-    contains,
-    diagonal_membership_oracle,
-    equality_witness,
-    is_quasilinear,
-)
+from .companions import companion_table, contains, equality_witness, is_quasilinear
 from .decomposition import quasilinear_part, rig_extrema
 from .errors import PreconditionError
 from .forms import DIMENSION_LIMIT, balanced_companion, eval_quadratic, is_rigid
 from .matrices import invert, monomial_decomposition
-from .semiring import Element, _unscaled_exp, format_element, leq_minimal
+from .semiring import Element, format_element, leq_minimal
 from .serialize import SchemaError
 from .stropicalize import (
     ring_companion_matrix,
@@ -40,7 +32,7 @@ from .stropicalize import (
     stropicalize_bilinear,
     stropicalize_form,
 )
-from .probes import battery_frame, boundary_probe_elements
+from .probes import cell_disagreements
 
 
 def _read_json(path: str):
@@ -207,34 +199,15 @@ def _cell_invariant_violations(cell, probes, inside) -> list[str]:
     return problems
 
 
-def _unframed(beta: Element, frame: int) -> Element:
-    """The element that beta, held at the frame, stands for."""
-    return beta if beta.is_zero else Element(beta.tag, _unscaled_exp(beta.exp, frame), beta.fiber)
-
-
 def _cmd_check(args) -> int:
     q = _form(args)
     table = companion_table(q)
     report = {"cells": [], "mismatches": []}
     for i in range(q.n):
         for j in range(i, q.n):
-            cell = table.cell(i, j)
-            a1, a2, alpha = q.diag[i], q.diag[j], q.cross[i][j] if i != j else None
-            # the battery, the cell and the verdicts stay in one integer frame
-            frame = battery_frame(alpha, cell)
-            probes = boundary_probe_elements(q.sf, alpha, cell, frame)
-            if alpha is None:
-                by_oracle = diagonal_membership_oracle(q.sf, a1, probes, frame)
-            else:
-                by_oracle = companion_membership_oracle(q.sf, a1, a2, alpha, probes, frame)
-            framed = _scaled_cell(cell, frame)
-            bad = [
-                f"oracle disagrees at {format_element(_unframed(beta, frame))}"
-                for beta, ok in zip(probes, by_oracle)
-                if contains(framed, beta) != ok
-            ]
-            entry = {"i": i + 1, "j": j + 1, "probes": len(probes), "ok": not bad}
-            report["cells"].append(entry)
+            size, disagreements = cell_disagreements(q, i, j, table.cell(i, j))
+            bad = [f"oracle disagrees at {format_element(beta)}" for beta in disagreements]
+            report["cells"].append({"i": i + 1, "j": j + 1, "probes": size, "ok": not bad})
             if bad:
                 report["mismatches"].append({"i": i + 1, "j": j + 1, "problems": bad})
     if args.table:

@@ -42,14 +42,14 @@ one halving rule, :meth:`Semifield.halvable`.
 comparison of a few exponents.
 
 The oracle and the witness run on integers, in one frame per battery:
-:func:`_probe_exponents_for` scales each line once by the battery's scale
-and finds the probes at that scale, and its docstring proves the frame
-exact.  The oracle takes its candidates at a caller's integer frame as
-they are (``check`` holds a cell's battery at one frame from the moment it
-is built to its verdict), and :func:`_scaled_cell` puts a cell in that
-frame for :func:`contains`.  An exponent becomes a rational again only
-where it leaves as an element: in :func:`equality_witness`'s vectors and
-in ``check``'s message about a probe where the oracle disagrees.
+:func:`_probe_exponents_for` scales each line and each candidate's
+exponent once by the battery's scale and finds the probes at that scale,
+and its docstring proves the frame exact.  The oracles take their
+candidates at a caller's integer frame, the ``frame`` argument, as they
+are; choosing that frame, and holding the cell in it for :func:`contains`,
+is :mod:`tropquad.probes`' business.  An exponent becomes a rational again
+only where it leaves as an element: in :func:`equality_witness`'s vectors
+and in a probe where the oracle and the closed form disagree.
 """
 
 from __future__ import annotations
@@ -214,22 +214,6 @@ def _scaled(a: Element, scale: int) -> Element:
     return a if a.is_zero else Element(a.tag, _scaled_exp(a.exp, scale), a.fiber)
 
 
-def _scaled_cell(cell: CompanionSet, scale: int) -> CompanionSet:
-    """The cell with its bound, exponent or element multiplied by scale, like :func:`_scaled`.
-
-    scale must clear the cell's exponents (a doubled bound's denominator
-    divides the boundary's).  :func:`contains` reads an exponent only
-    through ``2 * x``, ``<``, ``<=`` and ``==``, which the homomorphism
-    x -> scale * x keeps (see :func:`_probe_exponents_for`), so
-    ``contains(_scaled_cell(cell, S), _scaled(b, S)) == contains(cell, b)``.
-    """
-    if isinstance(cell, Singleton):
-        return Singleton(_scaled(cell.value, scale))
-    if isinstance(cell, NuClass):
-        return NuClass(_scaled_exp(cell.exp, scale))
-    return cell.__class__(_scaled_exp(cell.bound2, scale))
-
-
 def _common_scale(lines, candidates=(), frame: int = 1) -> int:
     """Twelve times the lcm of frame, the lines' exponent denominators and
     frame times each candidate's: the scale at which every exponent, a
@@ -281,19 +265,19 @@ def _probe_exponents(sf: Semifield, criticals: list[int], scale: int) -> list[in
 
 def _probe_exponents_for(
     sf: Semifield, *lines: tuple[int, Element], candidates: Sequence[Element] = (), frame: int = 1
-) -> tuple[int, list[Element], list[int]]:
-    """The battery's integer frame: its scale, its lines scaled, its probes.
+) -> tuple[int, list[Element], list[Optional[int]], list[int]]:
+    """The battery's integer frame: its scale, its lines scaled, its candidates' exponents, its probes.
 
     Each ``(slope, element)`` of ``lines`` stands for the line ``slope *
     exp(lambda) + exp(element)``, and each candidate for a flat line at its
     exponent over ``frame``: a caller that holds its candidates at a frame
     F, every exponent multiplied by F, hands them over as they are.  Zero
     elements have no level and contribute no line.  Returns the battery's
-    scale S, the lines' elements and then the candidates in the order given
-    with their exponents at scale S (:func:`_scaled`, by S for a line and by
-    the integer S // frame for a candidate; zero stays zero), and the probe
-    exponents times S.  The tie points are read off the scaled elements, so
-    each line is scaled once.
+    scale S, the lines' elements with their exponents at scale S
+    (:func:`_scaled`; zero stays zero), each candidate's exponent at scale S
+    in the order given (the integer S // frame times it; None for zero),
+    and the probe exponents times S.  The tie points are read off the
+    scaled exponents, so each line and candidate is scaled once.
 
     S = 12 * D, where D is the lcm of frame, the lines' denominators and
     frame times each candidate's (:func:`_common_scale`), clears the
@@ -331,12 +315,10 @@ def _probe_exponents_for(
     scale = _common_scale((a for _, a in lines), candidates, frame)
     scaled = [_scaled(a, scale) for _, a in lines]
     terms = {(slope, a.exp) for (slope, _), a in zip(lines, scaled) if not a.is_zero}
-    if candidates:
-        up = scale // frame
-        framed = [_scaled(b, up) for b in candidates]
-        terms.update((0, b.exp) for b in framed if not b.is_zero)
-        scaled += framed
-    return scale, scaled, _probe_exponents(sf, _tie_points(terms), scale)
+    up = scale // frame
+    exps = [None if b.is_zero else _scaled_exp(b.exp, up) for b in candidates]
+    terms.update((0, x) for x in exps if x is not None)
+    return scale, scaled, exps, _probe_exponents(sf, _tie_points(terms), scale)
 
 
 def companion_membership_oracle(
@@ -405,20 +387,28 @@ def companion_membership_oracle(
 
     The candidates may come at a frame: with ``frame`` F, each beta's
     exponent is F times the one it stands for.  The sums are evaluated on
-    the elements as :func:`_probe_exponents_for` returns them, scaled into
-    the battery's integer frame at a scale it takes from the inputs alone;
-    its docstring proves each verdict exact, with no Fraction in the loop.
-    Scaling keeps order, so comparing scaled exponents is comparing
-    unscaled ones.  Lambda has the identity fiber, so ``lambda * alpha1``
-    is alpha1 with its exponent raised by exp(lambda), its tag and fiber
-    kept (zero stays zero), and ``lambda^-1 * alpha2`` is alpha2 lowered by
-    it: each lambda-term is built as that one element.
+    the lines as :func:`_probe_exponents_for` returns them, scaled into the
+    battery's integer frame at a scale it takes from the inputs alone; its
+    docstring proves each verdict exact, with no Fraction in the loop.  A
+    candidate is read only through its exponent at that scale, and "beta
+    is alpha" is equality of tag, fiber and that exponent.  Scaling keeps
+    order, so comparing scaled exponents is comparing unscaled ones.
+    Lambda has the identity fiber, so ``lambda * alpha1`` is alpha1 with
+    its exponent raised by exp(lambda), its tag and fiber kept (zero stays
+    zero), and ``lambda^-1 * alpha2`` is alpha2 lowered by it: each
+    lambda-term is built as that one element.
     """
-    _, (a1, a2, a, *scaled_betas), exps = _probe_exponents_for(
+    _, (a1, a2, a), beta_exps, exps = _probe_exponents_for(
         sf, (1, alpha1), (-1, alpha2), (0, alpha), candidates=betas, frame=frame
     )
+    t, e, f = a.tag, a.exp, a.fiber
+
+    def is_alpha(b: Element, x: Optional[int]) -> bool:
+        """Whether the candidate b, of exponent x at the battery's scale, is alpha."""
+        return x == e and b.tag == t and b.fiber == f
+
     if a1.is_zero and a2.is_zero:
-        return [b == a for b in scaled_betas]
+        return [is_alpha(b, x) for b, x in zip(betas, beta_exps)]
     (t1, e1, f1), (t2, e2, f2) = (a1.tag, a1.exp, a1.fiber), (a2.tag, a2.exp, a2.fiber)
     base_exps, misses, ties = [], [], set()
     for exp in exps:
@@ -434,9 +424,9 @@ def companion_membership_oracle(
             ties.add(base.exp)
     below, low = max(misses, default=None), min(base_exps)
     return [
-        below is None if beta.is_zero
-        else (below is None or beta.exp >= below) and beta.exp not in ties and (beta.exp <= low or beta == a)
-        for beta in scaled_betas
+        below is None if x is None
+        else (below is None or x >= below) and x not in ties and (x <= low or is_alpha(b, x))
+        for b, x in zip(betas, beta_exps)
     ]
 
 
@@ -591,7 +581,7 @@ def equality_witness(q1: QuadraticForm, q2: QuadraticForm):
     if i == j:
         return tuple(one if k == i else ZERO for k in range(n))
     r1, r2 = (QuadraticForm(sf, (q.diag[i], q.diag[j]), {(0, 1): q.beta(i, j)}) for q in (q1, q2))
-    scale, _, exps = _probe_exponents_for(sf, (1, q1.diag[i]), (-1, q1.diag[j]), (0, q1.beta(i, j)), (0, q2.beta(i, j)))
+    scale, _, _, exps = _probe_exponents_for(sf, (1, q1.diag[i]), (-1, q1.diag[j]), (0, q1.beta(i, j)), (0, q2.beta(i, j)))
     for exp in exps:
         lam = sf.tangible(_unscaled_exp(exp, scale))
         if eval_quadratic(r1, (lam, one)) != eval_quadratic(r2, (lam, one)):

@@ -39,7 +39,13 @@ class QuadraticForm(Value):
         if not 1 <= n <= DIMENSION_LIMIT:
             raise ValueError(f"dimension {n} outside 1..{DIMENSION_LIMIT}")
         rows = [[ZERO] * n for _ in range(n)]
-        for (i, j), v in upper.items():
+        for key, v in upper.items():
+            try:
+                i, j = key
+            except (TypeError, ValueError):  # not a pair
+                i = j = None
+            if i.__class__ is not int or j.__class__ is not int:  # a bool or a float is no index
+                raise ValueError(f"upper index {key!r} must be a pair of ints")
             if not (0 <= i < j < n):
                 raise ValueError(f"upper index ({i},{j}) out of range for n={n}")
             rows[i][j] = rows[j][i] = sf.element(v)

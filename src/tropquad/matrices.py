@@ -45,6 +45,9 @@ class MonomialMatrix(Value):
 
     def __init__(self, sf: Semifield, perm: Sequence[int], scales: Sequence[Element]):
         perm = tuple(perm)
+        for p in perm:
+            if p.__class__ is not int:
+                raise ValueError(f"perm entry {p!r} must be an int")
         scales = tuple(sf.element(c) for c in scales)
         n = len(perm)
         if sorted(perm) != list(range(n)) or len(scales) != n:

@@ -1,4 +1,4 @@
-"""Probe batteries for differential testing of companion cells.
+"""Probe batteries for companion cells, and the check of one cell against the oracle.
 
 Given a cell, the battery straddles its boundary exponent from both sides
 at whole, half, and third steps (whichever are legal in the exponent
@@ -7,13 +7,11 @@ form's own cross coefficient.  Dense groups additionally get points found
 strictly inside the one-third neighborhoods, which matters when the
 boundary itself is not a legal exponent.
 
-The exponents are found on integers, at one scale per battery: eighteen
-times the boundary's denominator (the proof is in
-:func:`boundary_probe_elements`).  The semifield's integer rules decide
-legality and the points inside the neighborhoods.  A battery comes out at
-a frame F, every exponent multiplied by F: at F = 1 its exponents are the
-rationals they stand for, and at the F of :func:`battery_frame` they are
-integers, which ``check`` keeps from the battery to the verdict.
+The exponents are found on integers, at one scale per battery (see
+:func:`boundary_probe_elements`), and a battery comes out at a frame F,
+every exponent multiplied by F.  :func:`cell_disagreements`, which
+``check`` runs on each cell, holds the battery, the cell and both verdicts
+at the F of :func:`battery_frame`, where every exponent is an integer.
 """
 
 from __future__ import annotations
@@ -21,7 +19,10 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .companions import CompanionSet, cell_boundary
+from .companions import (
+    CompanionSet, NuClass, Singleton, cell_boundary, companion_membership_oracle, contains, diagonal_membership_oracle,
+)
+from .forms import QuadraticForm
 from .semiring import ZERO, Element, Semifield, _scaled_exp, _unscaled_exp
 
 
@@ -73,12 +74,38 @@ def boundary_probe_elements(
     probes: list[Element] = [ZERO]
     for exp in exps:
         tangible = Element(one.tag, exp, one.fiber)
-        probes.append(tangible)
-        probes.append(tangible.nu())
+        probes += (tangible, tangible.nu())
         if sf.fiber_rank > 0:
             probes.append(Element(one.tag, exp, flipped))
     if alpha is not None and not alpha.is_zero:
         alpha = Element(alpha.tag, _unscaled_exp(alpha.exp.numerator * frame, alpha.exp.denominator), alpha.fiber)
-        probes.append(alpha)
-        probes.append(alpha.nu())
+        probes += (alpha, alpha.nu())
     return probes
+
+
+def _scaled_cell(cell: CompanionSet, scale: int) -> CompanionSet:
+    """The cell with every exponent times scale, which must clear them.  :func:`contains`
+    reads an exponent only through ``2 * x``, ``<``, ``<=`` and ``==``, which
+    x -> scale * x keeps, so the scaled cell holds exactly the scaled members."""
+    if isinstance(cell, Singleton):
+        return cell if (b := cell.value).is_zero else Singleton(Element(b.tag, _scaled_exp(b.exp, scale), b.fiber))
+    if isinstance(cell, NuClass):
+        return NuClass(_scaled_exp(cell.exp, scale))
+    return cell.__class__(_scaled_exp(cell.bound2, scale))
+
+
+def cell_disagreements(q: QuadraticForm, i: int, j: int, cell: CompanionSet) -> tuple[int, list[Element]]:
+    """Cell (i, j)'s battery size, and each probe where the oracle and :func:`contains` disagree
+    about the cell, as the element it stands for; battery and cell are held at :func:`battery_frame`'s frame."""
+    alpha = None if i == j else q.cross[i][j]
+    frame = battery_frame(alpha, cell)
+    probes = boundary_probe_elements(q.sf, alpha, cell, frame)
+    if alpha is None:
+        by_oracle = diagonal_membership_oracle(q.sf, q.diag[i], probes, frame)
+    else:
+        by_oracle = companion_membership_oracle(q.sf, q.diag[i], q.diag[j], alpha, probes, frame)
+    framed = _scaled_cell(cell, frame)
+    return len(probes), [
+        beta if beta.is_zero else Element(beta.tag, _unscaled_exp(beta.exp, frame), beta.fiber)
+        for beta, ok in zip(probes, by_oracle) if contains(framed, beta) != ok
+    ]

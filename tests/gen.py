@@ -112,7 +112,7 @@ def membership_oracle_reference(sf: Semifield, alpha1: Element, alpha2: Element,
     """Reference: ``companion_membership_oracle`` deciding its battery with
     one sum and one comparison per pair of probe and candidate."""
     levels = ((1, alpha1), (-1, alpha2), (0, alpha), *((0, b) for b in betas))
-    scale, _, exps = _probe_exponents_for(sf, *levels)
+    scale, _, _, exps = _probe_exponents_for(sf, *levels)
     a1, a2, a, *scaled_betas = (_scaled(x, scale) for _, x in levels)
     one = sf.one
     verdicts = [True] * len(betas)

@@ -27,7 +27,7 @@ from tropquad import (
     companion_table,
     contains,
 )
-from tropquad import cli
+from tropquad import cli, companions
 from tropquad.cli import main
 from tropquad.probes import boundary_probe_elements
 from tropquad.semiring import format_element, leq_minimal
@@ -709,6 +709,43 @@ def test_check_runs_no_invariant_rule(files, capsys, monkeypatch):
     code, out, _ = run(capsys, "check", form_path, "--table", _corrupted_table(files, capsys, form_path))
     assert code == 2
     assert json.loads(out)["mismatches"] == CORRUPTED_DIFF
+
+
+RAT_RANK1 = {"semifield": {"group": "rat", "fiber_rank": 1}, "n": 2, "diag": ["t:1", "t:2"], "upper": {"1,2": "t:0"}}
+
+
+def _problems_at(*exps: str) -> list[str]:
+    return [f"oracle disagrees at {b}" for e in exps for b in (f"t:{e}:+", f"g:{e}", f"t:{e}:-")]
+
+
+@pytest.mark.parametrize(
+    "on_diagonal, expected",
+    [
+        (False, [{"i": 1, "j": 2, "problems": _problems_at("7/6", "4/3", "3/2")}]),
+        (True, [
+            {"i": 1, "j": 1, "problems": _problems_at("2/3", "5/6", "1")},
+            {"i": 2, "j": 2, "problems": _problems_at("5/3", "11/6", "2")},
+        ]),
+    ],
+)
+def test_check_reports_each_probe_where_the_oracle_disagrees(files, capsys, monkeypatch, on_diagonal, expected):
+    """A closed form whose closed lower bound drops by one is caught at every
+    probe between the two bounds, each named as the element it stands for."""
+    real = companions.pair_analysis
+
+    def lowered(sf, a1, a2, alpha):
+        branch, cell = real(sf, a1, a2, alpha)
+        if isinstance(cell, NuLeqDoubled) and (a1 == a2 and alpha == a1.nu()) == on_diagonal:
+            cell = NuLeqDoubled(cell.bound2 - 1)
+        return branch, cell
+
+    monkeypatch.setattr(companions, "pair_analysis", lowered)
+    code, out, _ = run(capsys, "check", files("f.json", RAT_RANK1))
+    assert code == 2
+    report = json.loads(out)
+    assert report["ok"] is False
+    assert report["mismatches"] == expected
+    assert [c["ok"] for c in report["cells"]] == [not on_diagonal, on_diagonal, not on_diagonal]
 
 
 def test_convexity_rule_fires_alone():

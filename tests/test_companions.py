@@ -44,8 +44,8 @@ from tropquad import (
     set_max,
     set_min,
 )
-from tropquad.companions import _common_scale, _probe_exponents_for, _scaled, _scaled_cell, cell_boundary
-from tropquad.probes import battery_frame, boundary_probe_elements
+from tropquad.companions import _common_scale, _probe_exponents_for, _scaled, cell_boundary
+from tropquad.probes import _scaled_cell, battery_frame, boundary_probe_elements
 from tropquad.semiring import _canon_exp
 
 from gen import (
@@ -852,7 +852,7 @@ def test_integer_probe_set_equals_fraction_probe_set_property(data):
     sf, levels = data
     terms = {(slope, a.exp) for slope, a in levels if not a.is_zero}
     expected = _fraction_probe_exponents(sf, _fraction_tie_points(terms))
-    scale, elements, scaled = _probe_exponents_for(sf, *levels)
+    scale, elements, _, scaled = _probe_exponents_for(sf, *levels)
     probes = [_canon_exp(Fraction(p, scale)) for p in scaled]
     assert probes == expected
     assert [type(p) for p in probes] == [type(p) for p in expected]

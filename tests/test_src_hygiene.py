@@ -4,7 +4,8 @@ The project runs no linter, so two of a linter's checks live here:
 every name a module imports is used in that module, and every module-level
 private function is referenced somewhere in the package besides its own
 definition.  ``__init__.py`` is left out, since its imports are the public
-exports.
+exports.  A third check is the project's own: the front end, ``cli``,
+imports no ``_``-prefixed name from another module.
 """
 
 import ast
@@ -61,6 +62,17 @@ def _unreferenced_private_functions(modules: dict[str, ast.Module]) -> set[tuple
     return out
 
 
+def _private_imports(tree: ast.Module) -> set[str]:
+    """Every ``_``-prefixed name the module imports from another module."""
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+
+
 def _flagged() -> set[tuple[str, str]]:
     modules = _modules()
     flagged = _unreferenced_private_functions(modules)
@@ -83,3 +95,12 @@ def test_the_checks_find_what_they_look_for():
     )
     assert _unused_imports("m", tree) == {("m", "os"), ("m", "dumps")}
     assert _unreferenced_private_functions({"m": tree}) == {("m", "_unused")}
+    assert _private_imports(ast.parse("from .semiring import Element, _unscaled_exp\nfrom . import _x\n")) == {
+        "_unscaled_exp", "_x",
+    }
+
+
+def test_the_front_end_imports_only_public_names():
+    """``cli`` reaches the package through its public names; what it needs of a
+    module's internals belongs behind a public function of that module."""
+    assert _private_imports(_modules()["cli"]) == set()

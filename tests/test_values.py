@@ -265,6 +265,25 @@ def test_init_errors_keep_their_messages(build, error, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: QuadraticForm(INT, (t(0), t(0)), {(0.0, 1.0): t(1)}), "upper index (0.0, 1.0) must be a pair of ints"),
+        (lambda: QuadraticForm(INT, (t(0), t(0)), {(False, True): t(1)}), "upper index (False, True) must be a pair of ints"),
+        (lambda: QuadraticForm(INT, (t(0), t(0)), {(0, 1, 1): t(1)}), "upper index (0, 1, 1) must be a pair of ints"),
+        (lambda: QuadraticForm(INT, (t(0), t(0)), {0: t(1)}), "upper index 0 must be a pair of ints"),
+        (lambda: MonomialMatrix(INT, (1.0, 0.0), (t(0), t(0))), "perm entry 1.0 must be an int"),
+        (lambda: MonomialMatrix(INT, (True, False), (t(0), t(0))), "perm entry True must be an int"),
+    ],
+)
+def test_an_index_that_is_no_int_is_refused_when_built(build, message):
+    """As in ``RationalQuadraticForm``: a float or bool index, or a key that is no
+    pair, fails with a ValueError naming it, not later with a bare TypeError."""
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
 # the reprs the dataclasses printed; every class keeps them
 REPRS = {
     'Element': ['t:1/3:-', 'g:2'],
