@@ -7,6 +7,14 @@ over the scheme is O(n^2).  Two distinct schemes may denote one
 function; functional identity is decided in :mod:`tropquad.companions`,
 never by coefficient comparison here.  Indices are 0-based internally and
 rendered 1-based at the JSON boundary.
+
+:func:`eval_quadratic` sums the form row by row,
+q(x) = sum_i x_i (alpha_i x_i + sum_{j>i} beta_{i,j} x_j), skipping a row
+whose x_i is zero and a cross coefficient that is zero.  That takes 2n + m
+products for m nonzero cross coefficients, where the term-by-term sum
+takes 2n + 2m.  The value is the same element, because multiplication
+distributes over supertropical addition: a tie of two row terms stays a
+tie after multiplying by x_i, so it gives the same ghost.
 """
 
 from __future__ import annotations
@@ -101,15 +109,27 @@ class SymmetricBilinearForm(Value):
 
 
 def zero_form(sf: Semifield, n: int) -> QuadraticForm:
+    if n.__class__ is not int:  # a bool is an int, and a float cannot count coefficients
+        raise ValueError(f"n must be an int, not {n!r}")
     return QuadraticForm(sf, (ZERO,) * n)
 
 
 def eval_quadratic(q: QuadraticForm, x: Sequence[Element]) -> Element:
-    """Value of the form: sum of alpha_i x_i^2 and beta_{i,j} x_i x_j."""
+    """Value of the form: sum of alpha_i x_i^2 and beta_{i,j} x_i x_j.
+
+    Summed by rows, x_i (alpha_i x_i + sum_{j>i} beta_{i,j} x_j), which is
+    the same element by distributivity (see the module docstring).
+    """
     x = tuple(map(q.sf.element, check_vector(q, x)))
-    terms = [q.diag[i] * x[i] * x[i] for i in range(q.n)]
+    n = q.n
+    terms = []
     for i, row in enumerate(q.cross):
-        terms.extend(row[j] * x[i] * x[j] for j in range(i + 1, q.n) if not row[j].is_zero)
+        xi = x[i]
+        if xi.is_zero:
+            continue
+        line = [q.diag[i] * xi]
+        line.extend(row[j] * x[j] for j in range(i + 1, n) if not row[j].is_zero)
+        terms.append(xi * semiring_sum(line))
     return semiring_sum(terms)
 
 

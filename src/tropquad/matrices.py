@@ -81,6 +81,8 @@ class MonomialMatrix(Value):
 
 
 def identity_matrix(sf: Semifield, n: int) -> MonomialMatrix:
+    if n.__class__ is not int:  # a bool is an int, and a float cannot count rows
+        raise ValueError(f"n must be an int, not {n!r}")
     return MonomialMatrix(sf, tuple(range(n)), (sf.one,) * n)
 
 

@@ -21,6 +21,22 @@ once with :meth:`Semifield.parse_element` and hands the same immutable
 :class:`Element` to every later copy.  Only successful parses are kept, so
 an invalid literal fails at the path of its first occurrence, and the memo
 dies with the call, so nothing is carried from one document to the next.
+The caller owns the memo: the two hot loops, a form's ``upper`` and a
+matrix's rows, look an exact ``str`` up in it first and call the reader
+only on a miss, so a repeated literal costs one dict lookup.
+
+Index keys repeat across documents rather than within one: every form of
+size n names its cells "1,2" ... "n-1,n".  :func:`_grow_canonical_keys` keeps
+one table from each canonical key "i,j" (1 <= i <= j, no sign, no leading
+zero) to its 0-based pair, grown to a document's n the first time it is
+read and never past ``DIMENSION_LIMIT``, so a rational form of n up to
+4096 never builds n^2/2 entries.  :func:`_index_pair` takes the table's
+pair only when it is in range for the document, on the right side of the
+diagonal and not already read; every other key, such as an alias "01,2",
+an out-of-range key or a duplicate, goes through the general parser, so
+each refusal keeps its message and path.  The table holds only what the
+parser would return for its keys, so sharing it between documents carries
+nothing from one to the next.
 
 A table's cells repeat the same way, so :func:`table_from_json` reads
 them through one :func:`_cell_reader`, which reads each distinct cell
@@ -41,7 +57,7 @@ from fractions import Fraction
 from typing import Any, Callable, Optional
 
 from .companions import CompanionSet, CompanionTable, NuClass, NuLeqDoubled, NuLtDoubled, Singleton, cell_boundary
-from .forms import QuadraticForm, SymmetricBilinearForm, Vector
+from .forms import DIMENSION_LIMIT, QuadraticForm, SymmetricBilinearForm, Vector
 from .matrices import GeneralMatrix
 from .semiring import (
     Element,
@@ -127,12 +143,15 @@ def semifield_to_json(sf: Semifield) -> dict:
 # -- elements ----------------------------------------------------------------
 
 
-def _element_reader(sf: Semifield):
+def _element_reader(sf: Semifield, memo: Optional[dict[str, Element]] = None):
     """``read(obj, path, *args)`` for one document: each distinct literal is parsed once.
 
     ``path.format(*args)`` locates obj, and is formatted only if obj fails.
+    The parsed literals are kept in ``memo``, a new dict unless the caller
+    passes its own to look literals up in before calling ``read``.
     """
-    memo: dict[str, Element] = {}
+    if memo is None:
+        memo = {}
     parse = sf.parse_element
 
     def read(obj: Any, path: str, *args) -> Element:
@@ -174,11 +193,26 @@ def _exponent_from_json(sf: Semifield, obj: Any, path: str, *args) -> Exponent:
         raise SchemaError(str(exc), path.format(*args)) from exc
 
 
+# canonical index key "i,j" -> 0-based (i, j), for 1 <= i <= j <= the largest n read so far (see the module docstring)
+_CANONICAL_KEYS: dict[str, tuple[int, int]] = {}
+
+
+def _grow_canonical_keys(n: int) -> None:
+    """Grow the canonical key table to n columns, if n is at most ``DIMENSION_LIMIT``."""
+    # every growth to m columns adds all of them, so key "n,n" stands for the first n
+    if n <= DIMENSION_LIMIT and f"{n},{n}" not in _CANONICAL_KEYS:
+        _CANONICAL_KEYS.update({f"{i + 1},{j + 1}": (i, j) for j in range(n) for i in range(j + 1)})
+
+
 def _index_pair(key: str, n: int, path: str, known: dict, strict_upper: bool) -> tuple[int, int]:
     """0-based (i, j) of an "i,j" key; a key naming a cell already in ``known`` is refused.
 
-    Errors are located at ``{path}.{key}``.
+    A canonical key is looked up before it is parsed (see the module
+    docstring).  Errors are located at ``{path}.{key}``.
     """
+    ij = _CANONICAL_KEYS.get(key)
+    if ij is not None and ij[1] < n and (ij[0] < ij[1] or not strict_upper) and ij not in known:
+        return ij
     parts = key.split(",")
     if len(parts) != 2:
         reason = "index key must look like 'i,j'"
@@ -210,14 +244,17 @@ def form_from_json(obj: Any) -> QuadraticForm:
     _expect(_is_int(n) and n >= 1, "n must be a positive int", "$.n")
     diag_obj = _get(obj, "diag", "$")
     _expect(isinstance(diag_obj, list) and len(diag_obj) == n, f"diag must list {n} elements", "$.diag")
-    read = _element_reader(sf)
+    memo: dict[str, Element] = {}
+    read = _element_reader(sf, memo)
     diag = tuple([read(v, "$.diag[{}]", k) for k, v in enumerate(diag_obj, 1)])
     upper_obj = obj.get("upper", {})
     _expect(isinstance(upper_obj, dict), "upper must be an object", "$.upper")
+    _grow_canonical_keys(n)
     upper = {}
     for key, val in upper_obj.items():
         ij = _index_pair(key, n, "$.upper", upper, strict_upper=True)
-        upper[ij] = read(val, "$.upper.{}", key)
+        # the class is checked first: a list is unhashable; an Element is always true
+        upper[ij] = (val.__class__ is str and memo.get(val)) or read(val, "$.upper.{}", key)
     return _schema(QuadraticForm, "$", sf, diag, upper)
 
 
@@ -258,13 +295,16 @@ def vector_to_json(x: Vector) -> dict:
 def _grid_from_json(sf: Semifield, obj: dict, key: str):
     rows_obj = _get(obj, key, "$")
     _expect(isinstance(rows_obj, list) and rows_obj, f"{key} must be a nonempty list", f"$.{key}")
-    read = _element_reader(sf)
+    memo: dict[str, Element] = {}
+    read = _element_reader(sf, memo)
+    get = memo.get
     path = f"$.{key}[{{}}][{{}}]"
     rows = []
     for r, row in enumerate(rows_obj, 1):
         if not (isinstance(row, list) and row):
             raise SchemaError("rows must be nonempty lists", f"$.{key}[{r}]")
-        rows.append(tuple([read(v, path, r, c) for c, v in enumerate(row, 1)]))
+        # the class is checked first: a list is unhashable; an Element is always true
+        rows.append(tuple([(v.__class__ is str and get(v)) or read(v, path, r, c) for c, v in enumerate(row, 1)]))
     return tuple(rows)
 
 
@@ -429,6 +469,7 @@ def ratform_from_json(obj: Any) -> RationalQuadraticForm:
     _expect(n <= RATFORM_DIMENSION_LIMIT, f"n must be at most {RATFORM_DIMENSION_LIMIT}", "$.n")
     coeffs_obj = _get(obj, "coeffs", "$")
     _expect(isinstance(coeffs_obj, dict), "coeffs must be an object", "$.coeffs")
+    _grow_canonical_keys(n)
     coeffs = {}
     for key, val in coeffs_obj.items():
         ij = _index_pair(key, n, "$.coeffs", coeffs, strict_upper=False)

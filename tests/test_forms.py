@@ -1,8 +1,11 @@
 """Forms: evaluation, companions on the balanced side, module ops, base change."""
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropquad import (
     ZERO,
@@ -26,10 +29,12 @@ from tropquad import (
     off_diagonal_companion,
     pointwise_leq_rigid,
     scale_form,
+    semiring_sum,
     zero_form,
 )
 
 from gen import (
+    element_strategy,
     kind_semifields,
     random_element,
     random_form,
@@ -54,6 +59,31 @@ def test_eval_examples():
     assert eval_quadratic(q, (ZERO, ZERO)) == ZERO
     ql = form((t(0), t(0)))
     assert eval_quadratic(ql, (t(0), t(0))) == g(0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_eval_quadratic_is_the_term_by_term_sum_property(data):
+    """eval_quadratic sums by rows; its definition sums alpha_i x_i x_i and
+    beta_{i,j} x_i x_j term by term.  Zero-heavy draws make skipped rows and
+    coefficients common, and exponents in [-8, 8] make ties common."""
+    sf = Semifield(data.draw(st.sampled_from(list(GroupKind))), data.draw(st.integers(0, 2)))
+    n = data.draw(st.integers(1, 8))
+    elements = st.one_of(st.just(ZERO), element_strategy(sf))
+    diag = data.draw(st.lists(elements, min_size=n, max_size=n))
+    upper = {(i, j): data.draw(elements) for i in range(n) for j in range(i + 1, n)}
+    x = data.draw(st.lists(elements, min_size=n, max_size=n))
+    terms = [diag[i] * x[i] * x[i] for i in range(n)]
+    terms += [beta * x[i] * x[j] for (i, j), beta in upper.items()]
+    assert eval_quadratic(QuadraticForm(sf, diag, upper), x) == semiring_sum(terms)
+
+
+@pytest.mark.parametrize("build", [zero_form, identity_matrix])
+@pytest.mark.parametrize("n", [2.0, True])
+def test_size_builders_refuse_an_n_that_is_not_an_int(build, n):
+    """A float used to end in a bare TypeError, and True built a 1 x 1 object."""
+    with pytest.raises(ValueError, match=re.escape(f"n must be an int, not {n!r}")):
+        build(INT, n)
 
 
 def test_eval_dimension_mismatch():

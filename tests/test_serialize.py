@@ -289,6 +289,52 @@ def test_every_cell_error_keeps_its_path_and_message(read, doc, path, reason):
     assert (exc.value.path, exc.value.reason, str(exc.value)) == (path, reason, f"{path}: {reason}")
 
 
+def _read_keys(read, doc):
+    """The coefficients a reader keeps, by 0-based pair, or the error it raises."""
+    try:
+        obj = read(doc)
+    except SchemaError as exc:
+        return {"error": exc.reason, "path": exc.path}
+    if isinstance(obj, QuadraticForm):
+        return {(i, j): format_element(row[j]) for i, row in enumerate(obj.cross) for j in range(i + 1, obj.n)
+                if not row[j].is_zero}
+    return obj.coeffs
+
+
+def _upper(upper):
+    return {"semifield": {"group": "int"}, "n": 3, "diag": ["0"] * 3, "upper": upper}
+
+
+@pytest.mark.parametrize("table", ["empty", "full"])
+@pytest.mark.parametrize(
+    "read, doc, answer",
+    [
+        (form_from_json, _upper({"1,2": "t:5"}), {(0, 1): "t:5"}),
+        (form_from_json, _upper({"01,2": "t:5"}), {(0, 1): "t:5"}),
+        (form_from_json, _upper({"01,2": "t:5", "1,2": "t:6"}),
+         {"error": "duplicate index (1,2)", "path": "$.upper.1,2"}),
+        (form_from_json, _upper({"2,2": "t:5"}), {"error": "upper coefficient needs i < j", "path": "$.upper.2,2"}),
+        (form_from_json, _upper({"2,1": "t:5"}), {"error": "upper coefficient needs i < j", "path": "$.upper.2,1"}),
+        (form_from_json, _upper({"3,4": "t:5"}), {"error": "indices out of range 1..3", "path": "$.upper.3,4"}),
+        (ratform_from_json, {"n": 3, "coeffs": {"1,1": "2"}}, {(0, 0): 2}),
+        (ratform_from_json, {"n": 100, "coeffs": {"70,80": "1/2"}}, {(69, 79): Fraction(1, 2)}),
+        (ratform_from_json, {"n": 4096, "coeffs": {"1,4096": 3}}, {(0, 4095): 3}),
+    ],
+)
+def test_every_index_key_answer(monkeypatch, table, read, doc, answer):
+    """A canonical key is looked up in a table before it is parsed.  Whether the
+    table is empty or holds every key of a 64 x 64 form, each key gets the
+    parser's answer, and a document of n > 64 grows no table."""
+    limit = serialize.DIMENSION_LIMIT
+    keys = {}
+    monkeypatch.setattr(serialize, "_CANONICAL_KEYS", keys)
+    if table == "full":
+        serialize._grow_canonical_keys(limit)
+    assert _read_keys(read, doc) == answer
+    width = limit if table == "full" else doc["n"] if doc["n"] <= limit else 0
+    assert keys == {f"{i + 1},{j + 1}": (i, j) for j in range(width) for i in range(j + 1)}
+
+
 def test_spaced_and_bare_literals_are_equal():
     diag = form_from_json({"semifield": {"group": "int"}, "n": 2, "diag": [" t:1", "t:1"]}).diag
     assert diag == (t(1), t(1))
