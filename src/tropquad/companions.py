@@ -29,8 +29,9 @@ diagonal (alpha, alpha) with cross term nu(alpha).  The oracle and
 :func:`equality_witness` build the critical set with one helper,
 :func:`_probe_exponents_for`, which shares no code with the case analysis
 or the companion-set types.  :func:`functionally_equal` and
-:func:`equality_witness` read one scan of the cells,
-:func:`_first_difference`.
+:func:`equality_witness` read one scan of the two schemes,
+:func:`_first_difference`, which decides only the pairs where the
+schemes differ: a scheme's own coefficient always lies in its cell.
 
 The case analysis and :func:`cell_boundary` compute on the exponents as
 given: an int plus an int stays an int, and a Fraction is built only where
@@ -540,15 +541,29 @@ def is_quasilinear(q: QuadraticForm) -> bool:
 
 def _first_difference(q1: QuadraticForm, q2: QuadraticForm) -> Optional[tuple[int, int]]:
     """(i, i) for the first unequal diagonal coefficient, else the first (i, j),
-    i < j, whose q2 cross coefficient lies outside q1's cell, else None."""
+    i < j, whose q2 cross coefficient lies outside q1's cell, else None.
+
+    The rows of the two schemes are walked side by side, and the case
+    analysis runs only on a pair whose coefficients differ: a scheme's own
+    coefficient always lies in its cell (every branch of
+    :func:`pair_analysis` admits its cross term, which
+    ``test_scheme_coefficient_always_admissible_property`` checks), so a
+    pair where q2 holds q1's coefficient is never the difference.  No
+    table, diagonal cell or ``beta`` lookup is built, and the scan is still
+    row-major, so the pair found is the first.
+    """
     check_operands("forms", q1, q2)
-    for i, (a1, a2) in enumerate(zip(q1.diag, q2.diag)):
+    diag = q1.diag
+    for i, (a1, a2) in enumerate(zip(diag, q2.diag)):
         if a1 != a2:
             return i, i
-    table = companion_table(q1)
-    for i in range(q1.n):
-        for j in range(i + 1, q1.n):
-            if not contains(table.cell(i, j), q2.beta(i, j)):
+    sf, n = q1.sf, q1.n
+    for i, (alpha1, row1, row2) in enumerate(zip(diag, q1.cross, q2.cross)):
+        for j in range(i + 1, n):
+            beta1, beta2 = row1[j], row2[j]
+            if beta2 is beta1 or beta2 == beta1:
+                continue
+            if not contains(pair_analysis(sf, alpha1, diag[j], beta1)[1], beta2):
                 return i, j
     return None
 

@@ -63,26 +63,29 @@ def rig_extrema(q: QuadraticForm) -> RigExtrema:
 
     The minimum picks each cell's canonical minimal element; the maximum
     exists iff every off-diagonal cell has one (half-open cells over a
-    dense gap do not).
+    dense gap do not).  The table is walked by rows, and a zero extreme is
+    left out of its mapping, since an absent coefficient is zero.
     """
+    sf, n = q.sf, q.n
     table = companion_table(q)
-    n = q.n
     min_upper = {}
     max_upper = {}
     no_max_cell = None
-    for i in range(n):
+    for i, row in enumerate(table.cells):
         for j in range(i + 1, n):
-            cell = table.cell(i, j)
-            min_upper[(i, j)] = set_min(q.sf, cell)
-            top = set_max(q.sf, cell)
+            cell = row[j]
+            low = set_min(sf, cell)
+            if not low.is_zero:
+                min_upper[(i, j)] = low
+            top = set_max(sf, cell)
             if top is None:
                 if no_max_cell is None:
                     no_max_cell = (i, j)
                     assert isinstance(cell, NuLtDoubled)
-            else:
+            elif not top.is_zero:
                 max_upper[(i, j)] = top
-    minimum = QuadraticForm(q.sf, (ZERO,) * n, min_upper)
-    maximum = None if no_max_cell is not None else QuadraticForm(q.sf, (ZERO,) * n, max_upper)
+    minimum = QuadraticForm(sf, (ZERO,) * n, min_upper)
+    maximum = None if no_max_cell is not None else QuadraticForm(sf, (ZERO,) * n, max_upper)
     return RigExtrema(minimum, maximum, no_max_cell, table)
 
 

@@ -79,7 +79,14 @@ class QuadraticForm(Value):
 
 
 class SymmetricBilinearForm(Value):
-    """Symmetric Gram matrix over the semifield."""
+    """Symmetric Gram matrix over the semifield.
+
+    Every entry is validated.  Symmetry is then checked by comparing the
+    validated grid with its transpose as tuples, in C: a tuple compare
+    skips an entry that is the same object as its mirror, which is exact
+    because element equality is reflexive.  Only a grid that fails is
+    walked for its first asymmetric (i, j), the one the error names.
+    """
 
     __slots__ = ("sf", "gram")
 
@@ -90,10 +97,11 @@ class SymmetricBilinearForm(Value):
             raise ValueError(f"dimension {n} outside 1..{DIMENSION_LIMIT}")
         if any(len(row) != n for row in gram):
             raise ValueError("gram matrix must be square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if gram[i][j] != gram[j][i]:
-                    raise ValueError(f"gram matrix not symmetric at ({i},{j})")
+        if gram != tuple(zip(*gram)):
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if gram[i][j] != gram[j][i]:
+                        raise ValueError(f"gram matrix not symmetric at ({i},{j})")
         Value.__init__(self, sf, gram)
 
     @property

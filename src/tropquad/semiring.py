@@ -447,10 +447,13 @@ class Semifield(Value):
         This is the one statement of an element's legality: :meth:`tangible`
         and :meth:`ghost`, and :meth:`parse_element` through them, build
         their elements through it.  Every group holds the integers, so an
-        ``int`` exponent needs no test.  A fiber of rank 0 or 1 is screened
-        by equality with the legal fibers of its rank; any other fiber, and
-        any that fails the screen, goes to :meth:`check_fiber`, which raises
-        the error; a fiber given as a list, say, comes back as the validated
+        ``int`` exponent needs no test, and an exponent of class exactly
+        ``Fraction`` needs only its denominator's; any other exponent, and
+        a ``Fraction`` that fails, goes to :meth:`check_exponent`, which
+        raises the error.  A fiber of rank 0 or 1 is screened by equality
+        with the legal fibers of its rank; any other fiber, and any that
+        fails the screen, goes to :meth:`check_fiber`, which raises the
+        error; a fiber given as a list, say, comes back as the validated
         tuple.
         """
         tag = a.tag
@@ -458,8 +461,10 @@ class Semifield(Value):
             if a.exp is not None or a.fiber:
                 raise ValueError("zero carries no exponent or fiber")
             return a
-        if a.exp.__class__ is not int:
-            self.check_exponent(a.exp)
+        exp = a.exp
+        if exp.__class__ is not int:
+            if exp.__class__ is not Fraction or not self._legal_denominator(exp.denominator):
+                self.check_exponent(exp)
         fiber = a.fiber
         if tag == _TAG_TANGIBLE:
             rank = self.fiber_rank

@@ -49,6 +49,17 @@ encoding reads (the cell's class, its exponent as an int or as a reduced
 Fraction's numerator and denominator, and a singleton's tag and fiber), so
 two cells of one key print the same text.  A cell whose exponent has any
 other type bypasses the memo.
+
+Companion tables and Gram matrices are symmetric, and their mirror
+entries are mostly one object: :func:`~tropquad.companions.companion_table`
+puts one cell at (i, j) and (j, i), and the Gram grids the package builds
+and reads share their elements the same way.  So :func:`table_to_json`
+and :func:`bilinear_to_json` write through :func:`_symmetric_rows`, which
+encodes the upper triangle and reuses the encoding of (i, j) at (j, i)
+only when the two entries are the same object; any other mirror entry,
+as in an asymmetric table read by :func:`table_from_json`, is encoded on
+its own.  An object's encoding depends on nothing else, so the output is
+the per-entry one.
 """
 
 from __future__ import annotations
@@ -308,17 +319,28 @@ def _grid_from_json(sf: Semifield, obj: dict, key: str):
     return tuple(rows)
 
 
-def _grid_to_json(sf: Semifield, key: str, rows) -> dict:
-    return {"semifield": semifield_to_json(sf), key: [[format_element(v) for v in row] for row in rows]}
-
-
 def bilinear_from_json(obj: Any) -> SymmetricBilinearForm:
     sf = _object_sf(obj, "bilinear form")
     return _schema(SymmetricBilinearForm, "$", sf, _grid_from_json(sf, obj, "gram"))
 
 
+def _symmetric_rows(grid, encode) -> list[list]:
+    """``encode`` of each entry, called once for a mirror pair that is one object (see the module docstring)."""
+    n = len(grid)
+    rows: list[list] = [[None] * n for _ in range(n)]
+    for i, row in enumerate(grid):
+        out = rows[i]
+        for j in range(i, n):
+            v = row[j]
+            out[j] = enc = encode(v)
+            if j != i:
+                mirror = grid[j][i]
+                rows[j][i] = enc if mirror is v else encode(mirror)
+    return rows
+
+
 def bilinear_to_json(b: SymmetricBilinearForm) -> dict:
-    return _grid_to_json(b.sf, "gram", b.gram)
+    return {"semifield": semifield_to_json(b.sf), "gram": _symmetric_rows(b.gram, format_element)}
 
 
 def matrix_from_json(obj: Any) -> GeneralMatrix:
@@ -327,7 +349,7 @@ def matrix_from_json(obj: Any) -> GeneralMatrix:
 
 
 def matrix_to_json(m: GeneralMatrix) -> dict:
-    return _grid_to_json(m.sf, "rows", m.rows)
+    return {"semifield": semifield_to_json(m.sf), "rows": [[format_element(v) for v in row] for row in m.rows]}
 
 
 # -- companion cells and tables ------------------------------------------------
@@ -437,11 +459,10 @@ def _cell_encoder() -> Callable[[CompanionSet], dict]:
 
 def table_to_json(table: CompanionTable) -> dict:
     """The table's JSON; equal cells share one encoding dict (see :func:`_cell_encoder`)."""
-    encode = _cell_encoder()
     return {
         "semifield": semifield_to_json(table.sf),
         "n": table.n,
-        "cells": [[encode(cell) for cell in row] for row in table.cells],
+        "cells": _symmetric_rows(table.cells, _cell_encoder()),
     }
 
 

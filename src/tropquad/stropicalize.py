@@ -43,7 +43,13 @@ def _exact(what: str, x):
 
 
 def _rational(what: str, x) -> Fraction:
-    """x as a Fraction: it must be an exact number or a rational string, which the error names."""
+    """x as a Fraction: it must be an exact number or a rational string, which the error names.
+
+    A value whose class is exactly Fraction is returned as it is; a
+    subclass is converted like any other number.
+    """
+    if x.__class__ is Fraction:
+        return x
     try:
         return Fraction(_exact(what, x))
     except TypeError:
@@ -191,7 +197,12 @@ def stropicalize_form(spec: SupervaluationSpec, q: RationalQuadraticForm) -> Qua
 
 
 def stropicalize_bilinear(spec: SupervaluationSpec, m: RatMatrix) -> SymmetricBilinearForm:
-    """Entrywise image of a symmetric rational Gram matrix."""
+    """Entrywise image of a symmetric rational Gram matrix.
+
+    Entry (i, j) is imaged for j >= i and the element is put at (j, i)
+    too.  That is the image of the mirror entry: the check above found the
+    two equal, and phi(c) depends on the value of c alone.
+    """
     n = len(m)
     if any(len(row) != n for row in m):
         raise PreconditionError("square matrix required", "Gram matrix must be square")
@@ -200,7 +211,12 @@ def stropicalize_bilinear(spec: SupervaluationSpec, m: RatMatrix) -> SymmetricBi
             if m[i][j] != m[j][i]:
                 raise PreconditionError("symmetric matrix required", f"asymmetry at ({i + 1},{j + 1})")
     image = _image_map(spec)
-    return SymmetricBilinearForm(spec.semifield, tuple(tuple(map(image, row)) for row in m))
+    rows = [[None] * n for _ in range(n)]
+    for i, row in enumerate(m):
+        out = rows[i]
+        for j in range(i, n):
+            out[j] = rows[j][i] = image(row[j])
+    return SymmetricBilinearForm(spec.semifield, tuple(map(tuple, rows)))
 
 
 def ring_companion_matrix(q: RationalQuadraticForm) -> RatMatrix:

@@ -628,6 +628,86 @@ def test_equality_rejects_mismatched_shapes():
         functionally_equal(q1, QuadraticForm(RAT, (RAT.tangible(1),)))
 
 
+def _table_scan_difference(q1: QuadraticForm, q2: QuadraticForm):
+    """The pair the whole-table scan finds: the first unequal diagonal
+    coefficient, else the first cell of q1's companion table that does not
+    hold q2's coefficient, in row-major order, else None."""
+    for i, (a1, a2) in enumerate(zip(q1.diag, q2.diag)):
+        if a1 != a2:
+            return i, i
+    table = companion_table(q1)
+    for i in range(q1.n):
+        for j in range(i + 1, q1.n):
+            if not contains(table.cell(i, j), q2.beta(i, j)):
+                return i, j
+    return None
+
+
+def _elements_at(sf: Semifield, exp):
+    """The tangibles of one exponent, of any fiber."""
+    return st.tuples(*[st.sampled_from((1, -1))] * sf.fiber_rank).map(lambda fiber: sf.tangible(exp, fiber))
+
+
+@st.composite
+def _scheme_pairs(draw):
+    """q1 over any group, fiber rank 0-2 and n 1-8, and q2: q1 with up to three
+    cross coefficients replaced, each by any element, by a member of its
+    cell, by one of the cell's boundary probes or by an element of the same
+    exponent, now and then one diagonal coefficient replaced, and now and
+    then every coefficient rebuilt as an equal but distinct element."""
+    sf = Semifield(draw(st.sampled_from(list(GroupKind))), draw(st.integers(0, 2)))
+    n = draw(st.integers(1, 8))
+    elems = element_strategy(sf)
+    diag = draw(st.lists(elems, min_size=n, max_size=n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    upper = {ij: draw(elems) for ij in pairs}
+    q1 = QuadraticForm(sf, diag, upper)
+    table = companion_table(q1)
+    upper2, diag2 = dict(upper), list(diag)
+    for i, j in draw(st.lists(st.sampled_from(pairs), max_size=3, unique=True)) if pairs else ():
+        beta, how = upper[i, j], draw(st.sampled_from(("any", "member", "probe", "twin")))
+        if how == "any" or (how == "twin" and beta.is_zero):
+            upper2[i, j] = draw(elems)
+        elif how == "twin":  # the same exponent, any tag and fiber
+            upper2[i, j] = draw(st.one_of(st.just(sf.ghost(beta.exp)), _elements_at(sf, beta.exp)))
+        else:
+            cell = table.cell(i, j)
+            probes = [beta, *boundary_probe_elements(sf, beta, cell)]
+            upper2[i, j] = draw(st.sampled_from([b for b in probes if how == "probe" or contains(cell, b)]))
+    if draw(st.integers(0, 4)) == 0:
+        diag2[draw(st.integers(0, n - 1))] = draw(elems)
+    if draw(st.booleans()):
+        diag2 = [Element(a.tag, a.exp, a.fiber) for a in diag2]
+        upper2 = {ij: Element(b.tag, b.exp, b.fiber) for ij, b in upper2.items()}
+    return q1, QuadraticForm(sf, diag2, upper2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scheme_pairs())
+def test_equality_matches_the_table_scan_property(data):
+    """``functionally_equal`` and ``equality_witness`` decide only the pairs where
+    the schemes differ; they answer what the whole-table scan answers, and the
+    witness is the one of the pair that scan finds: a unit vector for a
+    diagonal, else the rank-2 witness of the two coefficients placed at i and j."""
+    q1, q2 = data
+    sf, n = q1.sf, q1.n
+    found = _table_scan_difference(q1, q2)
+    assert functionally_equal(q1, q2) == (found is None)
+    witness = equality_witness(q1, q2)
+    if found is None:
+        assert witness is None
+        return
+    i, j = found
+    if i == j:
+        expected = tuple(sf.one if k == i else ZERO for k in range(n))
+    else:
+        r1, r2 = (QuadraticForm(sf, (q.diag[i], q.diag[j]), {(0, 1): q.cross[i][j]}) for q in (q1, q2))
+        lam, one = equality_witness(r1, r2)
+        expected = tuple(lam if k == i else (one if k == j else ZERO) for k in range(n))
+    assert witness == expected
+    assert eval_quadratic(q1, witness) != eval_quadratic(q2, witness)
+
+
 # -- oracle equivalence (the big differential check lives in acceptance) -----------------
 
 

@@ -2,6 +2,7 @@
 
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +104,23 @@ def test_eval_bilinear_examples():
 def test_gram_must_be_symmetric():
     with pytest.raises(ValueError):
         SymmetricBilinearForm(INT, ((ZERO, t(1)), (t(2), ZERO)))
+
+
+def test_gram_names_its_first_asymmetric_entry():
+    """Asymmetric at (0,2) and (1,2): the error names (0,2), the first in row-major order."""
+    gram = ((t(0), t(1), t(2)), (t(1), t(0), t(3)), (t(5), t(4), t(0)))
+    with pytest.raises(ValueError) as info:
+        SymmetricBilinearForm(INT, gram)
+    assert str(info.value) == "gram matrix not symmetric at (0,2)"
+
+
+def test_gram_accepts_equal_but_distinct_mirror_entries():
+    """The transpose compare skips an entry that is its own mirror; one whose
+    mirror is another, equal object is compared by value and passes."""
+    twin = Element("ghost", Fraction(2, 1))
+    assert twin == g(2) and twin is not g(2)
+    b = SymmetricBilinearForm(INT, ((ZERO, g(2), t(1)), (twin, ZERO, ZERO), (t(1), ZERO, g(0))))
+    assert b.gram[0][1] == b.gram[1][0] and b.gram[1][0] is twin
 
 
 def test_balanced_companion_examples():

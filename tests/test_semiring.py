@@ -509,6 +509,34 @@ def test_a_bool_exponent_is_refused(sf, flag):
         assert str(info.value) == f"exponent {flag} not in the {sf.group.value} group"
 
 
+class _Ratio(Fraction):
+    """A Fraction subclass: ``Semifield.element`` validates it like any exponent of another class."""
+
+
+@pytest.mark.parametrize("sf, exp, message", [
+    (INT, Fraction(1, 2), "exponent 1/2 not in the int group"),
+    (RAT3, Fraction(1, 2), "exponent 1/2 not in the rat3 group"),
+    (RAT3, Fraction(5, 6), "exponent 5/6 not in the rat3 group"),
+    (RAT3, 2.0, "exponent 2.0 not in the rat3 group"),
+    (INT, _Ratio(1, 2), "exponent 1/2 not in the int group"),
+    (RAT3, _Ratio(1, 4), "exponent 1/4 not in the rat3 group"),
+])
+def test_exponent_fast_paths_keep_their_refusals(sf, exp, message):
+    """An int and an exact Fraction of legal denominator skip ``check_exponent``;
+    every other exponent, tangible or ghost, is refused as before (a bool's
+    refusal is pinned by ``test_a_bool_exponent_is_refused``)."""
+    for tag in ("tangible", "ghost"):
+        with pytest.raises(ValueError) as info:
+            sf.element(Element(tag, exp))
+        assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_legal_fraction_exponents_pass_unchanged():
+    for sf, exp in [(RAT, Fraction(1, 2)), (RAT3, Fraction(-1, 9)), (INT, Fraction(4, 1)), (RAT3, _Ratio(2, 3))]:
+        for a in (Element("tangible", exp), Element("ghost", exp)):
+            assert sf.element(a) is a
+
+
 def test_factories_keep_exponents_canonical():
     assert type(INT.tangible(Fraction(4, 2)).exp) is int and INT.tangible(Fraction(4, 2)).exp == 2
     assert type(RAT.ghost(Fraction(-6, 3)).exp) is int

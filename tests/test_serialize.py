@@ -104,6 +104,27 @@ def test_bilinear_and_matrix_roundtrip():
     assert bilinear_from_json(bilinear_to_json(b)) == b
 
 
+@st.composite
+def _grams(draw):
+    """A symmetric Gram matrix of fiber rank 0-2 and n 1-6; each mirror entry is
+    the same element, or an equal but distinct one whose exponent is a Fraction."""
+    sf = Semifield(draw(st.sampled_from(list(GroupKind))), draw(st.integers(0, 2)))
+    n = draw(st.integers(1, 6))
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            v = rows[i][j] = draw(element_strategy(sf))
+            twin = v if v.is_zero or not draw(st.booleans()) else Element(v.tag, Fraction(v.exp), v.fiber)
+            rows[j][i] = twin
+    return SymmetricBilinearForm(sf, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grams())
+def test_gram_encoding_is_the_per_entry_encoding_property(b):
+    assert bilinear_to_json(b)["gram"] == [[format_element(v) for v in row] for row in b.gram]
+
+
 def test_table_roundtrip_and_display():
     rng = random.Random(3)
     for sf in kind_semifields():

@@ -36,6 +36,8 @@ from tropquad import (
     stropicalize_form,
 )
 
+from tropquad.stropicalize import _rational
+
 from gen import random_ratform, random_rational
 
 ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -98,6 +100,19 @@ def test_exact_inputs_keep_working():
         assert RationalQuadraticForm(1, {(0, 0): c}).coeffs == {(0, 0): F(4)}
         assert apply_supervaluation(P2, c) == P2.semifield.tangible(-2)
     assert apply_supervaluation(P2, 0) == ZERO
+
+
+def test_rational_returns_a_fraction_as_it_is():
+    """Its refusals of a float, a bool and None are pinned through
+    ``apply_supervaluation`` by the tests around this one."""
+    f = F(-9, 4)
+    assert _rational("argument", f) is f
+
+    class Ratio(F):
+        pass
+
+    converted = _rational("argument", Ratio(3, 6))
+    assert type(converted) is F and converted == F(1, 2)
 
 
 @pytest.mark.parametrize("p", [2.5, 2.0, True, "3", F(3)])
