@@ -24,7 +24,7 @@ from .decomposition import quasilinear_part, rig_extrema
 from .errors import PreconditionError
 from .forms import DIMENSION_LIMIT, balanced_companion, eval_quadratic, is_rigid
 from .matrices import invert, monomial_decomposition
-from .semiring import Element, format_element, leq_minimal
+from .semiring import ZERO, Element, format_element, leq_minimal
 from .serialize import SchemaError
 from .stropicalize import (
     ring_companion_matrix,
@@ -97,7 +97,10 @@ def _cmd_companions(args) -> int:
     table = companion_table(q)
     payload = serialize.table_to_json(table)
     payload["rigid"] = rigid = is_rigid(q)
-    payload["quasilinear"] = quasilinear = is_quasilinear(q)
+    # is_quasilinear(q), read off the table: zero accompanies q iff every off-diagonal cell holds it
+    payload["quasilinear"] = quasilinear = all(
+        contains(cell, ZERO) for i, row in enumerate(table.cells) for cell in row[i + 1:]
+    )
 
     def lines():
         rows = ("  " + " | ".join(serialize.cell_display(c) for c in row) for row in table.cells)

@@ -48,9 +48,11 @@ exponent once by the battery's scale and finds the probes at that scale,
 and its docstring proves the frame exact.  The oracles take their
 candidates at a caller's integer frame, the ``frame`` argument, as they
 are; choosing that frame, and holding the cell in it for :func:`contains`,
-is :mod:`tropquad.probes`' business.  An exponent becomes a rational again
-only where it leaves as an element: in :func:`equality_witness`'s vectors
-and in a probe where the oracle and the closed form disagree.
+is :mod:`tropquad.probes`' business.  The oracle's loop builds no element:
+it holds each term and sum at a probe as its (tag, exponent, fiber).  An
+exponent becomes a rational again only where it leaves as an element: in
+:func:`equality_witness`'s vectors and in a probe where the oracle and the
+closed form disagree.
 """
 
 from __future__ import annotations
@@ -62,13 +64,17 @@ from typing import Optional, Sequence, Union
 
 from .errors import PreconditionError, check_operands
 from .forms import QuadraticForm, SymmetricBilinearForm, eval_quadratic, is_rigid  # is_rigid: re-exported
-from .semiring import ZERO, Element, Exponent, GroupKind, Semifield, Value, _canon_exp, _scaled_exp, _set, _unscaled_exp
+from .semiring import (
+    _TAG_GHOST, ZERO, Element, Exponent, GroupKind, Semifield, Value, _canon_exp, _scaled_exp, _set, _unscaled_exp,
+)
 
 # ---------------------------------------------------------------------------
 # symbolic companion sets
 # Each cell class spells out its one-field ``__init__`` for speed: the
 # generic ``Value.__init__`` costs about 0.7 us more per call (2 CPUs,
-# Python 3.11), some 3 ms on the 4096 cells of a 64 x 64 table.
+# Python 3.11), some 3 ms on the 4096 cells of a 64 x 64 table.  Each
+# states its membership rule once, as ``holds``; zero is the element whose
+# exponent is None.
 
 
 class Singleton(Value):
@@ -79,6 +85,9 @@ class Singleton(Value):
     def __init__(self, value: Element):
         _set(self, "value", value)
 
+    def holds(self, beta: Element) -> bool:
+        return beta == self.value
+
 
 class NuLeqDoubled(Value):
     """{0} union {beta : 2 * exp(beta) <= bound2} (closed lower set); ``__init__`` spelled out for speed."""
@@ -87,6 +96,9 @@ class NuLeqDoubled(Value):
 
     def __init__(self, bound2: Exponent):
         _set(self, "bound2", bound2)
+
+    def holds(self, beta: Element) -> bool:
+        return beta.exp is None or 2 * beta.exp <= self.bound2
 
 
 class NuLtDoubled(Value):
@@ -97,6 +109,9 @@ class NuLtDoubled(Value):
     def __init__(self, bound2: Exponent):
         _set(self, "bound2", bound2)
 
+    def holds(self, beta: Element) -> bool:
+        return beta.exp is None or 2 * beta.exp < self.bound2
+
 
 class NuClass(Value):
     """All tangibles with the given exponent, plus its ghost; ``__init__`` spelled out for speed."""
@@ -106,18 +121,17 @@ class NuClass(Value):
     def __init__(self, exp: Exponent):
         _set(self, "exp", exp)
 
+    def holds(self, beta: Element) -> bool:
+        return beta.exp is not None and beta.exp == self.exp
+
 
 CompanionSet = Union[Singleton, NuLeqDoubled, NuLtDoubled, NuClass]
 
 
 def contains(cell: CompanionSet, beta: Element) -> bool:
-    if isinstance(cell, Singleton):
-        return beta == cell.value
-    if isinstance(cell, NuLeqDoubled):
-        return beta.is_zero or 2 * beta.exp <= cell.bound2
-    if isinstance(cell, NuLtDoubled):
-        return beta.is_zero or 2 * beta.exp < cell.bound2
-    return (not beta.is_zero) and beta.exp == cell.exp
+    """Whether beta lies in the cell, by the rule of the cell's kind, its ``holds``
+    method; a caller that asks one cell about many elements may bind that method once."""
+    return cell.holds(beta)
 
 
 def set_min(sf: Semifield, cell: CompanionSet) -> Element:
@@ -210,11 +224,6 @@ def pair_analysis(
 # the independent membership oracle
 
 
-def _scaled(a: Element, scale: int) -> Element:
-    """a with its exponent multiplied by scale; tag and fiber unchanged."""
-    return a if a.is_zero else Element(a.tag, _scaled_exp(a.exp, scale), a.fiber)
-
-
 def _common_scale(lines, candidates=(), frame: int = 1) -> int:
     """Twelve times the lcm of frame, the lines' exponent denominators and
     frame times each candidate's: the scale at which every exponent, a
@@ -252,13 +261,14 @@ def _probe_exponents(sf: Semifield, criticals: list[int], scale: int) -> list[in
     """
     if not criticals:
         return [0]
+    legal, between = sf.scaled_rules
     # every group has an exponent inside an interval of length 2
     reach = 2 * scale
-    probes = [sf.between_scaled(criticals[0] - reach, criticals[0], scale)]
+    probes = [between(criticals[0] - reach, criticals[0], scale)]
     for lo, hi in zip(criticals, criticals[1:] + [criticals[-1] + reach]):
-        if sf.legal_scaled(lo, scale):
+        if legal(lo, scale):
             probes.append(lo)
-        mid = sf.between_scaled(lo, hi, scale)
+        mid = between(lo, hi, scale)
         if mid is not None:
             probes.append(mid)
     return probes
@@ -266,7 +276,7 @@ def _probe_exponents(sf: Semifield, criticals: list[int], scale: int) -> list[in
 
 def _probe_exponents_for(
     sf: Semifield, *lines: tuple[int, Element], candidates: Sequence[Element] = (), frame: int = 1
-) -> tuple[int, list[Element], list[Optional[int]], list[int]]:
+) -> tuple[int, list[Optional[int]], list[Optional[int]], list[int]]:
     """The battery's integer frame: its scale, its lines scaled, its candidates' exponents, its probes.
 
     Each ``(slope, element)`` of ``lines`` stands for the line ``slope *
@@ -274,10 +284,9 @@ def _probe_exponents_for(
     exponent over ``frame``: a caller that holds its candidates at a frame
     F, every exponent multiplied by F, hands them over as they are.  Zero
     elements have no level and contribute no line.  Returns the battery's
-    scale S, the lines' elements with their exponents at scale S
-    (:func:`_scaled`; zero stays zero), each candidate's exponent at scale S
-    in the order given (the integer S // frame times it; None for zero),
-    and the probe exponents times S.  The tie points are read off the
+    scale S, each line's exponent at scale S and each candidate's, the
+    integer S // frame times it, in the order given (None for zero), and
+    the probe exponents times S.  The tie points are read off the
     scaled exponents, so each line and candidate is scaled once.
 
     S = 12 * D, where D is the lcm of frame, the lines' denominators and
@@ -302,24 +311,26 @@ def _probe_exponents_for(
       of that step: (1/3D3)Z, one extra factor of 3.
 
     Both (1/4D)Z and (1/3D3)Z are cleared by 12 * D, so the semifield's
-    integer rules, :meth:`Semifield.legal_scaled` and
-    :meth:`Semifield.between_scaled`, decide every probe at scale S (the
-    latter raises rather than round if S did not clear its pick).
+    integer rules, legal and between, decide every probe at scale S (the
+    latter raises rather than round if S did not clear its pick);
+    :func:`_probe_exponents` takes them from :attr:`Semifield.scaled_rules`
+    once per call.
 
-    Computing on the scaled elements is exact.  x -> S * x is an injective,
-    order-preserving homomorphism of the rationals, and an element's sum,
-    product, inverse and equality read its exponent only through +, -, <
-    and ==.  So scaling every exponent, with tags and fibers untouched,
-    commutes with +, * and inverse, two scaled sums are equal iff the sums
-    are, and sums and negatives of scaled exponents stay integers.
+    Computing on the scaled exponents is exact.  x -> S * x is an
+    injective, order-preserving homomorphism of the rationals, and an
+    element's sum, product, inverse and equality read its exponent only
+    through +, -, < and ==.  So scaling every exponent, with tags and
+    fibers untouched, commutes with +, * and inverse, two scaled sums are
+    equal iff the sums are, and sums and negatives of scaled exponents
+    stay integers.
     """
     scale = _common_scale((a for _, a in lines), candidates, frame)
-    scaled = [_scaled(a, scale) for _, a in lines]
-    terms = {(slope, a.exp) for (slope, _), a in zip(lines, scaled) if not a.is_zero}
+    line_exps = [None if a.exp is None else _scaled_exp(a.exp, scale) for _, a in lines]
+    terms = {(slope, x) for (slope, _), x in zip(lines, line_exps) if x is not None}
     up = scale // frame
-    exps = [None if b.is_zero else _scaled_exp(b.exp, up) for b in candidates]
+    exps = [None if b.exp is None else _scaled_exp(b.exp, up) for b in candidates]
     terms.update((0, x) for x in exps if x is not None)
-    return scale, scaled, exps, _probe_exponents(sf, _tie_points(terms), scale)
+    return scale, line_exps, exps, _probe_exponents(sf, _tie_points(terms), scale)
 
 
 def companion_membership_oracle(
@@ -388,41 +399,55 @@ def companion_membership_oracle(
 
     The candidates may come at a frame: with ``frame`` F, each beta's
     exponent is F times the one it stands for.  The sums are evaluated on
-    the lines as :func:`_probe_exponents_for` returns them, scaled into the
+    the exponents :func:`_probe_exponents_for` returns, scaled into the
     battery's integer frame at a scale it takes from the inputs alone; its
     docstring proves each verdict exact, with no Fraction in the loop.  A
     candidate is read only through its exponent at that scale, and "beta
     is alpha" is equality of tag, fiber and that exponent.  Scaling keeps
     order, so comparing scaled exponents is comparing unscaled ones.
-    Lambda has the identity fiber, so ``lambda * alpha1`` is alpha1 with
-    its exponent raised by exp(lambda), its tag and fiber kept (zero stays
-    zero), and ``lambda^-1 * alpha2`` is alpha2 lowered by it: each
-    lambda-term is built as that one element.
+
+    No element is built in the loop: each term and sum is held as the
+    triple (tag, exponent, fiber) that would be its fields.  Lambda has the
+    identity fiber, so ``lambda * alpha1`` is alpha1's triple with the
+    exponent raised by exp(lambda), and ``lambda^-1 * alpha2`` is alpha2's
+    lowered by it; a zero line has no term.  Of the two terms, base is the
+    one of strictly larger exponent, and at a tie the ghost triple
+    (ghost, shared exponent, ()); ``lhs = base + alpha`` is base if alpha
+    is zero or lies below b, alpha if it lies above, and (ghost, b, ()) at
+    a tie, which is also ``nu(base)``.  That is :meth:`Element.__add__`
+    case by case, and ``!=`` on triples is :meth:`Element.__eq__` negated,
+    which compares tag, exponent and fiber, so each fact is the one the
+    elements would give.
     """
-    _, (a1, a2, a), beta_exps, exps = _probe_exponents_for(
+    _, (e1, e2, e), beta_exps, exps = _probe_exponents_for(
         sf, (1, alpha1), (-1, alpha2), (0, alpha), candidates=betas, frame=frame
     )
-    t, e, f = a.tag, a.exp, a.fiber
+    t, f = alpha.tag, alpha.fiber
 
     def is_alpha(b: Element, x: Optional[int]) -> bool:
         """Whether the candidate b, of exponent x at the battery's scale, is alpha."""
         return x == e and b.tag == t and b.fiber == f
 
-    if a1.is_zero and a2.is_zero:
+    if e1 is None and e2 is None:
         return [is_alpha(b, x) for b, x in zip(betas, beta_exps)]
-    (t1, e1, f1), (t2, e2, f2) = (a1.tag, a1.exp, a1.fiber), (a2.tag, a2.exp, a2.fiber)
+    t1, f1, t2, f2, a = alpha1.tag, alpha1.fiber, alpha2.tag, alpha2.fiber, (t, e, f)
     base_exps, misses, ties = [], [], set()
-    for exp in exps:
-        # lambda * a1 is a1 raised by exp, and lambda^-1 * a2 is a2 lowered by it
-        up = ZERO if e1 is None else Element(t1, e1 + exp, f1)
-        down = ZERO if e2 is None else Element(t2, e2 - exp, f2)
-        base = up + down
-        lhs = base + a
-        base_exps.append(base.exp)
+    for x in exps:
+        if e2 is None:
+            base = (t1, e1 + x, f1)
+        elif e1 is None:
+            base = (t2, e2 - x, f2)
+        else:
+            up, down = e1 + x, e2 - x
+            base = (t1, up, f1) if up > down else (t2, down, f2) if up < down else (_TAG_GHOST, up, ())
+        b = base[1]
+        nu = (_TAG_GHOST, b, ())
+        lhs = base if e is None or b > e else a if b < e else nu
+        base_exps.append(b)
         if lhs != base:
-            misses.append(base.exp)
-        if lhs != base.nu():
-            ties.add(base.exp)
+            misses.append(b)
+        if lhs != nu:
+            ties.add(b)
     below, low = max(misses, default=None), min(base_exps)
     return [
         below is None if x is None

@@ -20,7 +20,7 @@ import math
 from typing import Optional
 
 from .companions import (
-    CompanionSet, NuClass, Singleton, cell_boundary, companion_membership_oracle, contains, diagonal_membership_oracle,
+    CompanionSet, NuClass, Singleton, cell_boundary, companion_membership_oracle, diagonal_membership_oracle,
 )
 from .forms import QuadraticForm
 from .semiring import ZERO, Element, Semifield, _scaled_exp, _unscaled_exp
@@ -62,9 +62,10 @@ def boundary_probe_elements(
         edge = _scaled_exp(boundary, scale)
         half, third = scale // 2, scale // 3
         steps = (-scale, -half, -third, 0, third, half, scale)
-        found = {edge + step for step in steps if sf.legal_scaled(edge + step, scale)}
+        legal, between = sf.scaled_rules
+        found = {edge + step for step in steps if legal(edge + step, scale)}
         for lo, hi in ((edge - third, edge), (edge, edge + third)):
-            inside = sf.between_scaled(lo, hi, scale)
+            inside = between(lo, hi, scale)
             if inside is not None:
                 found.add(inside)
         exps = [_unscaled_exp(x * frame, scale) for x in sorted(found)]
@@ -104,8 +105,8 @@ def cell_disagreements(q: QuadraticForm, i: int, j: int, cell: CompanionSet) -> 
         by_oracle = diagonal_membership_oracle(q.sf, q.diag[i], probes, frame)
     else:
         by_oracle = companion_membership_oracle(q.sf, q.diag[i], q.diag[j], alpha, probes, frame)
-    framed = _scaled_cell(cell, frame)
+    holds = _scaled_cell(cell, frame).holds  # contains, with the cell's kind looked up once
     return len(probes), [
         beta if beta.is_zero else Element(beta.tag, _unscaled_exp(beta.exp, frame), beta.fiber)
-        for beta, ok in zip(probes, by_oracle) if contains(framed, beta) != ok
+        for beta, ok in zip(probes, by_oracle) if holds(beta) != ok
     ]

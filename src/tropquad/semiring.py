@@ -37,7 +37,7 @@ import math
 import re
 from fractions import Fraction
 from operator import attrgetter, mul
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .errors import PreconditionError
 
@@ -304,6 +304,72 @@ def format_element(a: Element) -> str:
 _SMALL_FIBERS = (((),), ((1,), (-1,)))
 
 
+# -- the group rules on integers ------------------------------------------------
+# Each group states its two rules once, as plain functions of the integer
+# exponent x standing for x / S and the scale S, chosen by a table keyed by
+# the group, so a caller in a loop looks the group up once
+# (Semifield.scaled_rules).  Legality is a test of the reduced denominator
+# S / gcd(x, S): 1 in int (S divides x), anything in rat, a power of 3 in
+# rat3.  A between rule returns S times the group's pick strictly between
+# lo / S and hi / S, or None when lo >= hi or the group has none; it raises
+# ValueError, rather than round, when S does not clear the pick.  The
+# rational forms are these rules, not copies: a reduced fraction of
+# denominator q is legal iff 1 / q is, which is Semifield._legal_denominator,
+# and Semifield.between asks the between rule at a scale that clears its
+# pick.  tests/test_semiring.py checks every one of them against rules
+# stated on Fractions.
+
+
+def _int_legal(x: int, scale: int) -> bool:
+    return x % scale == 0
+
+
+def _rat_legal(x: int, scale: int) -> bool:
+    return True
+
+
+def _rat3_legal(x: int, scale: int) -> bool:
+    q = scale // math.gcd(x, scale)
+    while q % 3 == 0:
+        q //= 3
+    return q == 1
+
+
+def _int_between(lo: int, hi: int, scale: int) -> Optional[int]:
+    """The least integer above lo / S; it exceeds lo, so lo >= hi gives None."""
+    m = (lo // scale + 1) * scale
+    return m if m < hi else None
+
+
+def _cleared(n: int, d: int, scale: int) -> int:
+    if n % d:
+        raise ValueError(f"scale {scale} does not clear the pick {n}/{d} over it")
+    return n // d
+
+
+def _rat_between(lo: int, hi: int, scale: int) -> Optional[int]:
+    """The midpoint."""
+    return None if lo >= hi else _cleared(lo + hi, 2, scale)
+
+
+def _rat3_between(lo: int, hi: int, scale: int) -> Optional[int]:
+    """The least multiple above lo / S of the largest step 1/p, p a power of 3,
+    shorter than the interval."""
+    if lo >= hi:
+        return None
+    p = 1
+    while scale >= (hi - lo) * p:  # step 1/p not shorter than (hi - lo) / scale
+        p *= 3
+    return _cleared((lo * p // scale + 1) * scale, p, scale)
+
+
+_SCALED_RULES = {
+    GroupKind.INT: (_int_legal, _int_between),
+    GroupKind.RAT: (_rat_legal, _rat_between),
+    GroupKind.RAT3: (_rat3_legal, _rat3_between),
+}
+
+
 class Semifield(Value):
     """Configuration of the ambient semifield: exponent group + fiber rank.
 
@@ -324,19 +390,12 @@ class Semifield(Value):
 
     # -- exponent group ---------------------------------------------------
 
-    # The group rules are stated once, on integers: an exponent x / S is
-    # handed over as the integer x and the scale S.  The rational forms
-    # below read the same rules with S the lcm of their denominators.
+    # The group rules are stated once, on integers, in _SCALED_RULES: an
+    # exponent x / S is handed over as the integer x and the scale S.
 
     def _legal_denominator(self, q: int) -> bool:
-        """Whether a reduced fraction of denominator q lies in the group."""
-        if self.group is GroupKind.INT:
-            return q == 1
-        if self.group is GroupKind.RAT:
-            return True
-        while q % 3 == 0:
-            q //= 3
-        return q == 1
+        """Whether a reduced fraction of denominator q lies in the group: 1 / q is legal."""
+        return _SCALED_RULES[self.group][0](1, q)
 
     def legal_exponent(self, x: Exponent) -> bool:
         if isinstance(x, (float, bool)):  # bool is an int, but prints as a word
@@ -345,7 +404,7 @@ class Semifield(Value):
 
     def legal_scaled(self, x: int, scale: int) -> bool:
         """Whether the exponent x / scale is legal."""
-        return self._legal_denominator(scale // math.gcd(x, scale))
+        return _SCALED_RULES[self.group][0](x, scale)
 
     def halvable(self, x: Exponent) -> bool:
         """Whether half the exponent x is legal: x lies in the doubled group."""
@@ -356,35 +415,24 @@ class Semifield(Value):
             raise ValueError(f"exponent {x} not in the {self.group.value} group")
         return _canon_exp(x)
 
-    def _between_ratio(self, lo: int, hi: int, scale: int) -> Optional[tuple[int, int]]:
-        """The group's pick strictly between lo / scale and hi / scale, or None.
-
-        The pick m is returned as (n, d) with n / d = scale * m.  ``int``
-        picks the least integer above lo; ``rat`` the midpoint; ``rat3`` the
-        largest step 1/p, p a power of 3, shorter than the interval, and the
-        least multiple of it above lo.
-        """
-        if lo >= hi:
-            return None
-        if self.group is GroupKind.RAT:
-            return lo + hi, 2
-        if self.group is GroupKind.INT:
-            m = (lo // scale + 1) * scale
-            return (m, 1) if m < hi else None
-        p = 1
-        while scale >= (hi - lo) * p:  # step 1/p not shorter than (hi - lo) / scale
-            p *= 3
-        return (lo * p // scale + 1) * scale, p
-
     def between(self, lo: Exponent, hi: Exponent) -> Optional[Exponent]:
-        """Some legal exponent strictly between lo and hi, or None."""
+        """Some legal exponent strictly between lo and hi, or None.
+
+        The pick is :meth:`between_scaled`'s at a scale that clears it: the
+        lcm S of the denominators times 2 * 3^k, 3^k >= 3 * S.  Any scale
+        clears an ``int`` pick, and the factor 2 a ``rat`` midpoint.  With lo
+        and hi at scale S the integers L < H, the ``rat3`` step is 1/p, p the
+        least power of 3 with S < (H - L) * p, so p <= 3 * S; multiplying
+        the scale and L and H by 2 * 3^k leaves p as it is, and the pick, a
+        multiple of the step, becomes an integer, since p divides 3^k.
+        """
         scale = math.lcm(lo.denominator, hi.denominator)
-        ratio = self._between_ratio(
-            lo.numerator * (scale // lo.denominator), hi.numerator * (scale // hi.denominator), scale
-        )
-        if ratio is None:
-            return None
-        return _canon_exp(Fraction(ratio[0], ratio[1] * scale))
+        power = 3
+        while power < 3 * scale:
+            power *= 3
+        scale *= 2 * power
+        pick = self.between_scaled(_scaled_exp(lo, scale), _scaled_exp(hi, scale), scale)
+        return None if pick is None else _unscaled_exp(pick, scale)
 
     def between_scaled(self, lo: int, hi: int, scale: int) -> Optional[int]:
         """``scale * between(lo / scale, hi / scale)``, or None.
@@ -392,13 +440,14 @@ class Semifield(Value):
         Raises ValueError, rather than round, when scale does not clear the
         denominator of the pick.
         """
-        ratio = self._between_ratio(lo, hi, scale)
-        if ratio is None:
-            return None
-        n, d = ratio
-        if n % d:
-            raise ValueError(f"scale {scale} does not clear the pick between {lo}/{scale} and {hi}/{scale}")
-        return n // d
+        return _SCALED_RULES[self.group][1](lo, hi, scale)
+
+    @property
+    def scaled_rules(self) -> tuple[Callable[[int, int], bool], Callable[[int, int, int], Optional[int]]]:
+        """This group's :meth:`legal_scaled` and :meth:`between_scaled` as plain
+        functions, for a caller that applies them in a loop: the group is
+        looked up once, not once per call."""
+        return _SCALED_RULES[self.group]
 
     # -- element factories -------------------------------------------------
 

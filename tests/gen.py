@@ -26,8 +26,8 @@ from tropquad import (
     Singleton,
     SymmetricBilinearForm,
 )
-from tropquad.companions import _probe_exponents_for, _scaled
-from tropquad.semiring import Exponent, _canon_exp
+from tropquad.companions import _probe_exponents_for
+from tropquad.semiring import Exponent, _canon_exp, _scaled_exp
 from tropquad.serialize import RATFORM_DIMENSION_LIMIT, SchemaError, _get, _is_int, _object_sf
 
 ALL_KINDS = (GroupKind.INT, GroupKind.RAT, GroupKind.RAT3)
@@ -106,6 +106,11 @@ def fraction_between(sf: Semifield, lo, hi):
             step /= 3
         value = (math.floor(lo / step) + 1) * step
     return int(value) if value.denominator == 1 else value
+
+
+def _scaled(a: Element, scale: int) -> Element:
+    """a with its exponent multiplied by scale; tag and fiber unchanged."""
+    return a if a.is_zero else Element(a.tag, _scaled_exp(a.exp, scale), a.fiber)
 
 
 def membership_oracle_reference(sf: Semifield, alpha1: Element, alpha2: Element, alpha: Element, betas):

@@ -26,6 +26,7 @@ from tropquad import (
     Singleton,
     companion_table,
     contains,
+    is_quasilinear,
 )
 from tropquad import cli, companions
 from tropquad.cli import main
@@ -635,6 +636,32 @@ def test_every_input_answers_with_one_json_document(call):
     answer = json.loads(texts[0])
     if code == 1:
         assert err.getvalue() and "path" in answer
+
+
+@st.composite
+def _companions_inputs(draw):
+    """A form of any group, fiber rank 0-2 and size 1-5, whose cross coefficients
+    are zero now and then, so that it is quasilinear often enough."""
+    sf = Semifield(draw(st.sampled_from(list(GroupKind))), draw(st.sampled_from((0, 1, 2))))
+    n = draw(st.integers(1, 5))
+    elems = element_strategy(sf)
+    cross = st.one_of(st.just(ZERO), elems.map(lambda b: b.nu()), elems)
+    diag = draw(st.lists(elems, min_size=n, max_size=n))
+    return QuadraticForm(sf, diag, {(i, j): draw(cross) for i in range(n) for j in range(i + 1, n)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_companions_inputs())
+def test_companions_prints_is_quasilinear_property(q):
+    """``companions`` reads quasilinearity off its table; it prints what ``is_quasilinear`` decides."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "form.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(form_to_json(q), fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["companions", path]) == 0
+    assert json.loads(out.getvalue())["quasilinear"] is is_quasilinear(q)
 
 
 # -- the invariant rules of check ----------------------------------------------

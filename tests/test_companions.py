@@ -1,5 +1,6 @@
 """Companion sets and tables against the independent membership oracle."""
 
+import json
 import math
 import random
 import sys
@@ -44,11 +45,15 @@ from tropquad import (
     set_max,
     set_min,
 )
-from tropquad.companions import _common_scale, _probe_exponents_for, _scaled, cell_boundary
-from tropquad.probes import _scaled_cell, battery_frame, boundary_probe_elements
+from tropquad import probes as probe_module
+from tropquad.cli import main
+from tropquad.companions import _common_scale, _probe_exponents_for, cell_boundary
+from tropquad.probes import _scaled_cell, battery_frame, boundary_probe_elements, cell_disagreements
 from tropquad.semiring import _canon_exp
+from tropquad.serialize import form_to_json
 
 from gen import (
+    _scaled,
     any_cells,
     any_elements,
     diagonal_cell_reference,
@@ -772,6 +777,7 @@ def test_oracle_shares_no_code_with_the_case_analysis():
     """The oracles must stay independent of the closed form they validate."""
     reached, names = _names_reached(companion_membership_oracle, diagonal_membership_oracle)
     assert {"_probe_exponents_for", "_tie_points", "_probe_exponents"} <= reached
+    assert "scaled_rules" in names  # the group's integer rules, looked up once per probe set
     closed_form = {
         "pair_analysis", "contains", "halvable", "_first_difference", "cell_boundary",
         "set_min", "set_max", "companion_table", "CompanionSet", "CompanionTable",
@@ -932,13 +938,13 @@ def test_integer_probe_set_equals_fraction_probe_set_property(data):
     sf, levels = data
     terms = {(slope, a.exp) for slope, a in levels if not a.is_zero}
     expected = _fraction_probe_exponents(sf, _fraction_tie_points(terms))
-    scale, elements, _, scaled = _probe_exponents_for(sf, *levels)
+    scale, line_exps, _, scaled = _probe_exponents_for(sf, *levels)
     probes = [_canon_exp(Fraction(p, scale)) for p in scaled]
     assert probes == expected
     assert [type(p) for p in probes] == [type(p) for p in expected]
     assert scale == _common_scale(a for _, a in levels)
     assert all(isinstance(p, int) for p in scaled)
-    assert elements == [_scaled(a, scale) for _, a in levels]
+    assert line_exps == [_scaled(a, scale).exp for _, a in levels]
 
 
 def _fraction_boundary_probe_elements(sf, alpha, cell):
@@ -1068,6 +1074,79 @@ def test_a_rat3_battery_at_its_frame_never_raises_property(data):
             verdicts = companion_membership_oracle(sf, a1, a2, a, framed, frame)
         scaled = _scaled_cell(cell, frame)
         assert verdicts == [contains(scaled, b) for b in framed]
+
+
+@st.composite
+def _framed_reference_inputs(draw):
+    """A semifield of any group and fiber rank 0, 1 or 2, a rank-2 triple
+    whose diagonal is zero on both sides, on one or on neither, and a
+    multiplier k in 1..4 of the battery frame."""
+    sf = Semifield(draw(st.sampled_from(list(GroupKind))), draw(st.sampled_from((0, 1, 2))))
+    elems = st.one_of(element_strategy(sf), wide_element_strategy(sf))
+    nonzero = elems.filter(lambda x: not x.is_zero)
+    a1, a2 = draw(st.sampled_from(((ZERO, ZERO), (ZERO, None), (None, ZERO), (None, None))))
+    a1 = draw(nonzero) if a1 is None else a1
+    a2 = draw(nonzero) if a2 is None else a2
+    return sf, a1, a2, draw(elems), draw(st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_framed_reference_inputs())
+def test_the_framed_oracle_matches_the_pairwise_reference_property(data):
+    """Both oracles, handed a cell's battery at k times its frame, give the
+    verdicts of the one-sum-per-pair reference on the frame-1 battery."""
+    sf, a1, a2, a, k = data
+    for alpha, cell in ((a, pair_analysis(sf, a1, a2, a)[1]), (None, pair_analysis(sf, a1, a1, a1.nu())[1])):
+        frame = battery_frame(alpha, cell) * k
+        battery = boundary_probe_elements(sf, alpha, cell)
+        framed = boundary_probe_elements(sf, alpha, cell, frame)
+        if alpha is None:
+            verdicts = diagonal_membership_oracle(sf, a1, framed, frame)
+            expected = membership_oracle_reference(sf, a1, a1, a1.nu(), battery)
+        else:
+            verdicts = companion_membership_oracle(sf, a1, a2, a, framed, frame)
+            expected = membership_oracle_reference(sf, a1, a2, a, battery)
+        assert verdicts == expected
+
+
+@pytest.mark.parametrize("kind", list(GroupKind))
+def test_a_large_form_checks_cell_by_cell_against_the_reference(kind, monkeypatch, tmp_path, capsys):
+    """On a random 32 x 32 form of fiber rank 1, the oracle verdicts that
+    ``cell_disagreements`` computes equal the reference's on every cell's
+    frame-1 battery, no cell disagrees with ``contains``, and ``check`` exits 0."""
+    sf = Semifield(kind, 1)
+    q = random_form(random.Random(0), sf, 32)
+    verdicts = []
+
+    def recorded(oracle):
+        def call(*args):
+            verdicts.append(oracle(*args))
+            return verdicts[-1]
+        return call
+
+    table = companion_table(q)
+    with monkeypatch.context() as patched:
+        for name in ("companion_membership_oracle", "diagonal_membership_oracle"):
+            patched.setattr(probe_module, name, recorded(getattr(probe_module, name)))
+        for i in range(q.n):
+            for j in range(i, q.n):
+                assert cell_disagreements(q, i, j, table.cell(i, j)) == (
+                    len(boundary_probe_elements(sf, None if i == j else q.cross[i][j], table.cell(i, j))), []
+                )
+    cells = [(i, j) for i in range(q.n) for j in range(i, q.n)]
+    assert len(verdicts) == len(cells)
+    for (i, j), found in zip(cells, verdicts):
+        a1 = q.diag[i]
+        if i == j:
+            expected = membership_oracle_reference(sf, a1, a1, a1.nu(), boundary_probe_elements(sf, None, table.cell(i, i)))
+        else:
+            battery = boundary_probe_elements(sf, q.cross[i][j], table.cell(i, j))
+            expected = membership_oracle_reference(sf, a1, q.diag[j], q.cross[i][j], battery)
+        assert found == expected, (i, j)
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(form_to_json(q)))
+    assert main(["check", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
 
 
 @settings(max_examples=300, deadline=None)
