@@ -13,46 +13,30 @@ The case analysis is written once, in :func:`pair_analysis`, which returns
 the branch that fired beside the cell; pair-level predicates read it off
 the cell (forced means a :class:`Singleton`, the zero form accompanies the
 pair iff the cell contains zero), and a diagonal cell is the same rule at
-(alpha, alpha, nu(alpha)).  It is cross-validated everywhere by
-:func:`companion_membership_oracle`, an independent decision procedure
-that checks the defining one-parameter family of scaling identities on a
-finite critical set of exponents, for a whole battery of candidates in one
-pass; the verdict never depends on the scalar's fiber, so each exponent is
-probed once.  At each probe the lambda-part absorbs every candidate below
-its exponent, ties every candidate at it and loses to every candidate above
-it, so one pass over the probes collects three facts (the largest exponent
-of the lambda-part at which it differs from the left side, the exponents at
-which its ghost does, and its least exponent), and each candidate is
-decided from them with no sum.
-:func:`diagonal_membership_oracle` is the same procedure on the
-diagonal (alpha, alpha) with cross term nu(alpha).  The oracle and
-:func:`equality_witness` build the critical set with one helper,
-:func:`_probe_exponents_for`, which shares no code with the case analysis
-or the companion-set types.  :func:`functionally_equal` and
-:func:`equality_witness` read one scan of the two schemes,
-:func:`_first_difference`, which decides only the pairs where the
-schemes differ: a scheme's own coefficient always lies in its cell.
+(alpha, alpha, nu(alpha)).  It computes on the exponents as given: a
+Fraction is built only where an exponent already is one, or where half an
+odd doubled bound leaves the integers; whether half the diagonal sum is an
+exponent is the group's one halving rule, :meth:`Semifield.halvable`.
+:func:`functionally_equal` and :func:`equality_witness` read one scan of
+the two schemes, :func:`_first_difference`, which decides only the pairs
+where the schemes differ: a scheme's own coefficient always lies in its cell.
 
-The case analysis and :func:`cell_boundary` compute on the exponents as
-given: an int plus an int stays an int, and a Fraction is built only where
-an exponent already is one, or where half an odd doubled bound leaves the
-integers.  Whether half the diagonal sum is an exponent is the group's
-one halving rule, :meth:`Semifield.halvable`.
-:func:`companion_table` reads each cross coefficient off its row of
-``q.cross``.  Nothing is memoized across cells: each cell is one
-comparison of a few exponents.
-
-The oracle and the witness run on integers, in one frame per battery:
-:func:`_probe_exponents_for` scales each line and each candidate's
-exponent once by the battery's scale and finds the probes at that scale,
-and its docstring proves the frame exact.  The oracles take their
-candidates at a caller's integer frame, the ``frame`` argument, as they
-are; choosing that frame, and holding the cell in it for :func:`contains`,
-is :mod:`tropquad.probes`' business.  The oracle's loop builds no element:
-it holds each term and sum at a probe as its (tag, exponent, fiber).  An
-exponent becomes a rational again only where it leaves as an element: in
-:func:`equality_witness`'s vectors and in a probe where the oracle and the
-closed form disagree.
+The case analysis is cross-validated by :func:`triple_membership_oracle`,
+an independent decision procedure that checks the defining one-parameter
+family of scaling identities on a finite critical set of exponents, for a
+whole battery of candidates in one pass, and decides each candidate from
+three facts collected at the probes, with no sum.  It reads a candidate as
+the (tag, exponent, fiber) triple of an element held at an integer frame;
+:func:`companion_membership_oracle` and :func:`diagonal_membership_oracle`
+(the diagonal (alpha, alpha) with cross term nu(alpha)) hand it their
+elements' triples.  It and :func:`equality_witness` find the critical set
+on integers with one helper, :func:`_probe_exponents_for`, which shares no
+code with the case analysis or the companion-set types, and whose
+docstring proves its frame exact.  An exponent becomes a rational again
+only where it leaves as an element: in :func:`equality_witness`'s vectors
+and in a probe where the oracle and the closed form disagree.  Choosing a
+battery's frame, and holding the cell in it for its ``holds`` rule, is
+:mod:`tropquad.probes`' business.
 """
 
 from __future__ import annotations
@@ -73,8 +57,8 @@ from .semiring import (
 # Each cell class spells out its one-field ``__init__`` for speed: the
 # generic ``Value.__init__`` costs about 0.7 us more per call (2 CPUs,
 # Python 3.11), some 3 ms on the 4096 cells of a 64 x 64 table.  Each
-# states its membership rule once, as ``holds``; zero is the element whose
-# exponent is None.
+# states its membership rule once, as ``holds``, on an element's (tag,
+# exponent, fiber) triple; zero is the triple whose exponent is None.
 
 
 class Singleton(Value):
@@ -85,8 +69,9 @@ class Singleton(Value):
     def __init__(self, value: Element):
         _set(self, "value", value)
 
-    def holds(self, beta: Element) -> bool:
-        return beta == self.value
+    def holds(self, beta: tuple) -> bool:
+        value = self.value
+        return beta == (value.tag, value.exp, value.fiber)
 
 
 class NuLeqDoubled(Value):
@@ -97,8 +82,8 @@ class NuLeqDoubled(Value):
     def __init__(self, bound2: Exponent):
         _set(self, "bound2", bound2)
 
-    def holds(self, beta: Element) -> bool:
-        return beta.exp is None or 2 * beta.exp <= self.bound2
+    def holds(self, beta: tuple) -> bool:
+        return (exp := beta[1]) is None or 2 * exp <= self.bound2
 
 
 class NuLtDoubled(Value):
@@ -109,8 +94,8 @@ class NuLtDoubled(Value):
     def __init__(self, bound2: Exponent):
         _set(self, "bound2", bound2)
 
-    def holds(self, beta: Element) -> bool:
-        return beta.exp is None or 2 * beta.exp < self.bound2
+    def holds(self, beta: tuple) -> bool:
+        return (exp := beta[1]) is None or 2 * exp < self.bound2
 
 
 class NuClass(Value):
@@ -121,17 +106,17 @@ class NuClass(Value):
     def __init__(self, exp: Exponent):
         _set(self, "exp", exp)
 
-    def holds(self, beta: Element) -> bool:
-        return beta.exp is not None and beta.exp == self.exp
+    def holds(self, beta: tuple) -> bool:
+        return (exp := beta[1]) is not None and exp == self.exp
 
 
 CompanionSet = Union[Singleton, NuLeqDoubled, NuLtDoubled, NuClass]
 
 
 def contains(cell: CompanionSet, beta: Element) -> bool:
-    """Whether beta lies in the cell, by the rule of the cell's kind, its ``holds``
-    method; a caller that asks one cell about many elements may bind that method once."""
-    return cell.holds(beta)
+    """Whether beta lies in the cell, by its kind's rule ``holds`` on beta's (tag, exponent, fiber)
+    triple; a caller that asks one cell about many triples may bind that method once."""
+    return cell.holds((beta.tag, beta.exp, beta.fiber))
 
 
 def set_min(sf: Semifield, cell: CompanionSet) -> Element:
@@ -224,28 +209,20 @@ def pair_analysis(
 # the independent membership oracle
 
 
-def _common_scale(lines, candidates=(), frame: int = 1) -> int:
-    """Twelve times the lcm of frame, the lines' exponent denominators and
-    frame times each candidate's: the scale at which every exponent, a
-    candidate's taken as its exponent over frame, is an integer."""
-    return 12 * math.lcm(
-        frame,
-        *(a.exp.denominator for a in lines if not a.is_zero),
-        *(frame * b.exp.denominator for b in candidates if b.exp.__class__ is Fraction),
-    )
+def _common_scale(lines, frame: int = 1) -> int:
+    """Twelve times the lcm of frame and the lines' exponent denominators (:func:`_probe_exponents_for`)."""
+    return 12 * math.lcm(frame, *(a.exp.denominator for a in lines if not a.is_zero))
 
 
-def _tie_points(terms: set[tuple[int, int]]) -> list[int]:
-    """Where two lines ``slope * x + offset`` of different slopes meet, ascending.
+def _tie_points(up: set[int], down: set[int], flat: set[int]) -> list[int]:
+    """Where two lines ``slope * x + offset`` of different slopes meet, ascending, given the
+    offsets of the lines of slope +1, -1 and 0.
 
-    The slopes are +1, -1 and 0, so the lines fall into three groups by
-    slope, and only a line of one group meets a line of another: a flat
-    line ``f`` meets a rising one ``x + u`` at ``f - u`` and a falling one
-    ``-x + d`` at ``d - f``, and a rising and a falling line meet at
-    ``(d - u) / 2``.  The offsets are even integers, so each meeting point
-    is an integer.
+    A flat line ``f`` meets a rising one ``x + u`` at ``f - u`` and a
+    falling one ``-x + d`` at ``d - f``, and a rising and a falling line
+    meet at ``(d - u) / 2``.  The offsets are even integers, so each
+    meeting point is an integer.
     """
-    up, down, flat = ([o for s, o in terms if s == slope] for slope in (1, -1, 0))
     points = {f - u for u in up for f in flat}
     points.update(d - f for d in down for f in flat)
     points.update((d - u) // 2 for u in up for d in down)
@@ -275,27 +252,24 @@ def _probe_exponents(sf: Semifield, criticals: list[int], scale: int) -> list[in
 
 
 def _probe_exponents_for(
-    sf: Semifield, *lines: tuple[int, Element], candidates: Sequence[Element] = (), frame: int = 1
+    sf: Semifield, *lines: tuple[int, Element], candidates: Sequence[Optional[int]] = (), frame: int = 1
 ) -> tuple[int, list[Optional[int]], list[Optional[int]], list[int]]:
     """The battery's integer frame: its scale, its lines scaled, its candidates' exponents, its probes.
 
     Each ``(slope, element)`` of ``lines`` stands for the line ``slope *
-    exp(lambda) + exp(element)``, and each candidate for a flat line at its
-    exponent over ``frame``: a caller that holds its candidates at a frame
-    F, every exponent multiplied by F, hands them over as they are.  Zero
-    elements have no level and contribute no line.  Returns the battery's
-    scale S, each line's exponent at scale S and each candidate's, the
-    integer S // frame times it, in the order given (None for zero), and
-    the probe exponents times S.  The tie points are read off the
-    scaled exponents, so each line and candidate is scaled once.
+    exp(lambda) + exp(element)``, and each candidate for a flat line: it is
+    the integer exponent of an element held at the frame ``frame`` F (F
+    times the one it stands for), or None for zero.  Zero has no level and
+    contributes no line.  Returns the battery's scale S, each line's
+    exponent at scale S and each candidate's, the integer S // F times it,
+    in the order given (None for zero), and the probe exponents times S,
+    read off the scaled exponents: each line and candidate is scaled once.
 
-    S = 12 * D, where D is the lcm of frame, the lines' denominators and
-    frame times each candidate's (:func:`_common_scale`), clears the
-    denominator of every offset, tie point and probe.  The scale is taken
-    from the inputs alone and trusts nothing a caller computed: a candidate
-    at frame F whose exponent is an integer has its offset in (1/F)Z, and
-    one whose exponent has denominator d has it in (1/(F d))Z, so D clears
-    every offset and S // frame is an integer.  Then:
+    S = 12 * D, where D is the lcm of frame and the lines' denominators
+    (:func:`_common_scale`), clears the denominator of every offset, tie
+    point and probe.  The scale is taken from the inputs alone and trusts
+    nothing a caller computed: a candidate x at frame F has its offset x / F
+    in (1/F)Z, so D clears every offset and S // frame is an integer.  Then:
 
     * each scaled offset is a multiple of 12, in particular even;
     * slopes are +1, -1 and 0, so two slopes differ by 1 or 2 and a tie
@@ -324,19 +298,22 @@ def _probe_exponents_for(
     equal iff the sums are, and sums and negatives of scaled exponents
     stay integers.
     """
-    scale = _common_scale((a for _, a in lines), candidates, frame)
+    scale = _common_scale((a for _, a in lines), frame)
     line_exps = [None if a.exp is None else _scaled_exp(a.exp, scale) for _, a in lines]
-    terms = {(slope, x) for (slope, _), x in zip(lines, line_exps) if x is not None}
     up = scale // frame
-    exps = [None if b.exp is None else _scaled_exp(b.exp, up) for b in candidates]
-    terms.update((0, x) for x in exps if x is not None)
-    return scale, line_exps, exps, _probe_exponents(sf, _tie_points(terms), scale)
+    exps = [None if x is None else x * up for x in candidates]
+    offsets = {1: set(), -1: set(), 0: set(exps)}
+    for (slope, _), x in zip(lines, line_exps):
+        offsets[slope].add(x)
+    for group in offsets.values():
+        group.discard(None)
+    return scale, line_exps, exps, _probe_exponents(sf, _tie_points(offsets[1], offsets[-1], offsets[0]), scale)
 
 
-def companion_membership_oracle(
-    sf: Semifield, alpha1: Element, alpha2: Element, alpha: Element, betas: list[Element], frame: int = 1
+def triple_membership_oracle(
+    sf: Semifield, alpha1: Element, alpha2: Element, alpha: Element, battery: Sequence[tuple], frame: int
 ) -> list[bool]:
-    """Decide cross-coefficient membership of each beta from its definition.
+    """Decide cross-coefficient membership of each candidate triple from its definition.
 
     beta is admissible iff for every tangible lambda the two sums
 
@@ -397,63 +374,74 @@ def companion_membership_oracle(
     verdict is the conjunction that one sum and one comparison per pair of
     probe and candidate would give.
 
-    The candidates may come at a frame: with ``frame`` F, each beta's
-    exponent is F times the one it stands for.  The sums are evaluated on
-    the exponents :func:`_probe_exponents_for` returns, scaled into the
-    battery's integer frame at a scale it takes from the inputs alone; its
-    docstring proves each verdict exact, with no Fraction in the loop.  A
-    candidate is read only through its exponent at that scale, and "beta
-    is alpha" is equality of tag, fiber and that exponent.  Scaling keeps
-    order, so comparing scaled exponents is comparing unscaled ones.
+    Each candidate is the (tag, exponent, fiber) triple of an element held
+    at the frame F, its exponent F times the one it stands for, an integer
+    (None for zero).  The sums are evaluated at the scale that
+    :func:`_probe_exponents_for` takes from alpha1, alpha2, alpha and F
+    alone; its docstring proves each verdict exact, with no Fraction in the
+    loop, and "beta is alpha" is equality of triples at that scale.
 
-    No element is built in the loop: each term and sum is held as the
-    triple (tag, exponent, fiber) that would be its fields.  Lambda has the
-    identity fiber, so ``lambda * alpha1`` is alpha1's triple with the
-    exponent raised by exp(lambda), and ``lambda^-1 * alpha2`` is alpha2's
-    lowered by it; a zero line has no term.  Of the two terms, base is the
-    one of strictly larger exponent, and at a tie the ghost triple
-    (ghost, shared exponent, ()); ``lhs = base + alpha`` is base if alpha
-    is zero or lies below b, alpha if it lies above, and (ghost, b, ()) at
-    a tie, which is also ``nu(base)``.  That is :meth:`Element.__add__`
-    case by case, and ``!=`` on triples is :meth:`Element.__eq__` negated,
-    which compares tag, exponent and fiber, so each fact is the one the
-    elements would give.
+    No element is built in the loop: base is held as its exponent b and
+    whether it is a ghost.  Lambda has the identity fiber, so ``lambda *
+    alpha1`` is alpha1 with its exponent raised by exp(lambda) and its tag
+    kept, and ``lambda^-1 * alpha2`` is alpha2 lowered by it; a zero line
+    has no term.  Of the two terms, base is the one of strictly larger
+    exponent, and at a tie the ghost of the shared exponent.  ``lhs = base
+    + alpha`` is base if alpha is zero or lies below b, alpha if it lies
+    above, and ``nu(base)`` at a tie: :meth:`Element.__add__` case by case.
+    A ghost is its own ``nu``, and a tangible differs from its ``nu`` in
+    tag, while alpha's exponent differs from b whenever lhs is alpha.  So
+    ``base != lhs`` exactly when lhs is alpha, or is ``nu(base)`` and base
+    is no ghost, and ``nu(base) != lhs`` exactly when lhs is alpha, or is
+    base and base is no ghost: each fact is the one the elements would give.
     """
     _, (e1, e2, e), beta_exps, exps = _probe_exponents_for(
-        sf, (1, alpha1), (-1, alpha2), (0, alpha), candidates=betas, frame=frame
+        sf, (1, alpha1), (-1, alpha2), (0, alpha), candidates=[x for _, x, _ in battery], frame=frame
     )
-    t, f = alpha.tag, alpha.fiber
-
-    def is_alpha(b: Element, x: Optional[int]) -> bool:
-        """Whether the candidate b, of exponent x at the battery's scale, is alpha."""
-        return x == e and b.tag == t and b.fiber == f
-
+    a = (alpha.tag, e, alpha.fiber)
     if e1 is None and e2 is None:
-        return [is_alpha(b, x) for b, x in zip(betas, beta_exps)]
-    t1, f1, t2, f2, a = alpha1.tag, alpha1.fiber, alpha2.tag, alpha2.fiber, (t, e, f)
+        return [(tag, x, fiber) == a for (tag, _, fiber), x in zip(battery, beta_exps)]
+    g1, g2 = alpha1.tag == _TAG_GHOST, alpha2.tag == _TAG_GHOST
     base_exps, misses, ties = [], [], set()
     for x in exps:
         if e2 is None:
-            base = (t1, e1 + x, f1)
+            b, ghost = e1 + x, g1
         elif e1 is None:
-            base = (t2, e2 - x, f2)
+            b, ghost = e2 - x, g2
         else:
             up, down = e1 + x, e2 - x
-            base = (t1, up, f1) if up > down else (t2, down, f2) if up < down else (_TAG_GHOST, up, ())
-        b = base[1]
-        nu = (_TAG_GHOST, b, ())
-        lhs = base if e is None or b > e else a if b < e else nu
+            b, ghost = (up, g1) if up > down else (down, g2) if up < down else (up, True)
         base_exps.append(b)
-        if lhs != base:
+        if e is None or b > e:  # lhs is base
+            if not ghost:
+                ties.add(b)
+        elif b < e:  # lhs is alpha
             misses.append(b)
-        if lhs != nu:
             ties.add(b)
+        elif not ghost:  # lhs is nu(base)
+            misses.append(b)
     below, low = max(misses, default=None), min(base_exps)
     return [
         below is None if x is None
-        else (below is None or x >= below) and x not in ties and (x <= low or is_alpha(b, x))
-        for b, x in zip(betas, beta_exps)
+        else (below is None or x >= below) and x not in ties and (x <= low or (tag, x, fiber) == a)
+        for (tag, _, fiber), x in zip(battery, beta_exps)
     ]
+
+
+def _triples(betas: Sequence[Element], frame: int) -> tuple[list[tuple], int]:
+    """The (tag, exponent, fiber) triples of betas held at frame F, at the frame
+    F * L, L the lcm of their exponents' denominators, and that frame."""
+    up = math.lcm(*(b.exp.denominator for b in betas if b.exp.__class__ is Fraction))
+    return [(b.tag, None if b.exp is None else _scaled_exp(b.exp, up), b.fiber) for b in betas], frame * up
+
+
+def companion_membership_oracle(
+    sf: Semifield, alpha1: Element, alpha2: Element, alpha: Element, betas: list[Element], frame: int = 1
+) -> list[bool]:
+    """Decide cross-coefficient membership of each beta from its definition, by
+    :func:`triple_membership_oracle` on the betas' triples (see :func:`_triples`);
+    with ``frame`` F, each beta's exponent is F times the one it stands for."""
+    return triple_membership_oracle(sf, alpha1, alpha2, alpha, *_triples(betas, frame))
 
 
 def diagonal_membership_oracle(sf: Semifield, alpha: Element, betas: list[Element], frame: int = 1) -> list[bool]:
@@ -467,11 +455,12 @@ def diagonal_membership_oracle(sf: Semifield, alpha: Element, betas: list[Elemen
     By distributivity and e * alpha = nu(alpha) the left side is
     t * alpha + t^-1 * alpha + nu(alpha), and the right side is
     t * alpha + t^-1 * alpha + beta: the cross-coefficient statement with
-    diagonal (alpha, alpha) and cross term nu(alpha).  Its extra line
-    (0, nu(alpha)) meets the lines of slope +1 and -1 only at exponent 0,
-    where those two already tie, so it adds no tie point.
+    diagonal (alpha, alpha) and cross term nu(alpha), which
+    :func:`triple_membership_oracle` decides on the betas' triples.  Its
+    extra line (0, nu(alpha)) meets the lines of slope +1 and -1 only at
+    exponent 0, where those two already tie, so it adds no tie point.
     """
-    return companion_membership_oracle(sf, alpha, alpha, alpha.nu(), betas, frame)
+    return triple_membership_oracle(sf, alpha, alpha, alpha.nu(), *_triples(betas, frame))
 
 
 # ---------------------------------------------------------------------------

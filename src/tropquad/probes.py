@@ -7,11 +7,12 @@ form's own cross coefficient.  Dense groups additionally get points found
 strictly inside the one-third neighborhoods, which matters when the
 boundary itself is not a legal exponent.
 
-The exponents are found on integers, at one scale per battery (see
-:func:`boundary_probe_elements`), and a battery comes out at a frame F,
-every exponent multiplied by F.  :func:`cell_disagreements`, which
-``check`` runs on each cell, holds the battery, the cell and both verdicts
-at the F of :func:`battery_frame`, where every exponent is an integer.
+A battery is a list of (tag, exponent, fiber) triples at a frame F: each
+exponent is F times the one it stands for, an integer, and zero's is None.
+:func:`cell_disagreements`, which ``check`` runs on each cell, builds it
+once, from one :func:`cell_boundary` call, at :func:`battery_frame`'s F,
+and asks the oracle core and the cell's ``holds`` rule, held at F too,
+about the same triples; only a probe where they disagree becomes an element.
 """
 
 from __future__ import annotations
@@ -19,34 +20,26 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .companions import (
-    CompanionSet, NuClass, Singleton, cell_boundary, companion_membership_oracle, diagonal_membership_oracle,
-)
+from .companions import CompanionSet, NuClass, Singleton, cell_boundary, triple_membership_oracle
 from .forms import QuadraticForm
-from .semiring import ZERO, Element, Semifield, _scaled_exp, _unscaled_exp
+from .semiring import _TAG_GHOST, _TAG_TANGIBLE, _TAG_ZERO, ZERO, Element, Exponent, Semifield, _scaled_exp, _unscaled_exp
 
 
-def battery_frame(alpha: Optional[Element], cell: CompanionSet) -> int:
-    """The frame at which the cell's battery, the cell and alpha have integer exponents.
-
-    That is lcm(18 * D, den exp(alpha)), with D the boundary's denominator
-    (1 for the cell {0}): 18 * D clears the battery (see
-    :func:`boundary_probe_elements`), and the boundary's denominator is a
-    multiple of the cell's doubled bound's.
-    """
-    boundary = cell_boundary(cell)
+def _frame(boundary: Optional[Exponent], alpha: Optional[Element]) -> int:
     frame = 18 if boundary is None else 18 * boundary.denominator
     return frame if alpha is None or alpha.is_zero else math.lcm(frame, alpha.exp.denominator)
 
 
-def boundary_probe_elements(
-    sf: Semifield, alpha: Optional[Element], cell: CompanionSet, frame: int = 1
-) -> list[Element]:
-    """Elements worth testing for membership in the cell of cross coefficient alpha,
-    with every exponent multiplied by ``frame``.
+def battery_frame(alpha: Optional[Element], cell: CompanionSet) -> int:
+    """The frame at which the cell's battery, the cell and alpha have integer exponents:
+    lcm(18 * D, den exp(alpha)), with D the boundary's denominator (1 for the cell {0}).
+    18 * D clears the battery (see :func:`_battery`), and D is a multiple of the cell's doubled bound's."""
+    return _frame(cell_boundary(cell), alpha)
 
-    alpha is None for a diagonal cell.  The battery holds zero and the
-    ghost of each of its elements.
+
+def _battery(sf: Semifield, alpha: Optional[Element], boundary: Optional[Exponent], frame: int) -> list[tuple]:
+    """The battery of the cell with this boundary, as triples at ``frame``, a multiple of
+    :func:`battery_frame`'s.  It holds zero and the ghost of each of its elements.
 
     With D the boundary's denominator, the scale S = 18 * D clears every
     exponent the battery holds: the boundary and its whole, half and third
@@ -55,7 +48,7 @@ def boundary_probe_elements(
     inside a neighborhood is an integer, and the ``rat3`` pick is a
     multiple of 1/9, the largest power-of-3 step shorter than 1/3.
     """
-    if (boundary := cell_boundary(cell)) is None:
+    if boundary is None:
         exps = [0]
     else:
         scale = 18 * boundary.denominator
@@ -68,26 +61,38 @@ def boundary_probe_elements(
             inside = between(lo, hi, scale)
             if inside is not None:
                 found.add(inside)
-        exps = [_unscaled_exp(x * frame, scale) for x in sorted(found)]
-    # the exponents are legal and canonical (at frame 1), so the elements need no checks
-    one = sf.one
-    flipped = (-1,) + one.fiber[1:]
-    probes: list[Element] = [ZERO]
-    for exp in exps:
-        tangible = Element(one.tag, exp, one.fiber)
-        probes += (tangible, tangible.nu())
-        if sf.fiber_rank > 0:
-            probes.append(Element(one.tag, exp, flipped))
+        up = frame // scale
+        exps = [x * up for x in sorted(found)]
+    fiber = sf.identity_fiber()
+    kinds = ((_TAG_TANGIBLE, fiber), (_TAG_GHOST, ())) + (((_TAG_TANGIBLE, (-1,) + fiber[1:]),) if fiber else ())
+    battery = [(_TAG_ZERO, None, ())] + [(tag, x, f) for x in exps for tag, f in kinds]
     if alpha is not None and not alpha.is_zero:
-        alpha = Element(alpha.tag, _unscaled_exp(alpha.exp.numerator * frame, alpha.exp.denominator), alpha.fiber)
-        probes += (alpha, alpha.nu())
-    return probes
+        x = _scaled_exp(alpha.exp, frame)
+        battery += ((alpha.tag, x, alpha.fiber), (_TAG_GHOST, x, ()))  # alpha and nu(alpha)
+    return battery
+
+
+def _element(beta: tuple, frame: int, at: int) -> Element:
+    """The element whose triple, held at the frame ``at``, is beta, held at ``frame``."""
+    tag, x, fiber = beta
+    return ZERO if x is None else Element(tag, _unscaled_exp(x * frame, at), fiber)
+
+
+def boundary_probe_elements(
+    sf: Semifield, alpha: Optional[Element], cell: CompanionSet, frame: int = 1
+) -> list[Element]:
+    """Elements worth testing for membership in the cell of cross coefficient alpha (None for
+    a diagonal cell), with every exponent multiplied by ``frame``: the :func:`_battery` as elements."""
+    boundary = cell_boundary(cell)
+    at = _frame(boundary, alpha)
+    # the exponents are legal and canonical (at frame 1), so the elements need no checks
+    return [_element(beta, frame, at) for beta in _battery(sf, alpha, boundary, at)]
 
 
 def _scaled_cell(cell: CompanionSet, scale: int) -> CompanionSet:
-    """The cell with every exponent times scale, which must clear them.  :func:`contains`
-    reads an exponent only through ``2 * x``, ``<``, ``<=`` and ``==``, which
-    x -> scale * x keeps, so the scaled cell holds exactly the scaled members."""
+    """The cell with every exponent times scale, which must clear them.  ``holds`` reads an exponent
+    only through ``2 * x``, ``<``, ``<=`` and ``==``, which x -> scale * x keeps, so the scaled cell
+    holds exactly the scaled members."""
     if isinstance(cell, Singleton):
         return cell if (b := cell.value).is_zero else Singleton(Element(b.tag, _scaled_exp(b.exp, scale), b.fiber))
     if isinstance(cell, NuClass):
@@ -97,16 +102,14 @@ def _scaled_cell(cell: CompanionSet, scale: int) -> CompanionSet:
 
 def cell_disagreements(q: QuadraticForm, i: int, j: int, cell: CompanionSet) -> tuple[int, list[Element]]:
     """Cell (i, j)'s battery size, and each probe where the oracle and :func:`contains` disagree
-    about the cell, as the element it stands for; battery and cell are held at :func:`battery_frame`'s frame."""
+    about the cell, as the element it stands for; battery and cell are held at :func:`battery_frame`'s
+    frame.  A diagonal cell is decided at (alpha, alpha, nu(alpha)), as :func:`diagonal_membership_oracle` does."""
     alpha = None if i == j else q.cross[i][j]
-    frame = battery_frame(alpha, cell)
-    probes = boundary_probe_elements(q.sf, alpha, cell, frame)
-    if alpha is None:
-        by_oracle = diagonal_membership_oracle(q.sf, q.diag[i], probes, frame)
-    else:
-        by_oracle = companion_membership_oracle(q.sf, q.diag[i], q.diag[j], alpha, probes, frame)
+    boundary = cell_boundary(cell)
+    frame = _frame(boundary, alpha)
+    battery = _battery(q.sf, alpha, boundary, frame)
+    a1 = q.diag[i]
+    a2, a = (a1, a1.nu()) if alpha is None else (q.diag[j], alpha)
+    verdicts = triple_membership_oracle(q.sf, a1, a2, a, battery, frame)
     holds = _scaled_cell(cell, frame).holds  # contains, with the cell's kind looked up once
-    return len(probes), [
-        beta if beta.is_zero else Element(beta.tag, _unscaled_exp(beta.exp, frame), beta.fiber)
-        for beta, ok in zip(probes, by_oracle) if holds(beta) != ok
-    ]
+    return len(battery), [_element(beta, 1, frame) for beta, ok in zip(battery, verdicts) if holds(beta) != ok]

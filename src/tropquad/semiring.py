@@ -526,12 +526,6 @@ class Semifield(Value):
 
     # -- square structure --------------------------------------------------
 
-    def is_nu_square(self, a: Element) -> bool:
-        """Whether a is nu-equivalent to a square; rejects zero."""
-        if a.is_zero:
-            raise PreconditionError("nonzero element required", "zero has no nu-square class")
-        return self.halvable(a.exp)
-
     def square_class(self, a: Element) -> SquareClassTag:
         if a.is_zero:
             raise PreconditionError("nonzero element required", "zero has no square class")

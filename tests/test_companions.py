@@ -47,7 +47,7 @@ from tropquad import (
 )
 from tropquad import probes as probe_module
 from tropquad.cli import main
-from tropquad.companions import _common_scale, _probe_exponents_for, cell_boundary
+from tropquad.companions import _common_scale, _probe_exponents_for, cell_boundary, triple_membership_oracle
 from tropquad.probes import _scaled_cell, battery_frame, boundary_probe_elements, cell_disagreements
 from tropquad.semiring import _canon_exp
 from tropquad.serialize import form_to_json
@@ -774,17 +774,18 @@ def _names_reached(*functions) -> tuple[set[str], set[str]]:
 
 
 def test_oracle_shares_no_code_with_the_case_analysis():
-    """The oracles must stay independent of the closed form they validate."""
-    reached, names = _names_reached(companion_membership_oracle, diagonal_membership_oracle)
-    assert {"_probe_exponents_for", "_tie_points", "_probe_exponents"} <= reached
-    assert "scaled_rules" in names  # the group's integer rules, looked up once per probe set
+    """The oracles, and the core that ``check`` calls, must stay independent of the closed form they validate."""
     closed_form = {
-        "pair_analysis", "contains", "halvable", "_first_difference", "cell_boundary",
+        "pair_analysis", "contains", "holds", "halvable", "_first_difference", "cell_boundary",
         "set_min", "set_max", "companion_table", "CompanionSet", "CompanionTable",
         "Singleton", "NuLeqDoubled", "NuLtDoubled", "NuClass", "PairBranch",
         "build_companion", "is_companion", "is_balanced_pair", "is_quasilinear", "functionally_equal",
     }
-    assert not names & closed_form, names & closed_form
+    for start in ((triple_membership_oracle,), (companion_membership_oracle, diagonal_membership_oracle)):
+        reached, names = _names_reached(*start)
+        assert {"triple_membership_oracle", "_probe_exponents_for", "_tie_points", "_probe_exponents"} <= reached
+        assert "scaled_rules" in names  # the group's integer rules, looked up once per probe set
+        assert not names & closed_form, names & closed_form
 
 
 @st.composite
@@ -1126,8 +1127,7 @@ def test_a_large_form_checks_cell_by_cell_against_the_reference(kind, monkeypatc
 
     table = companion_table(q)
     with monkeypatch.context() as patched:
-        for name in ("companion_membership_oracle", "diagonal_membership_oracle"):
-            patched.setattr(probe_module, name, recorded(getattr(probe_module, name)))
+        patched.setattr(probe_module, "triple_membership_oracle", recorded(probe_module.triple_membership_oracle))
         for i in range(q.n):
             for j in range(i, q.n):
                 assert cell_disagreements(q, i, j, table.cell(i, j)) == (
@@ -1147,6 +1147,87 @@ def test_a_large_form_checks_cell_by_cell_against_the_reference(kind, monkeypatc
     path.write_text(json.dumps(form_to_json(q)))
     assert main(["check", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["ok"]
+
+
+@st.composite
+def _cell_check_inputs(draw):
+    """A 2 x 2 form over a semifield of any group and fiber rank 0, 1 or 2,
+    one of its cells (i, j), and the cell's own companion set or a mutated
+    one of any kind, so that oracle and cell disagree now and then."""
+    sf = Semifield(draw(st.sampled_from(list(GroupKind))), draw(st.sampled_from((0, 1, 2))))
+    elems = st.one_of(element_strategy(sf), wide_element_strategy(sf))
+    q = QuadraticForm(sf, (draw(elems), draw(elems)), {(0, 1): draw(elems)})
+    i, j = draw(st.sampled_from(((0, 0), (1, 1), (0, 1))))
+    exp = elems.filter(lambda x: not x.is_zero).map(lambda x: x.exp)
+    cell = draw(st.one_of(
+        st.just(companion_table(q).cell(i, j)),
+        any_cells(sf),
+        elems.map(Singleton),
+        exp.map(NuClass),
+        exp.map(NuLeqDoubled),
+        exp.map(NuLtDoubled),
+    ))
+    return q, i, j, cell
+
+
+RAT3_2 = Semifield(GroupKind.RAT3, 2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cell_check_inputs())
+@example(data=(QuadraticForm(INT, (t(0), t(0)), {(0, 1): t(0)}), 0, 1, NuLeqDoubled(4)))
+@example(data=(QuadraticForm(RAT3_2, (RAT3_2.tangible(Fraction(1, 3)), ZERO), {}), 0, 0, NuLtDoubled(Fraction(2, 3))))
+def test_cell_disagreements_equal_the_element_path_property(data):
+    """``cell_disagreements`` on its triple battery gives the battery's size
+    and, unframed, each probe where the public oracle and ``contains``
+    disagree, both asked about ``boundary_probe_elements`` at the frame."""
+    q, i, j, cell = data
+    sf, a1 = q.sf, q.diag[i]
+    alpha = None if i == j else q.cross[i][j]
+    frame = battery_frame(alpha, cell)
+    probes = boundary_probe_elements(sf, alpha, cell, frame)
+    if alpha is None:
+        verdicts = diagonal_membership_oracle(sf, a1, probes, frame)
+    else:
+        verdicts = companion_membership_oracle(sf, a1, q.diag[j], alpha, probes, frame)
+    scaled = _scaled_cell(cell, frame)
+    expected = [
+        b if b.is_zero else Element(b.tag, _canon_exp(Fraction(b.exp, frame)), b.fiber)
+        for b, ok in zip(probes, verdicts) if contains(scaled, b) != ok
+    ]
+    assert cell_disagreements(q, i, j, cell) == (len(probes), expected)
+
+
+def test_cell_disagreements_name_the_probes_a_mutated_cell_gets_wrong():
+    # the cell of t:0 t:0 with cross term t:0 is 2 exp(beta) <= 0; the mutant admits up to exponent 2
+    q = QuadraticForm(INT, (t(0), t(0)), {(0, 1): t(0)})
+    assert cell_disagreements(q, 0, 1, NuLeqDoubled(4)) == (9, [t(1), g(1), t(2), g(2)])
+    # the diagonal cell of t:1/3 in rat3 is 2 exp(beta) <= 2/3; the mutant leaves out exponent 1/3
+    third = Fraction(1, 3)
+    q = QuadraticForm(RAT3_2, (RAT3_2.tangible(third), ZERO), {})
+    assert cell_disagreements(q, 0, 0, NuLtDoubled(2 * third))[1] == [
+        RAT3_2.tangible(third), RAT3_2.ghost(third), RAT3_2.tangible(third, (-1, 1)),
+    ]
+    assert cell_disagreements(q, 0, 0, companion_table(q).cell(0, 0))[1] == []
+
+
+def test_check_computes_each_cell_boundary_once(monkeypatch, tmp_path, capsys):
+    """One ``cell_boundary`` call per cell: the battery, its frame and the oracle share it."""
+    q = random_form(random.Random(0), Semifield(GroupKind.RAT3, 1), 12)
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(form_to_json(q)))
+    calls = []
+
+    def counted(cell):
+        calls.append(cell)
+        return cell_boundary(cell)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("tropquad.")]:
+        if getattr(module, "cell_boundary", None) is cell_boundary:
+            monkeypatch.setattr(module, "cell_boundary", counted)
+    assert main(["check", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+    assert len(calls) == q.n * (q.n + 1) // 2
 
 
 @settings(max_examples=300, deadline=None)

@@ -50,3 +50,15 @@ def test_module_argument_error_prints_one_json_error():
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1
     assert json.loads(proc.stderr) == {"error": "the following arguments are required: --vector", "path": "$.argv"}
+
+
+def test_module_exits_quietly_when_the_reader_closes_stdout_early():
+    # `tropquad check big.json | head -c 100`: the reader is gone before the answer is written
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tropquad", "check", "-"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(json.dumps(FORM).encode(), timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in err.decode() and "Exception ignored" not in err.decode(), err.decode()

@@ -254,16 +254,15 @@ def test_sum_is_upper_bound():
 
 
 def test_is_nu_square():
-    assert INT.is_nu_square(t(4))
-    assert not INT.is_nu_square(g(3))
+    """A nonzero element is nu-equivalent to a square iff half its exponent is legal: ``halvable``."""
+    assert INT.halvable(t(4).exp)
+    assert not INT.halvable(g(3).exp)
     rng = random.Random(5)
     for _ in range(50):
         a = random_element(rng, RAT, zero_p=0.0)
-        assert RAT.is_nu_square(a)
-    assert RAT3.is_nu_square(RAT3.tangible(Fraction(2, 3)))
-    assert not RAT3.is_nu_square(RAT3.tangible(Fraction(1, 3)))
-    with pytest.raises(PreconditionError):
-        INT.is_nu_square(ZERO)
+        assert RAT.halvable(a.exp)
+    assert RAT3.halvable(RAT3.tangible(Fraction(2, 3)).exp)
+    assert not RAT3.halvable(RAT3.tangible(Fraction(1, 3)).exp)
 
 
 def unit_square_search(sf, x, y, exponents=range(-4, 5)):
@@ -596,5 +595,4 @@ def test_halvable_is_half_legal_and_gives_the_square_class_parity(kind):
             if not fraction_legal(sf, x):
                 continue
             for a in (sf.ghost(x), sf.tangible(x)):
-                assert sf.is_nu_square(a) == sf.halvable(x)
                 assert sf.square_class(a).parity == exp_parity_reference(sf, x), (sf, a)
