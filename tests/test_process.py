@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 ENV = dict(os.environ, PYTHONPATH=str(SRC))
 
@@ -52,11 +54,14 @@ def test_module_argument_error_prints_one_json_error():
     assert json.loads(proc.stderr) == {"error": "the following arguments are required: --vector", "path": "$.argv"}
 
 
-def test_module_exits_quietly_when_the_reader_closes_stdout_early():
-    # `tropquad check big.json | head -c 100`: the reader is gone before the answer is written
+@pytest.mark.parametrize("buffered", (True, False))
+def test_module_exits_quietly_when_the_reader_closes_stdout_early(buffered):
+    # `tropquad check big.json | head -c 100`: the reader is gone before the answer is written;
+    # buffered, the write fails when stdout is flushed, unbuffered, when it is printed
+    env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"} if buffered else dict(ENV, PYTHONUNBUFFERED="1")
     proc = subprocess.Popen(
         [sys.executable, "-m", "tropquad", "check", "-"],
-        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV,
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
     proc.stdout.close()
     _, err = proc.communicate(json.dumps(FORM).encode(), timeout=60)
