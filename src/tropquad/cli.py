@@ -26,12 +26,7 @@ from .forms import DIMENSION_LIMIT, balanced_companion, eval_quadratic, is_rigid
 from .matrices import invert, monomial_decomposition
 from .semiring import ZERO, Element, format_element, leq_minimal
 from .serialize import SchemaError
-from .stropicalize import (
-    ring_companion_matrix,
-    square_class_sequence,
-    stropicalize_bilinear,
-    stropicalize_form,
-)
+from .stropicalize import ring_companion_matrix, square_class_sequence, stropicalize_bilinear, stropicalize_form
 from .probes import cell_disagreements
 
 
@@ -346,10 +341,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": exc.reason, "path": exc.path}, sort_keys=True), file=sys.stderr)
         return 1
     except PreconditionError as exc:
-        print(
-            json.dumps({"error": str(exc), "precondition": exc.precondition}, sort_keys=True),
-            file=sys.stderr,
-        )
+        print(json.dumps({"error": str(exc), "precondition": exc.precondition}, sort_keys=True), file=sys.stderr)
         return 2
 
 

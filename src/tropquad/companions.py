@@ -29,14 +29,14 @@ three facts collected at the probes, with no sum.  It reads a candidate as
 the (tag, exponent, fiber) triple of an element held at an integer frame;
 :func:`companion_membership_oracle` and :func:`diagonal_membership_oracle`
 (the diagonal (alpha, alpha) with cross term nu(alpha)) hand it their
-elements' triples.  It and :func:`equality_witness` find the critical set
-on integers with one helper, :func:`_probe_exponents_for`, which shares no
-code with the case analysis or the companion-set types, and whose
-docstring proves its frame exact.  An exponent becomes a rational again
-only where it leaves as an element: in :func:`equality_witness`'s vectors
-and in a probe where the oracle and the closed form disagree.  Choosing a
-battery's frame, and holding the cell in it for its ``holds`` rule, is
-:mod:`tropquad.probes`' business.
+elements' triples, or a :class:`Battery`'s as they are.  It and
+:func:`equality_witness` find the critical set on integers with one
+helper, :func:`_probe_exponents_for`, which shares no code with the case
+analysis or the companion-set types, and whose docstring proves its frame
+exact.  An exponent becomes a rational again only where it leaves as an
+element: in :func:`equality_witness`'s vectors and in a probe where the
+oracle and the closed form disagree.  Building a battery, and holding the
+cell at its frame for ``holds``, is :mod:`tropquad.probes`' business.
 """
 
 from __future__ import annotations
@@ -428,9 +428,37 @@ def triple_membership_oracle(
     ]
 
 
+class Battery(Sequence):
+    """Elements held as (tag, exponent, fiber) triples at the integer frame ``frame``, each exponent
+    ``frame`` times the element's (None for zero): built only where read, the triples read as they are."""
+
+    __slots__ = ("triples", "frame")
+
+    def __init__(self, triples: list[tuple], frame: int):
+        self.triples, self.frame = triples, frame
+
+    def __len__(self) -> int:
+        return len(self.triples)
+
+    def __getitem__(self, k: int) -> Element:
+        tag, x, fiber = self.triples[k]
+        return ZERO if x is None else Element(tag, _unscaled_exp(x, self.frame), fiber)
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (list, Battery)) else NotImplemented
+
+    def __radd__(self, other: list) -> list:
+        return other + list(self)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 def _triples(betas: Sequence[Element], frame: int) -> tuple[list[tuple], int]:
     """The (tag, exponent, fiber) triples of betas held at frame F, at the frame
-    F * L, L the lcm of their exponents' denominators, and that frame."""
+    F * L, L the lcm of their exponents' denominators (a :class:`Battery`'s own frame), and that frame."""
+    if isinstance(betas, Battery):
+        return betas.triples, frame * betas.frame
     up = math.lcm(*(b.exp.denominator for b in betas if b.exp.__class__ is Fraction))
     return [(b.tag, None if b.exp is None else _scaled_exp(b.exp, up), b.fiber) for b in betas], frame * up
 
@@ -508,16 +536,13 @@ def build_companion(table: CompanionTable, choice) -> SymmetricBilinearForm:
         for j in range(i, n):
             beta = choice.get((i, j))
             if beta is None:
-                raise PreconditionError(
-                    "complete choice required", f"no entry chosen for cell ({i + 1},{j + 1})"
-                )
+                raise PreconditionError("complete choice required", f"no entry chosen for cell ({i + 1},{j + 1})")
             if not contains(table.cell(i, j), beta):
                 raise PreconditionError(
                     "choice within companion cell required",
                     f"entry {beta} at ({i + 1},{j + 1}) lies outside its companion set",
                 )
-            rows[i][j] = beta
-            rows[j][i] = beta
+            rows[i][j] = rows[j][i] = beta
     return SymmetricBilinearForm(table.sf, tuple(tuple(r) for r in rows))
 
 
@@ -525,18 +550,13 @@ def is_companion(q: QuadraticForm, b: SymmetricBilinearForm) -> bool:
     """Whether b accompanies q, via cellwise membership."""
     check_operands("form and Gram matrix", q, b)
     table = companion_table(q)
-    return all(
-        contains(table.cell(i, j), b.gram[i][j]) for i in range(q.n) for j in range(i, q.n)
-    )
+    return all(contains(table.cell(i, j), b.gram[i][j]) for i in range(q.n) for j in range(i, q.n))
 
 
 def is_balanced_pair(q: QuadraticForm, b: SymmetricBilinearForm) -> bool:
     """Whether (q, b) is a balanced pair; b must already be a companion."""
     if not is_companion(q, b):
-        raise PreconditionError(
-            "companion required",
-            "the bilinear form does not accompany the quadratic form",
-        )
+        raise PreconditionError("companion required", "the bilinear form does not accompany the quadratic form")
     return all(b.gram[i][i] == q.diag[i].nu() for i in range(q.n))
 
 

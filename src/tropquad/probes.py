@@ -9,10 +9,13 @@ boundary itself is not a legal exponent.
 
 A battery is a list of (tag, exponent, fiber) triples at a frame F: each
 exponent is F times the one it stands for, an integer, and zero's is None.
-:func:`cell_disagreements`, which ``check`` runs on each cell, builds it
-once, from one :func:`cell_boundary` call, at :func:`battery_frame`'s F,
-and asks the oracle core and the cell's ``holds`` rule, held at F too,
-about the same triples; only a probe where they disagree becomes an element.
+:func:`boundary_probe_elements` builds it from one :func:`cell_boundary`
+call, at :func:`battery_frame`'s F, and returns it as a
+:class:`~tropquad.companions.Battery`, which builds an element only where
+one is read.  :func:`cell_disagreements`, which ``check`` runs on each
+cell, hands that battery to the public oracle, which reads its triples as
+they are, and asks the cell's ``holds`` rule, held at F too, about the same
+triples; only a probe where they disagree becomes an element.
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .companions import CompanionSet, NuClass, Singleton, cell_boundary, triple_membership_oracle
+from .companions import Battery, CompanionSet, NuClass, Singleton, cell_boundary
+from .companions import companion_membership_oracle, diagonal_membership_oracle
 from .forms import QuadraticForm
-from .semiring import _TAG_GHOST, _TAG_TANGIBLE, _TAG_ZERO, ZERO, Element, Exponent, Semifield, _scaled_exp, _unscaled_exp
+from .semiring import _TAG_GHOST, _TAG_TANGIBLE, _TAG_ZERO, Element, Exponent, Semifield, _scaled_exp
 
 
 def _frame(boundary: Optional[Exponent], alpha: Optional[Element]) -> int:
@@ -37,9 +41,10 @@ def battery_frame(alpha: Optional[Element], cell: CompanionSet) -> int:
     return _frame(cell_boundary(cell), alpha)
 
 
-def _battery(sf: Semifield, alpha: Optional[Element], boundary: Optional[Exponent], frame: int) -> list[tuple]:
-    """The battery of the cell with this boundary, as triples at ``frame``, a multiple of
-    :func:`battery_frame`'s.  It holds zero and the ghost of each of its elements.
+def boundary_probe_elements(sf: Semifield, alpha: Optional[Element], cell: CompanionSet, frame: int = 1) -> Battery:
+    """Elements worth testing for membership in the cell of cross coefficient alpha (None for a
+    diagonal cell), with every exponent multiplied by ``frame``: the cell's battery, held at
+    :func:`battery_frame`'s frame, as a :class:`Battery`.  It holds zero and the ghost of each of its elements.
 
     With D the boundary's denominator, the scale S = 18 * D clears every
     exponent the battery holds: the boundary and its whole, half and third
@@ -48,6 +53,8 @@ def _battery(sf: Semifield, alpha: Optional[Element], boundary: Optional[Exponen
     inside a neighborhood is an integer, and the ``rat3`` pick is a
     multiple of 1/9, the largest power-of-3 step shorter than 1/3.
     """
+    boundary = cell_boundary(cell)
+    at = _frame(boundary, alpha)
     if boundary is None:
         exps = [0]
     else:
@@ -61,32 +68,15 @@ def _battery(sf: Semifield, alpha: Optional[Element], boundary: Optional[Exponen
             inside = between(lo, hi, scale)
             if inside is not None:
                 found.add(inside)
-        up = frame // scale
+        up = at // scale * frame
         exps = [x * up for x in sorted(found)]
     fiber = sf.identity_fiber()
     kinds = ((_TAG_TANGIBLE, fiber), (_TAG_GHOST, ())) + (((_TAG_TANGIBLE, (-1,) + fiber[1:]),) if fiber else ())
     battery = [(_TAG_ZERO, None, ())] + [(tag, x, f) for x in exps for tag, f in kinds]
     if alpha is not None and not alpha.is_zero:
-        x = _scaled_exp(alpha.exp, frame)
+        x = _scaled_exp(alpha.exp, at) * frame
         battery += ((alpha.tag, x, alpha.fiber), (_TAG_GHOST, x, ()))  # alpha and nu(alpha)
-    return battery
-
-
-def _element(beta: tuple, frame: int, at: int) -> Element:
-    """The element whose triple, held at the frame ``at``, is beta, held at ``frame``."""
-    tag, x, fiber = beta
-    return ZERO if x is None else Element(tag, _unscaled_exp(x * frame, at), fiber)
-
-
-def boundary_probe_elements(
-    sf: Semifield, alpha: Optional[Element], cell: CompanionSet, frame: int = 1
-) -> list[Element]:
-    """Elements worth testing for membership in the cell of cross coefficient alpha (None for
-    a diagonal cell), with every exponent multiplied by ``frame``: the :func:`_battery` as elements."""
-    boundary = cell_boundary(cell)
-    at = _frame(boundary, alpha)
-    # the exponents are legal and canonical (at frame 1), so the elements need no checks
-    return [_element(beta, frame, at) for beta in _battery(sf, alpha, boundary, at)]
+    return Battery(battery, at)
 
 
 def _scaled_cell(cell: CompanionSet, scale: int) -> CompanionSet:
@@ -101,15 +91,13 @@ def _scaled_cell(cell: CompanionSet, scale: int) -> CompanionSet:
 
 
 def cell_disagreements(q: QuadraticForm, i: int, j: int, cell: CompanionSet) -> tuple[int, list[Element]]:
-    """Cell (i, j)'s battery size, and each probe where the oracle and :func:`contains` disagree
-    about the cell, as the element it stands for; battery and cell are held at :func:`battery_frame`'s
-    frame.  A diagonal cell is decided at (alpha, alpha, nu(alpha)), as :func:`diagonal_membership_oracle` does."""
+    """Cell (i, j)'s battery size, and each probe where the oracle and :func:`contains` disagree about the cell:
+    both read the battery's triples, the cell held at the battery's frame, and only such a probe becomes an element."""
     alpha = None if i == j else q.cross[i][j]
-    boundary = cell_boundary(cell)
-    frame = _frame(boundary, alpha)
-    battery = _battery(q.sf, alpha, boundary, frame)
-    a1 = q.diag[i]
-    a2, a = (a1, a1.nu()) if alpha is None else (q.diag[j], alpha)
-    verdicts = triple_membership_oracle(q.sf, a1, a2, a, battery, frame)
-    holds = _scaled_cell(cell, frame).holds  # contains, with the cell's kind looked up once
-    return len(battery), [_element(beta, 1, frame) for beta, ok in zip(battery, verdicts) if holds(beta) != ok]
+    probes = boundary_probe_elements(q.sf, alpha, cell)
+    if alpha is None:
+        by_oracle = diagonal_membership_oracle(q.sf, q.diag[i], probes)
+    else:
+        by_oracle = companion_membership_oracle(q.sf, q.diag[i], q.diag[j], alpha, probes)
+    holds = _scaled_cell(cell, probes.frame).holds  # contains, with the cell's kind looked up once
+    return len(probes), [probes[k] for k, ok in enumerate(by_oracle) if holds(probes.triples[k]) != ok]

@@ -812,7 +812,7 @@ def test_invariant_rules_never_fire_on_a_cell(data):
     sf = data.draw(SEMIFIELDS)
     cell = data.draw(any_cells(sf))
     alpha = data.draw(st.one_of(st.none(), any_elements(sf)))
-    probes = boundary_probe_elements(sf, alpha, cell)
+    probes = list(boundary_probe_elements(sf, alpha, cell))
     for extra in data.draw(st.lists(st.one_of(any_elements(sf), st.sampled_from(probes)), max_size=8)):
         probes.insert(data.draw(st.integers(0, len(probes))), extra)
     assert cli._cell_invariant_violations(cell, probes, [contains(cell, b) for b in probes]) == []

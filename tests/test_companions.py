@@ -453,7 +453,7 @@ def _any_cell_batteries(draw):
     included) with its battery, plus up to 8 extra or duplicated probes."""
     sf = Semifield(draw(st.sampled_from(list(GroupKind))), draw(st.sampled_from((0, 1))))
     cell = draw(any_cells(sf))
-    probes = boundary_probe_elements(sf, draw(st.one_of(st.none(), any_elements(sf))), cell)
+    probes = list(boundary_probe_elements(sf, draw(st.one_of(st.none(), any_elements(sf))), cell))
     for extra in draw(st.lists(st.one_of(any_elements(sf), st.sampled_from(probes)), max_size=8)):
         probes.insert(draw(st.integers(0, len(probes))), extra)
     return cell, probes
@@ -1035,8 +1035,8 @@ def _framed_inputs(draw):
 @given(_framed_inputs())
 def test_a_battery_decides_the_same_at_any_frame_that_clears_it_property(data):
     """At a frame F that clears it, the battery is the frame-1 battery with
-    every exponent times F, both oracles give the frame-1 verdicts, and
-    ``contains`` on the cell scaled by F gives the frame-1 memberships."""
+    every exponent times F, both oracles give the frame-1 verdicts on it and
+    on the list of its elements, and ``contains`` on the cell scaled by F gives the frame-1 memberships."""
     sf, a1, a2, a, alpha, cell, frame = data
     battery = boundary_probe_elements(sf, alpha, cell)
     framed = boundary_probe_elements(sf, alpha, cell, frame)
@@ -1044,10 +1044,11 @@ def test_a_battery_decides_the_same_at_any_frame_that_clears_it_property(data):
     assert all(isinstance(b.exp, int) for b in framed if not b.is_zero)
     scaled_cell = _scaled_cell(cell, frame)
     assert [contains(scaled_cell, b) for b in framed] == [contains(cell, b) for b in battery]
-    assert companion_membership_oracle(sf, a1, a2, a, framed, frame) == companion_membership_oracle(
-        sf, a1, a2, a, battery
-    )
-    assert diagonal_membership_oracle(sf, a1, framed, frame) == diagonal_membership_oracle(sf, a1, battery)
+    for betas in (framed, list(framed)):  # the battery's own triples, or the elements' converted
+        assert companion_membership_oracle(sf, a1, a2, a, betas, frame) == companion_membership_oracle(
+            sf, a1, a2, a, battery
+        )
+        assert diagonal_membership_oracle(sf, a1, betas, frame) == diagonal_membership_oracle(sf, a1, battery)
 
 
 @st.composite
@@ -1127,7 +1128,8 @@ def test_a_large_form_checks_cell_by_cell_against_the_reference(kind, monkeypatc
 
     table = companion_table(q)
     with monkeypatch.context() as patched:
-        patched.setattr(probe_module, "triple_membership_oracle", recorded(probe_module.triple_membership_oracle))
+        for name in ("companion_membership_oracle", "diagonal_membership_oracle"):
+            patched.setattr(probe_module, name, recorded(getattr(probe_module, name)))
         for i in range(q.n):
             for j in range(i, q.n):
                 assert cell_disagreements(q, i, j, table.cell(i, j)) == (
@@ -1173,29 +1175,35 @@ def _cell_check_inputs(draw):
 RAT3_2 = Semifield(GroupKind.RAT3, 2)
 
 
+def _member_reference(cell, beta) -> bool:
+    """Reference: whether beta lies in the cell, read off the definitions of the four kinds."""
+    if isinstance(cell, Singleton):
+        return beta == cell.value
+    if beta.is_zero:
+        return not isinstance(cell, NuClass)
+    if isinstance(cell, NuClass):
+        return beta.exp == cell.exp
+    doubled = 2 * Fraction(beta.exp)
+    return doubled <= cell.bound2 if isinstance(cell, NuLeqDoubled) else doubled < cell.bound2
+
+
 @settings(max_examples=400, deadline=None)
 @given(_cell_check_inputs())
 @example(data=(QuadraticForm(INT, (t(0), t(0)), {(0, 1): t(0)}), 0, 1, NuLeqDoubled(4)))
 @example(data=(QuadraticForm(RAT3_2, (RAT3_2.tangible(Fraction(1, 3)), ZERO), {}), 0, 0, NuLtDoubled(Fraction(2, 3))))
-def test_cell_disagreements_equal_the_element_path_property(data):
-    """``cell_disagreements`` on its triple battery gives the battery's size
-    and, unframed, each probe where the public oracle and ``contains``
-    disagree, both asked about ``boundary_probe_elements`` at the frame."""
+def test_cell_disagreements_match_the_reference_property(data):
+    """``cell_disagreements`` gives the size of the battery built on Fractions
+    and each of its probes where the pairwise reference oracle and the cell's
+    definition disagree; the battery builder, the oracle core and ``holds``
+    stay off the reference side.  A diagonal cell is asked at (alpha, alpha, nu(alpha))."""
     q, i, j, cell = data
-    sf, a1 = q.sf, q.diag[i]
+    a1 = q.diag[i]
     alpha = None if i == j else q.cross[i][j]
-    frame = battery_frame(alpha, cell)
-    probes = boundary_probe_elements(sf, alpha, cell, frame)
-    if alpha is None:
-        verdicts = diagonal_membership_oracle(sf, a1, probes, frame)
-    else:
-        verdicts = companion_membership_oracle(sf, a1, q.diag[j], alpha, probes, frame)
-    scaled = _scaled_cell(cell, frame)
-    expected = [
-        b if b.is_zero else Element(b.tag, _canon_exp(Fraction(b.exp, frame)), b.fiber)
-        for b, ok in zip(probes, verdicts) if contains(scaled, b) != ok
-    ]
-    assert cell_disagreements(q, i, j, cell) == (len(probes), expected)
+    a2, a = (a1, a1.nu()) if alpha is None else (q.diag[j], alpha)
+    battery = _fraction_boundary_probe_elements(q.sf, alpha, cell)
+    verdicts = membership_oracle_reference(q.sf, a1, a2, a, battery)
+    expected = [b for b, ok in zip(battery, verdicts) if _member_reference(cell, b) != ok]
+    assert cell_disagreements(q, i, j, cell) == (len(battery), expected)
 
 
 def test_cell_disagreements_name_the_probes_a_mutated_cell_gets_wrong():
