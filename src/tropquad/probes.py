@@ -35,9 +35,9 @@ def _frame(boundary: Optional[Exponent], alpha: Optional[Element]) -> int:
 
 
 def battery_frame(alpha: Optional[Element], cell: CompanionSet) -> int:
-    """The frame at which the cell's battery, the cell and alpha have integer exponents:
-    lcm(18 * D, den exp(alpha)), with D the boundary's denominator (1 for the cell {0}).
-    18 * D clears the battery (see :func:`_battery`), and D is a multiple of the cell's doubled bound's."""
+    """The frame at which the cell's battery, the cell and alpha have integer exponents: lcm(18 * D,
+    den exp(alpha)), with D the boundary's denominator (1 for the cell {0}).  18 * D clears the battery
+    (see :func:`boundary_probe_elements`), and D is a multiple of the cell's doubled bound's."""
     return _frame(cell_boundary(cell), alpha)
 
 
