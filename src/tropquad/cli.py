@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 from itertools import combinations_with_replacement
@@ -179,7 +180,7 @@ def _cell_invariant_violations(cell, probes, inside) -> list[str]:
     cell kind is a lower set of the minimal order, a nu-class or a singleton,
     so its members are convex and closed and neither rule can fire.  It
     stays while the bench tracer's ``cli.invariants`` span binds it by name,
-    and goes with that span (ROADMAP item 2).
+    and goes with that span (ROADMAP item 1).
     """
     problems = []
     members = [b for b, ok in zip(probes, inside) if ok]
@@ -345,5 +346,16 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> int:
+    """``main``, exiting 1 with no traceback when the reader closes stdout early."""
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
+    except BrokenPipeError:  # Python's documented remedy: point stdout at devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

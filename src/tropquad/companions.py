@@ -26,10 +26,12 @@ an independent decision procedure that checks the defining one-parameter
 family of scaling identities on a finite critical set of exponents, for a
 whole battery of candidates in one pass, and decides each candidate from
 three facts collected at the probes, with no sum.  It reads a candidate as
-the (tag, exponent, fiber) triple of an element held at an integer frame;
+the (tag, exponent, fiber) triple of an element held at an integer frame,
+a fact that only it and :class:`Battery` know: the public oracles,
 :func:`companion_membership_oracle` and :func:`diagonal_membership_oracle`
-(the diagonal (alpha, alpha) with cross term nu(alpha)) hand it their
-elements' triples, or a :class:`Battery`'s as they are.  It and
+(the diagonal (alpha, alpha) with cross term nu(alpha)), take elements that
+stand for themselves and hand it a :class:`Battery`'s own triples and
+frame, or a list's triples at the lcm of its exponents' denominators.  It and
 :func:`equality_witness` find the critical set on integers with one
 helper, :func:`_probe_exponents_for`, which shares no code with the case
 analysis or the companion-set types, and whose docstring proves its frame
@@ -429,8 +431,8 @@ def triple_membership_oracle(
 
 
 class Battery(Sequence):
-    """Elements held as (tag, exponent, fiber) triples at the integer frame ``frame``, each exponent
-    ``frame`` times the element's (None for zero): built only where read, the triples read as they are."""
+    """A read-only sequence of elements held as (tag, exponent, fiber) triples at the integer frame
+    ``frame``, each exponent ``frame`` times the element's (None for zero): built only where read."""
 
     __slots__ = ("triples", "frame")
 
@@ -444,35 +446,25 @@ class Battery(Sequence):
         tag, x, fiber = self.triples[k]
         return ZERO if x is None else Element(tag, _unscaled_exp(x, self.frame), fiber)
 
-    def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, (list, Battery)) else NotImplemented
 
-    def __radd__(self, other: list) -> list:
-        return other + list(self)
-
-    def __repr__(self) -> str:
-        return repr(list(self))
-
-
-def _triples(betas: Sequence[Element], frame: int) -> tuple[list[tuple], int]:
-    """The (tag, exponent, fiber) triples of betas held at frame F, at the frame
-    F * L, L the lcm of their exponents' denominators (a :class:`Battery`'s own frame), and that frame."""
+def _triples(betas: Sequence[Element]) -> tuple[list[tuple], int]:
+    """The (tag, exponent, fiber) triples of betas at a frame that clears them, and that frame:
+    a :class:`Battery`'s own, or else the lcm of the betas' exponent denominators."""
     if isinstance(betas, Battery):
-        return betas.triples, frame * betas.frame
-    up = math.lcm(*(b.exp.denominator for b in betas if b.exp.__class__ is Fraction))
-    return [(b.tag, None if b.exp is None else _scaled_exp(b.exp, up), b.fiber) for b in betas], frame * up
+        return betas.triples, betas.frame
+    frame = math.lcm(*(b.exp.denominator for b in betas if b.exp.__class__ is Fraction))
+    return [(b.tag, None if b.exp is None else _scaled_exp(b.exp, frame), b.fiber) for b in betas], frame
 
 
 def companion_membership_oracle(
-    sf: Semifield, alpha1: Element, alpha2: Element, alpha: Element, betas: list[Element], frame: int = 1
+    sf: Semifield, alpha1: Element, alpha2: Element, alpha: Element, betas: Sequence[Element]
 ) -> list[bool]:
     """Decide cross-coefficient membership of each beta from its definition, by
-    :func:`triple_membership_oracle` on the betas' triples (see :func:`_triples`);
-    with ``frame`` F, each beta's exponent is F times the one it stands for."""
-    return triple_membership_oracle(sf, alpha1, alpha2, alpha, *_triples(betas, frame))
+    :func:`triple_membership_oracle` on the betas' triples (see :func:`_triples`)."""
+    return triple_membership_oracle(sf, alpha1, alpha2, alpha, *_triples(betas))
 
 
-def diagonal_membership_oracle(sf: Semifield, alpha: Element, betas: list[Element], frame: int = 1) -> list[bool]:
+def diagonal_membership_oracle(sf: Semifield, alpha: Element, betas: Sequence[Element]) -> list[bool]:
     """Decide for each beta whether it is an admissible Gram diagonal entry.
 
     The defining family of identities, after dividing by the product of the
@@ -488,7 +480,7 @@ def diagonal_membership_oracle(sf: Semifield, alpha: Element, betas: list[Elemen
     extra line (0, nu(alpha)) meets the lines of slope +1 and -1 only at
     exponent 0, where those two already tie, so it adds no tie point.
     """
-    return triple_membership_oracle(sf, alpha, alpha, alpha.nu(), *_triples(betas, frame))
+    return triple_membership_oracle(sf, alpha, alpha, alpha.nu(), *_triples(betas))
 
 
 # ---------------------------------------------------------------------------

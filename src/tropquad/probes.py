@@ -7,14 +7,15 @@ form's own cross coefficient.  Dense groups additionally get points found
 strictly inside the one-third neighborhoods, which matters when the
 boundary itself is not a legal exponent.
 
-A battery is a list of (tag, exponent, fiber) triples at a frame F: each
-exponent is F times the one it stands for, an integer, and zero's is None.
-:func:`boundary_probe_elements` builds it from one :func:`cell_boundary`
-call, at :func:`battery_frame`'s F, and returns it as a
-:class:`~tropquad.companions.Battery`, which builds an element only where
-one is read.  :func:`cell_disagreements`, which ``check`` runs on each
-cell, hands that battery to the public oracle, which reads its triples as
-they are, and asks the cell's ``holds`` rule, held at F too, about the same
+:func:`boundary_probe_elements` builds the battery from one
+:func:`cell_boundary` call and returns it as a
+:class:`~tropquad.companions.Battery`: (tag, exponent, fiber) triples at
+an integer frame F, each exponent F times the one it stands for, which
+builds an element only where one is read.  The frame is the battery's own
+and leaves with it: every element that this module hands out stands for
+itself.  :func:`cell_disagreements`, which ``check`` runs on each cell,
+hands that battery to the public oracle, which reads its triples and
+frame, and asks the cell's ``holds`` rule, held at F too, about the same
 triples; only a probe where they disagree becomes an element.
 """
 
@@ -26,39 +27,29 @@ from typing import Optional
 from .companions import Battery, CompanionSet, NuClass, Singleton, cell_boundary
 from .companions import companion_membership_oracle, diagonal_membership_oracle
 from .forms import QuadraticForm
-from .semiring import _TAG_GHOST, _TAG_TANGIBLE, _TAG_ZERO, Element, Exponent, Semifield, _scaled_exp
+from .semiring import _TAG_GHOST, _TAG_TANGIBLE, _TAG_ZERO, Element, Semifield, _scaled_exp
 
 
-def _frame(boundary: Optional[Exponent], alpha: Optional[Element]) -> int:
-    frame = 18 if boundary is None else 18 * boundary.denominator
-    return frame if alpha is None or alpha.is_zero else math.lcm(frame, alpha.exp.denominator)
-
-
-def battery_frame(alpha: Optional[Element], cell: CompanionSet) -> int:
-    """The frame at which the cell's battery, the cell and alpha have integer exponents: lcm(18 * D,
-    den exp(alpha)), with D the boundary's denominator (1 for the cell {0}).  18 * D clears the battery
-    (see :func:`boundary_probe_elements`), and D is a multiple of the cell's doubled bound's."""
-    return _frame(cell_boundary(cell), alpha)
-
-
-def boundary_probe_elements(sf: Semifield, alpha: Optional[Element], cell: CompanionSet, frame: int = 1) -> Battery:
+def boundary_probe_elements(sf: Semifield, alpha: Optional[Element], cell: CompanionSet) -> Battery:
     """Elements worth testing for membership in the cell of cross coefficient alpha (None for a
-    diagonal cell), with every exponent multiplied by ``frame``: the cell's battery, held at
-    :func:`battery_frame`'s frame, as a :class:`Battery`.  It holds zero and the ghost of each of its elements.
+    diagonal cell), as a :class:`Battery`.  It holds zero and the ghost of each of its elements.
 
-    With D the boundary's denominator, the scale S = 18 * D clears every
-    exponent the battery holds: the boundary and its whole, half and third
-    offsets lie in (1/6D)Z, and so does the ``rat`` midpoint of a
-    one-third neighborhood (a sixth step from its ends).  The ``int`` pick
-    inside a neighborhood is an integer, and the ``rat3`` pick is a
-    multiple of 1/9, the largest power-of-3 step shorter than 1/3.
+    With D the boundary's denominator (1 for the cell {0}), the scale
+    S = 18 * D clears every exponent the battery holds: the boundary and
+    its whole, half and third offsets lie in (1/6D)Z, and so does the
+    ``rat`` midpoint of a one-third neighborhood (a sixth step from its
+    ends).  The ``int`` pick inside a neighborhood is an integer, and the
+    ``rat3`` pick is a multiple of 1/9, the largest power-of-3 step shorter
+    than 1/3.  The battery's frame is F = lcm(S, den exp(alpha)), which
+    also clears alpha and the cell: D is a multiple of the denominator of
+    the cell's doubled bound.
     """
     boundary = cell_boundary(cell)
-    at = _frame(boundary, alpha)
+    scale = 18 if boundary is None else 18 * boundary.denominator
+    frame = scale if alpha is None or alpha.is_zero else math.lcm(scale, alpha.exp.denominator)
     if boundary is None:
         exps = [0]
     else:
-        scale = 18 * boundary.denominator
         edge = _scaled_exp(boundary, scale)
         half, third = scale // 2, scale // 3
         steps = (-scale, -half, -third, 0, third, half, scale)
@@ -68,15 +59,15 @@ def boundary_probe_elements(sf: Semifield, alpha: Optional[Element], cell: Compa
             inside = between(lo, hi, scale)
             if inside is not None:
                 found.add(inside)
-        up = at // scale * frame
+        up = frame // scale
         exps = [x * up for x in sorted(found)]
     fiber = sf.identity_fiber()
     kinds = ((_TAG_TANGIBLE, fiber), (_TAG_GHOST, ())) + (((_TAG_TANGIBLE, (-1,) + fiber[1:]),) if fiber else ())
     battery = [(_TAG_ZERO, None, ())] + [(tag, x, f) for x in exps for tag, f in kinds]
     if alpha is not None and not alpha.is_zero:
-        x = _scaled_exp(alpha.exp, at) * frame
+        x = _scaled_exp(alpha.exp, frame)
         battery += ((alpha.tag, x, alpha.fiber), (_TAG_GHOST, x, ()))  # alpha and nu(alpha)
-    return Battery(battery, at)
+    return Battery(battery, frame)
 
 
 def _scaled_cell(cell: CompanionSet, scale: int) -> CompanionSet:

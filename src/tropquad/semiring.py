@@ -27,7 +27,9 @@ Three exponent groups are supported:
   2-divisible, so non-nu-squares exist).
 
 All three are nontrivial, so the degenerate one-ghost semifield cannot be
-configured.
+configured.  Each group states its rules, which exponents are legal and
+which one lies between two others, once, on integers at a scale; the
+rational methods read them, and :attr:`Semifield.scaled_rules` hands them out.
 """
 
 from __future__ import annotations
@@ -314,10 +316,10 @@ _SMALL_FIBERS = (((),), ((1,), (-1,)))
 # lo / S and hi / S, or None when lo >= hi or the group has none; it raises
 # ValueError, rather than round, when S does not clear the pick.  The
 # rational forms are these rules, not copies: a reduced fraction of
-# denominator q is legal iff 1 / q is, which is Semifield._legal_denominator,
-# and Semifield.between asks the between rule at a scale that clears its
-# pick.  tests/test_semiring.py checks every one of them against rules
-# stated on Fractions.
+# denominator q is legal iff 1 / q is (Semifield._legal_denominator), x is
+# halvable iff x / 2 is legal, and Semifield.between asks the between rule at
+# a scale that clears its pick.  tests/test_semiring.py checks every one of
+# them against rules stated on Fractions.
 
 
 def _int_legal(x: int, scale: int) -> bool:
@@ -390,8 +392,8 @@ class Semifield(Value):
 
     # -- exponent group ---------------------------------------------------
 
-    # The group rules are stated once, on integers, in _SCALED_RULES: an
-    # exponent x / S is handed over as the integer x and the scale S.
+    # The methods below read the group rules from _SCALED_RULES; every
+    # other caller takes them from scaled_rules.
 
     def _legal_denominator(self, q: int) -> bool:
         """Whether a reduced fraction of denominator q lies in the group: 1 / q is legal."""
@@ -402,13 +404,9 @@ class Semifield(Value):
             return False
         return self._legal_denominator(x.denominator)
 
-    def legal_scaled(self, x: int, scale: int) -> bool:
-        """Whether the exponent x / scale is legal."""
-        return _SCALED_RULES[self.group][0](x, scale)
-
     def halvable(self, x: Exponent) -> bool:
         """Whether half the exponent x is legal: x lies in the doubled group."""
-        return self.legal_scaled(x.numerator, 2 * x.denominator)
+        return _SCALED_RULES[self.group][0](x.numerator, 2 * x.denominator)
 
     def check_exponent(self, x: Exponent) -> Exponent:
         if not self.legal_exponent(x):
@@ -418,7 +416,7 @@ class Semifield(Value):
     def between(self, lo: Exponent, hi: Exponent) -> Optional[Exponent]:
         """Some legal exponent strictly between lo and hi, or None.
 
-        The pick is :meth:`between_scaled`'s at a scale that clears it: the
+        The pick is the group's between rule's at a scale that clears it: the
         lcm S of the denominators times 2 * 3^k, 3^k >= 3 * S.  Any scale
         clears an ``int`` pick, and the factor 2 a ``rat`` midpoint.  With lo
         and hi at scale S the integers L < H, the ``rat3`` step is 1/p, p the
@@ -431,22 +429,14 @@ class Semifield(Value):
         while power < 3 * scale:
             power *= 3
         scale *= 2 * power
-        pick = self.between_scaled(_scaled_exp(lo, scale), _scaled_exp(hi, scale), scale)
+        pick = _SCALED_RULES[self.group][1](_scaled_exp(lo, scale), _scaled_exp(hi, scale), scale)
         return None if pick is None else _unscaled_exp(pick, scale)
-
-    def between_scaled(self, lo: int, hi: int, scale: int) -> Optional[int]:
-        """``scale * between(lo / scale, hi / scale)``, or None.
-
-        Raises ValueError, rather than round, when scale does not clear the
-        denominator of the pick.
-        """
-        return _SCALED_RULES[self.group][1](lo, hi, scale)
 
     @property
     def scaled_rules(self) -> tuple[Callable[[int, int], bool], Callable[[int, int, int], Optional[int]]]:
-        """This group's :meth:`legal_scaled` and :meth:`between_scaled` as plain
-        functions, for a caller that applies them in a loop: the group is
-        looked up once, not once per call."""
+        """This group's two integer rules, ``legal(x, S)`` and ``between(lo, hi, S)``,
+        as plain functions, for a caller that applies them in a loop: the group
+        is looked up once, not once per call."""
         return _SCALED_RULES[self.group]
 
     # -- element factories -------------------------------------------------

@@ -6,6 +6,7 @@ import random
 import sys
 import types
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -48,7 +49,7 @@ from tropquad import (
 from tropquad import probes as probe_module
 from tropquad.cli import main
 from tropquad.companions import _common_scale, _probe_exponents_for, cell_boundary, triple_membership_oracle
-from tropquad.probes import _scaled_cell, battery_frame, boundary_probe_elements, cell_disagreements
+from tropquad.probes import _scaled_cell, boundary_probe_elements, cell_disagreements
 from tropquad.semiring import _canon_exp
 from tropquad.serialize import form_to_json
 
@@ -867,11 +868,11 @@ def test_batch_verdicts_equal_one_beta_verdicts_property(data):
     """One probe set for a whole battery gives each beta its own verdict."""
     sf, a1, a2, a, drawn = data
     cell = pair_analysis(sf, a1, a2, a)[1]
-    betas = drawn + boundary_probe_elements(sf, a, cell)
+    betas = drawn + list(boundary_probe_elements(sf, a, cell))
     cross = companion_membership_oracle(sf, a1, a2, a, betas)
     assert cross == [companion_membership_oracle(sf, a1, a2, a, [b])[0] for b in betas]
     assert cross == [contains(cell, b) for b in betas]
-    betas = drawn + boundary_probe_elements(sf, None, pair_analysis(sf, a1, a1, a1.nu())[1])
+    betas = drawn + list(boundary_probe_elements(sf, None, pair_analysis(sf, a1, a1, a1.nu())[1]))
     diagonal = diagonal_membership_oracle(sf, a1, betas)
     assert diagonal == [diagonal_membership_oracle(sf, a1, [b])[0] for b in betas]
 
@@ -998,7 +999,7 @@ def test_integer_battery_equals_fraction_battery_property(data):
     sf, alpha, cell = data
     probes = boundary_probe_elements(sf, alpha, cell)
     expected = _fraction_boundary_probe_elements(sf, alpha, cell)
-    assert probes == expected
+    assert list(probes) == expected
     assert [type(b.exp) for b in probes] == [type(b.exp) for b in expected]
 
 
@@ -1019,36 +1020,40 @@ def test_a_lambda_term_is_its_element_raised_property(data):
         assert product == (a if a.is_zero else Element(a.tag, a.exp + exp, a.fiber))
 
 
+def _times(triples, k):
+    """The triples with every exponent times k."""
+    return [(tag, None if x is None else k * x, fiber) for tag, x, fiber in triples]
+
+
 @st.composite
 def _framed_inputs(draw):
     """A semifield, a rank-2 triple, a cell (its own or any kind), alpha or
-    None, and a frame that clears the cell's battery, the cell and alpha."""
+    None, and a multiplier k in 1..4 of the cell's battery frame."""
     sf = Semifield(draw(st.sampled_from(list(GroupKind))), draw(st.sampled_from((0, 1))))
     elems = st.one_of(element_strategy(sf), wide_element_strategy(sf))
     a1, a2, a = draw(elems), draw(elems), draw(elems)
     cell = draw(st.one_of(st.just(pair_analysis(sf, a1, a2, a)[1]), any_cells(sf)))
-    alpha = draw(st.sampled_from((a, None)))
-    return sf, a1, a2, a, alpha, cell, battery_frame(alpha, cell) * draw(st.integers(1, 4))
+    return sf, a1, a2, a, draw(st.sampled_from((a, None))), cell, draw(st.integers(1, 4))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_framed_inputs())
 def test_a_battery_decides_the_same_at_any_frame_that_clears_it_property(data):
-    """At a frame F that clears it, the battery is the frame-1 battery with
-    every exponent times F, both oracles give the frame-1 verdicts on it and
-    on the list of its elements, and ``contains`` on the cell scaled by F gives the frame-1 memberships."""
-    sf, a1, a2, a, alpha, cell, frame = data
+    """A battery's triples are its elements held at its frame F, ``holds`` of
+    the cell held at F on them is ``contains`` on the elements, and the
+    oracle core, asked about the triples scaled by k at k * F, gives both
+    public oracles' verdicts on the battery and on the list of its elements."""
+    sf, a1, a2, a, alpha, cell, k = data
     battery = boundary_probe_elements(sf, alpha, cell)
-    framed = boundary_probe_elements(sf, alpha, cell, frame)
-    assert framed == [_scaled(b, frame) for b in battery]
-    assert all(isinstance(b.exp, int) for b in framed if not b.is_zero)
-    scaled_cell = _scaled_cell(cell, frame)
-    assert [contains(scaled_cell, b) for b in framed] == [contains(cell, b) for b in battery]
-    for betas in (framed, list(framed)):  # the battery's own triples, or the elements' converted
-        assert companion_membership_oracle(sf, a1, a2, a, betas, frame) == companion_membership_oracle(
-            sf, a1, a2, a, battery
-        )
-        assert diagonal_membership_oracle(sf, a1, betas, frame) == diagonal_membership_oracle(sf, a1, battery)
+    elements, frame = list(battery), battery.frame
+    assert battery.triples == [(b.tag, None if b.is_zero else b.exp * frame, b.fiber) for b in elements]
+    assert all(x is None or isinstance(x, int) for _, x, _ in battery.triples)
+    holds = _scaled_cell(cell, frame).holds
+    assert [holds(x) for x in battery.triples] == [contains(cell, b) for b in elements]
+    scaled = _times(battery.triples, k)
+    for line, oracle in (((a1, a2, a), partial(companion_membership_oracle, sf, a1, a2, a)),
+                         ((a1, a1, a1.nu()), partial(diagonal_membership_oracle, sf, a1))):
+        assert triple_membership_oracle(sf, *line, scaled, k * frame) == oracle(battery) == oracle(elements)
 
 
 @st.composite
@@ -1061,21 +1066,24 @@ def _rat3_triples(draw):
 @settings(max_examples=300, deadline=None)
 @given(_rat3_triples())
 # battery frame 36 = 4 * 9, and a pick of this cross cell's probe set needs 27 in the
-# scale: 12 * 36 has it, lcm(36, 12 * 1) = 36 does not, and between_scaled would raise
+# scale: 12 * 36 has it, lcm(36, 12 * 1) = 36 does not, and the between rule would raise
 @example(data=(RAT3, RAT3.tangible(3), RAT3.tangible(-2), ZERO))
 def test_a_rat3_battery_at_its_frame_never_raises_property(data):
-    """The oracle's scale, 12 * lcm(frame, D), clears every rat3 pick of a
-    battery held at its frame, and the oracle agrees with ``contains`` there."""
+    """The oracle's scale, 12 * lcm(F, D), clears every rat3 pick of a battery
+    held at k times its frame F, and the oracle agrees with ``holds`` there,
+    on the :class:`Battery` itself (k = 1) and on its triples scaled by k."""
     sf, a1, a2, a = data
-    for alpha, cell in ((a, pair_analysis(sf, a1, a2, a)[1]), (None, pair_analysis(sf, a1, a1, a1.nu())[1])):
-        frame = battery_frame(alpha, cell)
-        framed = boundary_probe_elements(sf, alpha, cell, frame)
+    for alpha, line in ((a, (a1, a2, a)), (None, (a1, a1, a1.nu()))):
+        cell = pair_analysis(sf, *line)[1]
+        battery = boundary_probe_elements(sf, alpha, cell)
+        holds = _scaled_cell(cell, battery.frame).holds
+        expected = [holds(x) for x in battery.triples]
         if alpha is None:
-            verdicts = diagonal_membership_oracle(sf, a1, framed, frame)
+            assert diagonal_membership_oracle(sf, a1, battery) == expected
         else:
-            verdicts = companion_membership_oracle(sf, a1, a2, a, framed, frame)
-        scaled = _scaled_cell(cell, frame)
-        assert verdicts == [contains(scaled, b) for b in framed]
+            assert companion_membership_oracle(sf, a1, a2, a, battery) == expected
+        for k in range(1, 5):
+            assert triple_membership_oracle(sf, *line, _times(battery.triples, k), k * battery.frame) == expected
 
 
 @st.composite
@@ -1095,20 +1103,14 @@ def _framed_reference_inputs(draw):
 @settings(max_examples=300, deadline=None)
 @given(_framed_reference_inputs())
 def test_the_framed_oracle_matches_the_pairwise_reference_property(data):
-    """Both oracles, handed a cell's battery at k times its frame, give the
-    verdicts of the one-sum-per-pair reference on the frame-1 battery."""
+    """The oracle core, handed a cell's battery triples scaled by k at k times
+    the battery's frame, gives the verdicts of the one-sum-per-pair reference
+    on the battery's elements."""
     sf, a1, a2, a, k = data
-    for alpha, cell in ((a, pair_analysis(sf, a1, a2, a)[1]), (None, pair_analysis(sf, a1, a1, a1.nu())[1])):
-        frame = battery_frame(alpha, cell) * k
-        battery = boundary_probe_elements(sf, alpha, cell)
-        framed = boundary_probe_elements(sf, alpha, cell, frame)
-        if alpha is None:
-            verdicts = diagonal_membership_oracle(sf, a1, framed, frame)
-            expected = membership_oracle_reference(sf, a1, a1, a1.nu(), battery)
-        else:
-            verdicts = companion_membership_oracle(sf, a1, a2, a, framed, frame)
-            expected = membership_oracle_reference(sf, a1, a2, a, battery)
-        assert verdicts == expected
+    for alpha, line in ((a, (a1, a2, a)), (None, (a1, a1, a1.nu()))):
+        battery = boundary_probe_elements(sf, alpha, pair_analysis(sf, *line)[1])
+        verdicts = triple_membership_oracle(sf, *line, _times(battery.triples, k), k * battery.frame)
+        assert verdicts == membership_oracle_reference(sf, *line, list(battery))
 
 
 @pytest.mark.parametrize("kind", list(GroupKind))

@@ -54,13 +54,17 @@ def test_module_argument_error_prints_one_json_error():
     assert json.loads(proc.stderr) == {"error": "the following arguments are required: --vector", "path": "$.argv"}
 
 
-@pytest.mark.parametrize("buffered", (True, False))
-def test_module_exits_quietly_when_the_reader_closes_stdout_early(buffered):
+@pytest.mark.parametrize("module, buffered", [
+    pytest.param(module, buffered, id=f"{prefix}{buffered}")
+    for module, prefix in (("tropquad", ""), ("tropquad.cli", "cli-"))
+    for buffered in (True, False)
+])
+def test_module_exits_quietly_when_the_reader_closes_stdout_early(module, buffered):
     # `tropquad check big.json | head -c 100`: the reader is gone before the answer is written;
     # buffered, the write fails when stdout is flushed, unbuffered, when it is printed
     env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"} if buffered else dict(ENV, PYTHONUNBUFFERED="1")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "tropquad", "check", "-"],
+        [sys.executable, "-m", module, "check", "-"],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
     proc.stdout.close()

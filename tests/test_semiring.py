@@ -319,10 +319,11 @@ INTERVALS = RATIONALS.flatmap(lambda lo: st.tuples(
 @settings(max_examples=1000, deadline=None)
 @given(st.sampled_from(ALL_KINDS), INTERVALS, st.integers(1, 60))
 def test_integer_between_agrees_with_fraction_reference_property(kind, interval, factor):
-    """At a scale S that makes lo and hi integers, ``between_scaled`` is S times
-    the reference pick when S clears it, raises when it does not, and is None
-    when there is no pick; the rational form returns the pick itself."""
+    """At a scale S that makes lo and hi integers, the group's integer between
+    rule is S times the reference pick when S clears it, raises when it does
+    not, and is None when there is no pick; the rational form returns the pick itself."""
     sf = Semifield(kind)
+    between = sf.scaled_rules[1]
     lo, hi = interval
     pick = fraction_between(sf, lo, hi)
     assert sf.between(lo, hi) == pick
@@ -330,29 +331,30 @@ def test_integer_between_agrees_with_fraction_reference_property(kind, interval,
     scale = factor * math.lcm(lo.denominator, hi.denominator)
     scaled = int(lo * scale), int(hi * scale)
     if pick is None:
-        assert sf.between_scaled(*scaled, scale) is None
+        assert between(*scaled, scale) is None
     elif (pick * scale).denominator == 1:
-        assert sf.between_scaled(*scaled, scale) == pick * scale
+        assert between(*scaled, scale) == pick * scale
     else:
         with pytest.raises(ValueError):
-            sf.between_scaled(*scaled, scale)
+            between(*scaled, scale)
 
 
 @settings(max_examples=1000, deadline=None)
 @given(st.sampled_from(ALL_KINDS), st.integers(-10**4, 10**4), st.integers(1, 3**8 * 60))
 def test_integer_legality_agrees_with_fraction_reference_property(kind, x, scale):
     sf = Semifield(kind)
-    assert sf.legal_scaled(x, scale) == fraction_legal(sf, Fraction(x, scale))
+    assert sf.scaled_rules[0](x, scale) == fraction_legal(sf, Fraction(x, scale))
     assert sf.legal_exponent(Fraction(x, scale)) == fraction_legal(sf, Fraction(x, scale))
 
 
 def test_integer_between_refuses_a_scale_that_does_not_clear():
     # the picks between 0 and 1: 1/2 in rat, 1/3 in rat3, none in int
     for sf, scale in ((RAT, 2), (RAT3, 3)):
+        between = sf.scaled_rules[1]
         with pytest.raises(ValueError):
-            sf.between_scaled(0, 1, 1)
-        assert sf.between_scaled(0, scale, scale) == 1
-    assert INT.between_scaled(0, 1, 1) is None
+            between(0, 1, 1)
+        assert between(0, scale, scale) == 1
+    assert INT.scaled_rules[1](0, 1, 1) is None
 
 
 # -- randomized algebra laws ----------------------------------------------------------
