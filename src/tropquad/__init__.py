@@ -15,7 +15,6 @@ from .companions import (
     diagonal_membership_oracle,
     equality_witness,
     functionally_equal,
-    is_balanced_pair,
     is_companion,
     is_quasilinear,
     pair_analysis,
@@ -26,7 +25,6 @@ from .decomposition import (
     Decomposition,
     RigExtrema,
     decompose,
-    min_companion,
     off_diagonal_companion,
     quasilinear_part,
     rig_contains,
@@ -46,7 +44,6 @@ from .forms import (
     is_rigid,
     pointwise_leq_rigid,
     scale_form,
-    zero_form,
 )
 from .matrices import (
     GeneralMatrix,

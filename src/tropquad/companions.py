@@ -545,13 +545,6 @@ def is_companion(q: QuadraticForm, b: SymmetricBilinearForm) -> bool:
     return all(contains(table.cell(i, j), b.gram[i][j]) for i in range(q.n) for j in range(i, q.n))
 
 
-def is_balanced_pair(q: QuadraticForm, b: SymmetricBilinearForm) -> bool:
-    """Whether (q, b) is a balanced pair; b must already be a companion."""
-    if not is_companion(q, b):
-        raise PreconditionError("companion required", "the bilinear form does not accompany the quadratic form")
-    return all(b.gram[i][i] == q.diag[i].nu() for i in range(q.n))
-
-
 # ---------------------------------------------------------------------------
 # form predicates
 

@@ -93,8 +93,3 @@ def rig_contains(q: QuadraticForm, rho: QuadraticForm) -> bool:
     """Whether the zero-diagonal form rho is a rigid complement in q: its companion accompanies q."""
     return is_companion(q, off_diagonal_companion(rho))
 
-
-def min_companion(q: QuadraticForm) -> SymmetricBilinearForm:
-    """The all-minimal off-diagonal companion (zero where possible)."""
-    return off_diagonal_companion(rig_extrema(q).minimum)
-

@@ -116,12 +116,6 @@ class SymmetricBilinearForm(Value):
         return self.render(format_element)
 
 
-def zero_form(sf: Semifield, n: int) -> QuadraticForm:
-    if n.__class__ is not int:  # a bool is an int, and a float cannot count coefficients
-        raise ValueError(f"n must be an int, not {n!r}")
-    return QuadraticForm(sf, (ZERO,) * n)
-
-
 def eval_quadratic(q: QuadraticForm, x: Sequence[Element]) -> Element:
     """Value of the form: sum of alpha_i x_i^2 and beta_{i,j} x_i x_j.
 
@@ -142,6 +136,8 @@ def eval_quadratic(q: QuadraticForm, x: Sequence[Element]) -> Element:
 
 
 def eval_bilinear(b: SymmetricBilinearForm, x: Sequence[Element], y: Sequence[Element]) -> Element:
+    """b(x, y), the term of a companion's defining identity q(x + y) = q(x) + q(y) + b(x, y), which
+    ``test_expansion_rule_with_balanced_companion`` and ``test_built_companions_satisfy_expansion_rule`` check."""
     x = tuple(map(b.sf.element, check_vector(b, x)))
     y = tuple(map(b.sf.element, check_vector(b, y)))
     return semiring_sum(b.gram[i][j] * x[i] * y[j] for i in range(b.n) for j in range(b.n))
@@ -194,10 +190,9 @@ def pointwise_leq_rigid(r1: QuadraticForm, r2: QuadraticForm) -> bool:
 
 
 def change_base(q: QuadraticForm, p: MonomialMatrix) -> QuadraticForm:
-    """Rewrite q along the base change sending unit vector j to c_j * eps_{perm[j]}.
+    """q composed with P, x -> q(Px), where P sends unit vector j to c_j * eps_{perm[j]}.
 
-    The result evaluates as x -> q(Px).
-    """
+    ``test_change_base_is_composition_with_matrix`` checks it with ``MonomialMatrix.apply`` and ``eval_quadratic``."""
     check_operands("form and matrix", q, p)
     diag = tuple(p.scales[k] * p.scales[k] * q.diag[p.perm[k]] for k in range(q.n))
     n = q.n

@@ -209,18 +209,6 @@ class Element(Value):
             return Element(_TAG_TANGIBLE, exp, tuple(map(mul, f1, f2)) if f1 else ())
         return Element(_TAG_GHOST, exp)
 
-    def __pow__(self, n: int) -> "Element":
-        """The n-th power, by squaring; n < 1 needs a tangible, as :meth:`inverse` does."""
-        if n > 0:
-            out, base, n = self, self, n - 1
-        else:  # a ghost or zero cannot name its semifield's one: it carries no fiber rank
-            out, base, n = Element(_TAG_TANGIBLE, 0, (1,) * len(self.fiber)), self.inverse(), -n
-        while n:
-            if n & 1:
-                out = out * base
-            base, n = base * base, n >> 1
-        return out
-
     def __repr__(self) -> str:
         return format_element(self)
 

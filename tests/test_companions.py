@@ -36,7 +36,6 @@ from tropquad import (
     eval_bilinear,
     eval_quadratic,
     functionally_equal,
-    is_balanced_pair,
     is_companion,
     is_quasilinear,
     is_rigid,
@@ -619,7 +618,7 @@ def test_companion_predicates_reject_another_semifield():
     """A Gram matrix over another group is refused, not read cell by cell."""
     q = QuadraticForm(INT, (t(1), t(1)))
     b = SymmetricBilinearForm(RAT, ((RAT.ghost(1), RAT.tangible(Fraction(1, 2))), (RAT.tangible(Fraction(1, 2)), RAT.ghost(1))))
-    for predicate in (is_companion, is_balanced_pair, rigid_complement):
+    for predicate in (is_companion, rigid_complement):
         with pytest.raises(PreconditionError) as info:
             predicate(q, b)
         assert info.value.precondition == "dimension match required"
@@ -780,7 +779,7 @@ def test_oracle_shares_no_code_with_the_case_analysis():
         "pair_analysis", "contains", "holds", "halvable", "_first_difference", "cell_boundary",
         "set_min", "set_max", "companion_table", "CompanionSet", "CompanionTable",
         "Singleton", "NuLeqDoubled", "NuLtDoubled", "NuClass", "PairBranch",
-        "build_companion", "is_companion", "is_balanced_pair", "is_quasilinear", "functionally_equal",
+        "build_companion", "is_companion", "is_quasilinear", "functionally_equal",
     }
     for start in ((triple_membership_oracle,), (companion_membership_oracle, diagonal_membership_oracle)):
         reached, names = _names_reached(*start)

@@ -22,7 +22,6 @@ from tropquad import (
     functionally_equal,
     is_rigid,
     leq_minimal,
-    min_companion,
     off_diagonal_companion,
     pointwise_leq_rigid,
     quasilinear_part,
@@ -118,13 +117,15 @@ def test_decomposition_identity_random():
             q = random_form(rng, sf, n)
             ql = quasilinear_part(q)
             for b in sample_companions(rng, q):
-                rho = rigid_complement(q, b)
-                assert is_rigid(rho)
-                back = add_forms(ql, rho)
+                d = decompose(q, b)
+                assert d.ql == ql and d.rigid == rigid_complement(q, b)
+                assert is_rigid(d.rigid)
+                back = add_forms(ql, d.rigid)
                 assert functionally_equal(q, back)
                 for _ in range(20):
                     x = random_vector(rng, sf, n)
-                    assert eval_quadratic(q, x) == eval_quadratic(back, x)
+                    value = eval_quadratic(q, x)
+                    assert value == eval_quadratic(back, x) == eval_quadratic(ql, x) + eval_quadratic(d.rigid, x)
 
 
 def test_quasilinear_part_unique_across_companions():
@@ -278,17 +279,8 @@ def test_decompose_defaults_to_minimal_companion():
     d = decompose(q)
     assert d.ql == quasilinear_part(q)
     assert d.rigid == rig_extrema(q).minimum
-    assert d.companion.gram == min_companion(q).gram
+    assert d.companion.gram == off_diagonal_companion(rig_extrema(q).minimum).gram
     assert all(d.companion.gram[i][i] == ZERO for i in range(2))
-
-
-def test_min_companion_is_off_diagonal():
-    rng = random.Random(8)
-    for sf in kind_semifields():
-        for _ in range(10):
-            q = random_form(rng, sf, 3)
-            b = min_companion(q)
-            assert all(b.gram[i][i] == ZERO for i in range(3))
 
 
 def test_default_decompose_splits_along_the_minimal_companion():
@@ -297,5 +289,6 @@ def test_default_decompose_splits_along_the_minimal_companion():
         for _ in range(10):
             q = random_form(rng, sf, 3)
             d = decompose(q)
-            assert d == decompose(q, min_companion(q))
+            assert d == decompose(q, d.companion)
+            assert all(d.companion.gram[i][i] == ZERO for i in range(3))
             assert d.rigid == rig_extrema(q).minimum

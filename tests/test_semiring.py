@@ -81,49 +81,6 @@ def test_products_of_mismatched_fiber_ranks_raise():
         rank1 * rank0
 
 
-def test_powers():
-    assert t(2) ** 3 == t(6)
-    assert g(1) ** 2 == g(2)
-    assert t(2) ** 0 == INT.one
-    assert t(2) ** -2 == t(-4)
-    assert INT1.tangible(1, (-1,)) ** 2 == INT1.tangible(2, (1,))
-
-
-@pytest.mark.parametrize("sf", kind_semifields(0) + kind_semifields(1) + kind_semifields(2))
-def test_powers_are_repeated_products(sf):
-    """Powers 1-8 of zero, ghosts and every tangible are repeated products; a
-    tangible's zeroth power is the semifield's one and its negative powers are
-    its inverse's; a ghost or zero has no zeroth or negative power."""
-    exponents = [x for x in (-2, 0, 1, Fraction(1, 3), Fraction(-1, 2)) if sf.legal_exponent(x)]
-    for a in element_grid(sf, exponents):
-        product = a
-        for n in range(1, 9):
-            assert a ** n == product
-            product = product * a
-        if a.is_tangible:
-            assert a ** 0 == sf.one
-            assert all(a ** -n == a.inverse() ** n for n in range(1, 9))
-            continue
-        for n in (0, -1):
-            with pytest.raises(PreconditionError):
-                a ** n
-
-
-def test_a_huge_power_takes_few_products(monkeypatch):
-    """A power is found by squaring: t ** 10**12 returns at once."""
-    mul, calls = Element.__mul__, []
-
-    def counted(x, y):
-        calls.append(None)
-        assert len(calls) <= 200, "a power formed as repeated products"
-        return mul(x, y)
-
-    monkeypatch.setattr(Element, "__mul__", counted)
-    assert t(1) ** 10**12 == t(10**12)
-    assert INT1.tangible(1, (-1,)) ** (10**12 + 1) == INT1.tangible(10**12 + 1, (-1,))
-    assert RAT.tangible(Fraction(1, 2)) ** -(10**12) == RAT.tangible(-(10**12) // 2)
-
-
 def test_inverse_requires_tangible():
     assert t(7).inverse() == t(-7)
     with pytest.raises(PreconditionError):

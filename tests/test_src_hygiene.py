@@ -4,8 +4,10 @@ The project runs no linter, so two of a linter's checks live here:
 every name a module imports is used in that module, and every module-level
 private function is referenced somewhere in the package besides its own
 definition.  ``__init__.py`` is left out, since its imports are the public
-exports.  A third check is the project's own: the front end, ``cli``,
-imports no ``_``-prefixed name from another module.
+exports.  Two checks are the project's own: the front end, ``cli``,
+imports no ``_``-prefixed name from another module, and every public
+export that no other module reads says which of the paper's statements it
+encodes and which test checks it.
 """
 
 import ast
@@ -17,6 +19,34 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "tropquad"
 ALLOWED = {
     ("companions", "is_rigid"): "re-export that the bench tracer binds as companions.is_rigid",
     ("cli", "_cell_invariant_violations"): "check no longer calls it; the bench tracer's cli.invariants span binds it",
+}
+
+# public export that no module of src reads -> (the paper statement it encodes, the test that checks it)
+CRITERION_4 = "q = κ + ρ along any companion, and the module laws of κ and Rig(q)"
+CRITERION_6 = "a base change is invertible exactly when it is monomial with tangible scales"
+LIBRARY_ONLY = {
+    "add_forms": (CRITERION_4, "test_acceptance::test_criterion_4_decomposition_suite"),
+    "scale_form": (CRITERION_4, "test_acceptance::test_criterion_4_decomposition_suite"),
+    "build_companion": (CRITERION_4, "test_acceptance::test_criterion_4_decomposition_suite"),
+    "rig_contains": (CRITERION_4, "test_acceptance::test_criterion_4_decomposition_suite"),
+    "pointwise_leq_rigid": ("Rig(q) lies between its extremes", "test_acceptance::test_criterion_5_rig_extrema"),
+    "identity_matrix": (CRITERION_6, "test_acceptance::test_criterion_6_unique_base_invertibility"),
+    "is_invertible": (CRITERION_6, "test_acceptance::test_criterion_6_unique_base_invertibility"),
+    "mat_mul": (CRITERION_6, "test_acceptance::test_criterion_6_unique_base_invertibility"),
+    "balanced_companion_of_strop": (
+        "the stropicalized balanced companion accompanies the stropicalized form",
+        "test_acceptance::test_criterion_7_stropicalization",
+    ),
+    "functionally_equal": (
+        "two schemes are one function when their diagonals agree and each cross term is admissible",
+        "test_acceptance::test_criterion_8_functional_equality",
+    ),
+    "decompose": ("q = κ + ρ", "test_decomposition::test_decomposition_identity_random"),
+    "eval_bilinear": (
+        "q(x + y) = q(x) + q(y) + b(x, y) defines a companion b",
+        "test_forms::test_expansion_rule_with_balanced_companion",
+    ),
+    "change_base": ("a base change P acts on q as q ∘ P", "test_forms::test_change_base_is_composition_with_matrix"),
 }
 
 
@@ -73,6 +103,18 @@ def _private_imports(tree: ast.Module) -> set[str]:
     }
 
 
+def _exports(init: ast.Module) -> set[str]:
+    """Every name ``__init__.py`` imports, which is what the package exports."""
+    return {
+        alias.asname or alias.name for node in init.body if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+
+
+def _library_only(init: ast.Module, modules: dict[str, ast.Module]) -> set[str]:
+    """Every export that no other module reads, as a bare name or as an attribute."""
+    return _exports(init) - _referenced(modules.values())
+
+
 def _flagged() -> set[tuple[str, str]]:
     modules = _modules()
     flagged = _unreferenced_private_functions(modules)
@@ -86,6 +128,17 @@ def test_every_import_and_private_function_is_used():
     assert _flagged() == set(ALLOWED)
 
 
+def test_every_library_only_export_names_its_statement_and_test():
+    """An export that neither the CLI nor another module calls stays only for a
+    paper statement, and the table names the test that checks it there."""
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert _library_only(init, _modules()) == set(LIBRARY_ONLY)
+    for name, (_, test) in LIBRARY_ONLY.items():
+        module, function = test.split("::")
+        tree = ast.parse((SRC.parents[1] / "tests" / f"{module}.py").read_text(encoding="utf-8"))
+        assert function in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}, (name, test)
+
+
 def test_the_checks_find_what_they_look_for():
     tree = ast.parse(
         "import os\nfrom json import dumps, loads as read\n"
@@ -97,6 +150,10 @@ def test_the_checks_find_what_they_look_for():
     assert _unreferenced_private_functions({"m": tree}) == {("m", "_unused")}
     assert _private_imports(ast.parse("from .semiring import Element, _unscaled_exp\nfrom . import _x\n")) == {
         "_unscaled_exp", "_x",
+    }
+    init = ast.parse("from .m import called, read, unread\nfrom .n import alone\n")
+    assert _library_only(init, {"m": ast.parse("def f(): return called()\n"), "n": ast.parse("x = m.read\n")}) == {
+        "unread", "alone",
     }
 
 
