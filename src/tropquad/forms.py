@@ -8,22 +8,27 @@ function; functional identity is decided in :mod:`tropquad.companions`,
 never by coefficient comparison here.  Indices are 0-based internally and
 rendered 1-based at the JSON boundary.
 
-:func:`eval_quadratic` sums the form row by row,
-q(x) = sum_i x_i (alpha_i x_i + sum_{j>i} beta_{i,j} x_j), skipping a row
-whose x_i is zero and a cross coefficient that is zero.  That takes 2n + m
-products for m nonzero cross coefficients, where the term-by-term sum
-takes 2n + 2m.  The value is the same element, because multiplication
-distributes over supertropical addition: a tie of two row terms stays a
-tie after multiplying by x_i, so it gives the same ghost.
+:func:`eval_quadratic` and :func:`eval_bilinear` find the largest term.
+Supertropical addition is associative and commutative, and a sum of
+nonzero summands is its unique summand of largest exponent, or the ghost
+of that exponent when two or more summands reach it, whatever their tags
+and fibers.  So the term of largest exponent decides
+q(x) = sum_i alpha_i x_i^2 + sum_{i<j} beta_{i,j} x_i x_j: the value is
+that term's product, its ghost at a tie, and zero when every term is
+zero, the same element as the term-by-term sum.  The exponent of a term
+is the sum of its factors' exponents, so one exact pass over the
+exponents, on ints, finds the winner before any element is built.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from itertools import count
+from operator import itemgetter
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import PreconditionError, check_operands, check_vector
 from .matrices import MonomialMatrix
-from .semiring import ZERO, Element, Semifield, Value, format_element, leq_minimal, semiring_sum
+from .semiring import ZERO, Element, Semifield, Value, format_element, leq_minimal
 
 DIMENSION_LIMIT = 64
 
@@ -119,20 +124,12 @@ class SymmetricBilinearForm(Value):
 def eval_quadratic(q: QuadraticForm, x: Sequence[Element]) -> Element:
     """Value of the form: sum of alpha_i x_i^2 and beta_{i,j} x_i x_j.
 
-    Summed by rows, x_i (alpha_i x_i + sum_{j>i} beta_{i,j} x_j), which is
-    the same element by distributivity (see the module docstring).
+    A supertropical sum is its unique summand of largest exponent, or that
+    exponent's ghost at a tie, and addition is associative and commutative,
+    so the largest term decides the value, as a term-by-term sum would.
     """
     x = tuple(map(q.sf.element, check_vector(q, x)))
-    n = q.n
-    terms = []
-    for i, row in enumerate(q.cross):
-        xi = x[i]
-        if xi.is_zero:
-            continue
-        line = [q.diag[i] * xi]
-        line.extend(row[j] * x[j] for j in range(i + 1, n) if not row[j].is_zero)
-        terms.append(xi * semiring_sum(line))
-    return semiring_sum(terms)
+    return _largest_term(x, q.cross, x, q.diag)
 
 
 def eval_bilinear(b: SymmetricBilinearForm, x: Sequence[Element], y: Sequence[Element]) -> Element:
@@ -140,7 +137,63 @@ def eval_bilinear(b: SymmetricBilinearForm, x: Sequence[Element], y: Sequence[El
     ``test_expansion_rule_with_balanced_companion`` and ``test_built_companions_satisfy_expansion_rule`` check."""
     x = tuple(map(b.sf.element, check_vector(b, x)))
     y = tuple(map(b.sf.element, check_vector(b, y)))
-    return semiring_sum(b.gram[i][j] * x[i] * y[j] for i in range(b.n) for j in range(b.n))
+    return _largest_term(x, b.gram, y)
+
+
+def _largest_term(x: Vector, grid: Sequence[Sequence[Element]], y: Vector, diag: Optional[Vector] = None) -> Element:
+    """The sum of the terms x_i grid[i][j] y_j, decided by its largest term.
+
+    With ``diag`` (and y = x) the terms are a quadratic form's instead:
+    x_i diag[i] x_i, and x_i grid[i][j] x_j for j > i.
+
+    Only the indices where x and y are nonzero are read.  A term's exponent
+    is held as an unreduced fraction of ints, whose denominator is the
+    product of its factors' denominators, so no frame is shared by the
+    whole form; a term of two whole exponents is their int sum over 1.  Two
+    exponents are compared by cross-multiplying, exact because denominators
+    are positive, and (-1, 0) lies below every exponent.  The pass builds
+    no element and no ``Fraction``; the winning term's product is the one
+    element built, and its ghost is the sum when another term ties it.
+    """
+    rows = [i for i, a in enumerate(x) if a.exp is not None]
+    cols = rows if y is x else [j for j, a in enumerate(y) if a.exp is not None]
+    if not rows or not cols:
+        return ZERO
+    pick = itemgetter(*cols) if len(cols) > 1 else lambda row: (row[cols[0]],)
+    ys = [y[j] for j in cols]
+    ratios = [(a.exp.numerator, a.exp.denominator) for a in ys]
+    top_n, top_d, tie, at = -1, 0, False, None
+    for p, i in enumerate(rows):
+        # the row's terms are x_i coeffs[k] ys[s + k]; rn / rd is the largest exponent of coeffs[k] ys[s + k]
+        coeffs, s = (pick(grid[i]), 0) if diag is None else ((diag[i], *pick(grid[i])[p + 1 :]), p)
+        rn, rd, k, row_tie = -1, 0, None, False
+        for j, c, (en, ed) in zip(count(), coeffs, ratios[s:]):
+            b = c.exp
+            if b is None:
+                continue
+            if ed == 1 and b.__class__ is int:
+                tn, td = b + en, 1
+            else:
+                bd = b.denominator
+                tn, td = b.numerator * ed + en * bd, bd * ed
+            if tn * rd > rn * td:
+                rn, rd, k, row_tie = tn, td, j, False
+            elif tn * rd == rn * td:
+                row_tie = True
+        if not rd:
+            continue
+        left = x[i].exp
+        ld = left.denominator
+        rn, rd = rn * ld + left.numerator * rd, rd * ld
+        if rn * top_d > top_n * rd:
+            top_n, top_d, tie, at = rn, rd, row_tie, (i, coeffs[k], ys[s + k])
+        elif rn * top_d == top_n * rd:
+            tie = True
+    if at is None:
+        return ZERO
+    i, c, a = at
+    product = x[i] * c * a
+    return product.nu() if tie else product
 
 
 def balanced_companion(q: QuadraticForm) -> SymmetricBilinearForm:

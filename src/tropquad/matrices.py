@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import PreconditionError, check_operands, check_vector
-from .semiring import ZERO, Element, Semifield, Value, semiring_sum
+from .semiring import _TAG_TANGIBLE, _TAG_ZERO, ZERO, Element, Semifield, Value, semiring_sum
 
 
 class GeneralMatrix(Value):
@@ -96,28 +96,33 @@ def mat_mul(a: GeneralMatrix, b: GeneralMatrix) -> GeneralMatrix:
 
 
 def monomial_decomposition(m: GeneralMatrix) -> MonomialMatrix:
-    """Read a general matrix as monomial, or raise naming the first violation."""
+    """Read a general matrix as monomial, or raise naming the first violation.
+
+    Columns are read in order, each once; a column's count of nonzero
+    entries is checked before its entry's tag, and the rows only after
+    every column has passed.
+    """
     if not m.is_square:
         raise PreconditionError("square matrix required", "only square matrices can be inverted")
     n = m.nrows
-    perm = [-1] * n
-    scales: list[Element] = [ZERO] * n
-    for j in range(n):
-        hits = [i for i in range(n) if not m.rows[i][j].is_zero]
+    perm: list[int] = []
+    scales: list[Element] = []
+    for j, column in enumerate(zip(*m.rows)):
+        hits = [i for i, a in enumerate(column) if a.tag != _TAG_ZERO]
         if len(hits) != 1:
             raise PreconditionError(
                 "monomial matrix required",
                 f"column {j + 1} has {len(hits)} nonzero entries (need exactly 1)",
             )
         i = hits[0]
-        entry = m.rows[i][j]
-        if not entry.is_tangible:
+        entry = column[i]
+        if entry.tag != _TAG_TANGIBLE:
             raise PreconditionError(
                 "monomial matrix required",
                 f"entry at row {i + 1}, column {j + 1} is ghost, hence not a unit",
             )
-        perm[j] = i
-        scales[j] = entry
+        perm.append(i)
+        scales.append(entry)
     for i in range(n):
         if perm.count(i) != 1:
             raise PreconditionError(

@@ -34,6 +34,7 @@ from tropquad import (
 
 from gen import (
     element_strategy,
+    exponent_strategy,
     kind_semifields,
     random_element,
     random_form,
@@ -41,6 +42,7 @@ from gen import (
     random_nonzero,
     random_rigid_form,
     random_vector,
+    wide_element_strategy,
 )
 
 INT = Semifield(GroupKind.INT)
@@ -72,6 +74,130 @@ def test_eval_quadratic_is_the_term_by_term_sum_property(data):
     diag = data.draw(st.lists(elements, min_size=n, max_size=n))
     upper = {(i, j): data.draw(elements) for i in range(n) for j in range(i + 1, n)}
     x = data.draw(st.lists(elements, min_size=n, max_size=n))
+    terms = [diag[i] * x[i] * x[i] for i in range(n)]
+    terms += [beta * x[i] * x[j] for (i, j), beta in upper.items()]
+    assert eval_quadratic(QuadraticForm(sf, diag, upper), x) == semiring_sum(terms)
+
+
+def _whole_as_fraction(a: Element) -> Element:
+    """The same element, with a whole exponent held as Fraction(k, 1)."""
+    return Element(a.tag, Fraction(a.exp), a.fiber) if a.exp.__class__ is int else a
+
+
+def _first_primes(k: int) -> list:
+    primes = []
+    p = 2
+    while len(primes) < k:
+        if all(p % d for d in primes if d * d <= p):
+            primes.append(p)
+        p += 1
+    return primes
+
+
+@st.composite
+def _elements_at(draw, sf: Semifield, exp):
+    """A tangible of any fiber at the exponent exp, or one time in four a ghost,
+    so that a tie of tangible terms, whose sum is a ghost, is common."""
+    if draw(st.integers(0, 3)) == 0:
+        return sf.ghost(exp)
+    return sf.tangible(exp, tuple(draw(st.sampled_from((1, -1))) for _ in range(sf.fiber_rank)))
+
+
+@st.composite
+def _eval_draws(draw, bilinear: bool = False):
+    """A semifield, coefficients and vectors of one flavour: narrow or wide
+    exponents, whole exponents held as Fraction(k, 1), rat exponents over 200
+    coprime denominators, or a tie-heavy draw whose top terms share one
+    exponent with mixed tags and fibers: one to three in one row or anywhere,
+    or every term whose x_i and y_j are nonzero.  Returns
+    (sf, coefficient of (i, j) for i <= j, x, y), with y = x unless ``bilinear``."""
+    sf = Semifield(draw(st.sampled_from(list(GroupKind))), draw(st.integers(0, 2)))
+    n = draw(st.integers(1, 8 if bilinear else 16))
+    # ties twice: a tie is decided by the tag of one product, so few tie draws catch a lost tie
+    flavour = draw(st.sampled_from(["narrow", "wide", "whole-as-fraction", "denominators", "ties", "ties"]))
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    if flavour == "ties":
+        exps = exponent_strategy(sf)
+        top = draw(exps)
+        steps = exps.map(abs).filter(bool)
+        elements = st.one_of(st.just(ZERO), exps.flatmap(lambda e: _elements_at(sf, e)))
+        vector = st.lists(elements, min_size=n, max_size=n)
+        x = draw(vector)
+        y = draw(vector) if bilinear else x
+        live = [(i, j) for i, j in pairs if not (x[i].is_zero or y[j].is_zero)]
+        tops = set()
+        if live:
+            shape = draw(st.sampled_from(["one row", "anywhere", "all"]))
+            if shape == "one row":
+                row = draw(st.sampled_from(live))[0]
+                live = [(i, j) for i, j in live if i == row]
+            some = st.sets(st.sampled_from(live), min_size=min(2, len(live)), max_size=3)
+            tops = set(live) if shape == "all" else draw(some)
+
+        def coefficient(i, j):
+            """One that puts the term x_i c y_j at the top exponent if (i, j) is in tops, else zero or below it."""
+            if x[i].is_zero or y[j].is_zero or (i, j) not in tops and draw(st.booleans()):
+                return ZERO
+            return draw(_elements_at(sf, top - x[i].exp - y[j].exp - (0 if (i, j) in tops else draw(steps))))
+
+        return sf, {(i, j): coefficient(i, j) for i, j in pairs}, x, y
+    if flavour == "denominators" and sf.group is GroupKind.RAT:
+        exps = st.builds(Fraction, st.integers(-10**4, 10**4), st.sampled_from(_first_primes(200)))
+        elements = exps.flatmap(lambda e: _elements_at(sf, e))
+    elif flavour == "narrow":
+        elements = element_strategy(sf)
+    else:
+        elements = st.one_of(element_strategy(sf), wide_element_strategy(sf))
+    if flavour == "whole-as-fraction":
+        elements = elements.map(_whole_as_fraction)
+    elements = st.one_of(st.just(ZERO), elements)
+    vector = st.lists(elements, min_size=n, max_size=n)
+    x = draw(vector)
+    y = draw(vector) if bilinear else x
+    return sf, {(i, j): draw(elements) for i, j in pairs}, x, y
+
+
+@settings(max_examples=400, deadline=None)
+@given(_eval_draws())
+def test_eval_quadratic_matches_the_term_by_term_sum_on_wide_whole_and_tied_draws_property(draw):
+    """The largest-term pass against the definition, on draws that would break
+    a shortcut: wide exponents, whole exponents held as Fraction(k, 1), rat
+    exponents over many coprime denominators, and many top terms at one exponent."""
+    sf, coeffs, x, _ = draw
+    n = len(x)
+    diag = [coeffs[i, i] for i in range(n)]
+    upper = {(i, j): c for (i, j), c in coeffs.items() if i < j}
+    terms = [diag[i] * x[i] * x[i] for i in range(n)]
+    terms += [beta * x[i] * x[j] for (i, j), beta in upper.items()]
+    assert eval_quadratic(QuadraticForm(sf, diag, upper), x) == semiring_sum(terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_eval_draws(bilinear=True))
+def test_eval_bilinear_is_the_term_by_term_sum_property(draw):
+    """b(x, y) against its definition, the sum of g_{i,j} x_i y_j over all i
+    and j, on the same draws; (i, j) and (j, i) are two terms."""
+    sf, coeffs, x, y = draw
+    n = len(x)
+    gram = [[coeffs[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    terms = [gram[i][j] * x[i] * y[j] for i in range(n) for j in range(n)]
+    assert eval_bilinear(SymmetricBilinearForm(sf, gram), x, y) == semiring_sum(terms)
+
+
+def test_eval_quadratic_of_a_form_with_pairwise_coprime_denominators():
+    """A 64 x 64 rat form whose 2080 cross exponents and 64 vector exponents have
+    2144 pairwise coprime denominators: a frame shared by every term would be
+    their product, while each term's own denominator is a product of three."""
+    sf, n, rng = Semifield(GroupKind.RAT, 1), 64, random.Random(29)
+    dens = iter(_first_primes(2080 + n))
+
+    def element(den):
+        exp = Fraction(rng.randint(-8 * den, 8 * den), den)
+        return sf.ghost(exp) if rng.random() < 0.5 else sf.tangible(exp, (rng.choice((1, -1)),))
+
+    diag = [element(1) for _ in range(n)]
+    upper = {(i, j): element(next(dens)) for i in range(n) for j in range(i + 1, n)}
+    x = [element(next(dens)) for _ in range(n)]
     terms = [diag[i] * x[i] * x[i] for i in range(n)]
     terms += [beta * x[i] * x[j] for (i, j), beta in upper.items()]
     assert eval_quadratic(QuadraticForm(sf, diag, upper), x) == semiring_sum(terms)

@@ -102,13 +102,35 @@ def test_non_square_rejected():
         is_invertible(rect)
 
 
+def _violation(rows) -> str:
+    with pytest.raises(PreconditionError) as exc:
+        monomial_decomposition(GeneralMatrix(INT, rows))
+    assert exc.value.precondition == "monomial matrix required"
+    return str(exc.value)
+
+
 def test_monomial_decomposition_violation_messages():
-    with pytest.raises(PreconditionError) as exc:
-        monomial_decomposition(GeneralMatrix(INT, ((t(0), t(0)), (ZERO, t(0)))))
-    assert "column" in str(exc.value) or "row" in str(exc.value)
-    with pytest.raises(PreconditionError) as exc:
-        monomial_decomposition(GeneralMatrix(INT, ((g(0), ZERO), (ZERO, t(0)))))
-    assert "ghost" in str(exc.value)
+    """The exact message of each violation: a column's count, a ghost entry, a row's count."""
+    assert _violation(((t(0), ZERO), (ZERO, ZERO))) == "column 2 has 0 nonzero entries (need exactly 1)"
+    assert _violation(((t(0), ZERO), (t(0), t(0)))) == "column 1 has 2 nonzero entries (need exactly 1)"
+    assert _violation(((t(0), ZERO), (ZERO, g(0)))) == "entry at row 2, column 2 is ghost, hence not a unit"
+    assert _violation(((t(0), ZERO, ZERO), (ZERO, t(1), t(2)), (ZERO, ZERO, ZERO))) == (
+        "row 2 has 2 nonzero entries (need exactly 1)"
+    )
+
+
+def test_monomial_decomposition_reports_the_first_violation_in_column_major_order():
+    """Column by column, a column's count before its entry's tag; rows only after all columns."""
+    # a ghost in column 1 comes before the two entries of column 2
+    assert _violation(((g(0), t(0)), (ZERO, t(0)))) == "entry at row 1, column 1 is ghost, hence not a unit"
+    # two entries in column 1 come before the ghost of column 2
+    assert _violation(((t(0), g(0)), (t(0), ZERO))) == "column 1 has 2 nonzero entries (need exactly 1)"
+    # a column's count comes before its own ghost
+    assert _violation(((g(0), ZERO), (g(1), t(0)))) == "column 1 has 2 nonzero entries (need exactly 1)"
+    # rows 2 and 3 both fail; the first is named
+    assert _violation(((t(0), ZERO, ZERO), (ZERO, ZERO, ZERO), (ZERO, t(1), t(2)))) == (
+        "row 2 has 0 nonzero entries (need exactly 1)"
+    )
 
 
 @pytest.mark.parametrize("sf", kind_semifields() + kind_semifields(1))
