@@ -25,17 +25,17 @@ The case analysis is cross-validated by :func:`triple_membership_oracle`,
 an independent decision procedure that checks the defining one-parameter
 family of scaling identities on a finite critical set of exponents, for a
 whole battery of candidates in one pass, and decides each candidate from
-three facts collected at the probes, with no sum.  It reads a candidate as
-the (tag, exponent, fiber) triple of an element held at an integer frame,
-a fact that only it and :class:`Battery` know: the public oracles,
+three facts collected at the probes, with no sum.  It takes its
+candidates as one :class:`Battery`, (tag, exponent, fiber) triples held at
+an integer frame, the only carrier of a frame: the public oracles,
 :func:`companion_membership_oracle` and :func:`diagonal_membership_oracle`
 (the diagonal (alpha, alpha) with cross term nu(alpha)), take elements that
-stand for themselves and hand it a :class:`Battery`'s own triples and
-frame, or a list's triples at the lcm of its exponents' denominators.  It and
+stand for themselves and hand it the Battery they were given, or a list's
+triples at the lcm of its exponents' denominators.  It and
 :func:`equality_witness` find the critical set on integers with one
-helper, :func:`_probe_exponents_for`, which shares no code with the case
-analysis or the companion-set types, and whose docstring proves its frame
-exact.  An exponent becomes a rational again only where it leaves as an
+helper, :func:`_probe_exponents_for`, which reads the same Battery, shares
+no code with the case analysis or the companion-set types, and whose
+docstring proves its frame exact.  An exponent becomes a rational again only where it leaves as an
 element: in :func:`equality_witness`'s vectors and in a probe where the
 oracle and the closed form disagree.  Building a battery, and holding the
 cell at its frame for ``holds``, is :mod:`tropquad.probes`' business.
@@ -211,11 +211,6 @@ def pair_analysis(
 # the independent membership oracle
 
 
-def _common_scale(lines, frame: int = 1) -> int:
-    """Twelve times the lcm of frame and the lines' exponent denominators (:func:`_probe_exponents_for`)."""
-    return 12 * math.lcm(frame, *(a.exp.denominator for a in lines if not a.is_zero))
-
-
 def _tie_points(up: set[int], down: set[int], flat: set[int]) -> list[int]:
     """Where two lines ``slope * x + offset`` of different slopes meet, ascending, given the
     offsets of the lines of slope +1, -1 and 0.
@@ -254,24 +249,24 @@ def _probe_exponents(sf: Semifield, criticals: list[int], scale: int) -> list[in
 
 
 def _probe_exponents_for(
-    sf: Semifield, *lines: tuple[int, Element], candidates: Sequence[Optional[int]] = (), frame: int = 1
+    sf: Semifield, *lines: tuple[int, Element], battery: Optional[Battery] = None
 ) -> tuple[int, list[Optional[int]], list[Optional[int]], list[int]]:
-    """The battery's integer frame: its scale, its lines scaled, its candidates' exponents, its probes.
+    """The probe set's integer frame: its scale, its lines scaled, the battery's exponents, its probes.
 
     Each ``(slope, element)`` of ``lines`` stands for the line ``slope *
-    exp(lambda) + exp(element)``, and each candidate for a flat line: it is
-    the integer exponent of an element held at the frame ``frame`` F (F
+    exp(lambda) + exp(element)``, and each element of ``battery`` for a flat
+    line: its triple holds the integer exponent at the battery's frame F (F
     times the one it stands for), or None for zero.  Zero has no level and
-    contributes no line.  Returns the battery's scale S, each line's
-    exponent at scale S and each candidate's, the integer S // F times it,
-    in the order given (None for zero), and the probe exponents times S,
-    read off the scaled exponents: each line and candidate is scaled once.
+    contributes no line.  Returns the scale S, each line's exponent at scale
+    S and each battery element's, the integer S // F times it, in the order
+    given (None for zero), and the probe exponents times S, read off the
+    scaled exponents: each line and battery element is scaled once.
 
-    S = 12 * D, where D is the lcm of frame and the lines' denominators
-    (:func:`_common_scale`), clears the denominator of every offset, tie
-    point and probe.  The scale is taken from the inputs alone and trusts
-    nothing a caller computed: a candidate x at frame F has its offset x / F
-    in (1/F)Z, so D clears every offset and S // frame is an integer.  Then:
+    S = 12 * D, where D is the lcm of F (1 with no battery) and the lines'
+    denominators, clears the denominator of every offset, tie point and
+    probe.  The scale is taken from the inputs alone and trusts nothing a
+    caller computed: a battery exponent x at frame F has its offset x / F in
+    (1/F)Z, so D clears every offset and S // F is an integer.  Then:
 
     * each scaled offset is a multiple of 12, in particular even;
     * slopes are +1, -1 and 0, so two slopes differ by 1 or 2 and a tie
@@ -300,10 +295,11 @@ def _probe_exponents_for(
     equal iff the sums are, and sums and negatives of scaled exponents
     stay integers.
     """
-    scale = _common_scale((a for _, a in lines), frame)
+    frame, triples = (1, ()) if battery is None else (battery.frame, battery.triples)
+    scale = 12 * math.lcm(frame, *(a.exp.denominator for _, a in lines if not a.is_zero))
     line_exps = [None if a.exp is None else _scaled_exp(a.exp, scale) for _, a in lines]
     up = scale // frame
-    exps = [None if x is None else x * up for x in candidates]
+    exps = [None if x is None else x * up for _, x, _ in triples]
     offsets = {1: set(), -1: set(), 0: set(exps)}
     for (slope, _), x in zip(lines, line_exps):
         offsets[slope].add(x)
@@ -313,9 +309,9 @@ def _probe_exponents_for(
 
 
 def triple_membership_oracle(
-    sf: Semifield, alpha1: Element, alpha2: Element, alpha: Element, battery: Sequence[tuple], frame: int
+    sf: Semifield, alpha1: Element, alpha2: Element, alpha: Element, battery: Battery
 ) -> list[bool]:
-    """Decide cross-coefficient membership of each candidate triple from its definition.
+    """Decide cross-coefficient membership of each triple of the battery from its definition.
 
     beta is admissible iff for every tangible lambda the two sums
 
@@ -376,10 +372,10 @@ def triple_membership_oracle(
     verdict is the conjunction that one sum and one comparison per pair of
     probe and candidate would give.
 
-    Each candidate is the (tag, exponent, fiber) triple of an element held
-    at the frame F, its exponent F times the one it stands for, an integer
-    (None for zero).  The sums are evaluated at the scale that
-    :func:`_probe_exponents_for` takes from alpha1, alpha2, alpha and F
+    Each candidate is a (tag, exponent, fiber) triple of the battery, an
+    element held at its frame F: the exponent is F times the one it stands
+    for, an integer (None for zero).  The sums are evaluated at the scale
+    that :func:`_probe_exponents_for` takes from alpha1, alpha2, alpha and F
     alone; its docstring proves each verdict exact, with no Fraction in the
     loop, and "beta is alpha" is equality of triples at that scale.
 
@@ -397,12 +393,10 @@ def triple_membership_oracle(
     is no ghost, and ``nu(base) != lhs`` exactly when lhs is alpha, or is
     base and base is no ghost: each fact is the one the elements would give.
     """
-    _, (e1, e2, e), beta_exps, exps = _probe_exponents_for(
-        sf, (1, alpha1), (-1, alpha2), (0, alpha), candidates=[x for _, x, _ in battery], frame=frame
-    )
-    a = (alpha.tag, e, alpha.fiber)
+    _, (e1, e2, e), beta_exps, exps = _probe_exponents_for(sf, (1, alpha1), (-1, alpha2), (0, alpha), battery=battery)
+    triples, a = battery.triples, (alpha.tag, e, alpha.fiber)
     if e1 is None and e2 is None:
-        return [(tag, x, fiber) == a for (tag, _, fiber), x in zip(battery, beta_exps)]
+        return [(tag, x, fiber) == a for (tag, _, fiber), x in zip(triples, beta_exps)]
     g1, g2 = alpha1.tag == _TAG_GHOST, alpha2.tag == _TAG_GHOST
     base_exps, misses, ties = [], [], set()
     for x in exps:
@@ -426,7 +420,7 @@ def triple_membership_oracle(
     return [
         below is None if x is None
         else (below is None or x >= below) and x not in ties and (x <= low or (tag, x, fiber) == a)
-        for (tag, _, fiber), x in zip(battery, beta_exps)
+        for (tag, _, fiber), x in zip(triples, beta_exps)
     ]
 
 
@@ -447,21 +441,21 @@ class Battery(Sequence):
         return ZERO if x is None else Element(tag, _unscaled_exp(x, self.frame), fiber)
 
 
-def _triples(betas: Sequence[Element]) -> tuple[list[tuple], int]:
-    """The (tag, exponent, fiber) triples of betas at a frame that clears them, and that frame:
-    a :class:`Battery`'s own, or else the lcm of the betas' exponent denominators."""
+def _as_battery(betas: Sequence[Element]) -> Battery:
+    """betas as a :class:`Battery`: itself if it is one, or else their triples at the
+    lcm of their exponent denominators."""
     if isinstance(betas, Battery):
-        return betas.triples, betas.frame
+        return betas
     frame = math.lcm(*(b.exp.denominator for b in betas if b.exp.__class__ is Fraction))
-    return [(b.tag, None if b.exp is None else _scaled_exp(b.exp, frame), b.fiber) for b in betas], frame
+    return Battery([(b.tag, None if b.exp is None else _scaled_exp(b.exp, frame), b.fiber) for b in betas], frame)
 
 
 def companion_membership_oracle(
     sf: Semifield, alpha1: Element, alpha2: Element, alpha: Element, betas: Sequence[Element]
 ) -> list[bool]:
     """Decide cross-coefficient membership of each beta from its definition, by
-    :func:`triple_membership_oracle` on the betas' triples (see :func:`_triples`)."""
-    return triple_membership_oracle(sf, alpha1, alpha2, alpha, *_triples(betas))
+    :func:`triple_membership_oracle` on the betas as a battery (see :func:`_as_battery`)."""
+    return triple_membership_oracle(sf, alpha1, alpha2, alpha, _as_battery(betas))
 
 
 def diagonal_membership_oracle(sf: Semifield, alpha: Element, betas: Sequence[Element]) -> list[bool]:
@@ -476,11 +470,11 @@ def diagonal_membership_oracle(sf: Semifield, alpha: Element, betas: Sequence[El
     t * alpha + t^-1 * alpha + nu(alpha), and the right side is
     t * alpha + t^-1 * alpha + beta: the cross-coefficient statement with
     diagonal (alpha, alpha) and cross term nu(alpha), which
-    :func:`triple_membership_oracle` decides on the betas' triples.  Its
+    :func:`triple_membership_oracle` decides on the betas as a battery.  Its
     extra line (0, nu(alpha)) meets the lines of slope +1 and -1 only at
     exponent 0, where those two already tie, so it adds no tie point.
     """
-    return triple_membership_oracle(sf, alpha, alpha, alpha.nu(), *_triples(betas))
+    return triple_membership_oracle(sf, alpha, alpha, alpha.nu(), _as_battery(betas))
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,15 @@ strictly inside the one-third neighborhoods, which matters when the
 boundary itself is not a legal exponent.
 
 :func:`boundary_probe_elements` builds the battery from one
-:func:`cell_boundary` call and returns it as a
-:class:`~tropquad.companions.Battery`: (tag, exponent, fiber) triples at
-an integer frame F, each exponent F times the one it stands for, which
-builds an element only where one is read.  The frame is the battery's own
-and leaves with it: every element that this module hands out stands for
-itself.  :func:`cell_disagreements`, which ``check`` runs on each cell,
-hands that battery to the public oracle, which reads its triples and
-frame, and asks the cell's ``holds`` rule, held at F too, about the same
-triples; only a probe where they disagree becomes an element.
+:func:`cell_boundary` call, directly at its integer frame F, and returns
+it as a :class:`~tropquad.companions.Battery`: (tag, exponent, fiber)
+triples, each exponent F times the one it stands for, which builds an
+element only where one is read.  The frame leaves only inside the
+Battery: every element that this module hands out stands for itself.
+:func:`cell_disagreements`, which ``check`` runs on each cell, hands that
+battery whole to the public oracle, and asks the cell's ``holds`` rule,
+held at F too, about the same triples; only a probe where they disagree
+becomes an element.
 """
 
 from __future__ import annotations
@@ -34,33 +34,34 @@ def boundary_probe_elements(sf: Semifield, alpha: Optional[Element], cell: Compa
     """Elements worth testing for membership in the cell of cross coefficient alpha (None for a
     diagonal cell), as a :class:`Battery`.  It holds zero and the ghost of each of its elements.
 
-    With D the boundary's denominator (1 for the cell {0}), the scale
-    S = 18 * D clears every exponent the battery holds: the boundary and
+    With D the boundary's denominator (1 for the cell {0}), the battery is
+    computed at its frame F = lcm(18 * D, den exp(alpha)), which 18 * D
+    divides.  So F clears every exponent the battery holds: the boundary and
     its whole, half and third offsets lie in (1/6D)Z, and so does the
     ``rat`` midpoint of a one-third neighborhood (a sixth step from its
     ends).  The ``int`` pick inside a neighborhood is an integer, and the
     ``rat3`` pick is a multiple of 1/9, the largest power-of-3 step shorter
-    than 1/3.  The battery's frame is F = lcm(S, den exp(alpha)), which
-    also clears alpha and the cell: D is a multiple of the denominator of
-    the cell's doubled bound.
+    than 1/3.  F also clears alpha and the cell: D is a multiple of the
+    denominator of the cell's doubled bound.  ``legal`` and ``between``
+    give the same rational answer at every scale that clears it.
     """
     boundary = cell_boundary(cell)
-    scale = 18 if boundary is None else 18 * boundary.denominator
-    frame = scale if alpha is None or alpha.is_zero else math.lcm(scale, alpha.exp.denominator)
+    frame = 18 if boundary is None else 18 * boundary.denominator
+    if alpha is not None and not alpha.is_zero:
+        frame = math.lcm(frame, alpha.exp.denominator)
     if boundary is None:
         exps = [0]
     else:
-        edge = _scaled_exp(boundary, scale)
-        half, third = scale // 2, scale // 3
-        steps = (-scale, -half, -third, 0, third, half, scale)
+        edge = _scaled_exp(boundary, frame)
+        half, third = frame // 2, frame // 3
+        steps = (-frame, -half, -third, 0, third, half, frame)
         legal, between = sf.scaled_rules
-        found = {edge + step for step in steps if legal(edge + step, scale)}
+        found = {edge + step for step in steps if legal(edge + step, frame)}
         for lo, hi in ((edge - third, edge), (edge, edge + third)):
-            inside = between(lo, hi, scale)
+            inside = between(lo, hi, frame)
             if inside is not None:
                 found.add(inside)
-        up = frame // scale
-        exps = [x * up for x in sorted(found)]
+        exps = sorted(found)
     fiber = sf.identity_fiber()
     kinds = ((_TAG_TANGIBLE, fiber), (_TAG_GHOST, ())) + (((_TAG_TANGIBLE, (-1,) + fiber[1:]),) if fiber else ())
     battery = [(_TAG_ZERO, None, ())] + [(tag, x, f) for x in exps for tag, f in kinds]

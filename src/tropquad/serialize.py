@@ -17,13 +17,15 @@ A document's element literals repeat: a grid drawn from a few exponents
 holds each literal many times.  Each ``*_from_json`` call (and
 :func:`vector_from_text`) therefore reads its elements through one
 :func:`_element_reader`, which parses and validates each distinct literal
-once with :meth:`Semifield.parse_element` and hands the same immutable
-:class:`Element` to every later copy.  Only successful parses are kept, so
-an invalid literal fails at the path of its first occurrence, and the memo
-dies with the call, so nothing is carried from one document to the next.
-The caller owns the memo: the two hot loops, a form's ``upper`` and a
-matrix's rows, look an exact ``str`` up in it first and call the reader
-only on a miss, so a repeated literal costs one dict lookup.
+once with :meth:`Semifield.parse_element`, refuses an exponent too long to
+print once combined with others (:func:`_check_digits`), and hands the
+same immutable :class:`Element` to every later copy.  Only successful
+parses are kept, so an invalid literal fails at the path of its first
+occurrence, and the memo dies with the call, so nothing is carried from
+one document to the next.  The caller owns the memo: the two hot loops, a
+form's ``upper`` and a matrix's rows, look an exact ``str`` up in it first
+and call the reader only on a miss, so a repeated literal costs one dict
+lookup.
 
 Index keys repeat across documents rather than within one: every form of
 size n names its cells "1,2" ... "n-1,n".  :func:`_grow_canonical_keys` keeps
@@ -64,6 +66,8 @@ the per-entry one.
 
 from __future__ import annotations
 
+import functools
+import sys
 from fractions import Fraction
 from typing import Any, Callable, Optional
 
@@ -163,7 +167,7 @@ def _element_reader(sf: Semifield, memo: Optional[dict[str, Element]] = None):
     """
     if memo is None:
         memo = {}
-    parse = sf.parse_element
+    parse, digits = sf.parse_element, _max_digits()
 
     def read(obj: Any, path: str, *args) -> Element:
         if obj.__class__ is str:
@@ -173,9 +177,12 @@ def _element_reader(sf: Semifield, memo: Optional[dict[str, Element]] = None):
         elif not isinstance(obj, str):
             raise SchemaError("element must be an encoded string", path.format(*args))
         try:
-            element = memo[obj] = parse(obj)
+            element = parse(obj)
         except ValueError as exc:
             raise SchemaError(str(exc), path.format(*args)) from exc
+        if 0 < digits < len(obj) and element.exp is not None:  # a shorter text holds no longer number
+            _check_digits(element.exp, digits, path, *args)
+        memo[obj] = element
         return element
 
     return read
@@ -197,11 +204,38 @@ def rational_from_json(obj: Any, path: str, *args) -> Exponent:
 
 
 def _exponent_from_json(sf: Semifield, obj: Any, path: str, *args) -> Exponent:
+    """A table cell's exponent: a doubled bound is the sum of two input exponents, so it may have
+    twice their digits (:func:`_max_digits`), and a table that ``companions`` prints reads back."""
     x = rational_from_json(obj, path, *args)
     try:
-        return sf.check_exponent(x)
+        x = sf.check_exponent(x)
     except ValueError as exc:
         raise SchemaError(str(exc), path.format(*args)) from exc
+    _check_digits(x, 2 * _max_digits(), path, *args)
+    return x
+
+
+def _max_digits() -> int:
+    """The most digits an input exponent's numerator or denominator may have; 0 for no bound.
+
+    An int's decimal text is refused past sys.get_int_max_str_digits() digits (no limit when it is
+    0; Python before 3.10.7 has none).  A printed exponent combines up to four input exponents (the
+    midpoint of two tie points in an ``equal`` witness), so an input exponent keeps a fifth of it.
+    """
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() // 5
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_ceiling(digits: int) -> int:
+    """The least int of digits + 1 digits."""
+    return 10**digits
+
+
+def _check_digits(x: Exponent, digits: int, path: str, *args) -> None:
+    """Refuse x, at ``path.format(*args)``, if its numerator or denominator has more than
+    ``digits`` digits; 0 sets no bound."""
+    if digits and max(abs(x.numerator), x.denominator) >= _digit_ceiling(digits):
+        raise SchemaError(f"exponent numerator and denominator must have at most {digits} digits", path.format(*args))
 
 
 # canonical index key "i,j" -> 0-based (i, j), for 1 <= i <= j <= the largest n read so far (see the module docstring)

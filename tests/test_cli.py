@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from tropquad.probes import boundary_probe_elements
 from tropquad.semiring import format_element, leq_minimal
 from tropquad.serialize import (
     RATFORM_DIMENSION_LIMIT,
+    form_from_json,
     form_to_json,
     matrix_to_json,
     ratform_to_json,
@@ -44,6 +46,7 @@ from tropquad.serialize import (
 from gen import any_cells, any_elements, element_strategy
 
 FORM = {"semifield": {"group": "int", "fiber_rank": 0}, "n": 2, "diag": ["t:2", "t:4"], "upper": {"1,2": "t:3"}}
+HUGE = "t:" + "9" * 4300
 FORM_GHOSTED = {"semifield": {"group": "int", "fiber_rank": 0}, "n": 2, "diag": ["t:2", "t:4"], "upper": {"1,2": "g:3"}}
 RIGID1 = {"semifield": {"group": "int", "fiber_rank": 0}, "n": 2, "diag": ["t:0", "t:0"], "upper": {"1,2": "t:1"}}
 RIGID2 = {"semifield": {"group": "int", "fiber_rank": 0}, "n": 2, "diag": ["t:0", "t:0"], "upper": {"1,2": "g:1"}}
@@ -619,6 +622,10 @@ def cli_calls(draw):
 @example((["invert", 0], [5]))
 @example((["companions", 0], [dict(FORM, semifield={"group": []})]))
 @example((["eval", 0, "--vector", "t:0,t:0", '--semifield={"group": {}}'], [FORM]))
+# exponents of 4300 digits, the interpreter's default limit: their printed sums are longer
+@example((["companions", 0], [dict(FORM, diag=[HUGE, HUGE], upper={})]))
+@example((["decompose", 0], [dict(FORM, diag=[HUGE, HUGE], upper={})]))
+@example((["eval", 0, "--vector", HUGE], [dict(FORM, n=1, diag=[HUGE], upper={})]))
 def test_every_input_answers_with_one_json_document(call):
     argv, docs = call
     with tempfile.TemporaryDirectory() as d:
@@ -636,6 +643,58 @@ def test_every_input_answers_with_one_json_document(call):
     answer = json.loads(texts[0])
     if code == 1:
         assert err.getvalue() and "path" in answer
+
+
+def _digit_bound_literals(group: str, digits: int) -> tuple[str, list[str]]:
+    """An exponent of the group whose numerator has exactly ``digits`` digits and whose
+    denominator has at most that many, and exponents whose numerator or denominator has one more."""
+    top = 10**digits
+    if group == "int":
+        return str(top - 1), [str(top)]
+    den = top - 1
+    if group == "rat3":
+        den = 1
+        while 3 * den < top:
+            den *= 3
+    # top - 2 = 99...98 is prime to 3 and to top - 1
+    return f"{top - 2}/{den}", [str(top), f"-1/{3 * den if group == 'rat3' else top}"]
+
+
+@pytest.mark.parametrize("group", ["int", "rat", "rat3"])
+@pytest.mark.parametrize("command", ["eval", "companions", "decompose", "rigid-extrema", "equal", "check", "check-table"])
+def test_form_subcommands_answer_at_the_digit_bound_and_refuse_past_it(command, group, files, capsys):
+    """With every exponent at a fifth of the interpreter's digit limit, each form subcommand
+    prints JSON and exits 0, ``check --table`` with the form's own table included, whose
+    doubled bounds are longer; one digit past it, the literal is refused at its path.  A
+    table's exponents may have twice the digits."""
+    digits = sys.get_int_max_str_digits() // 5
+    big, pasts = _digit_bound_literals(group, digits)
+    semifield = {"group": group, "fiber_rank": 1}
+    q1 = {"semifield": semifield, "n": 2, "diag": [f"t:{big}:+", f"g:-{big}"], "upper": {"1,2": f"t:{big}:-"}}
+    q2 = dict(q1, upper={"1,2": f"g:-{big}"})
+
+    def call(form, vector=f"t:{big}:+,t:-{big}:-", table=None):
+        argv = {
+            "eval": ["eval", files("q.json", form), "--vector", vector],
+            "equal": ["equal", files("q.json", form), files("r.json", q2)],
+            "check-table": ["check", files("q.json", form), "--table", files("t.json", table)],
+        }.get(command, [command, files("q.json", form)])
+        return run(capsys, *argv)
+
+    table = table_to_json(companion_table(form_from_json(q1)))
+    code, out, _ = call(q1, table=table)
+    assert code == 0 and json.loads(out)
+    for past in pasts:
+        code, _, err = call(dict(q1, diag=[f"t:{past}:+", q1["diag"][1]]), table=table)
+        assert code == 1 and json.loads(err)["path"] == "$.diag[1]"
+        if command == "eval":
+            code, _, err = call(q1, vector=f"t:0:+,t:{past}:-")
+            assert code == 1 and json.loads(err)["path"] == "$.vector[2]"
+    if command == "check-table":
+        cells = [row[:] for row in table["cells"]]
+        cells[0][0] = {"kind": "nu_class", "exp": str(10 ** (2 * digits))}
+        code, _, err = call(q1, table=dict(table, cells=cells))
+        assert code == 1 and json.loads(err)["path"] == "$.cells[1][1].exp"
 
 
 @st.composite

@@ -47,7 +47,7 @@ from tropquad import (
 )
 from tropquad import probes as probe_module
 from tropquad.cli import main
-from tropquad.companions import _common_scale, _probe_exponents_for, cell_boundary, triple_membership_oracle
+from tropquad.companions import Battery, _probe_exponents_for, cell_boundary, triple_membership_oracle
 from tropquad.probes import _scaled_cell, boundary_probe_elements, cell_disagreements
 from tropquad.semiring import _canon_exp
 from tropquad.serialize import form_to_json
@@ -943,9 +943,39 @@ def test_integer_probe_set_equals_fraction_probe_set_property(data):
     probes = [_canon_exp(Fraction(p, scale)) for p in scaled]
     assert probes == expected
     assert [type(p) for p in probes] == [type(p) for p in expected]
-    assert scale == _common_scale(a for _, a in levels)
+    assert scale == 12 * math.lcm(*(a.exp.denominator for _, a in levels if not a.is_zero))
     assert all(isinstance(p, int) for p in scaled)
     assert line_exps == [_scaled(a, scale).exp for _, a in levels]
+
+
+@st.composite
+def _lines_and_battery(draw):
+    """A semifield of any group and rank 0 or 1, 0-6 lines of slope +1, -1 or 0, a list of
+    elements (zeros and duplicates among them) and a multiplier k in 1..4."""
+    sf = Semifield(draw(st.sampled_from(list(GroupKind))), draw(st.sampled_from((0, 1))))
+    elems = st.one_of(any_elements(sf), wide_element_strategy(sf))
+    lines = draw(st.lists(st.tuples(st.sampled_from((1, -1, 0)), elems), max_size=6))
+    return sf, lines, draw(st.lists(elems, min_size=1, max_size=8)), draw(st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lines_and_battery())
+def test_a_battery_gives_the_probes_of_its_elements_as_flat_lines_property(data):
+    """The probe-set builder handed a battery held at k times the lcm F of its
+    exponents' denominators returns the probes, as rationals and in the same
+    order, that it returns when each element comes as a flat line (0, beta), and
+    scales each element to the same rational as that line."""
+    sf, lines, elements, k = data
+    frame = k * math.lcm(*(b.exp.denominator for b in elements if not b.is_zero))
+    battery = Battery([(b.tag, _scaled(b, frame).exp, b.fiber) for b in elements], frame)
+    scale, line_exps, exps, probes = _probe_exponents_for(sf, *lines, battery=battery)
+    flat_scale, flat_exps, _, flat_probes = _probe_exponents_for(sf, *lines, *((0, b) for b in elements))
+
+    def rationals(xs, scale):
+        return [None if x is None else Fraction(x, scale) for x in xs]
+
+    assert rationals(probes, scale) == rationals(flat_probes, flat_scale)
+    assert rationals(line_exps + exps, scale) == rationals(flat_exps, flat_scale)
 
 
 def _fraction_boundary_probe_elements(sf, alpha, cell):
@@ -1052,7 +1082,7 @@ def test_a_battery_decides_the_same_at_any_frame_that_clears_it_property(data):
     scaled = _times(battery.triples, k)
     for line, oracle in (((a1, a2, a), partial(companion_membership_oracle, sf, a1, a2, a)),
                          ((a1, a1, a1.nu()), partial(diagonal_membership_oracle, sf, a1))):
-        assert triple_membership_oracle(sf, *line, scaled, k * frame) == oracle(battery) == oracle(elements)
+        assert triple_membership_oracle(sf, *line, Battery(scaled, k * frame)) == oracle(battery) == oracle(elements)
 
 
 @st.composite
@@ -1082,7 +1112,7 @@ def test_a_rat3_battery_at_its_frame_never_raises_property(data):
         else:
             assert companion_membership_oracle(sf, a1, a2, a, battery) == expected
         for k in range(1, 5):
-            assert triple_membership_oracle(sf, *line, _times(battery.triples, k), k * battery.frame) == expected
+            assert triple_membership_oracle(sf, *line, Battery(_times(battery.triples, k), k * battery.frame)) == expected
 
 
 @st.composite
@@ -1108,7 +1138,7 @@ def test_the_framed_oracle_matches_the_pairwise_reference_property(data):
     sf, a1, a2, a, k = data
     for alpha, line in ((a, (a1, a2, a)), (None, (a1, a1, a1.nu()))):
         battery = boundary_probe_elements(sf, alpha, pair_analysis(sf, *line)[1])
-        verdicts = triple_membership_oracle(sf, *line, _times(battery.triples, k), k * battery.frame)
+        verdicts = triple_membership_oracle(sf, *line, Battery(_times(battery.triples, k), k * battery.frame))
         assert verdicts == membership_oracle_reference(sf, *line, list(battery))
 
 

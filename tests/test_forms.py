@@ -65,9 +65,9 @@ def test_eval_examples():
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_eval_quadratic_is_the_term_by_term_sum_property(data):
-    """eval_quadratic sums by rows; its definition sums alpha_i x_i x_i and
-    beta_{i,j} x_i x_j term by term.  Zero-heavy draws make skipped rows and
-    coefficients common, and exponents in [-8, 8] make ties common."""
+    """eval_quadratic's value equals the term-by-term sum of its definition, of
+    alpha_i x_i x_i and beta_{i,j} x_i x_j.  Zero-heavy draws make zero terms
+    common, and exponents in [-8, 8] make ties common."""
     sf = Semifield(data.draw(st.sampled_from(list(GroupKind))), data.draw(st.integers(0, 2)))
     n = data.draw(st.integers(1, 8))
     elements = st.one_of(st.just(ZERO), element_strategy(sf))
