@@ -47,7 +47,8 @@ class QuadraticForm(Value):
     __slots__ = ("sf", "diag", "cross")
 
     def __init__(self, sf: Semifield, diag: Sequence[Element], upper: Mapping[tuple[int, int], Element] = {}):
-        diag = tuple(sf.element(a) for a in diag)
+        element = sf.element
+        diag = tuple(map(element, diag))
         n = len(diag)
         if not 1 <= n <= DIMENSION_LIMIT:
             raise ValueError(f"dimension {n} outside 1..{DIMENSION_LIMIT}")
@@ -61,7 +62,7 @@ class QuadraticForm(Value):
                 raise ValueError(f"upper index {key!r} must be a pair of ints")
             if not (0 <= i < j < n):
                 raise ValueError(f"upper index ({i},{j}) out of range for n={n}")
-            rows[i][j] = rows[j][i] = sf.element(v)
+            rows[i][j] = rows[j][i] = element(v)
         Value.__init__(self, sf, diag, tuple(map(tuple, rows)))
 
     @property

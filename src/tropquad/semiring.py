@@ -57,6 +57,11 @@ class GroupKind(enum.Enum):
     RAT = "rat"
     RAT3 = "rat3"
 
+    # Enum hashes a member by its name, in Python; members are singletons
+    # compared by identity, so the identity hash, in C, agrees with equality
+    # and makes each lookup of a group's rules cheaper
+    __hash__ = object.__hash__
+
 
 _set = object.__setattr__
 
@@ -293,6 +298,9 @@ def format_element(a: Element) -> str:
 # entries equal the signs, which is what check_fiber asks
 _SMALL_FIBERS = (((),), ((1,), (-1,)))
 
+# the fibers that the sign strings of rank 1 name
+_RANK1_SIGNS = {"+": (1,), "-": (-1,)}
+
 
 # -- the group rules on integers ------------------------------------------------
 # Each group states its two rules once, as plain functions of the integer
@@ -472,16 +480,16 @@ class Semifield(Value):
         """Validate that an element fits this semifield and return it.
 
         This is the one statement of an element's legality: :meth:`tangible`
-        and :meth:`ghost`, and :meth:`parse_element` through them, build
-        their elements through it.  Every group holds the integers, so an
-        ``int`` exponent needs no test, and an exponent of class exactly
-        ``Fraction`` needs only its denominator's; any other exponent, and
-        a ``Fraction`` that fails, goes to :meth:`check_exponent`, which
-        raises the error.  A fiber of rank 0 or 1 is screened by equality
-        with the legal fibers of its rank; any other fiber, and any that
-        fails the screen, goes to :meth:`check_fiber`, which raises the
-        error; a fiber given as a list, say, comes back as the validated
-        tuple.
+        and :meth:`ghost` build their elements through it, and
+        :meth:`parse_element` calls it directly.  Every group holds the
+        integers, so an ``int`` exponent needs no test, and an exponent of
+        class exactly ``Fraction`` needs only its denominator's; any other
+        exponent, and a ``Fraction`` that fails, goes to
+        :meth:`check_exponent`, which raises the error.  A fiber of rank 0
+        or 1 is screened by equality with the legal fibers of its rank; any
+        other fiber, and any that fails the screen, goes to
+        :meth:`check_fiber`, which raises the error; a fiber given as a list,
+        say, comes back as the validated tuple.
         """
         tag = a.tag
         if tag == _TAG_ZERO:
@@ -515,18 +523,25 @@ class Semifield(Value):
     # -- text encoding -----------------------------------------------------
 
     def parse_element(self, text: str) -> Element:
+        """The element a literal names, built with one call of :meth:`element`.
+
+        The exponent is read first, canonical, by :func:`parse_rational`,
+        then the signs: a rank-1 sign string through a two-entry table, any
+        other through the general rule.
+        """
         text = text.strip()
         if text == "0":
             return ZERO
         parts = text.split(":")
         if parts[0] == "g" and len(parts) == 2:
-            return self.ghost(parse_rational(parts[1]))
+            return self.element(Element(_TAG_GHOST, parse_rational(parts[1])))
         if parts[0] == "t" and len(parts) in (2, 3):
             exp = parse_rational(parts[1])
             if len(parts) == 2:
-                return self.tangible(exp)
-            if any(c not in "+-" for c in parts[2]) or not parts[2]:
-                raise ValueError(f"bad fiber signs in {text!r}")
-            fiber = tuple(1 if c == "+" else -1 for c in parts[2])
-            return self.tangible(exp, fiber)
+                fiber = self.identity_fiber()
+            elif (fiber := _RANK1_SIGNS.get(parts[2])) is None:
+                if any(c not in "+-" for c in parts[2]) or not parts[2]:
+                    raise ValueError(f"bad fiber signs in {text!r}")
+                fiber = tuple(1 if c == "+" else -1 for c in parts[2])
+            return self.element(Element(_TAG_TANGIBLE, exp, fiber))
         raise ValueError(f"bad element literal: {text!r}")

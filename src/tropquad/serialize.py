@@ -32,13 +32,14 @@ size n names its cells "1,2" ... "n-1,n".  :func:`_grow_canonical_keys` keeps
 one table from each canonical key "i,j" (1 <= i <= j, no sign, no leading
 zero) to its 0-based pair, grown to a document's n the first time it is
 read and never past ``DIMENSION_LIMIT``, so a rational form of n up to
-4096 never builds n^2/2 entries.  :func:`_index_pair` takes the table's
-pair only when it is in range for the document, on the right side of the
-diagonal and not already read; every other key, such as an alias "01,2",
-an out-of-range key or a duplicate, goes through the general parser, so
-each refusal keeps its message and path.  The table holds only what the
-parser would return for its keys, so sharing it between documents carries
-nothing from one to the next.
+4096 never builds n^2/2 entries.  :func:`form_from_json` and
+:func:`ratform_from_json` look each key up in it inline and take the
+table's pair only when it is in range for the document, on the right side
+of the diagonal and not already read; :func:`_index_pair`, the general
+parser, answers every other key, such as an alias "01,2", an out-of-range
+key or a duplicate, so each refusal keeps its message and path.  The
+table holds only what the parser would return for its keys, so sharing it
+between documents carries nothing from one to the next.
 
 A table's cells repeat the same way, so :func:`table_from_json` reads
 them through one :func:`_cell_reader`, which reads each distinct cell
@@ -252,12 +253,10 @@ def _grow_canonical_keys(n: int) -> None:
 def _index_pair(key: str, n: int, path: str, known: dict, strict_upper: bool) -> tuple[int, int]:
     """0-based (i, j) of an "i,j" key; a key naming a cell already in ``known`` is refused.
 
-    A canonical key is looked up before it is parsed (see the module
-    docstring).  Errors are located at ``{path}.{key}``.
+    The general parser, for every key that the readers' canonical lookup
+    does not answer (see the module docstring).  Errors are located at
+    ``{path}.{key}``.
     """
-    ij = _CANONICAL_KEYS.get(key)
-    if ij is not None and ij[1] < n and (ij[0] < ij[1] or not strict_upper) and ij not in known:
-        return ij
     parts = key.split(",")
     if len(parts) != 2:
         reason = "index key must look like 'i,j'"
@@ -296,8 +295,11 @@ def form_from_json(obj: Any) -> QuadraticForm:
     _expect(isinstance(upper_obj, dict), "upper must be an object", "$.upper")
     _grow_canonical_keys(n)
     upper = {}
+    canonical = _CANONICAL_KEYS.get
     for key, val in upper_obj.items():
-        ij = _index_pair(key, n, "$.upper", upper, strict_upper=True)
+        ij = canonical(key)
+        if ij is None or ij[1] >= n or ij[0] == ij[1] or ij in upper:
+            ij = _index_pair(key, n, "$.upper", upper, strict_upper=True)
         # the class is checked first: a list is unhashable; an Element is always true
         upper[ij] = (val.__class__ is str and memo.get(val)) or read(val, "$.upper.{}", key)
     return _schema(QuadraticForm, "$", sf, diag, upper)
@@ -526,8 +528,11 @@ def ratform_from_json(obj: Any) -> RationalQuadraticForm:
     _expect(isinstance(coeffs_obj, dict), "coeffs must be an object", "$.coeffs")
     _grow_canonical_keys(n)
     coeffs = {}
+    canonical = _CANONICAL_KEYS.get
     for key, val in coeffs_obj.items():
-        ij = _index_pair(key, n, "$.coeffs", coeffs, strict_upper=False)
+        ij = canonical(key)
+        if ij is None or ij[1] >= n or ij in coeffs:
+            ij = _index_pair(key, n, "$.coeffs", coeffs, strict_upper=False)
         coeffs[ij] = rational_from_json(val, "$.coeffs.{}", key)
     return _schema(RationalQuadraticForm, "$", n, coeffs)
 

@@ -951,9 +951,10 @@ def test_integer_probe_set_equals_fraction_probe_set_property(data):
 @st.composite
 def _lines_and_battery(draw):
     """A semifield of any group and rank 0 or 1, 0-6 lines of slope +1, -1 or 0, a list of
-    elements (zeros and duplicates among them) and a multiplier k in 1..4."""
+    elements (zeros and duplicates among them) and a multiplier k in 1..4.  Every exponent
+    lies in the group, as the builder's scale assumes: forms and batteries are validated."""
     sf = Semifield(draw(st.sampled_from(list(GroupKind))), draw(st.sampled_from((0, 1))))
-    elems = st.one_of(any_elements(sf), wide_element_strategy(sf))
+    elems = st.one_of(element_strategy(sf), wide_element_strategy(sf))
     lines = draw(st.lists(st.tuples(st.sampled_from((1, -1, 0)), elems), max_size=6))
     return sf, lines, draw(st.lists(elems, min_size=1, max_size=8)), draw(st.integers(1, 4))
 
@@ -976,6 +977,18 @@ def test_a_battery_gives_the_probes_of_its_elements_as_flat_lines_property(data)
 
     assert rationals(probes, scale) == rationals(flat_probes, flat_scale)
     assert rationals(line_exps + exps, scale) == rationals(flat_exps, flat_scale)
+
+
+def test_a_line_outside_the_group_raises_rather_than_rounds():
+    """The builder's scale clears every probe only for exponents of the group:
+    a rat3 line g:-1/8 leaves a pick that the scale does not clear, and the
+    builder refuses it, battery or flat line alike, rather than round."""
+    sf = Semifield(GroupKind.RAT3, 1)
+    lines = [(1, Element("ghost", 0)), (1, Element("ghost", Fraction(-1, 8)))]
+    with pytest.raises(ValueError, match="does not clear"):
+        _probe_exponents_for(sf, *lines, battery=Battery([("ghost", 0, ())], 1))
+    with pytest.raises(ValueError, match="does not clear"):
+        _probe_exponents_for(sf, *lines, (0, Element("ghost", 0)))
 
 
 def _fraction_boundary_probe_elements(sf, alpha, cell):

@@ -1,7 +1,9 @@
 """Semifield arithmetic: frozen examples, axiom grids, and the minimal order."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -312,6 +314,20 @@ def test_integer_between_refuses_a_scale_that_does_not_clear():
             between(0, 1, 1)
         assert between(0, scale, scale) == 1
     assert INT.scaled_rules[1](0, 1, 1) is None
+
+
+def test_group_kinds_hash_by_identity_and_stay_singletons():
+    """A group is hashed by identity: it still keys a dict, copies and pickles
+    give back the same member, and equal semifields hash equal."""
+    rules = {kind: kind.value for kind in GroupKind}
+    for kind in GroupKind:
+        assert copy.copy(kind) is copy.deepcopy(kind) is pickle.loads(pickle.dumps(kind)) is kind
+        assert rules[GroupKind(kind.value)] == kind.value
+        assert hash(kind) == hash(copy.deepcopy(kind))
+        sf = Semifield(kind, 1)
+        twin = pickle.loads(pickle.dumps(sf))
+        assert twin == sf and hash(twin) == hash(sf) == hash(Semifield(kind, 1))
+        assert {sf: 1}[copy.deepcopy(sf)] == 1
 
 
 # -- randomized algebra laws ----------------------------------------------------------
