@@ -27,7 +27,7 @@ from .forms import DIMENSION_LIMIT, balanced_companion, eval_quadratic, is_rigid
 from .matrices import invert, monomial_decomposition
 from .semiring import ZERO, Element, format_element, leq_minimal
 from .serialize import SchemaError
-from .stropicalize import ring_companion_matrix, square_class_sequence, stropicalize_bilinear, stropicalize_form
+from .stropicalize import square_class_sequence, stropicalize_images
 from .probes import cell_disagreements
 
 
@@ -64,11 +64,15 @@ def _form(args, key: str = "form"):
 
 
 def _emit(args, payload: dict, pretty_lines: Callable[[], list[str]]) -> int:
-    """Print the payload as JSON, or under --pretty the lines built on demand."""
+    """Print the payload as JSON, or under --pretty the lines built on demand.
+
+    The payload may hold forms, Gram matrices and companion tables as they
+    are: :func:`serialize.dumps` writes each as its JSON object.
+    """
     if args.pretty:
         print("\n".join(pretty_lines()))
     else:
-        print(json.dumps(payload, sort_keys=True))
+        print(serialize.dumps(payload))
     return 0
 
 
@@ -91,7 +95,7 @@ def _cmd_eval(args) -> int:
 def _cmd_companions(args) -> int:
     q = _form(args)
     table = companion_table(q)
-    payload = serialize.table_to_json(table)
+    payload = serialize.document(table)
     payload["rigid"] = rigid = is_rigid(q)
     # is_quasilinear(q), read off the table: zero accompanies q iff every off-diagonal cell holds it
     payload["quasilinear"] = quasilinear = all(
@@ -105,27 +109,18 @@ def _cmd_companions(args) -> int:
     return _emit(args, payload, lines)
 
 
-def _extrema_json(ext) -> tuple:
-    """(min, max, no_max_cell) of rig_extrema as JSON values; the last two may be None."""
+def _no_max_key(ext):
+    """rig_extrema's no_max_cell as an "i,j" key, or None."""
     cell = ext.no_max_cell
-    return (
-        serialize.form_to_json(ext.minimum),
-        None if ext.maximum is None else serialize.form_to_json(ext.maximum),
-        None if cell is None else f"{cell[0] + 1},{cell[1] + 1}",
-    )
+    return None if cell is None else f"{cell[0] + 1},{cell[1] + 1}"
 
 
 def _cmd_decompose(args) -> int:
     q = _form(args)
     ext = rig_extrema(q)
     ql = quasilinear_part(q)
-    low, high, cell = _extrema_json(ext)
-    payload = {
-        "ql": serialize.form_to_json(ql),
-        "rigid_min": low,
-        "rigid_max": high,
-        "table": serialize.table_to_json(ext.table),
-    }
+    cell = _no_max_key(ext)
+    payload = {"ql": ql, "rigid_min": ext.minimum, "rigid_max": ext.maximum, "table": ext.table}
     if cell is not None:
         payload["no_max_cell"] = cell
 
@@ -146,8 +141,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_rigid_extrema(args) -> int:
     q = _form(args)
     ext = rig_extrema(q)
-    low, high, cell = _extrema_json(ext)
-    payload = {"min": low, "max": high, "no_max_cell": cell}
+    payload = {"min": ext.minimum, "max": ext.maximum, "no_max_cell": _no_max_key(ext)}
     return _emit(args, payload, lambda: [
         f"min: {ext.minimum!r}",
         "max: " + (repr(ext.maximum) if ext.maximum is not None else "none"),
@@ -251,14 +245,12 @@ def _cmd_stropicalize(args) -> int:
         # the image is a QuadraticForm; `classes` needs no image and has no limit
         raise SchemaError(f"dimension {ratform.n} outside 1..{DIMENSION_LIMIT}", "$.n")
     spec = serialize.supervaluation_from_args(args.prime, args.mode)
-    qphi = stropicalize_form(spec, ratform)
+    qphi, b_phi, classes = stropicalize_images(spec, ratform)
     balanced = balanced_companion(qphi)
-    b_phi = stropicalize_bilinear(spec, ring_companion_matrix(ratform))
-    classes = square_class_sequence(spec, ratform)
     payload = {
-        "form": serialize.form_to_json(qphi),
-        "balanced": serialize.bilinear_to_json(balanced),
-        "b_phi": serialize.bilinear_to_json(b_phi),
+        "form": qphi,
+        "balanced": balanced,
+        "b_phi": b_phi,
         "square_classes": [serialize.class_tag_to_json(t) for t in classes],
         "quasilinear": is_quasilinear(qphi),
     }

@@ -115,6 +115,24 @@ class NuClass(Value):
 CompanionSet = Union[Singleton, NuLeqDoubled, NuLtDoubled, NuClass]
 
 
+def cell_key(cell: CompanionSet) -> Optional[tuple]:
+    """Which cells are one value: the class and field (a singleton's element as tag, fiber and
+    exponent), the exponent as an int, None or a Fraction's numerator and denominator.  Cells of
+    one key print alike and have the same extremes.  A cell whose exponent has another type has
+    no key (None): the float 2.0 equals 2 but prints differently."""
+    cls = cell.__class__
+    if cls is Singleton:
+        value = cell.value
+        head, exp = (cls, value.tag, tuple(value.fiber)), value.exp
+    else:
+        head, exp = cls, cell.exp if cls is NuClass else cell.bound2
+    if exp.__class__ is int or exp is None:
+        return head, exp
+    if exp.__class__ is Fraction:
+        return head, exp.numerator, exp.denominator
+    return None
+
+
 def contains(cell: CompanionSet, beta: Element) -> bool:
     """Whether beta lies in the cell, by its kind's rule ``holds`` on beta's (tag, exponent, fiber)
     triple; a caller that asks one cell about many triples may bind that method once."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .companions import NuLtDoubled, companion_table, is_companion, set_max, set_min
+from .companions import NuLtDoubled, Singleton, cell_key, companion_table, is_companion, set_max, set_min
 from .errors import PreconditionError
 from .forms import QuadraticForm, SymmetricBilinearForm, is_rigid
 from .semiring import ZERO, Value
@@ -65,19 +65,32 @@ def rig_extrema(q: QuadraticForm) -> RigExtrema:
     exists iff every off-diagonal cell has one (half-open cells over a
     dense gap do not).  The table is walked by rows, and a zero extreme is
     left out of its mapping, since an absent coefficient is zero.
+
+    ``set_min`` and ``set_max`` run once per distinct ``cell_key``, so
+    cells of one value share their extremes' objects; a cell with no key is
+    computed on its own, and a singleton's extremes are its value.
     """
     sf, n = q.sf, q.n
     table = companion_table(q)
     min_upper = {}
     max_upper = {}
     no_max_cell = None
+    extremes: dict[tuple, tuple] = {}
     for i, row in enumerate(table.cells):
         for j in range(i + 1, n):
             cell = row[j]
-            low = set_min(sf, cell)
+            if cell.__class__ is Singleton:
+                low = top = cell.value
+            else:
+                key = cell_key(cell)
+                pair = extremes.get(key)  # None is never a key
+                if pair is None:
+                    pair = (set_min(sf, cell), set_max(sf, cell))
+                    if key is not None:
+                        extremes[key] = pair
+                low, top = pair
             if not low.is_zero:
                 min_upper[(i, j)] = low
-            top = set_max(sf, cell)
             if top is None:
                 if no_max_cell is None:
                     no_max_cell = (i, j)

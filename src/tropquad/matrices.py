@@ -15,7 +15,9 @@ class GeneralMatrix(Value):
     __slots__ = ("sf", "rows")
 
     def __init__(self, sf: Semifield, rows: Sequence[Sequence[Element]]):
-        rows = tuple(tuple(sf.element(v) for v in row) for row in rows)
+        # the shared ZERO is legal in every semifield; every other entry is validated
+        element = sf.element
+        rows = tuple(tuple([v if v is ZERO else element(v) for v in row]) for row in rows)
         if not rows or not rows[0]:
             raise ValueError("matrix must be nonempty")
         if any(len(row) != len(rows[0]) for row in rows):

@@ -43,36 +43,38 @@ between documents carries nothing from one to the next.
 
 A table's cells repeat the same way, so :func:`table_from_json` reads
 them through one :func:`_cell_reader`, which reads each distinct cell
-encoding once per document on the same terms.
+encoding once per document on the same terms, and hands one cell object
+to every cell of one value, by :func:`~tropquad.companions.cell_key`.
 
-The write side mirrors it for companion tables, whose cells repeat just as
-often: :func:`table_to_json` encodes each distinct cell once per call,
-through one :func:`_cell_encoder`.  Its memo is keyed by exactly what the
-encoding reads (the cell's class, its exponent as an int or as a reduced
-Fraction's numerator and denominator, and a singleton's tag and fiber), so
-two cells of one key print the same text.  A cell whose exponent has any
-other type bypasses the memo.
-
-Companion tables and Gram matrices are symmetric, and their mirror
-entries are mostly one object: :func:`~tropquad.companions.companion_table`
-puts one cell at (i, j) and (j, i), and the Gram grids the package builds
-and reads share their elements the same way.  So :func:`table_to_json`
-and :func:`bilinear_to_json` write through :func:`_symmetric_rows`, which
-encodes the upper triangle and reuses the encoding of (i, j) at (j, i)
-only when the two entries are the same object; any other mirror entry,
-as in an asymmetric table read by :func:`table_from_json`, is encoded on
-its own.  An object's encoding depends on nothing else, so the output is
-the per-entry one.
+The write side has one writer, :func:`dumps`, which the CLI prints
+through.  A payload holds forms, Gram matrices and companion tables as
+they are; ``json.dumps(payload, sort_keys=True)`` writes each as its
+:func:`document`, whose grid (``upper``, ``gram`` or ``cells``) it leaves
+as a marker, and a per-document :class:`_TextWriter` writes the grids as
+text that :func:`dumps` splices in at the markers.  The writer keeps each
+element's and cell's text by object, so a mirror entry that is its twin's
+object reuses the twin's text and any other, as in an asymmetric table,
+is encoded on its own; a cell it has not met is looked up by
+:func:`~tropquad.companions.cell_key`, so each distinct cell is encoded
+once per document.  Strings are escaped by ``json``'s own encoder, and
+``upper`` keys come in ``sort_keys`` order ("1,10" before "1,2").
+:func:`form_to_json`, :func:`bilinear_to_json`, :func:`table_to_json` and
+:func:`cell_to_json` read their values back from that text, so each
+schema has one encoding rule.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import sys
-from fractions import Fraction
-from typing import Any, Callable, Optional
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps's string encoder under ensure_ascii
+from operator import itemgetter
+from typing import Any, Optional
 
-from .companions import CompanionSet, CompanionTable, NuClass, NuLeqDoubled, NuLtDoubled, Singleton, cell_boundary
+from .companions import (
+    CompanionSet, CompanionTable, NuClass, NuLeqDoubled, NuLtDoubled, Singleton, cell_boundary, cell_key,
+)
 from .forms import DIMENSION_LIMIT, QuadraticForm, SymmetricBilinearForm, Vector
 from .matrices import GeneralMatrix
 from .semiring import (
@@ -306,17 +308,8 @@ def form_from_json(obj: Any) -> QuadraticForm:
 
 
 def form_to_json(q: QuadraticForm) -> dict:
-    return {
-        "semifield": semifield_to_json(q.sf),
-        "n": q.n,
-        "diag": [format_element(a) for a in q.diag],
-        "upper": {
-            f"{i + 1},{j + 1}": format_element(row[j])
-            for i, row in enumerate(q.cross)
-            for j in range(i + 1, q.n)
-            if not row[j].is_zero
-        },
-    }
+    """The form's JSON value, read back from the text :func:`dumps` writes for it."""
+    return json.loads(dumps(q))
 
 
 def vector_from_json(sf: Semifield, obj: Any) -> Vector:
@@ -360,23 +353,9 @@ def bilinear_from_json(obj: Any) -> SymmetricBilinearForm:
     return _schema(SymmetricBilinearForm, "$", sf, _grid_from_json(sf, obj, "gram"))
 
 
-def _symmetric_rows(grid, encode) -> list[list]:
-    """``encode`` of each entry, called once for a mirror pair that is one object (see the module docstring)."""
-    n = len(grid)
-    rows: list[list] = [[None] * n for _ in range(n)]
-    for i, row in enumerate(grid):
-        out = rows[i]
-        for j in range(i, n):
-            v = row[j]
-            out[j] = enc = encode(v)
-            if j != i:
-                mirror = grid[j][i]
-                rows[j][i] = enc if mirror is v else encode(mirror)
-    return rows
-
-
 def bilinear_to_json(b: SymmetricBilinearForm) -> dict:
-    return {"semifield": semifield_to_json(b.sf), "gram": _symmetric_rows(b.gram, format_element)}
+    """The Gram matrix's JSON value, read back from the text :func:`dumps` writes for it."""
+    return json.loads(dumps(b))
 
 
 def matrix_from_json(obj: Any) -> GeneralMatrix:
@@ -410,11 +389,27 @@ def cell_display(cell: CompanionSet) -> str:
     return f"[0, g:{cell_boundary(cell)}{']' if isinstance(cell, NuLeqDoubled) else '['}"
 
 
+def _cell_template(kind: str, field: str) -> str:
+    """The JSON text of a cell of this kind, keys sorted, with ``%(display)s`` and ``%(value)s``
+    standing for its quoted display and field."""
+    members = {"display": "%(display)s", "kind": _quote(kind), field: "%(value)s"}
+    return "{" + ", ".join([f"{_quote(k)}: {v}" for k, v in sorted(members.items())]) + "}"
+
+
+_CELL_TEXT = {cls: _cell_template(kind, field) for kind, (cls, field) in _CELLS.items()}
+
+
+def _cell_text(cell: CompanionSet) -> str:
+    """The cell's JSON text: its display, its kind and its field, an element or an exponent."""
+    cls = cell.__class__
+    value = getattr(cell, _CELL_KINDS[cls][1])
+    text = format_element(value) if cls is Singleton else str(value)
+    return _CELL_TEXT[cls] % {"display": _quote(cell_display(cell)), "value": _quote(text)}
+
+
 def cell_to_json(cell: CompanionSet) -> dict:
-    kind, field = _CELL_KINDS[type(cell)]
-    value = getattr(cell, field)
-    text = format_element(value) if isinstance(cell, Singleton) else str(value)
-    return {"display": cell_display(cell), "kind": kind, field: text}
+    """The cell's JSON value, read back from its text."""
+    return json.loads(_cell_text(cell))
 
 
 def cell_from_json(sf: Semifield, read_element, obj: Any, path: str, *args) -> CompanionSet:
@@ -445,9 +440,12 @@ def _cell_reader(sf: Semifield):
     ``str``, which is all :func:`cell_from_json` reads of such a cell, and
     keeps only cells that were read without error, so a malformed cell
     fails at the path of its first occurrence.  Any other cell is read on
-    its own.
+    its own.  Encodings of one value, such as "t:1" and "t: 1", give one
+    cell object: each new cell is looked up by its
+    :func:`~tropquad.companions.cell_key`.
     """
     memo: dict[tuple[str, str], CompanionSet] = {}
+    values: dict[tuple, CompanionSet] = {}
     read_element = _element_reader(sf)
 
     def read(obj: Any, path: str, *args) -> CompanionSet:
@@ -456,50 +454,19 @@ def _cell_reader(sf: Semifield):
             if key[1].__class__ is str:
                 cell = memo.get(key)
                 if cell is None:
-                    cell = memo[key] = cell_from_json(sf, read_element, obj, path, *args)
+                    cell = cell_from_json(sf, read_element, obj, path, *args)
+                    if (value := cell_key(cell)) is not None:
+                        cell = values.setdefault(value, cell)
+                    memo[key] = cell
                 return cell
         return cell_from_json(sf, read_element, obj, path, *args)
 
     return read
 
 
-def _cell_encoder() -> Callable[[CompanionSet], dict]:
-    """``encode(cell)`` for one table: each distinct cell is encoded once.
-
-    The key is what the encoding reads (see the module docstring), and
-    cells of one key share one dict.  A cell whose exponent is neither an
-    int nor a Fraction is encoded on its own: 2.0 == 2 prints differently.
-    """
-    memo: dict[tuple, dict] = {}
-
-    def encode(cell: CompanionSet) -> dict:
-        cls = cell.__class__
-        value = getattr(cell, _CELL_KINDS[cls][1])
-        if cls is Singleton:
-            key, exp = (value.tag, tuple(value.fiber)), value.exp
-        else:
-            key, exp = cls, value
-        if exp.__class__ is int or exp is None:
-            key = (key, exp)
-        elif exp.__class__ is Fraction:
-            key = (key, exp.numerator, exp.denominator)
-        else:
-            return cell_to_json(cell)
-        out = memo.get(key)
-        if out is None:
-            out = memo[key] = cell_to_json(cell)
-        return out
-
-    return encode
-
-
 def table_to_json(table: CompanionTable) -> dict:
-    """The table's JSON; equal cells share one encoding dict (see :func:`_cell_encoder`)."""
-    return {
-        "semifield": semifield_to_json(table.sf),
-        "n": table.n,
-        "cells": _symmetric_rows(table.cells, _cell_encoder()),
-    }
+    """The table's JSON value, read back from the text :func:`dumps` writes for it."""
+    return json.loads(dumps(table))
 
 
 def table_from_json(obj: Any) -> CompanionTable:
@@ -569,3 +536,142 @@ def class_tag_to_json(tag: Optional[SquareClassTag]) -> dict:
     if tag.fiber:
         out["fiber"] = "".join("+" if s > 0 else "-" for s in tag.fiber)
     return out
+
+
+# -- JSON text -------------------------------------------------------------------
+
+_ZERO_TEXT = _quote("0")
+# the stand-in for a grid in the value that json.dumps walks; :func:`dumps` splices the grid's text in at it
+_MARK = "\x00grid\x00"
+_QUOTED_MARK = _quote(_MARK)
+
+
+class _Grid:
+    """The grid member of a form, Gram matrix or table, held by its owner until :class:`_TextWriter` writes it."""
+
+    __slots__ = ("owner",)
+
+    def __init__(self, owner):
+        self.owner = owner
+
+
+def document(obj: Any) -> dict:
+    """The JSON object of a form, Gram matrix or companion table, its grid left to :func:`dumps`.
+
+    A form's grid is ``upper``, a Gram matrix's ``gram`` and a table's
+    ``cells``.  Any other obj raises the ``TypeError`` that ``json.dumps``
+    raises for a value it cannot encode.
+    """
+    if isinstance(obj, QuadraticForm):
+        return {
+            "semifield": semifield_to_json(obj.sf),
+            "n": obj.n,
+            "diag": [format_element(a) for a in obj.diag],
+            "upper": _Grid(obj),
+        }
+    if isinstance(obj, SymmetricBilinearForm):
+        return {"semifield": semifield_to_json(obj.sf), "gram": _Grid(obj)}
+    if isinstance(obj, CompanionTable):
+        return {"semifield": semifield_to_json(obj.sf), "n": obj.n, "cells": _Grid(obj)}
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def dumps(payload: Any) -> str:
+    """``json.dumps(payload, sort_keys=True)``, where each form, Gram matrix or table is its :func:`document`.
+
+    Each grid is written as text once per distinct entry (see the module docstring).
+    """
+    return _TextWriter().dumps(payload)
+
+
+@functools.lru_cache(maxsize=None)
+def _upper_layout(n: int) -> tuple:
+    """A size-n form's ``upper`` keys in the order of ``sort_keys``, by row: (i, pick, prefixes).
+
+    ``pick(row)`` is the tuple of the row's entries at the row's keys, and
+    ``prefixes`` their ``"i,j": `` texts, interned so that the layouts of
+    all sizes share them.  Keys sort as strings, so "1,10" comes before
+    "1,2"; and the keys of one row are contiguous in that order, since the
+    comma sorts below every digit.
+    """
+    rows: dict[int, list] = {}
+    for key, i, j in sorted((f"{i + 1},{j + 1}", i, j) for i in range(n) for j in range(i + 1, n)):
+        rows.setdefault(i, []).append((j, sys.intern(_quote(key) + ": ")))
+    layout = []
+    for i, entries in rows.items():
+        cols = [j for j, _ in entries]
+        pick = itemgetter(*cols) if len(cols) > 1 else (lambda row, j=cols[0]: (row[j],))
+        layout.append((i, pick, tuple(prefix for _, prefix in entries)))
+    return tuple(layout)
+
+
+class _TextWriter:
+    """The grids of one document as JSON text (see the module docstring).
+
+    ``by_id`` holds the text of each element and cell object met; each
+    belongs to a grid of the payload, which outlives the writer, so no id
+    is reused.  The package shares one element object per value, and
+    encoding an element costs less than hashing a Fraction, so an element
+    met anew is encoded; the case analysis builds a new cell for each pair,
+    so a cell met anew is looked up by its ``cell_key``.
+    """
+
+    def __init__(self):
+        self.fragments: list[str] = []
+        self.by_id: dict[int, str] = {}
+        self.cells: dict[tuple, str] = {}
+
+    def dumps(self, payload: Any) -> str:
+        # json.dumps calls default in the order of its output, so the fragments follow the markers
+        parts = json.dumps(payload, sort_keys=True, default=self._default).split(_QUOTED_MARK)
+        fragments = self.fragments
+        if len(parts) != len(fragments) + 1:
+            raise ValueError(f"{len(parts) - 1} grid markers in the text for {len(fragments)} grids")
+        out = [""] * (2 * len(parts) - 1)
+        out[::2], out[1::2] = parts, fragments
+        return "".join(out)
+
+    def _default(self, obj: Any):
+        if obj.__class__ is not _Grid:
+            return document(obj)
+        owner = obj.owner
+        if isinstance(owner, QuadraticForm):
+            text = self._upper_text(owner)
+        elif isinstance(owner, CompanionTable):
+            text = self._rows_text(owner.cells, self._cell)
+        else:
+            text = self._rows_text(owner.gram, self._element)
+        self.fragments.append(text)
+        return _MARK
+
+    def _texts(self, entries: tuple, encode) -> list[str]:
+        """The texts of a row's entries: from ``by_id``, and from ``encode`` where that misses."""
+        texts = list(map(self.by_id.get, map(id, entries)))
+        if None in texts:
+            texts = [t or encode(v) for t, v in zip(texts, entries)]
+        return texts
+
+    def _rows_text(self, rows, encode) -> str:
+        return "[" + ", ".join(["[" + ", ".join(self._texts(row, encode)) + "]" for row in rows]) + "]"
+
+    def _upper_text(self, q: QuadraticForm) -> str:
+        """The members "i,j" of the form's nonzero cross coefficients, i < j."""
+        cross, parts = q.cross, []
+        for i, pick, prefixes in _upper_layout(q.n):
+            texts = self._texts(pick(cross[i]), self._element)
+            parts += [p + t for p, t in zip(prefixes, texts) if t != _ZERO_TEXT]  # only zero prints "0"
+        return "{" + ", ".join(parts) + "}"
+
+    def _element(self, v: Element) -> str:
+        text = self.by_id[id(v)] = _quote(format_element(v))
+        return text
+
+    def _cell(self, cell: CompanionSet) -> str:
+        key = cell_key(cell)
+        text = self.cells.get(key)  # None is never a key
+        if text is None:
+            text = _cell_text(cell)
+            if key is not None:
+                self.cells[key] = text
+        self.by_id[id(cell)] = text
+        return text

@@ -17,7 +17,9 @@ repeat.  So :func:`stropicalize_form`, :func:`stropicalize_bilinear` and
 :func:`_image_map`, which computes the image of each distinct coefficient
 once per call.  That is exact: phi(c) depends on the value of c alone, and
 the memo is keyed by the value's lowest-terms numerator and denominator.
-``spec.semifield`` is one of two module-level values and builds nothing.
+:func:`stropicalize_images` hands the three one memo (their private
+``_image`` argument), which dies with its call.  ``spec.semifield`` is one
+of two module-level values and builds nothing.
 """
 
 from __future__ import annotations
@@ -188,15 +190,15 @@ def _image_map(spec: SupervaluationSpec):
     return image
 
 
-def stropicalize_form(spec: SupervaluationSpec, q: RationalQuadraticForm) -> QuadraticForm:
+def stropicalize_form(spec: SupervaluationSpec, q: RationalQuadraticForm, *, _image=None) -> QuadraticForm:
     """Coefficientwise image of the triangular scheme."""
-    image = _image_map(spec)
+    image = _image or _image_map(spec)
     diag = tuple(image(q.coeff(i, i)) for i in range(q.n))
     upper = {(i, j): image(c) for (i, j), c in q.coeffs.items() if i != j}
     return QuadraticForm(spec.semifield, diag, upper)
 
 
-def stropicalize_bilinear(spec: SupervaluationSpec, m: RatMatrix) -> SymmetricBilinearForm:
+def stropicalize_bilinear(spec: SupervaluationSpec, m: RatMatrix, *, _image=None) -> SymmetricBilinearForm:
     """Entrywise image of a symmetric rational Gram matrix.
 
     Entry (i, j) is imaged for j >= i and the element is put at (j, i)
@@ -210,7 +212,7 @@ def stropicalize_bilinear(spec: SupervaluationSpec, m: RatMatrix) -> SymmetricBi
         for j in range(i + 1, n):
             if m[i][j] != m[j][i]:
                 raise PreconditionError("symmetric matrix required", f"asymmetry at ({i + 1},{j + 1})")
-    image = _image_map(spec)
+    image = _image or _image_map(spec)
     rows = [[None] * n for _ in range(n)]
     for i, row in enumerate(m):
         out = rows[i]
@@ -234,19 +236,30 @@ def balanced_companion_of_strop(spec: SupervaluationSpec, q: RationalQuadraticFo
 
 
 def square_class_sequence(
-    spec: SupervaluationSpec, q: RationalQuadraticForm
+    spec: SupervaluationSpec, q: RationalQuadraticForm, *, _image=None
 ) -> tuple[Optional[SquareClassTag], ...]:
     """Unordered multiset (sorted canonically) of diagonal image square classes.
 
     Zero diagonal entries contribute None, the marker for the zero class.
     """
     sf = spec.semifield
-    image = _image_map(spec)
+    image = _image or _image_map(spec)
     tags: list[Optional[SquareClassTag]] = []
     for i in range(q.n):
         a = image(q.coeff(i, i))
         tags.append(None if a.is_zero else sf.square_class(a))
     return tuple(sorted(tags, key=_class_sort_key))
+
+
+def stropicalize_images(spec: SupervaluationSpec, q: RationalQuadraticForm) -> tuple:
+    """(q^phi, the image of q's ring companion matrix, the square classes of q^phi's diagonal),
+    each distinct coefficient imaged once."""
+    image = _image_map(spec)
+    return (
+        stropicalize_form(spec, q, _image=image),
+        stropicalize_bilinear(spec, ring_companion_matrix(q), _image=image),
+        square_class_sequence(spec, q, _image=image),
+    )
 
 
 def _class_sort_key(tag: Optional[SquareClassTag]):

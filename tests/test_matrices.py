@@ -5,8 +5,11 @@ import random
 
 import pytest
 
+from fractions import Fraction
+
 from tropquad import (
     ZERO,
+    Element,
     GeneralMatrix,
     GroupKind,
     MonomialMatrix,
@@ -157,3 +160,18 @@ def test_random_rejections_agree_with_search(sf):
         m = random_nonmonomial(rng, sf, n)
         assert not is_invertible(m)
         assert monomial_inverse_search(m) is None
+
+
+@pytest.mark.parametrize("bad", [Element("zero", 1), Element("tangible", Fraction(1, 2)), Element("ghost", 1, (1,))])
+def test_a_mostly_zero_matrix_still_validates_every_other_entry(bad):
+    """The shared ZERO is taken as it is; any other entry, a zero-tagged Element
+    that is not ZERO included, raises the error that ``Semifield.element`` raises."""
+    sf = Semifield(GroupKind.INT, 1)
+    with pytest.raises(ValueError) as direct:
+        sf.element(bad)
+    rows = [[ZERO] * 8 for _ in range(8)]
+    rows[5][3] = bad
+    with pytest.raises(ValueError) as built:
+        GeneralMatrix(sf, rows)
+    assert str(built.value) == str(direct.value)
+    assert GeneralMatrix(sf, [[ZERO] * 8] * 8).rows[7][7] is ZERO

@@ -11,11 +11,14 @@ output.
 import importlib.util
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from tropquad import ZERO, QuadraticForm, Semifield, format_element
+from tropquad import (
+    ZERO, GroupKind, NuLtDoubled, QuadraticForm, RationalQuadraticForm, Semifield, companion_table, format_element,
+)
 from tropquad.cli import main
 from tropquad.serialize import form_to_json, ratform_to_json
 
@@ -50,11 +53,28 @@ class Caller:
         path.write_text(json.dumps(doc))
         return str(path)
 
-    def check(self, argv: list, inputs: list, expect: dict):
+    def check(self, argv: list, inputs: list, expect: dict) -> str:
         code = main(argv)
         captured = self.capsys.readouterr()
         call = {"id": " ".join(argv), "inputs": inputs, "expect": expect}
         self.problems += [f"{call['id']}: {p}" for p in reference.check_output(call, code, captured.out, captured.err)]
+        return captured.out
+
+
+class SortedCaller(Caller):
+    """A Caller that also checks stdout byte for byte: the reference compares parsed
+    documents, and the CLI prints sorted-key JSON, so re-encoding the parsed
+    document with ``sort_keys`` must give stdout back, "1,10" before "1,2"."""
+
+    def check(self, argv: list, inputs: list, expect: dict) -> str:
+        out = super().check(argv, inputs, expect)
+        try:
+            canonical = json.dumps(json.loads(out), sort_keys=True) + "\n"
+        except ValueError:  # check_output has named it already
+            return out
+        if out != canonical:
+            self.problems.append(f"{' '.join(argv)}: stdout is not its document with sorted keys")
+        return out
 
 
 def _partner(rng: random.Random, q: QuadraticForm) -> QuadraticForm:
@@ -121,4 +141,45 @@ def test_rational_subcommands_print_what_the_reference_computes(prime, tmp_path,
                 for mode in MODES:
                     caller.check([cmd, path, "--prime", prime, "--mode", mode], [path],
                                  {"exit": 0, "kind": cmd, "prime": prime, "mode": mode})
+    assert caller.problems == []
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_table_sized_answers_at_two_digit_indices(kind, tmp_path, capsys):
+    """companions, decompose and rigid-extrema at n 10-16, where an ``upper`` key such as
+    "1,10" sorts before "1,2", on forms of fiber rank 2, including forms with no cross
+    term.  Only rat3 has nu_lt cells (half a legal sum may leave the group), and there
+    some tables hold one whose doubled bound is a Fraction."""
+    rng = random.Random(f"two-digit:{kind.value}")
+    sf = Semifield(kind, 2)
+    caller, fraction_bounds, empty = SortedCaller(tmp_path, capsys), 0, 0
+    for n in range(10, 17):
+        for density, zero_p in SHAPES + ((0.0, 0.3),):
+            q = random_form(rng, sf, n, density, zero_p)
+            doc = form_to_json(q)
+            empty += doc["upper"] == {}
+            path = caller.write(doc)
+            for cmd in ("companions", "decompose", "rigid-extrema"):
+                caller.check([cmd, path], [path], {"exit": 0, "kind": cmd})
+            cells = companion_table(q).cells
+            fraction_bounds += any(isinstance(c, NuLtDoubled) and c.bound2.__class__ is Fraction for r in cells for c in r)
+    assert caller.problems == []
+    assert empty == 7
+    assert (fraction_bounds > 0) == (kind is GroupKind.RAT3)
+
+
+def test_stropicalize_at_two_digit_indices(tmp_path, capsys):
+    """stropicalize at n 10-16 under every prime and mode, on dense rational forms
+    and on diagonal ones, whose image has an empty ``upper``."""
+    rng = random.Random("two-digit")
+    caller = SortedCaller(tmp_path, capsys)
+    for n in range(10, 17):
+        dense = ratform_to_json(random_ratform(rng, n, 0.2))
+        diagonal = ratform_to_json(RationalQuadraticForm(n, {(i, i): Fraction(i + 1) for i in range(n)}))
+        for doc in (dense, diagonal):
+            path = caller.write(doc)
+            for prime in PRIMES:
+                for mode in MODES:
+                    caller.check(["stropicalize", path, "--prime", prime, "--mode", mode], [path],
+                                 {"exit": 0, "kind": "stropicalize", "prime": prime, "mode": mode})
     assert caller.problems == []

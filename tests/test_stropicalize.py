@@ -363,3 +363,33 @@ def test_square_classes_invariant_under_square_scaled_base_change():
             original = sorted([None if a.is_zero else sf.square_class(a) for a in qphi.diag], key=repr)
             relocated = sorted([None if a.is_zero else sf.square_class(a) for a in moved.diag], key=repr)
             assert original == relocated
+
+
+def test_each_distinct_value_is_imaged_once_per_stropicalize_call(monkeypatch, tmp_path, capsys):
+    """``stropicalize`` images the form, its ring companion matrix and its diagonal with one memo:
+    counted by wrapping ``apply_supervaluation``, each distinct value is imaged once, and a second
+    call images them all again, so nothing is carried from one call to the next."""
+    import json
+
+    from tropquad import cli, stropicalize
+    from tropquad.serialize import ratform_to_json
+
+    q = random_ratform(random.Random(5), 64)
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(ratform_to_json(q)))
+    seen = []
+    original = stropicalize.apply_supervaluation
+
+    def counted(spec, a):
+        seen.append(a)
+        return original(spec, a)
+
+    monkeypatch.setattr(stropicalize, "apply_supervaluation", counted)
+    values = {c for row in ring_companion_matrix(q) for c in row} | {q.coeff(i, i) for i in range(q.n)}
+    values |= set(q.coeffs.values())
+    for _ in range(2):
+        seen.clear()
+        assert cli.main(["stropicalize", str(path), "--prime", "2"]) == 0
+        capsys.readouterr()
+        assert len(seen) == len(set(seen)) == len(values)
+        assert set(seen) == values
