@@ -16,7 +16,6 @@ import json
 import os
 import sys
 from functools import partial
-from itertools import combinations_with_replacement
 from typing import Callable
 
 from . import serialize
@@ -25,7 +24,7 @@ from .decomposition import quasilinear_part, rig_extrema
 from .errors import PreconditionError
 from .forms import DIMENSION_LIMIT, balanced_companion, eval_quadratic, is_rigid
 from .matrices import invert, monomial_decomposition
-from .semiring import ZERO, Element, format_element, leq_minimal
+from .semiring import ZERO, Element, format_element
 from .serialize import SchemaError
 from .stropicalize import square_class_sequence, stropicalize_images
 from .probes import cell_disagreements
@@ -166,30 +165,10 @@ def _cmd_equal(args) -> int:
     return _emit(args, payload, lines)
 
 
-def _cell_invariant_violations(cell, probes, inside) -> list[str]:
-    """Convexity and closure of a cell's members, walked pairwise over a probe battery.
-
-    ``inside[k]`` tells whether ``probes[k]`` is a member; a sum of members
-    is asked of ``contains(cell, .)``.  ``check`` does not call this: every
-    cell kind is a lower set of the minimal order, a nu-class or a singleton,
-    so its members are convex and closed and neither rule can fire.  It
-    stays while the bench tracer's ``cli.invariants`` span binds it by name,
-    and goes with that span (ROADMAP item 1).
-    """
-    problems = []
-    members = [b for b, ok in zip(probes, inside) if ok]
-    for mid, ok in zip(probes, inside):
-        if ok:
-            continue
-        lo = next((b for b in members if leq_minimal(b, mid)), None)
-        hi = next((b for b in members if leq_minimal(mid, b)), None)
-        if lo is not None and hi is not None:
-            problems.append(f"convexity fails between {lo} and {hi} at {mid}")
-    if any(m.is_ghost or m.is_zero for m in members):
-        for b1, b2 in combinations_with_replacement(members, 2):
-            if not contains(cell, b1 + b2):
-                problems.append(f"not closed under addition: {b1} + {b2}")
-    return problems
+def _cell_invariant_violations(*_):
+    """Retired: every cell kind is convex and closed, so ``check`` runs no invariant rule.
+    The name stays only for the bench tracer's ``cli.invariants`` span (ROADMAP item 1)."""
+    raise NotImplementedError("check runs no invariant rule")
 
 
 def _cmd_check(args) -> int:

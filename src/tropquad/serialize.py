@@ -43,8 +43,7 @@ between documents carries nothing from one to the next.
 
 A table's cells repeat the same way, so :func:`table_from_json` reads
 them through one :func:`_cell_reader`, which reads each distinct cell
-encoding once per document on the same terms, and hands one cell object
-to every cell of one value, by :func:`~tropquad.companions.cell_key`.
+encoding once per document on the same terms.
 
 The write side has one writer, :func:`dumps`, which the CLI prints
 through.  A payload holds forms, Gram matrices and companion tables as
@@ -440,12 +439,9 @@ def _cell_reader(sf: Semifield):
     ``str``, which is all :func:`cell_from_json` reads of such a cell, and
     keeps only cells that were read without error, so a malformed cell
     fails at the path of its first occurrence.  Any other cell is read on
-    its own.  Encodings of one value, such as "t:1" and "t: 1", give one
-    cell object: each new cell is looked up by its
-    :func:`~tropquad.companions.cell_key`.
+    its own.
     """
     memo: dict[tuple[str, str], CompanionSet] = {}
-    values: dict[tuple, CompanionSet] = {}
     read_element = _element_reader(sf)
 
     def read(obj: Any, path: str, *args) -> CompanionSet:
@@ -454,10 +450,7 @@ def _cell_reader(sf: Semifield):
             if key[1].__class__ is str:
                 cell = memo.get(key)
                 if cell is None:
-                    cell = cell_from_json(sf, read_element, obj, path, *args)
-                    if (value := cell_key(cell)) is not None:
-                        cell = values.setdefault(value, cell)
-                    memo[key] = cell
+                    cell = memo[key] = cell_from_json(sf, read_element, obj, path, *args)
                 return cell
         return cell_from_json(sf, read_element, obj, path, *args)
 
@@ -474,6 +467,8 @@ def table_from_json(obj: Any) -> CompanionTable:
     cells_obj = _get(obj, "cells", "$")
     _expect(isinstance(cells_obj, list) and cells_obj, "cells must be a nonempty list", "$.cells")
     n = len(cells_obj)
+    if "n" in obj:  # optional; when given, it must agree with the grid
+        _expect(_is_int(obj["n"]) and obj["n"] == n, f"n must be {n}, the number of rows of cells", "$.n")
     read = _cell_reader(sf)
     rows = []
     for r, row in enumerate(cells_obj, 1):

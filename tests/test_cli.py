@@ -15,24 +15,18 @@ from hypothesis import strategies as st
 
 from tropquad import (
     ZERO,
-    Element,
     GeneralMatrix,
     GroupKind,
-    NuClass,
     NuLeqDoubled,
-    NuLtDoubled,
     QuadraticForm,
     RationalQuadraticForm,
     Semifield,
-    Singleton,
     companion_table,
-    contains,
     is_quasilinear,
 )
 from tropquad import cli, companions
 from tropquad.cli import main
-from tropquad.probes import boundary_probe_elements
-from tropquad.semiring import format_element, leq_minimal
+from tropquad.semiring import format_element
 from tropquad.serialize import (
     RATFORM_DIMENSION_LIMIT,
     form_from_json,
@@ -43,7 +37,7 @@ from tropquad.serialize import (
     table_to_json,
 )
 
-from gen import any_cells, any_elements, element_strategy
+from gen import element_strategy
 
 FORM = {"semifield": {"group": "int", "fiber_rank": 0}, "n": 2, "diag": ["t:2", "t:4"], "upper": {"1,2": "t:3"}}
 HUGE = "t:" + "9" * 4300
@@ -465,6 +459,17 @@ def test_check_table_dimension_mismatch(files, capsys, tmp_path):
     assert json.loads(out)["mismatches"] == [{"table": "dimension mismatch"}]
 
 
+def test_check_refuses_a_table_whose_n_contradicts_its_cells(files, capsys):
+    """A saved table of one row that says ``"n": 2`` exits 1 at ``$.n`` rather
+    than reading as a 1 x 1 table and reporting a dimension mismatch."""
+    one = {"semifield": {"group": "int", "fiber_rank": 0}, "n": 1, "diag": ["t:2"]}
+    _, out, _ = run(capsys, "companions", files("one.json", one))
+    table = dict(json.loads(out), n=2)
+    code, out, err = run(capsys, "check", files("f.json", FORM), "--table", files("t.json", table))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "n must be 1, the number of rows of cells", "path": "$.n"}
+
+
 def _error(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
@@ -723,62 +728,7 @@ def test_companions_prints_is_quasilinear_property(q):
     assert json.loads(out.getvalue())["quasilinear"] is is_quasilinear(q)
 
 
-# -- the invariant rules of check ----------------------------------------------
-#
-# `check` no longer runs these rules: on a cell that `contains` reads they
-# cannot fire.  To show what the rules find, these tests hand them a cell
-# whose members are an arbitrary set: ``cli.contains`` is replaced by
-# membership in that set.
-
-INT = Semifield(GroupKind.INT, 0)
-
-
-def _violations(probes, members) -> list[str]:
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "contains", lambda _cell, b: b in members)
-        return cli._cell_invariant_violations(None, probes, [b in members for b in probes])
-
-
-def _by_definition(probes, members) -> dict:
-    """What each rule names, read straight off its statement with every order of the operands."""
-    inside = [b for b in probes if b in members]
-    return {
-        "convexity": {
-            str(mid) for b1 in inside for b2 in inside for mid in probes
-            if leq_minimal(b1, mid) and leq_minimal(mid, b2) and mid not in members
-        },
-        "closure": {
-            frozenset((str(b1), str(b2))) for b1 in inside for b2 in inside
-            if any(m.is_ghost or m.is_zero for m in inside) and b1 + b2 not in members
-        },
-    }
-
-
-def _named(problems) -> dict:
-    def after(prefix):
-        return [p[len(prefix):] for p in problems if p.startswith(prefix)]
-
-    return {
-        "convexity": {p.rsplit(" at ", 1)[1] for p in after("convexity fails between ")},
-        "closure": {frozenset(p.split(" + ")) for p in after("not closed under addition: ")},
-    }
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_invariant_rules_name_what_their_definitions_find(data):
-    sf = data.draw(SEMIFIELDS)
-    q = data.draw(forms(sf, 2))
-    i, j = data.draw(st.sampled_from([(0, 0), (1, 1), (0, 1)]))
-    cell = companion_table(q).cell(i, j)
-    probes = boundary_probe_elements(sf, q.cross[i][j] if i != j else None, cell)
-    assert ZERO in probes and all(b.nu() in probes for b in probes)
-    members = set(data.draw(st.lists(st.sampled_from(probes))))
-    named = _named(_violations(probes, members))
-    assert named == _by_definition(probes, members)
-    # ghost stability has no rule of its own: breaking it breaks closure or convexity
-    if ZERO in members and any((b in members) != (b.nu() in members) for b in probes):
-        assert named["closure"] or named["convexity"]
+# -- check's verdicts ------------------------------------------------------------
 
 
 def test_check_runs_no_invariant_rule(files, capsys, monkeypatch):
@@ -832,46 +782,3 @@ def test_check_reports_each_probe_where_the_oracle_disagrees(files, capsys, monk
     assert report["ok"] is False
     assert report["mismatches"] == expected
     assert [c["ok"] for c in report["cells"]] == [not on_diagonal, on_diagonal, not on_diagonal]
-
-
-def test_convexity_rule_fires_alone():
-    t0, t1, t2 = (INT.tangible(e) for e in (0, 1, 2))
-    assert _violations([t0, t1, t2], {t0, t2}) == ["convexity fails between t:0 and t:2 at t:1"]
-
-
-def test_closure_rule_fires_alone():
-    g0, t1, g1 = INT.ghost(0), INT.tangible(1), INT.ghost(1)
-    assert _violations([g0, t1, g1], {g0, t1}) == ["not closed under addition: t:1 + t:1"]
-
-
-def test_ghost_stability_rule_fires():
-    """With zero inside, b in and nu(b) out means b + b = nu(b) is out: the sum rule reports it."""
-    t0, g0 = INT.tangible(0), INT.ghost(0)
-    assert _violations([ZERO, t0, g0], {ZERO, t0}) == ["not closed under addition: t:0 + t:0"]
-
-
-def test_convexity_rule_fires_at_a_copy_of_a_member():
-    """A probe held twice, in by one copy and out by the other, lies between members."""
-    probes = boundary_probe_elements(INT, INT.tangible(3), companion_table(QuadraticForm(
-        INT, [INT.tangible(2), INT.tangible(4)], {(0, 1): INT.tangible(3)})).cell(0, 1))
-    assert [str(b) for b in probes] == ["0", "t:2", "g:2", "t:3", "g:3", "t:4", "g:4", "t:3", "g:3"]
-    inside = [k == 3 for k in range(len(probes))]
-    problems = cli._cell_invariant_violations(None, probes, inside)
-    assert problems == ["convexity fails between t:3 and t:3 at t:3"]
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.data())
-def test_invariant_rules_never_fire_on_a_cell(data):
-    """check classifies each probe with ``contains(cell, .)``, and every cell
-    kind is a lower set of the minimal order, a nu-class or a singleton: its
-    members are convex, and closed once one of them is zero or a ghost.  So
-    neither rule of ``_cell_invariant_violations`` can fire, whatever the
-    battery: with the cell's own probes, extra ones and duplicates."""
-    sf = data.draw(SEMIFIELDS)
-    cell = data.draw(any_cells(sf))
-    alpha = data.draw(st.one_of(st.none(), any_elements(sf)))
-    probes = list(boundary_probe_elements(sf, alpha, cell))
-    for extra in data.draw(st.lists(st.one_of(any_elements(sf), st.sampled_from(probes)), max_size=8)):
-        probes.insert(data.draw(st.integers(0, len(probes))), extra)
-    assert cli._cell_invariant_violations(cell, probes, [contains(cell, b) for b in probes]) == []

@@ -909,16 +909,17 @@ def _fraction_tie_points(terms):
 
 
 def _fraction_probe_exponents(sf, criticals):
-    """Reference: the probe exponents as the builder computed them on Fractions."""
+    """Reference: the probe exponents as the builder computed them, with the group's
+    rules stated on Fractions (:func:`gen.fraction_legal`, :func:`gen.fraction_between`)."""
     if not criticals:
         return [0]
-    probes = [_canon_exp(c) for c in criticals if sf.legal_exponent(c)]
+    probes = [_canon_exp(c) for c in criticals if fraction_legal(sf, c)]
     for lo, hi in zip(criticals, criticals[1:]):
-        mid = sf.between(lo, hi)
+        mid = fraction_between(sf, lo, hi)
         if mid is not None:
             probes.append(mid)
-    probes.append(sf.between(criticals[0] - 2, criticals[0]))
-    probes.append(sf.between(criticals[-1], criticals[-1] + 2))
+    probes.append(fraction_between(sf, criticals[0] - 2, criticals[0]))
+    probes.append(fraction_between(sf, criticals[-1], criticals[-1] + 2))
     return sorted(set(probes))
 
 
@@ -1043,6 +1044,15 @@ def test_integer_battery_equals_fraction_battery_property(data):
     expected = _fraction_boundary_probe_elements(sf, alpha, cell)
     assert list(probes) == expected
     assert [type(b.exp) for b in probes] == [type(b.exp) for b in expected]
+
+
+def test_a_battery_appends_the_cross_coefficient_and_its_ghost_after_its_boundary_probes():
+    """The (1,2) battery of diag [t:2, t:4], upper {"1,2": "t:3"}: alpha = t:3 and
+    nu(alpha) = g:3 come after the boundary probes, which already hold both, so
+    the battery probes each of them twice."""
+    q = QuadraticForm(INT, [t(2), t(4)], {(0, 1): t(3)})
+    probes = boundary_probe_elements(INT, t(3), companion_table(q).cell(0, 1))
+    assert [str(b) for b in probes] == ["0", "t:2", "g:2", "t:3", "g:3", "t:4", "g:4", "t:3", "g:3"]
 
 
 # -- one integer frame from battery to verdict ------------------------------------

@@ -300,6 +300,9 @@ def _table_with(r, c, cell):
         (lambda text: vector_from_text(INT, text), "t:1, t:y", "$.vector[2]", "not a rational literal: 'y'"),
         (ratform_from_json, {"n": 2, "coeffs": {"1,2": [1]}}, "$.coeffs.1,2", "rational must be an int or 'p/q' string"),
         (ratform_from_json, {"n": 2, "coeffs": {"2,1": "1"}}, "$.coeffs.2,1", "triangular coefficient needs i <= j"),
+        (table_from_json, dict(_TABLE, n=7), "$.n", "n must be 2, the number of rows of cells"),
+        (table_from_json, dict(_TABLE, n="2"), "$.n", "n must be 2, the number of rows of cells"),
+        (table_from_json, dict(_TABLE, n=2.0), "$.n", "n must be 2, the number of rows of cells"),
     ],
 )
 def test_every_cell_error_keeps_its_path_and_message(read, doc, path, reason):

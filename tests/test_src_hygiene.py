@@ -18,7 +18,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "tropquad"
 # (module, name) -> why the name stays although nothing in src uses it
 ALLOWED = {
     ("companions", "is_rigid"): "re-export that the bench tracer binds as companions.is_rigid",
-    ("cli", "_cell_invariant_violations"): "check no longer calls it; the bench tracer's cli.invariants span binds it",
+    ("cli", "_cell_invariant_violations"): "a stub that raises, kept because the bench tracer's cli.invariants span binds it",
 }
 
 # public export that no module of src reads -> (the paper statement it encodes, the test that checks it)
