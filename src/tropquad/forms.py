@@ -203,10 +203,15 @@ def balanced_companion(q: QuadraticForm) -> SymmetricBilinearForm:
     Doubling in this semiring is the ghost map, so the Gram diagonal is
     nu(alpha_i) and the off-diagonal copies the scheme coefficients.
     """
+    return _cross_with_diagonal(q, [a.nu() for a in q.diag])
+
+
+def _cross_with_diagonal(q: QuadraticForm, diag: Sequence[Element]) -> SymmetricBilinearForm:
+    """The Gram matrix of q's cross grid with ``diag`` on its diagonal."""
     rows = [list(row) for row in q.cross]
-    for i, a in enumerate(q.diag):
-        rows[i][i] = a.nu()
-    return SymmetricBilinearForm(q.sf, tuple(map(tuple, rows)))
+    for i, a in enumerate(diag):
+        rows[i][i] = a
+    return SymmetricBilinearForm(q.sf, rows)
 
 
 def add_forms(q1: QuadraticForm, q2: QuadraticForm) -> QuadraticForm:

@@ -11,15 +11,12 @@ The image form q^phi is the coefficientwise image of the triangular scheme
 and lives on the standard base, which monomial base changes can only
 permute and rescale.
 
-The coefficients of a form, and above all the entries of a Gram matrix,
-repeat.  So :func:`stropicalize_form`, :func:`stropicalize_bilinear` and
-:func:`square_class_sequence` each map coefficients through one
-:func:`_image_map`, which computes the image of each distinct coefficient
-once per call.  That is exact: phi(c) depends on the value of c alone, and
-the memo is keyed by the value's lowest-terms numerator and denominator.
-:func:`stropicalize_images` hands the three one memo (their private
-``_image`` argument), which dies with its call.  ``spec.semifield`` is one
-of two module-level values and builds nothing.
+Coefficients repeat, so each function maps them through one
+:func:`_image_map`, a per-call memo that images each distinct value once:
+phi(c) depends on the value of c alone.  :func:`stropicalize_images`, the
+CLI's one call, images q once and reads the ring companion's image and the
+square classes off q^phi.  ``spec.semifield`` is one of two module-level
+values and builds nothing.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .errors import PreconditionError, check_vector
-from .forms import QuadraticForm, SymmetricBilinearForm, balanced_companion
+from .forms import QuadraticForm, SymmetricBilinearForm, _cross_with_diagonal, balanced_companion
 from .semiring import Element, GroupKind, Semifield, SquareClassTag, Value
 
 RatMatrix = tuple[tuple[Fraction, ...], ...]
@@ -190,15 +187,15 @@ def _image_map(spec: SupervaluationSpec):
     return image
 
 
-def stropicalize_form(spec: SupervaluationSpec, q: RationalQuadraticForm, *, _image=None) -> QuadraticForm:
+def stropicalize_form(spec: SupervaluationSpec, q: RationalQuadraticForm) -> QuadraticForm:
     """Coefficientwise image of the triangular scheme."""
-    image = _image or _image_map(spec)
+    image = _image_map(spec)
     diag = tuple(image(q.coeff(i, i)) for i in range(q.n))
     upper = {(i, j): image(c) for (i, j), c in q.coeffs.items() if i != j}
     return QuadraticForm(spec.semifield, diag, upper)
 
 
-def stropicalize_bilinear(spec: SupervaluationSpec, m: RatMatrix, *, _image=None) -> SymmetricBilinearForm:
+def stropicalize_bilinear(spec: SupervaluationSpec, m: RatMatrix) -> SymmetricBilinearForm:
     """Entrywise image of a symmetric rational Gram matrix.
 
     Entry (i, j) is imaged for j >= i and the element is put at (j, i)
@@ -212,7 +209,7 @@ def stropicalize_bilinear(spec: SupervaluationSpec, m: RatMatrix, *, _image=None
         for j in range(i + 1, n):
             if m[i][j] != m[j][i]:
                 raise PreconditionError("symmetric matrix required", f"asymmetry at ({i + 1},{j + 1})")
-    image = _image or _image_map(spec)
+    image = _image_map(spec)
     rows = [[None] * n for _ in range(n)]
     for i, row in enumerate(m):
         out = rows[i]
@@ -235,34 +232,29 @@ def balanced_companion_of_strop(spec: SupervaluationSpec, q: RationalQuadraticFo
     return balanced_companion(stropicalize_form(spec, q))
 
 
-def square_class_sequence(
-    spec: SupervaluationSpec, q: RationalQuadraticForm, *, _image=None
-) -> tuple[Optional[SquareClassTag], ...]:
-    """Unordered multiset (sorted canonically) of diagonal image square classes.
+def square_class_sequence(spec: SupervaluationSpec, q: RationalQuadraticForm) -> tuple[Optional[SquareClassTag], ...]:
+    """The square classes of the image of q's diagonal; no dimension limit."""
+    image = _image_map(spec)
+    return _square_classes(spec.semifield, [image(q.coeff(i, i)) for i in range(q.n)])
 
-    Zero diagonal entries contribute None, the marker for the zero class.
-    """
-    sf = spec.semifield
-    image = _image or _image_map(spec)
-    tags: list[Optional[SquareClassTag]] = []
-    for i in range(q.n):
-        a = image(q.coeff(i, i))
-        tags.append(None if a.is_zero else sf.square_class(a))
-    return tuple(sorted(tags, key=_class_sort_key))
+
+def _square_classes(sf: Semifield, diag: Sequence[Element]) -> tuple[Optional[SquareClassTag], ...]:
+    """The square classes of ``diag`` as a multiset, sorted canonically; None marks each zero entry."""
+    tags = (None if a.is_zero else sf.square_class(a) for a in diag)
+    return tuple(sorted(tags, key=lambda t: (0, 0, ()) if t is None else (1, (t.ghost, t.parity), t.fiber or ())))
 
 
 def stropicalize_images(spec: SupervaluationSpec, q: RationalQuadraticForm) -> tuple:
-    """(q^phi, the image of q's ring companion matrix, the square classes of q^phi's diagonal),
-    each distinct coefficient imaged once."""
-    image = _image_map(spec)
-    return (
-        stropicalize_form(spec, q, _image=image),
-        stropicalize_bilinear(spec, ring_companion_matrix(q), _image=image),
-        square_class_sequence(spec, q, _image=image),
-    )
+    """(q^phi, the image of q's ring companion matrix, the square classes of q^phi's diagonal).
 
-
-def _class_sort_key(tag: Optional[SquareClassTag]):
-    if tag is None:
-        return (0, 0, ())
-    return (1, (tag.ghost, tag.parity), tag.fiber or ())
+    q is imaged once and the rest is read off q^phi.  The ring companion
+    has 2 c_ii on its diagonal and c_ij off it.  phi depends on a value
+    alone, sends zero to zero and is multiplicative, so phi(2 c_ii) =
+    phi(2) alpha_i and phi(c_ij) = beta_ij, for every prime, the trivial
+    valuation and every mode: the image is q^phi's cross grid with
+    phi(2) alpha_i on its diagonal.
+    """
+    qphi = stropicalize_form(spec, q)
+    two = apply_supervaluation(spec, 2)
+    b_phi = _cross_with_diagonal(qphi, [two * a for a in qphi.diag])
+    return qphi, b_phi, _square_classes(spec.semifield, qphi.diag)

@@ -4,10 +4,11 @@ The project runs no linter, so two of a linter's checks live here:
 every name a module imports is used in that module, and every module-level
 private function is referenced somewhere in the package besides its own
 definition.  ``__init__.py`` is left out, since its imports are the public
-exports.  Two checks are the project's own: the front end, ``cli``,
-imports no ``_``-prefixed name from another module, and every public
-export that no other module reads says which of the paper's statements it
-encodes and which test checks it.
+exports.  Three checks are the project's own: the front end, ``cli``,
+imports no ``_``-prefixed name from another module; no public function or
+method takes a ``_``-prefixed parameter; and every public export that no
+other module reads says which of the paper's statements it encodes and
+which test checks it.
 """
 
 import ast
@@ -24,6 +25,7 @@ ALLOWED = {
 # public export that no module of src reads -> (the paper statement it encodes, the test that checks it)
 CRITERION_4 = "q = κ + ρ along any companion, and the module laws of κ and Rig(q)"
 CRITERION_6 = "a base change is invertible exactly when it is monomial with tangible scales"
+CRITERION_7 = "the image of q's ring companion accompanies q^φ"
 LIBRARY_ONLY = {
     "add_forms": (CRITERION_4, "test_acceptance::test_criterion_4_decomposition_suite"),
     "scale_form": (CRITERION_4, "test_acceptance::test_criterion_4_decomposition_suite"),
@@ -33,6 +35,8 @@ LIBRARY_ONLY = {
     "identity_matrix": (CRITERION_6, "test_acceptance::test_criterion_6_unique_base_invertibility"),
     "is_invertible": (CRITERION_6, "test_acceptance::test_criterion_6_unique_base_invertibility"),
     "mat_mul": (CRITERION_6, "test_acceptance::test_criterion_6_unique_base_invertibility"),
+    "ring_companion_matrix": (CRITERION_7, "test_acceptance::test_criterion_7_stropicalization"),
+    "stropicalize_bilinear": (CRITERION_7, "test_acceptance::test_criterion_7_stropicalization"),
     "balanced_companion_of_strop": (
         "the stropicalized balanced companion accompanies the stropicalized form",
         "test_acceptance::test_criterion_7_stropicalization",
@@ -103,6 +107,30 @@ def _private_imports(tree: ast.Module) -> set[str]:
     }
 
 
+def _public(name: str) -> bool:
+    return not name.startswith("_") or (name.startswith("__") and name.endswith("__"))
+
+
+def _private_parameters(tree: ast.Module) -> set[str]:
+    """Every public function or method of the module, as ``f`` or ``Class.f``, that takes a
+    ``_``-prefixed parameter: a private channel into a public function."""
+    defs = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    defs += [
+        (f"{cls.name}.{fn.name}", fn)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+    ]
+    out = set()
+    for name, fn in defs:
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        if all(map(_public, name.split("."))) and any(p.arg.startswith("_") for p in params):
+            out.add(name)
+    return out
+
+
 def _exports(init: ast.Module) -> set[str]:
     """Every name ``__init__.py`` imports, which is what the package exports."""
     return {
@@ -151,10 +179,28 @@ def test_the_checks_find_what_they_look_for():
     assert _private_imports(ast.parse("from .semiring import Element, _unscaled_exp\nfrom . import _x\n")) == {
         "_unscaled_exp", "_x",
     }
+    assert _private_parameters(ast.parse(
+        "def f(x, *, _memo=None): pass\n"
+        "def g(*_rest): pass\n"
+        "def _h(_x): pass\n"
+        "class C:\n"
+        "    def __init__(self, _x): pass\n"
+        "    def m(self, **_kw): pass\n"
+        "    def _p(self, _x): pass\n"
+        "    def ok(self, x): pass\n"
+        "class _D:\n"
+        "    def m(self, _x): pass\n"
+    )) == {"f", "g", "C.__init__", "C.m"}
     init = ast.parse("from .m import called, read, unread\nfrom .n import alone\n")
     assert _library_only(init, {"m": ast.parse("def f(): return called()\n"), "n": ast.parse("x = m.read\n")}) == {
         "unread", "alone",
     }
+
+
+def test_no_public_function_takes_a_private_parameter():
+    """A ``_``-prefixed parameter of a public function is a channel only the package is meant to
+    use; what a caller needs goes in a public parameter, and a shared memo in a private function."""
+    assert {(name, fn) for name, tree in _modules().items() for fn in _private_parameters(tree)} == set()
 
 
 def test_the_front_end_imports_only_public_names():

@@ -36,7 +36,7 @@ from tropquad import (
     stropicalize_form,
 )
 
-from tropquad.stropicalize import _rational
+from tropquad.stropicalize import _rational, stropicalize_images
 
 from gen import random_ratform, random_rational
 
@@ -278,28 +278,34 @@ def test_triangular_scheme_commutes_with_image():
 
 
 def test_companion_membership_of_both_companions():
+    """Both companions lie in q^phi's companion table, and ``stropicalize_images`` reads the ring
+    companion's image and the square classes off q^phi as the library path computes them, in every
+    mode, at the trivial valuation and p = 2, 3, 5, with zero diagonals and the coefficients 2 and 1/2."""
     rng = random.Random(4)
-    for p in (2, 3, 5):
-        spec = SupervaluationSpec(p, "tangible")
-        for _ in range(20):
-            q = random_ratform(rng, 3)
-            qphi = stropicalize_form(spec, q)
-            table = companion_table(qphi)
-            for comp in (
-                balanced_companion_of_strop(spec, q),
-                stropicalize_bilinear(spec, ring_companion_matrix(q)),
-            ):
+    pool = (F(0), F(2), F(1, 2), F(-2), F(-1, 2))
+    for mode in ("tangible", "ghost", "signed"):
+        for p in (None, 2, 3, 5):
+            spec = SupervaluationSpec(p, mode)
+            for _ in range(20):
+                q = RationalQuadraticForm(3, {
+                    (i, j): rng.choice(pool) if rng.random() < 0.5 else random_rational(rng)
+                    for i in range(3) for j in range(i, 3)
+                })
+                qphi = stropicalize_form(spec, q)
+                bphi = stropicalize_bilinear(spec, ring_companion_matrix(q))
+                assert stropicalize_images(spec, q) == (qphi, bphi, square_class_sequence(spec, q))
+                table = companion_table(qphi)
+                for comp in (balanced_companion_of_strop(spec, q), bphi):
+                    for i in range(3):
+                        for j in range(i, 3):
+                            assert contains(table.cell(i, j), comp.gram[i][j])
+                # doubling never lowers the valuation, strictly raises it at p = 2
                 for i in range(3):
-                    for j in range(i, 3):
-                        assert contains(table.cell(i, j), comp.gram[i][j])
-            # doubling never lowers the valuation, strictly raises it at p = 2
-            bphi = stropicalize_bilinear(spec, ring_companion_matrix(q))
-            for i in range(3):
-                if q.coeff(i, i) == 0:
-                    continue
-                assert leq_minimal(bphi.gram[i][i].nu(), qphi.diag[i].nu())
-                if p == 2:
-                    assert bphi.gram[i][i].nu() != qphi.diag[i].nu()
+                    if q.coeff(i, i) == 0:
+                        continue
+                    assert leq_minimal(bphi.gram[i][i].nu(), qphi.diag[i].nu())
+                    if p == 2:
+                        assert bphi.gram[i][i].nu() != qphi.diag[i].nu()
 
 
 def _compatible(spec, q, vec) -> bool:
@@ -366,10 +372,12 @@ def test_square_classes_invariant_under_square_scaled_base_change():
 
 
 def test_each_distinct_value_is_imaged_once_per_stropicalize_call(monkeypatch, tmp_path, capsys):
-    """``stropicalize`` images the form, its ring companion matrix and its diagonal with one memo:
-    counted by wrapping ``apply_supervaluation``, each distinct value is imaged once, and a second
+    """``stropicalize`` images the form once and reads the ring companion's image and the square
+    classes off the image form: counted by wrapping ``apply_supervaluation``, each distinct
+    coefficient value of q (zero for an absent diagonal) is imaged once, plus 2 once, and a second
     call images them all again, so nothing is carried from one call to the next."""
     import json
+    from collections import Counter
 
     from tropquad import cli, stropicalize
     from tropquad.serialize import ratform_to_json
@@ -385,11 +393,10 @@ def test_each_distinct_value_is_imaged_once_per_stropicalize_call(monkeypatch, t
         return original(spec, a)
 
     monkeypatch.setattr(stropicalize, "apply_supervaluation", counted)
-    values = {c for row in ring_companion_matrix(q) for c in row} | {q.coeff(i, i) for i in range(q.n)}
-    values |= set(q.coeffs.values())
+    values = set(q.coeffs.values()) | {q.coeff(i, i) for i in range(q.n)}
+    assert F(0) in values
     for _ in range(2):
         seen.clear()
         assert cli.main(["stropicalize", str(path), "--prime", "2"]) == 0
         capsys.readouterr()
-        assert len(seen) == len(set(seen)) == len(values)
-        assert set(seen) == values
+        assert Counter(seen) == Counter(values) + Counter([2])
