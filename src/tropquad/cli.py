@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from functools import partial
 from typing import Callable
 
@@ -30,6 +31,15 @@ from .stropicalize import square_class_sequence, stropicalize_images
 from .probes import cell_disagreements
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members as a dict; a key that the object names twice raises ValueError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
+        raise ValueError(f"duplicate key {key!r}")
+    return obj
+
+
 def _read_json(path: str):
     try:
         if path == "-":
@@ -40,10 +50,10 @@ def _read_json(path: str):
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}", "$") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc.msg}", f"$ (line {exc.lineno}, column {exc.colno})") from exc
-    except (ValueError, RecursionError) as exc:  # an int past the digit limit; nesting past the stack
+    except (ValueError, RecursionError) as exc:  # a key named twice, an int past the digit limit; deep nesting
         raise SchemaError(f"invalid JSON: {exc}", "$") from exc
 
 
@@ -52,7 +62,7 @@ def _load(args, key: str):
     doc = _read_json(getattr(args, key))
     if getattr(args, "semifield", None) and isinstance(doc, dict):
         try:
-            doc = {**doc, "semifield": json.loads(args.semifield)}
+            doc = {**doc, "semifield": json.loads(args.semifield, object_pairs_hook=_unique_keys)}
         except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
             raise SchemaError(f"invalid JSON in --semifield: {getattr(exc, 'msg', exc)}", "$.semifield") from exc
     return doc

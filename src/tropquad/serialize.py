@@ -46,20 +46,19 @@ them through one :func:`_cell_reader`, which reads each distinct cell
 encoding once per document on the same terms.
 
 The write side has one writer, :func:`dumps`, which the CLI prints
-through.  A payload holds forms, Gram matrices and companion tables as
-they are; ``json.dumps(payload, sort_keys=True)`` writes each as its
-:func:`document`, whose grid (``upper``, ``gram`` or ``cells``) it leaves
-as a marker, and a per-document :class:`_TextWriter` writes the grids as
-text that :func:`dumps` splices in at the markers.  The writer keeps each
+through.  A payload's dicts hold forms, Gram matrices and companion tables
+as they are, and a :class:`_TextWriter` writes the payload in one walk: a
+dict as its members in sorted key order, an object as its
+:func:`document`, whose grid (``upper``, ``gram`` or ``cells``) carries
+the writer method for it, and any other value with ``json``'s own
+encoder, whose string escaping the keys share.  The writer keeps each
 element's and cell's text by object, so a mirror entry that is its twin's
-object reuses the twin's text and any other, as in an asymmetric table,
-is encoded on its own; a cell it has not met is looked up by
+object reuses the twin's text; a cell it has not met is looked up by
 :func:`~tropquad.companions.cell_key`, so each distinct cell is encoded
-once per document.  Strings are escaped by ``json``'s own encoder, and
-``upper`` keys come in ``sort_keys`` order ("1,10" before "1,2").
-:func:`form_to_json`, :func:`bilinear_to_json`, :func:`table_to_json` and
-:func:`cell_to_json` read their values back from that text, so each
-schema has one encoding rule.
+once per document.  ``upper`` keys come in ``sort_keys`` order ("1,10"
+before "1,2").  :func:`form_to_json`, :func:`bilinear_to_json`,
+:func:`table_to_json` and :func:`cell_to_json` read their values back
+from that text, so each schema has one encoding rule.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps's string encoder under ensure_ascii
 from operator import itemgetter
-from typing import Any, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .companions import (
     CompanionSet, CompanionTable, NuClass, NuLeqDoubled, NuLtDoubled, Singleton, cell_boundary, cell_key,
@@ -535,19 +534,15 @@ def class_tag_to_json(tag: Optional[SquareClassTag]) -> dict:
 
 # -- JSON text -------------------------------------------------------------------
 
-_ZERO_TEXT = _quote("0")
-# the stand-in for a grid in the value that json.dumps walks; :func:`dumps` splices the grid's text in at it
-_MARK = "\x00grid\x00"
-_QUOTED_MARK = _quote(_MARK)
+# json.dumps builds a new encoder on every call that passes sort_keys; this one is built once
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
 
 
-class _Grid:
-    """The grid member of a form, Gram matrix or table, held by its owner until :class:`_TextWriter` writes it."""
+class _Grid(NamedTuple):
+    """A grid member of a :func:`document`: its entries and the :class:`_TextWriter` method that writes them."""
 
-    __slots__ = ("owner",)
-
-    def __init__(self, owner):
-        self.owner = owner
+    entries: tuple
+    write: Callable
 
 
 def document(obj: Any) -> dict:
@@ -562,21 +557,23 @@ def document(obj: Any) -> dict:
             "semifield": semifield_to_json(obj.sf),
             "n": obj.n,
             "diag": [format_element(a) for a in obj.diag],
-            "upper": _Grid(obj),
+            "upper": _Grid(obj.cross, _TextWriter._upper_text),
         }
     if isinstance(obj, SymmetricBilinearForm):
-        return {"semifield": semifield_to_json(obj.sf), "gram": _Grid(obj)}
+        return {"semifield": semifield_to_json(obj.sf), "gram": _Grid(obj.gram, _TextWriter._element_rows)}
     if isinstance(obj, CompanionTable):
-        return {"semifield": semifield_to_json(obj.sf), "n": obj.n, "cells": _Grid(obj)}
+        return {"semifield": semifield_to_json(obj.sf), "n": obj.n, "cells": _Grid(obj.cells, _TextWriter._cell_rows)}
     raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
 def dumps(payload: Any) -> str:
     """``json.dumps(payload, sort_keys=True)``, where each form, Gram matrix or table is its :func:`document`.
 
-    Each grid is written as text once per distinct entry (see the module docstring).
+    Such an object may be the payload or a dict's member at any depth; inside a list it raises
+    ``json``'s ``TypeError``, and so does a dict key that is not a string, which ``json.dumps``
+    would convert (no caller does either).  Each grid's distinct entries are written once.
     """
-    return _TextWriter().dumps(payload)
+    return _TextWriter().text(payload)
 
 
 @functools.lru_cache(maxsize=None)
@@ -601,7 +598,7 @@ def _upper_layout(n: int) -> tuple:
 
 
 class _TextWriter:
-    """The grids of one document as JSON text (see the module docstring).
+    """One payload's JSON text, written in one walk by :meth:`text` (see the module docstring).
 
     ``by_id`` holds the text of each element and cell object met; each
     belongs to a grid of the payload, which outlives the writer, so no id
@@ -612,32 +609,17 @@ class _TextWriter:
     """
 
     def __init__(self):
-        self.fragments: list[str] = []
         self.by_id: dict[int, str] = {}
         self.cells: dict[tuple, str] = {}
 
-    def dumps(self, payload: Any) -> str:
-        # json.dumps calls default in the order of its output, so the fragments follow the markers
-        parts = json.dumps(payload, sort_keys=True, default=self._default).split(_QUOTED_MARK)
-        fragments = self.fragments
-        if len(parts) != len(fragments) + 1:
-            raise ValueError(f"{len(parts) - 1} grid markers in the text for {len(fragments)} grids")
-        out = [""] * (2 * len(parts) - 1)
-        out[::2], out[1::2] = parts, fragments
-        return "".join(out)
-
-    def _default(self, obj: Any):
-        if obj.__class__ is not _Grid:
-            return document(obj)
-        owner = obj.owner
-        if isinstance(owner, QuadraticForm):
-            text = self._upper_text(owner)
-        elif isinstance(owner, CompanionTable):
-            text = self._rows_text(owner.cells, self._cell)
-        else:
-            text = self._rows_text(owner.gram, self._element)
-        self.fragments.append(text)
-        return _MARK
+    def text(self, value: Any) -> str:
+        if isinstance(value, dict):
+            return "{" + ", ".join([_quote(k) + ": " + self.text(v) for k, v in sorted(value.items())]) + "}"
+        if value.__class__ is _Grid:
+            return value.write(self, value.entries)
+        if value is None or isinstance(value, (str, int, float, list, tuple)):
+            return _ENCODE(value)
+        return self.text(document(value))  # document raises json's TypeError for any other object
 
     def _texts(self, entries: tuple, encode) -> list[str]:
         """The texts of a row's entries: from ``by_id``, and from ``encode`` where that misses."""
@@ -649,12 +631,18 @@ class _TextWriter:
     def _rows_text(self, rows, encode) -> str:
         return "[" + ", ".join(["[" + ", ".join(self._texts(row, encode)) + "]" for row in rows]) + "]"
 
-    def _upper_text(self, q: QuadraticForm) -> str:
-        """The members "i,j" of the form's nonzero cross coefficients, i < j."""
-        cross, parts = q.cross, []
-        for i, pick, prefixes in _upper_layout(q.n):
+    def _element_rows(self, rows) -> str:
+        return self._rows_text(rows, self._element)
+
+    def _cell_rows(self, rows) -> str:
+        return self._rows_text(rows, self._cell)
+
+    def _upper_text(self, cross) -> str:
+        """The members "i,j" of a form's nonzero cross coefficients, i < j, from its cross grid."""
+        parts = []
+        for i, pick, prefixes in _upper_layout(len(cross)):
             texts = self._texts(pick(cross[i]), self._element)
-            parts += [p + t for p, t in zip(prefixes, texts) if t != _ZERO_TEXT]  # only zero prints "0"
+            parts += [p + t for p, t in zip(prefixes, texts) if t != '"0"']  # only zero prints "0"
         return "{" + ", ".join(parts) + "}"
 
     def _element(self, v: Element) -> str:

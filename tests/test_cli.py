@@ -521,6 +521,46 @@ def test_alias_index_keys_are_duplicates(files, capsys, command, obj, path):
     assert error["error"] == ("duplicate index (1,2)" if command == "companions" else "duplicate index (1,1)")
 
 
+FORM_TEXT = json.dumps(FORM)
+
+
+@pytest.mark.parametrize(
+    "argv, texts, path, reason",
+    [
+        (("companions", 0), [FORM_TEXT[:-2] + ', "1,2": "t:9"}}'], "$", "invalid JSON: duplicate key '1,2'"),
+        (
+            ("eval", 0, "--vector", "t:1/2,0"),
+            [FORM_TEXT[:-1] + ', "semifield": {"group": "rat", "fiber_rank": 0}}'],
+            "$",
+            "invalid JSON: duplicate key 'semifield'",
+        ),
+        (("companions", "-"), [FORM_TEXT[:-2] + ', "1,2": "t:9"}}'], "$", "invalid JSON: duplicate key '1,2'"),
+        (
+            ("check", 0, "--table", 1),
+            [FORM_TEXT, json.dumps(table_to_json(companion_table(form_from_json(FORM))))[:-1] + ', "n": 2}'],
+            "$",
+            "invalid JSON: duplicate key 'n'",
+        ),
+        (
+            ("companions", 0, "--semifield", '{"group": "int", "group": "rat"}'),
+            [FORM_TEXT],
+            "$.semifield",
+            "invalid JSON in --semifield: duplicate key 'group'",
+        ),
+    ],
+    ids=["file", "file-semifield", "stdin", "saved-table", "semifield-option"],
+)
+def test_a_key_named_twice_is_refused(tmp_path, capsys, monkeypatch, argv, texts, path, reason):
+    """``json.loads`` alone keeps the last copy of a repeated key, so the call would go on with
+    one of two values; every document the CLI reads refuses the key instead.  An int k in argv
+    names the k-th text's file, and stdin holds the first text."""
+    for k, text in enumerate(texts):
+        (tmp_path / f"{k}.json").write_text(text)
+    monkeypatch.setattr("sys.stdin", io.StringIO(texts[0]))
+    argv = [str(tmp_path / f"{a}.json") if isinstance(a, int) else a for a in argv]
+    assert _error(capsys, *argv) == {"error": reason, "path": path}
+
+
 def test_fiber_rank_bound(files, capsys):
     at_bound = dict(FORM, semifield={"group": "int", "fiber_rank": 64})
     code, out, _ = run(capsys, "companions", files("f.json", at_bound))

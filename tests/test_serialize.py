@@ -1,11 +1,12 @@
 """Round trips and positioned schema errors for every JSON surface."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tropquad import (
@@ -16,6 +17,7 @@ from tropquad import (
     QuadraticForm,
     Semifield,
     SymmetricBilinearForm,
+    balanced_companion,
     companion_table,
 )
 from tropquad.companions import CompanionTable, NuClass, NuLeqDoubled, NuLtDoubled, Singleton
@@ -492,6 +494,59 @@ def test_table_encoding_is_the_per_cell_encoding():
     for sf in kind_semifields(1):
         table = companion_table(random_form(rng, sf, 24))
         assert table_to_json(table)["cells"] == [[cell_to_json(c) for c in row] for row in table.cells]
+
+
+def _documented_objects() -> list:
+    """Forms of n 1, 3 and 11 (an ``upper`` key "1,10" sorts before "1,2"), with their balanced
+    companions' Gram matrices and their companion tables."""
+    rng = random.Random(13)
+    forms = [random_form(rng, sf, n) for sf in (INT, Semifield(GroupKind.RAT, 1)) for n in (1, 3, 11)]
+    return forms + [balanced_companion(q) for q in forms] + [companion_table(q) for q in forms]
+
+
+_STRINGS = st.one_of(st.text(max_size=6), st.sampled_from(['say "q"', "back\\slash", "naïve ✓ 字", "\x00grid\x00"]))
+_PLAIN = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _STRINGS),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(_STRINGS, inner, max_size=3)),
+    max_leaves=8,
+)
+# a dict's members, at any depth, may be forms, Gram matrices or tables; a list's never are
+_PAYLOADS = st.recursive(
+    st.one_of(_PLAIN, st.sampled_from(_documented_objects())),
+    lambda inner: st.dictionaries(_STRINGS, inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def _as_values(payload):
+    """The payload with each form, Gram matrix and table replaced by its JSON value."""
+    if isinstance(payload, dict):
+        return {k: _as_values(v) for k, v in payload.items()}
+    if isinstance(payload, (QuadraticForm, SymmetricBilinearForm, CompanionTable)):
+        return json.loads(serialize.dumps(payload))
+    return payload
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PAYLOADS)
+@example({"note": "\x00grid\x00"})
+@example({"note": "\x00grid\x00", "table": _documented_objects()[-1]})
+def test_dumps_is_json_dumps_of_the_payloads_values_property(payload):
+    """``dumps`` writes a payload as ``json.dumps`` writes it with each object replaced by that
+    object's JSON value, whatever strings the payload holds."""
+    assert serialize.dumps(payload) == json.dumps(_as_values(payload), sort_keys=True)
+
+
+def test_an_object_inside_a_list_raises_jsons_type_error():
+    q = QuadraticForm(INT, (t(2), t(4)), {(0, 1): t(9)})
+    with pytest.raises(TypeError, match="Object of type QuadraticForm is not JSON serializable"):
+        serialize.dumps({"forms": [q]})
+
+
+def test_a_dict_key_that_is_not_a_string_raises_type_error():
+    """``json.dumps`` would write the key 1 as "1"; no payload has such a key, and ``dumps`` refuses it."""
+    with pytest.raises(TypeError):
+        serialize.dumps({1: "one"})
 
 
 def test_int_literals_build_no_fraction(monkeypatch):

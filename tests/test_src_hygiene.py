@@ -4,11 +4,12 @@ The project runs no linter, so two of a linter's checks live here:
 every name a module imports is used in that module, and every module-level
 private function is referenced somewhere in the package besides its own
 definition.  ``__init__.py`` is left out, since its imports are the public
-exports.  Three checks are the project's own: the front end, ``cli``,
-imports no ``_``-prefixed name from another module; no public function or
-method takes a ``_``-prefixed parameter; and every public export that no
-other module reads says which of the paper's statements it encodes and
-which test checks it.
+exports.  Four checks are the project's own: the front end, ``cli``,
+imports no ``_``-prefixed name from another module, and it reads every
+JSON text through the hook that refuses a key named twice; no public
+function or method takes a ``_``-prefixed parameter; and every public
+export that no other module reads says which of the paper's statements it
+encodes and which test checks it.
 """
 
 import ast
@@ -107,6 +108,29 @@ def _private_imports(tree: ast.Module) -> set[str]:
     }
 
 
+_JSON_READERS = {"load", "loads", "JSONDecoder"}
+
+
+def _json_reads_without_hook(tree: ast.Module) -> list[int]:
+    """The line of every ``json.load``, ``json.loads`` or ``json.JSONDecoder`` call
+    in the module that does not pass ``object_pairs_hook=_unique_keys``, the hook
+    that refuses a key named twice, and of every import of one of them from
+    ``json``, whose bare calls this scan would not see."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+        and node.func.attr in _JSON_READERS
+        and not any(
+            k.arg == "object_pairs_hook" and isinstance(k.value, ast.Name) and k.value.id == "_unique_keys"
+            for k in node.keywords
+        )
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json"
+        and any(alias.name in _JSON_READERS for alias in node.names)
+    )
+
+
 def _public(name: str) -> bool:
     return not name.startswith("_") or (name.startswith("__") and name.endswith("__"))
 
@@ -191,6 +215,17 @@ def test_the_checks_find_what_they_look_for():
         "class _D:\n"
         "    def m(self, _x): pass\n"
     )) == {"f", "g", "C.__init__", "C.m"}
+    assert _json_reads_without_hook(ast.parse(
+        "json.loads(a, object_pairs_hook=_unique_keys)\n"
+        "json.loads(b)\n"
+        "json.loads(c, object_pairs_hook=dict)\n"
+        "json.load(fh)\n"
+        "json.JSONDecoder().decode(e)\n"
+        "from json import loads\n"
+        "json.dumps(d)\n"
+        "pickle.loads(f)\n"
+        "json.load(fh, object_pairs_hook=_unique_keys)\n"
+    )) == [2, 3, 4, 5, 6]
     init = ast.parse("from .m import called, read, unread\nfrom .n import alone\n")
     assert _library_only(init, {"m": ast.parse("def f(): return called()\n"), "n": ast.parse("x = m.read\n")}) == {
         "unread", "alone",
@@ -207,3 +242,9 @@ def test_the_front_end_imports_only_public_names():
     """``cli`` reaches the package through its public names; what it needs of a
     module's internals belongs behind a public function of that module."""
     assert _private_imports(_modules()["cli"]) == set()
+
+
+def test_the_front_end_refuses_a_key_named_twice_in_every_json_read():
+    """``json.loads`` keeps the last copy of a repeated key; ``cli`` reads each input
+    document and ``--semifield`` through the hook that refuses one instead."""
+    assert _json_reads_without_hook(_modules()["cli"]) == []
