@@ -116,10 +116,10 @@ CompanionSet = Union[Singleton, NuLeqDoubled, NuLtDoubled, NuClass]
 
 
 def cell_key(cell: CompanionSet) -> Optional[tuple]:
-    """Which cells are one value: the class and field (a singleton's element as tag, fiber and
-    exponent), the exponent as an int, None or a Fraction's numerator and denominator.  Cells of
-    one key print alike and have the same extremes.  A cell whose exponent has another type has
-    no key (None): the float 2.0 equals 2 but prints differently."""
+    """Which cells are one value, read by :func:`companion_table`: the class and field (a singleton's
+    element as tag, fiber and exponent), the exponent as an int, None or a Fraction's numerator and
+    denominator.  Cells of one key print alike and have the same extremes.  A cell whose exponent
+    has another type (a Fraction subclass, a float) has no key (None): 2.0 == 2 prints as "2.0"."""
     cls = cell.__class__
     if cls is Singleton:
         value = cell.value
@@ -516,15 +516,21 @@ def companion_table(q: QuadraticForm) -> CompanionTable:
     """Each cell depends only on the two coefficients it indexes.
 
     The cross coefficients are read off the rows of ``q.cross``.  A
-    diagonal cell is the rank-2 case at (alpha, alpha, nu(alpha)).
+    diagonal cell is the rank-2 case at (alpha, alpha, nu(alpha)).  Every
+    cell of one :func:`cell_key` is the first cell of that key, so a reader
+    keys cells by object; a cell with no key keeps its own object.
     """
     sf, diag = q.sf, q.diag
     n = len(diag)
     grid: list[list[CompanionSet]] = [[None] * n for _ in range(n)]  # type: ignore[list-item]
+    first: dict[tuple, CompanionSet] = {}
     for i, (alpha1, row) in enumerate(zip(diag, q.cross)):
-        grid[i][i] = pair_analysis(sf, alpha1, alpha1, alpha1.nu())[1]
-        for j in range(i + 1, n):
-            grid[i][j] = grid[j][i] = pair_analysis(sf, alpha1, diag[j], row[j])[1]
+        nu = alpha1.nu()
+        for j in range(i, n):
+            cell = pair_analysis(sf, alpha1, diag[j], row[j] if j > i else nu)[1]
+            if (key := cell_key(cell)) is not None:
+                cell = first.setdefault(key, cell)
+            grid[i][j] = grid[j][i] = cell
     return CompanionTable(sf, tuple(map(tuple, grid)))
 
 

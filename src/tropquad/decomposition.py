@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .companions import NuLtDoubled, Singleton, cell_key, companion_table, is_companion, set_max, set_min
+from .companions import NuLtDoubled, companion_table, is_companion, set_max, set_min
 from .errors import PreconditionError
 from .forms import QuadraticForm, SymmetricBilinearForm, is_rigid
 from .semiring import ZERO, Value
@@ -66,29 +66,23 @@ def rig_extrema(q: QuadraticForm) -> RigExtrema:
     dense gap do not).  The table is walked by rows, and a zero extreme is
     left out of its mapping, since an absent coefficient is zero.
 
-    ``set_min`` and ``set_max`` run once per distinct ``cell_key``, so
-    cells of one value share their extremes' objects; a cell with no key is
-    computed on its own, and a singleton's extremes are its value.
+    ``set_min`` and ``set_max`` run once per cell object, and
+    :func:`~tropquad.companions.companion_table` hands out one object per
+    cell value, so cells of one value share their extremes' objects.
     """
     sf, n = q.sf, q.n
     table = companion_table(q)
     min_upper = {}
     max_upper = {}
     no_max_cell = None
-    extremes: dict[tuple, tuple] = {}
+    extremes: dict[int, tuple] = {}  # id(cell) -> (set_min, set_max); the table keeps each cell alive
     for i, row in enumerate(table.cells):
         for j in range(i + 1, n):
             cell = row[j]
-            if cell.__class__ is Singleton:
-                low = top = cell.value
-            else:
-                key = cell_key(cell)
-                pair = extremes.get(key)  # None is never a key
-                if pair is None:
-                    pair = (set_min(sf, cell), set_max(sf, cell))
-                    if key is not None:
-                        extremes[key] = pair
-                low, top = pair
+            pair = extremes.get(id(cell))
+            if pair is None:
+                pair = extremes[id(cell)] = (set_min(sf, cell), set_max(sf, cell))
+            low, top = pair
             if not low.is_zero:
                 min_upper[(i, j)] = low
             if top is None:

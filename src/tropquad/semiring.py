@@ -396,7 +396,7 @@ class Semifield(Value):
         return _SCALED_RULES[self.group][0](1, q)
 
     def legal_exponent(self, x: Exponent) -> bool:
-        if isinstance(x, (float, bool)):  # bool is an int, but prints as a word
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):  # bool is an int, but prints as a word
             return False
         return self._legal_denominator(x.denominator)
 
@@ -489,23 +489,25 @@ class Semifield(Value):
         or 1 is screened by equality with the legal fibers of its rank; any
         other fiber, and any that fails the screen, goes to
         :meth:`check_fiber`, which raises the error; a fiber given as a list,
-        say, comes back as the validated tuple.
+        say, comes back as the validated tuple.  A value without an element's
+        fields is refused by the ``AttributeError`` of reading them.
         """
-        tag = a.tag
+        try:
+            tag, exp, fiber = a.tag, a.exp, a.fiber
+        except AttributeError:
+            raise ValueError(f"not an element: {a!r}") from None
         if tag == _TAG_ZERO:
-            if a.exp is not None or a.fiber:
+            if exp is not None or fiber:
                 raise ValueError("zero carries no exponent or fiber")
             return a
-        exp = a.exp
         if exp.__class__ is not int:
             if exp.__class__ is not Fraction or not self._legal_denominator(exp.denominator):
                 self.check_exponent(exp)
-        fiber = a.fiber
         if tag == _TAG_TANGIBLE:
             rank = self.fiber_rank
             if fiber.__class__ is not tuple or rank > 1 or fiber not in _SMALL_FIBERS[rank]:
                 if (checked := self.check_fiber(fiber)) is not fiber:
-                    return Element(tag, a.exp, checked)
+                    return Element(tag, exp, checked)
         elif fiber:
             raise ValueError("ghosts carry no fiber")
         return a

@@ -50,12 +50,13 @@ through.  A payload's dicts hold forms, Gram matrices and companion tables
 as they are, and a :class:`_TextWriter` writes the payload in one walk: a
 dict as its members in sorted key order, an object as its
 :func:`document`, whose grid (``upper``, ``gram`` or ``cells``) carries
-the writer method for it, and any other value with ``json``'s own
-encoder, whose string escaping the keys share.  The writer keeps each
-element's and cell's text by object, so a mirror entry that is its twin's
-object reuses the twin's text; a cell it has not met is looked up by
-:func:`~tropquad.companions.cell_key`, so each distinct cell is encoded
-once per document.  ``upper`` keys come in ``sort_keys`` order ("1,10"
+the writer method and the entry encoder for it, and any other value with
+``json``'s own encoder, whose string escaping the keys share.  The writer
+keeps each element's and cell's text by object, encoded when first met.
+The package shares one element object per value, and
+:func:`~tropquad.companions.companion_table` one cell object per value, so
+each distinct element and cell is encoded once per document, a cell from
+its integers alone.  ``upper`` keys come in ``sort_keys`` order ("1,10"
 before "1,2").  :func:`form_to_json`, :func:`bilinear_to_json`,
 :func:`table_to_json` and :func:`cell_to_json` read their values back
 from that text, so each schema has one encoding rule.
@@ -71,7 +72,7 @@ from operator import itemgetter
 from typing import Any, Callable, NamedTuple, Optional
 
 from .companions import (
-    CompanionSet, CompanionTable, NuClass, NuLeqDoubled, NuLtDoubled, Singleton, cell_boundary, cell_key,
+    CompanionSet, CompanionTable, NuClass, NuLeqDoubled, NuLtDoubled, Singleton,
 )
 from .forms import DIMENSION_LIMIT, QuadraticForm, SymmetricBilinearForm, Vector
 from .matrices import GeneralMatrix
@@ -375,16 +376,27 @@ _CELLS = {
     "nu_lt": (NuLtDoubled, "bound2"),
     "nu_class": (NuClass, "exp"),
 }
-_CELL_KINDS = {cls: (kind, field) for kind, (cls, field) in _CELLS.items()}
 _KIND_MESSAGE = "kind must be " + "|".join(_CELLS)
 
 
-def cell_display(cell: CompanionSet) -> str:
+def _display_and_field(cell: CompanionSet) -> tuple[str, str]:
+    """The cell's display and the text of its field.  A lower interval's edge is half its doubled
+    bound p/d: p/2 over d when p is even (then d is odd), else p over 2d, both in lowest terms."""
     if isinstance(cell, Singleton):
-        return "{" + format_element(cell.value) + "}"
+        text = format_element(cell.value)
+        return "{" + text + "}", text
     if isinstance(cell, NuClass):
-        return f"nu-class({cell.exp})"
-    return f"[0, g:{cell_boundary(cell)}{']' if isinstance(cell, NuLeqDoubled) else '['}"
+        text = str(cell.exp)
+        return f"nu-class({text})", text
+    bound2 = cell.bound2
+    p, d = bound2.numerator, bound2.denominator
+    p, d = (p // 2, d) if p % 2 == 0 else (p, 2 * d)
+    edge = str(p) if d == 1 else f"{p}/{d}"
+    return f"[0, g:{edge}{']' if isinstance(cell, NuLeqDoubled) else '['}", str(bound2)
+
+
+def cell_display(cell: CompanionSet) -> str:
+    return _display_and_field(cell)[0]
 
 
 def _cell_template(kind: str, field: str) -> str:
@@ -399,10 +411,8 @@ _CELL_TEXT = {cls: _cell_template(kind, field) for kind, (cls, field) in _CELLS.
 
 def _cell_text(cell: CompanionSet) -> str:
     """The cell's JSON text: its display, its kind and its field, an element or an exponent."""
-    cls = cell.__class__
-    value = getattr(cell, _CELL_KINDS[cls][1])
-    text = format_element(value) if cls is Singleton else str(value)
-    return _CELL_TEXT[cls] % {"display": _quote(cell_display(cell)), "value": _quote(text)}
+    display, field = _display_and_field(cell)
+    return _CELL_TEXT[cell.__class__] % {"display": _quote(display), "value": _quote(field)}
 
 
 def cell_to_json(cell: CompanionSet) -> dict:
@@ -539,10 +549,12 @@ _ENCODE = json.JSONEncoder(sort_keys=True).encode
 
 
 class _Grid(NamedTuple):
-    """A grid member of a :func:`document`: its entries and the :class:`_TextWriter` method that writes them."""
+    """A grid member of a :func:`document`: its entries, the :class:`_TextWriter` method that writes them
+    and the function that encodes one entry."""
 
     entries: tuple
     write: Callable
+    encode: Callable
 
 
 def document(obj: Any) -> dict:
@@ -557,12 +569,13 @@ def document(obj: Any) -> dict:
             "semifield": semifield_to_json(obj.sf),
             "n": obj.n,
             "diag": [format_element(a) for a in obj.diag],
-            "upper": _Grid(obj.cross, _TextWriter._upper_text),
+            "upper": _Grid(obj.cross, _TextWriter._upper_text, _element_text),
         }
     if isinstance(obj, SymmetricBilinearForm):
-        return {"semifield": semifield_to_json(obj.sf), "gram": _Grid(obj.gram, _TextWriter._element_rows)}
+        return {"semifield": semifield_to_json(obj.sf), "gram": _Grid(obj.gram, _TextWriter._rows_text, _element_text)}
     if isinstance(obj, CompanionTable):
-        return {"semifield": semifield_to_json(obj.sf), "n": obj.n, "cells": _Grid(obj.cells, _TextWriter._cell_rows)}
+        cells = _Grid(obj.cells, _TextWriter._rows_text, _cell_text)
+        return {"semifield": semifield_to_json(obj.sf), "n": obj.n, "cells": cells}
     raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
@@ -597,64 +610,46 @@ def _upper_layout(n: int) -> tuple:
     return tuple(layout)
 
 
+def _element_text(v: Element) -> str:
+    return _quote(format_element(v))
+
+
 class _TextWriter:
     """One payload's JSON text, written in one walk by :meth:`text` (see the module docstring).
 
     ``by_id`` holds the text of each element and cell object met; each
     belongs to a grid of the payload, which outlives the writer, so no id
-    is reused.  The package shares one element object per value, and
-    encoding an element costs less than hashing a Fraction, so an element
-    met anew is encoded; the case analysis builds a new cell for each pair,
-    so a cell met anew is looked up by its ``cell_key``.
+    is reused.  Elements, and a companion table's cells, share one object
+    per value, so each value is encoded once.
     """
 
     def __init__(self):
         self.by_id: dict[int, str] = {}
-        self.cells: dict[tuple, str] = {}
 
     def text(self, value: Any) -> str:
         if isinstance(value, dict):
             return "{" + ", ".join([_quote(k) + ": " + self.text(v) for k, v in sorted(value.items())]) + "}"
         if value.__class__ is _Grid:
-            return value.write(self, value.entries)
+            return value.write(self, value.entries, value.encode)
         if value is None or isinstance(value, (str, int, float, list, tuple)):
             return _ENCODE(value)
         return self.text(document(value))  # document raises json's TypeError for any other object
 
     def _texts(self, entries: tuple, encode) -> list[str]:
-        """The texts of a row's entries: from ``by_id``, and from ``encode`` where that misses."""
-        texts = list(map(self.by_id.get, map(id, entries)))
-        if None in texts:
-            texts = [t or encode(v) for t, v in zip(texts, entries)]
+        """The texts of a row's entries: from ``by_id``, and from ``encode``, kept there, where that misses."""
+        by_id = self.by_id
+        texts = list(map(by_id.get, map(id, entries)))
+        if None in texts:  # a row may hold a new object more than once: it is encoded once
+            texts = [t or by_id.get(id(v)) or by_id.setdefault(id(v), encode(v)) for t, v in zip(texts, entries)]
         return texts
 
     def _rows_text(self, rows, encode) -> str:
         return "[" + ", ".join(["[" + ", ".join(self._texts(row, encode)) + "]" for row in rows]) + "]"
 
-    def _element_rows(self, rows) -> str:
-        return self._rows_text(rows, self._element)
-
-    def _cell_rows(self, rows) -> str:
-        return self._rows_text(rows, self._cell)
-
-    def _upper_text(self, cross) -> str:
+    def _upper_text(self, cross, encode) -> str:
         """The members "i,j" of a form's nonzero cross coefficients, i < j, from its cross grid."""
         parts = []
         for i, pick, prefixes in _upper_layout(len(cross)):
-            texts = self._texts(pick(cross[i]), self._element)
+            texts = self._texts(pick(cross[i]), encode)
             parts += [p + t for p, t in zip(prefixes, texts) if t != '"0"']  # only zero prints "0"
         return "{" + ", ".join(parts) + "}"
-
-    def _element(self, v: Element) -> str:
-        text = self.by_id[id(v)] = _quote(format_element(v))
-        return text
-
-    def _cell(self, cell: CompanionSet) -> str:
-        key = cell_key(cell)
-        text = self.cells.get(key)  # None is never a key
-        if text is None:
-            text = _cell_text(cell)
-            if key is not None:
-                self.cells[key] = text
-        self.by_id[id(cell)] = text
-        return text

@@ -47,7 +47,8 @@ from tropquad import (
 )
 from tropquad import probes as probe_module
 from tropquad.cli import main
-from tropquad.companions import Battery, _probe_exponents_for, cell_boundary, triple_membership_oracle
+from tropquad import serialize
+from tropquad.companions import Battery, _probe_exponents_for, cell_boundary, cell_key, triple_membership_oracle
 from tropquad.probes import _scaled_cell, boundary_probe_elements, cell_disagreements
 from tropquad.semiring import _canon_exp
 from tropquad.serialize import form_to_json
@@ -308,6 +309,35 @@ def test_table_cells_depend_only_on_their_pair():
                 for j in range(i + 1, 4):
                     sub = QuadraticForm(sf, (q.diag[i], q.diag[j]), {(0, 1): q.beta(i, j)})
                     assert companion_table(sub).cell(0, 1) == table.cell(i, j)
+
+
+class _Ratio(Fraction):
+    """A Fraction subclass, which ``Semifield.element`` lets through and ``cell_key`` gives no key."""
+
+
+def test_cells_of_one_value_are_one_object(monkeypatch):
+    """``companion_table`` hands out one object per cell value, and ``dumps`` writes each object once."""
+    written = []
+    cell_text = serialize._cell_text
+    monkeypatch.setattr(serialize, "_cell_text", lambda cell: written.append(cell) or cell_text(cell))
+    rng = random.Random(36)
+    for rank in (0, 1, 2):
+        for sf in kind_semifields(rank):
+            for _ in range(4):
+                table = companion_table(random_form(rng, sf, 12))
+                cells = [cell for row in table.cells for cell in row]
+                first = {}
+                assert all(cell is first.setdefault(cell_key(cell), cell) for cell in cells)
+                assert len(first) < len(cells)
+                written.clear()
+                serialize.dumps(table)
+                assert sorted(map(id, written)) == sorted({id(cell) for cell in cells})
+    # a keyless cell keeps its own object, and is written as its equal twin is
+    third = RAT.tangible(_Ratio(1, 3))
+    table = companion_table(QuadraticForm(RAT, (ZERO, ZERO, ZERO), {(0, 1): third, (0, 2): third}))
+    assert cell_key(table.cell(0, 1)) is None and table.cell(0, 1) is not table.cell(0, 2)
+    cells = json.loads(serialize.dumps(table))["cells"]
+    assert cells[0][1] == cells[0][2] == {"display": "{t:1/3}", "kind": "singleton", "value": "t:1/3"}
 
 
 @settings(max_examples=400, deadline=None)

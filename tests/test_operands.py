@@ -93,15 +93,19 @@ def test_a_short_vector_is_refused_with_one_message(name):
     VECTOR_CALLS[name](FULL)
 
 
-# a coordinate of another semifield: an exponent outside the int group, a fiber of another rank
+# a coordinate of another semifield: an exponent outside the int group, a fiber of another rank;
+# and values that are no element at all
 FOREIGN = [
     (RAT.tangible(Fraction(1, 3)), "exponent 1/3 not in the int group"),
     (Semifield(GroupKind.INT, 1).tangible(1), r"bad fiber \(1,\) for rank 0"),
+    (3, "not an element: 3"),
+    (None, "not an element: None"),
+    ("t:1", "not an element: 't:1'"),
 ]
 SEMIFIELD_CALLS = [name for name in VECTOR_CALLS if name != "RationalQuadraticForm.evaluate"]
 
 
-@pytest.mark.parametrize("coordinate, message", FOREIGN, ids=["exponent", "fiber"])
+@pytest.mark.parametrize("coordinate, message", FOREIGN, ids=["exponent", "fiber", "int", "none", "text"])
 @pytest.mark.parametrize("name", SEMIFIELD_CALLS)
 def test_a_coordinate_outside_the_semifield_is_refused(name, coordinate, message):
     with pytest.raises(ValueError, match=message):

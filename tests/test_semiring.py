@@ -5,6 +5,7 @@ import itertools
 import math
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from tropquad import (
     Element,
     GroupKind,
     PreconditionError,
+    QuadraticForm,
     Semifield,
     leq_minimal,
 )
@@ -503,6 +505,30 @@ def test_exponent_fast_paths_keep_their_refusals(sf, exp, message):
         with pytest.raises(ValueError) as info:
             sf.element(Element(tag, exp))
         assert type(info.value) is ValueError and str(info.value) == message
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: INT.tangible("1"), "exponent 1 not in the int group"),
+    (lambda: RAT.tangible(None), "exponent None not in the rat group"),
+    (lambda: RAT3.ghost(Decimal(1)), "exponent 1 not in the rat3 group"),
+    (lambda: INT.element(Element("tangible", None)), "exponent None not in the int group"),
+    (lambda: INT.element(3), "not an element: 3"),
+    (lambda: INT.element("t:1"), "not an element: 't:1'"),
+    (lambda: QuadraticForm(INT, (1, 2)), "not an element: 1"),
+], ids=["text", "none", "decimal", "exponentless-tangible", "int", "literal", "form"])
+def test_a_value_that_is_not_an_element_or_a_number_is_refused(build, message):
+    """README's library contract: such a value raises ValueError, not the AttributeError of a missing field."""
+    with pytest.raises(ValueError) as info:
+        build()
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+@pytest.mark.parametrize("sf", [INT, RAT, RAT3])
+def test_only_an_int_or_a_fraction_is_a_legal_exponent(sf):
+    for x in ("1", None, Decimal(1), 1.0, True, 1j):
+        assert sf.legal_exponent(x) is False
+    for x in (0, -7, Fraction(3, 1), _Ratio(6, 3)):
+        assert sf.legal_exponent(x) is True
 
 
 def test_legal_fraction_exponents_pass_unchanged():

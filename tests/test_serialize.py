@@ -141,6 +141,51 @@ def test_table_roundtrip_and_display():
     assert payload["cells"][0][1]["display"] == "[0, g:3]"
 
 
+# doubled bounds and exponents of each group: negative odd ones, 0, and denominators 2 and 3^k
+_CELL_EXPONENTS = {
+    GroupKind.INT: [0, 1, -1, 6, -7, -13, 40],
+    GroupKind.RAT: [0, -5, 8, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6), Fraction(-7, 3)],
+    GroupKind.RAT3: [0, 3, -9, Fraction(1, 3), Fraction(-5, 3), Fraction(2, 9), Fraction(-7, 27), Fraction(4, 81)],
+}
+
+
+@pytest.mark.parametrize("group", list(_CELL_EXPONENTS))
+def test_cell_text_is_read_off_the_integers(group):
+    """Each cell kind's display and field, against a lower interval's edge computed as a Fraction."""
+    sf = Semifield(group, 1)
+    for x in _CELL_EXPONENTS[group]:
+        edge = Fraction(x) / 2
+        expected = [
+            (NuLeqDoubled(x), {"display": f"[0, g:{edge}]", "kind": "nu_leq", "bound2": str(x)}),
+            (NuLtDoubled(x), {"display": f"[0, g:{edge}[", "kind": "nu_lt", "bound2": str(x)}),
+            (NuClass(x), {"display": f"nu-class({x})", "kind": "nu_class", "exp": str(x)}),
+        ]
+        for a in (ZERO, sf.tangible(x, (-1,)), sf.ghost(x)):
+            text = format_element(a)
+            expected.append((Singleton(a), {"display": "{" + text + "}", "kind": "singleton", "value": text}))
+        for cell, value in expected:
+            assert cell_to_json(cell) == value and cell_display(cell) == value["display"]
+
+
+def test_writing_a_table_builds_no_fraction(monkeypatch):
+    """The 64 x 64 seed-0 ``rat`` table's text is read off its cells' integers."""
+    table = companion_table(random_form(random.Random(0), Semifield(GroupKind.RAT, 1), 64))
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    serialize.dumps(table)
+    assert built == []
+    assert any(isinstance(getattr(cell, "bound2", None), Fraction) for row in table.cells for cell in row)
+    # the count sees the Fraction that halving a doubled bound as a Fraction builds
+    Fraction(1, 3) / 2
+    assert built != []
+
+
 def test_ratform_roundtrip():
     rng = random.Random(4)
     for _ in range(25):

@@ -1,9 +1,9 @@
 """Source hygiene of ``src/tropquad``, read with ``ast`` alone.
 
 The project runs no linter, so two of a linter's checks live here:
-every name a module imports is used in that module, and every module-level
-private function is referenced somewhere in the package besides its own
-definition.  ``__init__.py`` is left out, since its imports are the public
+every name a module imports is used in that module, and every private
+module-level function or constant, and every private method, is referenced
+somewhere in the package besides its own definition.  ``__init__.py`` is left out, since its imports are the public
 exports.  Four checks are the project's own: the front end, ``cli``,
 imports no ``_``-prefixed name from another module, and it reads every
 JSON text through the hook that refuses a key named twice; no public
@@ -63,15 +63,19 @@ def _modules() -> dict[str, ast.Module]:
     }
 
 
-def _referenced(nodes) -> set[str]:
-    """Every name read in the nodes, as a bare name or as an attribute."""
+def _referenced(nodes, skip=None) -> set[str]:
+    """Every name read in the nodes, as a bare name or as an attribute, outside the node skip."""
     out = set()
-    for node in nodes:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                out.add(sub.id)
-            elif isinstance(sub, ast.Attribute):
-                out.add(sub.attr)
+    todo = list(nodes)
+    while todo:
+        node = todo.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        todo.extend(ast.iter_child_nodes(node))
     return out
 
 
@@ -85,15 +89,25 @@ def _unused_imports(name: str, tree: ast.Module) -> set[tuple[str, str]]:
     return {(name, n) for n in imported - _referenced([tree])}
 
 
-def _unreferenced_private_functions(modules: dict[str, ast.Module]) -> set[tuple[str, str]]:
+def _private_definitions(tree: ast.Module):
+    """(name, node) of each private module-level function or constant and each private method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((fn.name, fn) for fn in node.body if isinstance(fn, ast.FunctionDef))
+
+
+def _unreferenced_private_names(modules: dict[str, ast.Module]) -> set[tuple[str, str]]:
     out = set()
     for name, tree in modules.items():
-        for fn in tree.body:
-            if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_") and not fn.name.startswith("__")):
-                continue
-            elsewhere = [n for other in modules.values() for n in other.body if n is not fn]
-            if fn.name not in _referenced(elsewhere):
-                out.add((name, fn.name))
+        for defined, node in _private_definitions(tree):
+            if not _public(defined) and defined not in _referenced(modules.values(), node):
+                out.add((name, defined))
     return out
 
 
@@ -169,7 +183,7 @@ def _library_only(init: ast.Module, modules: dict[str, ast.Module]) -> set[str]:
 
 def _flagged() -> set[tuple[str, str]]:
     modules = _modules()
-    flagged = _unreferenced_private_functions(modules)
+    flagged = _unreferenced_private_names(modules)
     for name, tree in modules.items():
         flagged |= _unused_imports(name, tree)
     return flagged
@@ -197,9 +211,17 @@ def test_the_checks_find_what_they_look_for():
         "def _used(): return read\n"
         "def _unused(): return _unused()\n"
         "x = _used()\n"
+        "_READ = 1\n_UNREAD: int = _READ\n__all__ = ['x']\n"
+        "class C:\n"
+        "    def _called(self): return 1\n"
+        "    def _recursive(self): return self._recursive()\n"
+        "    def __init__(self): self._called()\n"
     )
     assert _unused_imports("m", tree) == {("m", "os"), ("m", "dumps")}
-    assert _unreferenced_private_functions({"m": tree}) == {("m", "_unused")}
+    assert _unreferenced_private_names({"m": tree}) == {("m", "_unused"), ("m", "_UNREAD"), ("m", "_recursive")}
+    assert _unreferenced_private_names({"m": tree, "n": ast.parse("m._UNREAD(); C()._recursive")}) == {
+        ("m", "_unused"),
+    }
     assert _private_imports(ast.parse("from .semiring import Element, _unscaled_exp\nfrom . import _x\n")) == {
         "_unscaled_exp", "_x",
     }
